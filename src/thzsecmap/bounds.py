@@ -86,6 +86,20 @@ class BoundFreeParams:
             raise ValueError("higher-order epsilon terms are fixed to 0")
 
 
+def _check_renyi_domain(alpha: float, rho_i: float, rho_j: float) -> float:
+    # returns the mixed correlation alpha*rho_j + (1-alpha)*rho_i
+    if alpha <= 0.0 or alpha == 1.0:
+        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
+    if not 0.0 <= rho_i < 1.0 or not 0.0 <= rho_j < 1.0:
+        raise ValueError(f"correlations must lie in [0, 1), got {rho_i}, {rho_j}")
+    mix = alpha * rho_j + (1.0 - alpha) * rho_i
+    if mix * mix >= 1.0:
+        raise ValueError(
+            f"order alpha={alpha} outside validity domain for rho_i={rho_i}, rho_j={rho_j}"
+        )
+    return mix
+
+
 def renyi_bivariate_gaussian(alpha: float, rho_i: float, rho_j: float = 0.0) -> float:
     """Renyi divergence of order alpha between bivariate Gaussians, in nats.
 
@@ -98,15 +112,7 @@ def renyi_bivariate_gaussian(alpha: float, rho_i: float, rho_j: float = 0.0) -> 
 
     valid while the argument of the second logarithm stays positive.
     """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
-    if not 0.0 <= rho_i < 1.0 or not 0.0 <= rho_j < 1.0:
-        raise ValueError(f"correlations must lie in [0, 1), got {rho_i}, {rho_j}")
-    mix = alpha * rho_j + (1.0 - alpha) * rho_i
-    if mix * mix >= 1.0:
-        raise ValueError(
-            f"order alpha={alpha} outside validity domain for rho_i={rho_i}, rho_j={rho_j}"
-        )
+    mix = _check_renyi_domain(alpha, rho_i, rho_j)
     first = 0.5 * (math.log1p(-rho_j * rho_j) - math.log1p(-rho_i * rho_i))
     second = (math.log1p(-mix * mix) - math.log1p(-rho_j * rho_j)) / (2.0 * (alpha - 1.0))
     return first - second
@@ -119,8 +125,8 @@ def channel_divergence(alpha: float, link: LinkState, *, doubled: bool = True) -
     form is doubled by default; its alpha -> 1 limit then equals
     ``link.capacity_nats``.
     """
-    value = renyi_bivariate_gaussian(alpha, link.rho, 0.0)
-    return 2.0 * value if doubled else value
+    _check_renyi_domain(alpha, link.rho, 0.0)
+    return _divergence_from_t(alpha - 1.0, link.rho, doubled)
 
 
 def _clamp_prob(log_value: float) -> float:
@@ -129,19 +135,7 @@ def _clamp_prob(log_value: float) -> float:
     return math.exp(log_value)  # underflows to exactly 0.0 below ~e^-745
 
 
-def _log_reliability(n: int, c_nats: float, rl_nats: float, div_nats: float,
-                     alpha: float, lam: float) -> float:
-    e1 = -n * (1.0 - alpha) * (div_nats - c_nats + lam)
-    e2 = -n * (c_nats - rl_nats - lam)
-    if e1 < e2:
-        e1, e2 = e2, e1
-    return e1 + math.log1p(math.exp(e2 - e1))
-
-
-def _log_security(n: int, c_nats: float, l_nats: float, div_nats: float,
-                  alpha: float, lam: float) -> float:
-    e1 = -n * (1.0 - alpha) * (div_nats - c_nats - lam)
-    e2 = -n * (l_nats - c_nats - lam) / 2.0
+def _logaddexp(e1: float, e2: float) -> float:
     if e1 < e2:
         e1, e2 = e2, e1
     return e1 + math.log1p(math.exp(e2 - e1))
@@ -157,10 +151,11 @@ def reliability_bound(code: SecrecyCode, link_ab: LinkState, params: BoundFreePa
     if not 0.0 < params.alpha < 1.0:
         raise ValueError(f"reliability bound requires alpha in (0,1), got {params.alpha}")
     div = channel_divergence(params.alpha, link_ab, doubled=doubled)
-    rl = (code.rate_bits + code.randomness_bits) * LN2
-    return _clamp_prob(
-        _log_reliability(code.blocklength, link_ab.capacity_nats, rl, div,
-                         params.alpha, params.lambda_nats))
+    c_nats = link_ab.capacity_nats
+    margin = c_nats - (code.rate_bits + code.randomness_bits) * LN2
+    p, q, u, v = _reliability_coefficients(1.0 - params.alpha, code.blocklength, c_nats,
+                                           div, margin)
+    return _clamp_prob(_logaddexp(p - q * params.lambda_nats, u + v * params.lambda_nats))
 
 
 def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParams,
@@ -174,9 +169,11 @@ def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParam
     if params.alpha <= 1.0:
         raise ValueError(f"security bound requires alpha > 1, got {params.alpha}")
     div = channel_divergence(params.alpha, link_ae, doubled=doubled)
-    return _clamp_prob(
-        _log_security(code.blocklength, link_ae.capacity_nats,
-                      code.randomness_bits * LN2, div, params.alpha, params.lambda_nats))
+    c_nats = link_ae.capacity_nats
+    margin = code.randomness_bits * LN2 - c_nats
+    p, q, u, v = _security_coefficients(params.alpha - 1.0, code.blocklength, c_nats,
+                                        div, margin)
+    return _clamp_prob(_logaddexp(p - q * params.lambda_nats, u + v * params.lambda_nats))
 
 
 def _divergence_from_t(t_signed: float, rho: float, doubled: bool) -> float:
@@ -225,14 +222,23 @@ def _min_logsum_linear(p: float, q: float, u: float, v: float, width: float) -> 
     return (c, yc) if yc < yd else (d, yd)
 
 
+def _reliability_coefficients(t: float, n: int, c_nats: float, div: float,
+                              margin: float) -> tuple[float, float, float, float]:
+    # t = 1 - alpha, margin = C - R - L: log phi = logaddexp(p - q*lambda, u + v*lambda)
+    return -n * t * (div - c_nats), n * t, -n * margin, float(n)
+
+
+def _security_coefficients(t: float, n: int, c_nats: float, div: float,
+                           margin: float) -> tuple[float, float, float, float]:
+    # t = alpha - 1, margin = L - C_E: log delta = logaddexp(p - q*lambda, u + v*lambda)
+    return n * t * (div - c_nats), n * t, -n * margin / 2.0, n / 2.0
+
+
 def _objective_reliability(t: float, n: int, c_nats: float, rho: float, margin: float,
                            doubled: bool) -> tuple[float, float]:
     # t = 1 - alpha in (0, 1); returns (min log phi over lambda, argmin lambda)
     div = _divergence_from_t(-t, rho, doubled)
-    p = -n * t * (div - c_nats)
-    q = n * t
-    u = -n * margin
-    v = float(n)
+    p, q, u, v = _reliability_coefficients(t, n, c_nats, div, margin)
     lam, val = _min_logsum_linear(p, q, u, v, margin)
     return val, lam
 
@@ -241,10 +247,7 @@ def _objective_security(t: float, n: int, c_nats: float, rho: float, margin: flo
                         doubled: bool) -> tuple[float, float]:
     # t = alpha - 1 in (0, 1/rho); returns (min log delta over lambda, argmin lambda)
     div = _divergence_from_t(t, rho, doubled)
-    p = n * t * (div - c_nats)
-    q = n * t
-    u = -n * margin / 2.0
-    v = n / 2.0
+    p, q, u, v = _security_coefficients(t, n, c_nats, div, margin)
     lam, val = _min_logsum_linear(p, q, u, v, margin)
     return val, lam
 

@@ -6,7 +6,8 @@ its data files; that metadata is itself a valid config and reproduces the
 same outputs when fed back through ``--config``.  There is no randomness
 anywhere, so outputs are deterministic for a given config.
 
-Exit codes: 0 success, 1 I/O failure, 2 config or validation error,
+Exit codes: 0 success, 1 I/O failure, 2 invalid input (config, command
+arguments, or a radial profile the threshold search cannot resolve),
 3 infeasible plan.
 """
 
@@ -14,18 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
-from .antenna import Antenna, beamwidth_from_gain, cone_radius, pattern_gain
-from .errors import ConfigError, InfeasiblePlanError
-from .geometry import CELL, DIRECTED, ScenarioConfig, build_scenario, offset_angle
+from . import __version__, planner
+from .antenna import Antenna, beamwidth_from_gain
+from .errors import ConfigError, InfeasiblePlanError, ProfileError
+from .geometry import CELL, DIRECTED, ScenarioConfig
 from .linkmodel import RadioEnvironment, link_budget, ratio_to_db, watts_to_dbm
-from .planner import PlanResult, plan_cell, plan_directed, require_feasible
+from .planner import PlanResult, require_feasible
 from .secmap import (
     SWEEP_VARIABLES,
     evaluate_map,
@@ -148,7 +148,7 @@ def parse_config(doc: dict) -> RunConfig:
     sc_doc = _require(doc, "config", "scenario")
     _reject_unknown(sc_doc, "scenario",
                     {"variant", "room_extent_m", "height_difference_m", "horizontal_distance_m",
-                     "receiver_height_m", "transmitter_setback_m"})
+                     "receiver_height_m"})
     variant = _require(sc_doc, "scenario", "variant")
     if variant not in (CELL, DIRECTED):
         raise ConfigError(f"scenario.variant must be 'cell' or 'directed', got {variant!r}")
@@ -166,8 +166,6 @@ def parse_config(doc: dict) -> RunConfig:
         horizontal = _number(horizontal, "scenario.horizontal_distance_m", positive=True)
     receiver_height = _number(sc_doc.get("receiver_height_m", 1.0),
                               "scenario.receiver_height_m", nonnegative=True)
-    setback = _number(sc_doc.get("transmitter_setback_m", 0.5),
-                      "scenario.transmitter_setback_m", nonnegative=True)
 
     code_doc = _require(doc, "config", "code")
     _reject_unknown(code_doc, "code", {"n", "rate_bits", "phi_target"})
@@ -200,7 +198,6 @@ def parse_config(doc: dict) -> RunConfig:
             horizontal_distance_m=horizontal,
             room_extent_m=room_extent,
             receiver_height_m=receiver_height,
-            transmitter_setback_m=setback,
         )
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
@@ -223,7 +220,6 @@ def parse_config(doc: dict) -> RunConfig:
             "height_difference_m": height,
             "horizontal_distance_m": horizontal,
             "receiver_height_m": receiver_height,
-            "transmitter_setback_m": setback,
         },
         "code": {"n": n, "rate_bits": rate_bits, "phi_target": phi_target},
         "power": {"transmit_mw": tx_mw},
@@ -240,14 +236,6 @@ def _antenna_dict(antenna: Antenna) -> dict:
         "min_relative_gain_db": antenna.min_relative_gain_db,
         "beamwidth_override_deg": antenna.beamwidth_override_deg,
     }
-
-
-def _plan(rc: RunConfig) -> PlanResult:
-    sc = rc.scenario
-    if sc.variant == CELL:
-        return plan_cell(sc, rc.n, rc.rate_bits, rc.phi_target, sc.transmit_power_w)
-    return plan_directed(sc, sc.horizontal_distance_m, rc.n, rc.rate_bits, rc.phi_target,
-                         sc.transmit_power_w)
 
 
 def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,
@@ -273,9 +261,15 @@ def _out_dir(rc: RunConfig, args) -> Path:
     return out
 
 
+def _feasible_plan(rc: RunConfig) -> PlanResult:
+    sc = rc.scenario
+    return require_feasible(
+        planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target, sc.transmit_power_w))
+
+
 def _cmd_plan(rc: RunConfig, args) -> int:
     out = _out_dir(rc, args)
-    plan = require_feasible(_plan(rc))
+    plan = _feasible_plan(rc)
     print(f"C_AB: {plan.c_ab_bits:.6g} bit/use (SNR {ratio_to_db(plan.bob_link.snr):.4g} dB)")
     print(f"resolved L: {plan.code.randomness_bits:.6g} bit/use")
     print(f"achieved phi: {plan.achieved_phi:.6g} (target {plan.phi_target:g})")
@@ -289,18 +283,10 @@ def _cmd_link(rc: RunConfig, args) -> int:
     if args.distance is not None:
         distance = args.distance
         g_tx = sc.alice.gain_linear
+        link = link_budget(sc.transmit_power_w, g_tx, sc.bob.gain_linear, distance,
+                           sc.environment)
     else:
-        if sc.variant == CELL:
-            r_b = cone_radius(sc.alice, sc.height_difference_m)
-            nodes = build_scenario(sc, bob_offset=r_b)
-        else:
-            nodes = build_scenario(sc)
-        alice, bob_node = nodes["alice"], nodes["bob"]
-        diff = bob_node.position - alice.position
-        distance = float(math.sqrt(float(diff @ diff)))
-        theta = offset_angle(alice.boresight, alice.position, bob_node.position)
-        g_tx = pattern_gain(sc.alice, theta)
-    link = link_budget(sc.transmit_power_w, g_tx, sc.bob.gain_linear, distance, sc.environment)
+        link, distance, g_tx = planner.bob_link(sc, sc.transmit_power_w)
     print(f"distance: {distance:.6g} m")
     print(f"tx gain (effective): {ratio_to_db(g_tx):.6g} dBi, "
           f"beamwidth {beamwidth_from_gain(sc.alice):.6g} deg")
@@ -322,17 +308,14 @@ def _cmd_link(rc: RunConfig, args) -> int:
 
 def _cmd_map(rc: RunConfig, args) -> int:
     out = _out_dir(rc, args)
-    plan = require_feasible(_plan(rc))
+    plan = _feasible_plan(rc)
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     grid = evaluate_map(plan, rc.scenario, args.resolution, threads=threads)
     csv_path = out / "map.csv"
     pgm_path = out / "map.pgm"
     write_map_csv(grid, csv_path)
     write_map_pgm(grid, pgm_path)
-    _write_metadata(rc, out, "map",
-                    {"plan": plan.to_dict(),
-                     "map": {k: v for k, v in grid.metadata.items()
-                             if k not in ("plan", "scenario")}},
+    _write_metadata(rc, out, "map", {"plan": plan.to_dict(), "map": grid.metadata},
                     ["map.csv", "map.pgm"])
     print(f"wrote {csv_path} and {pgm_path} ({grid.metadata['nx']}x{grid.metadata['ny']} points)")
     return 0
@@ -340,7 +323,7 @@ def _cmd_map(rc: RunConfig, args) -> int:
 
 def _cmd_radial(rc: RunConfig, args) -> int:
     out = _out_dir(rc, args)
-    plan = require_feasible(_plan(rc))
+    plan = _feasible_plan(rc)
     profile = radial_profile(plan, rc.scenario, args.r_min, args.r_max, args.steps)
     csv_path = out / "radial.csv"
     write_profile_csv(profile, csv_path)
@@ -355,7 +338,7 @@ def _cmd_radial(rc: RunConfig, args) -> int:
 
 def _cmd_threshold(rc: RunConfig, args) -> int:
     out = _out_dir(rc, args)
-    plan = require_feasible(_plan(rc))
+    plan = _feasible_plan(rc)
     radius = threshold_radius(plan, rc.scenario, args.delta)
     print(f"r_E0: {radius:.4f} m (delta = {args.delta:g})")
     _write_metadata(rc, out, "threshold",
@@ -453,8 +436,10 @@ def run(argv=None) -> int:
     try:
         rc = load_config(args.config)
         return _COMMANDS[args.command](rc, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ValueError, ProfileError) as exc:
+        # ConfigError and GeometryError are ValueErrors, as are the library's
+        # own argument checks (resolution, delta, steps, swept values)
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except InfeasiblePlanError as exc:
         print(f"infeasible plan: {exc}", file=sys.stderr)

@@ -42,7 +42,6 @@ class ScenarioConfig:
     horizontal_distance_m: float | None = None
     room_extent_m: tuple[float, float] = (60.0, 60.0)
     receiver_height_m: float = 1.0
-    transmitter_setback_m: float = 0.5
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -139,13 +138,21 @@ def build_scenario(config: ScenarioConfig, bob_offset=None) -> dict[str, NodePla
     }
 
 
-def offset_angle(boresight: np.ndarray, from_position: np.ndarray, to_position: np.ndarray) -> float:
-    """Angle in [0, pi] between a boresight direction and the ray from -> to."""
-    ray = np.asarray(to_position, dtype=float) - np.asarray(from_position, dtype=float)
-    norm = float(np.linalg.norm(ray))
+def offset_angle(boresight, from_position, to_position) -> float:
+    """Angle in [0, pi] between a boresight direction and the ray from -> to.
+
+    Each argument is a 3-sequence (tuple or array); the arithmetic is scalar.
+    """
+    bx, by, bz = boresight
+    fx, fy, fz = from_position
+    tx, ty, tz = to_position
+    dx = float(tx) - float(fx)
+    dy = float(ty) - float(fy)
+    dz = float(tz) - float(fz)
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
     if norm == 0.0:
         raise ValueError("offset angle undefined for coincident points")
-    cosine = float(np.dot(boresight, ray)) / norm
+    cosine = (float(bx) * dx + float(by) * dy + float(bz) * dz) / norm
     return math.acos(max(-1.0, min(1.0, cosine)))
 
 

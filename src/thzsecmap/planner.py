@@ -85,6 +85,37 @@ def _max_randomness(n: int, rate_bits: float, phi_target: float,
         achieved_phi=phi_at(lo), phi_target=phi_target, c_ab_bits=c_bits)
 
 
+def bob_link(config: ScenarioConfig, tx_power_w: float) -> tuple[LinkState, float, float]:
+    """Link to the worst-case receiver position, with the distance and transmit gain used.
+
+    Cell variant: the receiver on the half-power circle (maximum path length,
+    the pattern gain at its offset angle).  Directed variant: the receiver at
+    ``horizontal_distance_m`` with the transmitter aligned to it (full
+    boresight gain).  Returns (link, distance in meters, linear transmit gain).
+    """
+    cell = config.variant == CELL
+    r_b = cone_radius(config.alice, config.height_difference_m) if cell else None
+    nodes = build_scenario(config, bob_offset=r_b)
+    alice, bob = nodes["alice"], nodes["bob"]
+    if cell:
+        theta = offset_angle(alice.boresight, alice.position, bob.position)
+        g_tx = pattern_gain(config.alice, theta)
+    else:
+        g_tx = config.alice.gain_linear
+    distance = float(((bob.position - alice.position) ** 2).sum() ** 0.5)
+    link = link_budget(tx_power_w, g_tx, config.bob.gain_linear, distance, config.environment)
+    return link, distance, g_tx
+
+
+def plan(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
+         tx_power_w: float) -> PlanResult:
+    """Plan either scenario variant at its configured receiver position."""
+    if config.variant == CELL:
+        return plan_cell(config, n, rate_bits, phi_target, tx_power_w)
+    return plan_directed(config, config.horizontal_distance_m, n, rate_bits, phi_target,
+                         tx_power_w)
+
+
 def plan_cell(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
               tx_power_w: float) -> PlanResult:
     """Plan the ceiling-cell scenario with the receiver on the cone edge.
@@ -96,13 +127,7 @@ def plan_cell(config: ScenarioConfig, n: int, rate_bits: float, phi_target: floa
     """
     if config.variant != CELL:
         raise ValueError(f"plan_cell requires a cell scenario, got {config.variant!r}")
-    r_b = cone_radius(config.alice, config.height_difference_m)
-    nodes = build_scenario(config, bob_offset=r_b)
-    alice, bob = nodes["alice"], nodes["bob"]
-    theta = offset_angle(alice.boresight, alice.position, bob.position)
-    g_tx = pattern_gain(config.alice, theta)
-    distance = float(((bob.position - alice.position) ** 2).sum() ** 0.5)
-    link = link_budget(tx_power_w, g_tx, config.bob.gain_linear, distance, config.environment)
+    link = bob_link(config, tx_power_w)[0]
     return _max_randomness(n, rate_bits, phi_target, link, tx_power_w)
 
 
@@ -117,17 +142,10 @@ def plan_directed(config: ScenarioConfig, d_ab_m: float, n: int, rate_bits: floa
     """
     if config.variant != DIRECTED:
         raise ValueError(f"plan_directed requires a directed scenario, got {config.variant!r}")
-    cfg = config if config.horizontal_distance_m == d_ab_m else _with_distance(config, d_ab_m)
-    nodes = build_scenario(cfg)
-    alice, bob = nodes["alice"], nodes["bob"]
-    distance = float(((bob.position - alice.position) ** 2).sum() ** 0.5)
-    link = link_budget(tx_power_w, config.alice.gain_linear, config.bob.gain_linear,
-                       distance, config.environment)
+    if config.horizontal_distance_m != d_ab_m:
+        config = replace(config, horizontal_distance_m=d_ab_m)
+    link = bob_link(config, tx_power_w)[0]
     return _max_randomness(n, rate_bits, phi_target, link, tx_power_w)
-
-
-def _with_distance(config: ScenarioConfig, d_ab_m: float) -> ScenarioConfig:
-    return replace(config, horizontal_distance_m=d_ab_m)
 
 
 def require_feasible(plan: PlanResult) -> PlanResult:
@@ -141,6 +159,8 @@ def require_feasible(plan: PlanResult) -> PlanResult:
 
 __all__ = [
     "PlanResult",
+    "bob_link",
+    "plan",
     "plan_cell",
     "plan_directed",
     "require_feasible",

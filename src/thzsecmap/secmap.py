@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import planner
 from .antenna import cone_radius, pattern_gain
 from .bounds import min_security
 from .errors import ConfigError, ProfileError
 from .geometry import CELL, DIRECTED, ScenarioConfig, build_scenario, grid_axes, offset_angle
 from .linkmodel import link_budget
-from .planner import PlanResult, plan_cell, plan_directed, require_feasible
+from .planner import PlanResult, require_feasible
 
 THRESHOLD_RADIUS_TOL_M = 0.01
 SWEEP_VARIABLES = ("n", "phi_target", "R", "G_E", "G_A", "d_AB", "l_AB")
@@ -31,7 +32,8 @@ class SecrecyMapGrid:
     """Security levels on a rectangular grid of eavesdropper positions.
 
     ``values`` has shape (ny, nx), row-major over (y, x) like the CSV
-    export.  ``metadata`` carries the resolved plan and inputs.
+    export.  ``metadata`` describes the grid (resolution, size, origin,
+    plane height); the plan and scenario are recorded by the caller.
     """
 
     xs: np.ndarray
@@ -63,37 +65,6 @@ class RadialProfile:
             raise ValueError("security levels must lie in [0, 1]")
 
 
-def scenario_dict(config: ScenarioConfig) -> dict:
-    """Resolved scenario inputs as plain JSON-ready values."""
-
-    def antenna(a):
-        return {
-            "gain_dbi": a.gain_dbi,
-            "kappa_deg2": a.kappa_deg2,
-            "min_relative_gain_db": a.min_relative_gain_db,
-            "beamwidth_override_deg": a.beamwidth_override_deg,
-        }
-
-    env = config.environment
-    return {
-        "variant": config.variant,
-        "environment": {
-            "carrier_frequency_hz": env.carrier_frequency_hz,
-            "bandwidth_hz": env.bandwidth_hz,
-            "temperature_k": env.temperature_k,
-            "noise_figure_db": env.noise_figure_db,
-        },
-        "antennas": {"alice": antenna(config.alice), "bob": antenna(config.bob),
-                     "eve": antenna(config.eve)},
-        "transmit_power_w": config.transmit_power_w,
-        "height_difference_m": config.height_difference_m,
-        "horizontal_distance_m": config.horizontal_distance_m,
-        "room_extent_m": list(config.room_extent_m),
-        "receiver_height_m": config.receiver_height_m,
-        "transmitter_setback_m": config.transmitter_setback_m,
-    }
-
-
 class _EveEvaluator:
     """Security level at arbitrary eavesdropper positions for one plan."""
 
@@ -101,33 +72,30 @@ class _EveEvaluator:
         require_feasible(plan)
         # the receiver's own position never enters the eavesdropper links, so
         # the cell variant is built at nadir
-        nodes = build_scenario(config, bob_offset=0.0 if config.variant == CELL else None)
+        alice = build_scenario(config, bob_offset=0.0 if config.variant == CELL else None)["alice"]
         self.plan = plan
         self.config = config
-        self.alice = nodes["alice"]
-        self.bob = nodes["bob"]
+        self.origin = tuple(float(c) for c in alice.position)
+        self.boresight = tuple(float(c) for c in alice.boresight)
 
-    def delta_at(self, position: np.ndarray) -> float:
+    def delta_at(self, x: float, y: float) -> float:
+        """Security level at (x, y) on the receiver plane."""
         cfg = self.config
-        theta = offset_angle(self.alice.boresight, self.alice.position, position)
-        g_tx = pattern_gain(cfg.alice, theta)
-        diff = np.asarray(position, dtype=float) - self.alice.position
-        distance = math.sqrt(float(diff[0]) ** 2 + float(diff[1]) ** 2 + float(diff[2]) ** 2)
+        z = cfg.receiver_height_m
+        g_tx = pattern_gain(cfg.alice, offset_angle(self.boresight, self.origin, (x, y, z)))
+        ax, ay, az = self.origin
+        distance = math.sqrt((x - ax) ** 2 + (y - ay) ** 2 + (z - az) ** 2)
         link = link_budget(self.plan.transmit_power_w, g_tx, cfg.eve.gain_linear,
                            distance, cfg.environment)
         return min_security(self.plan.code, link)[0]
 
     def delta_at_radius(self, radius_m: float) -> float:
-        return self.delta_at(np.array([radius_m, 0.0, self.config.receiver_height_m]))
+        return self.delta_at(radius_m, 0.0)
 
 
 def _map_rows(args) -> list[list[float]]:
-    evaluator, xs, ys, z, row_indices = args
-    rows = []
-    for iy in row_indices:
-        y = ys[iy]
-        rows.append([evaluator.delta_at(np.array([x, y, z])) for x in xs])
-    return rows
+    evaluator, xs, ys, row_indices = args
+    return [[evaluator.delta_at(x, ys[iy]) for x in xs] for iy in row_indices]
 
 
 def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
@@ -146,25 +114,23 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
     """
     evaluator = _EveEvaluator(plan, config)
     xs, ys = grid_axes(config, resolution_m)
-    z = config.receiver_height_m
+    x_list, y_list = xs.tolist(), ys.tolist()
     ny = len(ys)
     if threads <= 1:
-        rows = _map_rows((evaluator, xs, ys, z, range(ny)))
+        rows = _map_rows((evaluator, x_list, y_list, range(ny)))
     else:
         chunk = max(1, ny // (4 * threads))
         batches = [list(range(i, min(i + chunk, ny))) for i in range(0, ny, chunk)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(_map_rows, [(evaluator, xs, ys, z, b) for b in batches])
+            parts = pool.map(_map_rows, [(evaluator, x_list, y_list, b) for b in batches])
         rows = [row for part in parts for row in part]
     values = np.array(rows)
     metadata = {
-        "plan": plan.to_dict(),
-        "scenario": scenario_dict(config),
         "resolution_m": resolution_m,
         "nx": len(xs),
         "ny": ny,
         "origin_m": [float(xs[0]), float(ys[0])],
-        "receiver_height_m": z,
+        "receiver_height_m": config.receiver_height_m,
     }
     return SecrecyMapGrid(xs=xs, ys=ys, resolution_m=resolution_m, values=values,
                           metadata=metadata)
@@ -239,14 +205,6 @@ def insecure_fraction(grid: SecrecyMapGrid, threshold: float = 0.5) -> float:
     return float(np.count_nonzero(grid.values > threshold)) / grid.values.size
 
 
-def _replan(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
-            tx_power_w: float) -> PlanResult:
-    if config.variant == CELL:
-        return plan_cell(config, n, rate_bits, phi_target, tx_power_w)
-    return plan_directed(config, config.horizontal_distance_m, n, rate_bits,
-                         phi_target, tx_power_w)
-
-
 def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
                        phi_target: float, variable: str, value: float):
     if variable == "n":
@@ -292,7 +250,7 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     for value in values:
         cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
                                                   variable, value)
-        plan = _replan(cfg, n_v, r_v, phi_v, tx_power_w)
+        plan = planner.plan(cfg, n_v, r_v, phi_v, tx_power_w)
         row = {
             "variable": variable,
             "value": value,

@@ -6,6 +6,10 @@ import pytest
 
 from conftest import CALIBRATED_BEAMWIDTH_DEG
 from thzsecmap.cli import load_config, run
+from thzsecmap.planner import plan
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "src" / "thzsecmap" / "configs")
+                         .glob("*.json"))
 
 
 def base_config(out_dir: str, variant: str = "cell") -> dict:
@@ -63,12 +67,15 @@ class TestConfigLoading:
         assert run(["plan", "--config", str(path)]) == 2
         assert "code.n" in capsys.readouterr().err
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key", [("code", "blocklen"),
+                                              ("scenario", "transmitter_setback_m")],
+                             ids=["code.blocklen", "scenario.transmitter_setback_m"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
         doc = base_config(str(tmp_path / "out"))
-        doc["code"]["blocklen"] = 100
+        doc[section][key] = 100
         path = write_config(tmp_path, doc)
         assert run(["plan", "--config", str(path)]) == 2
-        assert "code.blocklen" in capsys.readouterr().err
+        assert f"unknown key {section}.{key}" in capsys.readouterr().err
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -143,6 +150,22 @@ class TestMapCommand:
         assert (out1 / "map.csv").read_bytes() == (out2 / "map.csv").read_bytes()
         assert (out1 / "map.pgm").read_bytes() == (out2 / "map.pgm").read_bytes()
 
+    def test_metadata_records_plan_and_inputs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(str(out)))
+        assert run(["map", "--config", str(path), "--resolution", "4.0",
+                    "--threads", "1"]) == 0
+        meta = json.loads((out / "map_metadata.json").read_text())
+        rc = load_config(path)
+        expected = plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target,
+                        rc.scenario.transmit_power_w)
+        assert meta["run"]["plan"]["randomness_bits"] == expected.code.randomness_bits
+        assert meta["power"]["transmit_mw"] == 2.5
+        assert meta["antennas"]["eve"]["gain_dbi"] == rc.scenario.eve.gain_dbi
+        assert meta["scenario"]["variant"] == "cell"
+        assert meta["run"]["map"] == {"resolution_m": 4.0, "nx": 6, "ny": 6,
+                                      "origin_m": [-10.0, -10.0], "receiver_height_m": 1.0}
+
     def test_metadata_round_trip(self, tmp_path, capsys):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
@@ -212,8 +235,65 @@ class TestOtherCommands:
         text = capsys.readouterr().out
         assert "capacity: 2.11923" in text
         assert "distance: 17.2409" in text
+        # link and plan resolve the same worst-case receiver link
+        assert len(SHIPPED_CONFIGS) == 2
+        for config in SHIPPED_CONFIGS:
+            shipped = tmp_path / config.stem
+            assert run(["link", "--config", str(config), "--out", str(shipped)]) == 0
+            assert run(["plan", "--config", str(config), "--out", str(shipped)]) == 0
+            link_meta = json.loads((shipped / "link_metadata.json").read_text())["run"]["link"]
+            plan_meta = json.loads((shipped / "plan_metadata.json").read_text())["run"]["plan"]
+            assert link_meta["capacity_bits"] == plan_meta["c_ab_bits"]
+            assert link_meta["snr"] == plan_meta["snr_ab"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         code = run(["plan", "--config", str(missing)])
         assert code == 1  # i/o failure
+
+
+def _set_alice_gain_zero(doc):
+    doc["antennas"]["alice"] = {"gain_dbi": 0.0}
+
+
+@pytest.mark.parametrize("argv, edit", [
+    *[pytest.param(argv, None, id=" ".join(argv)) for argv in (
+        ["map", "--resolution", "-1"],
+        ["map", "--resolution", "0"],
+        ["threshold", "--delta", "2"],
+        ["threshold", "--delta", "0"],
+        ["radial", "--steps", "1"],
+        ["radial", "--r-min", "5", "--r-max", "1"],
+        ["link", "--distance", "-3"],
+        ["sweep", "--variable", "phi_target", "--values", "2"],
+        ["sweep", "--variable", "R", "--values", "-1"],
+        ["sweep", "--variable", "G_E", "--values", "-5"],
+        ["sweep", "--variable", "l_AB", "--values", "0"],
+    )],
+    pytest.param(["plan"], _set_alice_gain_zero, id="plan alice gain 0 dBi"),
+])
+def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
+    doc = base_config(str(tmp_path / "out"))
+    if edit is not None:
+        edit(doc)
+    path = write_config(tmp_path, doc)
+    assert run([*argv, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid input: ")
+    assert "Traceback" not in err
+
+
+def test_unresolvable_profile_exits_2(tmp_path, capsys, monkeypatch):
+    from thzsecmap.secmap import _EveEvaluator
+
+    def bumpy(self, radius_m):
+        if 3.0 < radius_m < 5.0:
+            return 0.9
+        return max(0.0, 0.5 - 0.05 * radius_m)
+
+    monkeypatch.setattr(_EveEvaluator, "delta_at_radius", bumpy)
+    path = write_config(tmp_path, base_config(str(tmp_path / "out")))
+    assert run(["threshold", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not monotone" in err

@@ -96,13 +96,12 @@ class TestEvaluateMap:
         high = evaluate_map(plan, boosted, 2.0)
         assert np.all(high.values >= low.values)
 
-    def test_metadata_carries_plan_and_inputs(self, cell_plan, small_cell):
+    def test_metadata_describes_the_grid(self, cell_plan, small_cell):
+        # the plan and the scenario are recorded by the CLI's metadata writer
         grid = evaluate_map(cell_plan, small_cell, 4.0)
-        assert grid.metadata["plan"]["randomness_bits"] == cell_plan.code.randomness_bits
-        scenario = grid.metadata["scenario"]
-        assert scenario["variant"] == "cell"
-        assert scenario["transmit_power_w"] == small_cell.transmit_power_w
-        assert scenario["antennas"]["eve"]["gain_dbi"] == small_cell.eve.gain_dbi
+        assert grid.metadata == {"resolution_m": 4.0, "nx": 7, "ny": 7,
+                                 "origin_m": [-12.0, -12.0],
+                                 "receiver_height_m": small_cell.receiver_height_m}
 
 
 class TestRadialProfile:
