@@ -12,13 +12,14 @@ The divergence of the complex AWGN channel is taken as twice the bivariate
 channel capacity ln(1 + SNR); pass ``doubled=False`` for the undoubled
 variant.
 
-Minimization over the free parameters (alpha, lambda) is derivative-free:
-for fixed alpha the log objective is a sum of two exponentials with
-opposite-signed linear exponents in lambda, hence unimodal, and is solved
-by golden-section search; alpha is seeded on a 64-point log-spaced grid and
-refined by golden-section around the best seed.  Everything is evaluated in
-log space, so bound values far below the smallest positive double are
-reported as exactly 0.
+Minimization over the free parameters (alpha, lambda) is nested.  For fixed
+alpha the log objective logaddexp(p - q*lambda, u + v*lambda), q, v > 0, is
+a log-sum-exp of affine functions of lambda and hence convex (Boyd &
+Vandenberghe, *Convex Optimization* 3.1.5), so lambda is solved in closed
+form: the stationary point, clamped to the admissible interval.  Alpha is
+seeded on a 64-point log-spaced grid and refined by golden-section search
+around the best seed.  Everything is evaluated in log space, so bound
+values far below the smallest positive double are reported as exactly 0.
 """
 
 from __future__ import annotations
@@ -186,40 +187,16 @@ def _divergence_from_t(t_signed: float, rho: float, doubled: bool) -> float:
 
 
 def _min_logsum_linear(p: float, q: float, u: float, v: float, width: float) -> tuple[float, float]:
-    """Minimize logaddexp(p - q*x, u + v*x) over x in [0, width] by golden section.
+    """Minimize logaddexp(p - q*x, u + v*x) over x in (0, width] in closed form.
 
-    q, v > 0, so one exponent falls and the other rises: the objective is
-    unimodal.  Returns (x_min, value).  Terminates on a relative tolerance
-    of 1e-9 on the log objective or after 200 iterations.
+    A log-sum-exp of affine functions is convex (Boyd & Vandenberghe,
+    *Convex Optimization* 3.1.5).  With q, v > 0 its stationary point
+    x* = (p - u + ln(q/v)) / (q + v) balances the two exponentials, so the
+    constrained minimum is x* clamped to the interval.  The floor keeps x
+    positive, as BoundFreeParams requires.  Returns (value, x_min).
     """
-    h = width
-    c = _INVPHI2 * h
-    d = _INVPHI * h
-    e1 = p - q * c
-    e2 = u + v * c
-    yc = e1 + math.log1p(math.exp(e2 - e1)) if e1 >= e2 else e2 + math.log1p(math.exp(e1 - e2))
-    e1 = p - q * d
-    e2 = u + v * d
-    yd = e1 + math.log1p(math.exp(e2 - e1)) if e1 >= e2 else e2 + math.log1p(math.exp(e1 - e2))
-    a = 0.0
-    for _ in range(_MAX_ITER):
-        if yc < yd:
-            d, yd = c, yc
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
-            e1 = p - q * c
-            e2 = u + v * c
-            yc = e1 + math.log1p(math.exp(e2 - e1)) if e1 >= e2 else e2 + math.log1p(math.exp(e1 - e2))
-        else:
-            a, c, yc = c, d, yd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            e1 = p - q * d
-            e2 = u + v * d
-            yd = e1 + math.log1p(math.exp(e2 - e1)) if e1 >= e2 else e2 + math.log1p(math.exp(e1 - e2))
-        if abs(yc - yd) <= _INNER_REL_TOL * max(abs(yc), abs(yd)) or h <= 1e-15 * width:
-            break
-    return (c, yc) if yc < yd else (d, yd)
+    x = min(max((p - u + math.log(q / v)) / (q + v), 1e-15 * width), width)
+    return _logaddexp(p - q * x, u + v * x), x
 
 
 def _reliability_coefficients(t: float, n: int, c_nats: float, div: float,
@@ -232,24 +209,6 @@ def _security_coefficients(t: float, n: int, c_nats: float, div: float,
                            margin: float) -> tuple[float, float, float, float]:
     # t = alpha - 1, margin = L - C_E: log delta = logaddexp(p - q*lambda, u + v*lambda)
     return n * t * (div - c_nats), n * t, -n * margin / 2.0, n / 2.0
-
-
-def _objective_reliability(t: float, n: int, c_nats: float, rho: float, margin: float,
-                           doubled: bool) -> tuple[float, float]:
-    # t = 1 - alpha in (0, 1); returns (min log phi over lambda, argmin lambda)
-    div = _divergence_from_t(-t, rho, doubled)
-    p, q, u, v = _reliability_coefficients(t, n, c_nats, div, margin)
-    lam, val = _min_logsum_linear(p, q, u, v, margin)
-    return val, lam
-
-
-def _objective_security(t: float, n: int, c_nats: float, rho: float, margin: float,
-                        doubled: bool) -> tuple[float, float]:
-    # t = alpha - 1 in (0, 1/rho); returns (min log delta over lambda, argmin lambda)
-    div = _divergence_from_t(t, rho, doubled)
-    p, q, u, v = _security_coefficients(t, n, c_nats, div, margin)
-    lam, val = _min_logsum_linear(p, q, u, v, margin)
-    return val, lam
 
 
 def _search_alpha(objective, t_lo: float, t_hi: float) -> tuple[float, float, float]:
@@ -311,7 +270,9 @@ def min_reliability(code: SecrecyCode, link_ab: LinkState,
     rho = link_ab.rho
 
     def objective(t: float) -> tuple[float, float]:
-        return _objective_reliability(t, n, c_nats, rho, margin, doubled)
+        # t = 1 - alpha; returns (min log phi over lambda, argmin lambda)
+        div = _divergence_from_t(-t, rho, doubled)
+        return _min_logsum_linear(*_reliability_coefficients(t, n, c_nats, div, margin), margin)
 
     val, t, lam = _search_alpha(objective, _ALPHA_GUARD, 1.0 - _ALPHA_GUARD)
     return _clamp_prob(val), BoundFreeParams(alpha=1.0 - t, lambda_nats=lam)
@@ -335,7 +296,9 @@ def min_security(code: SecrecyCode, link_ae: LinkState,
     t_lo = t_hi * 1e-12
 
     def objective(t: float) -> tuple[float, float]:
-        return _objective_security(t, n, c_nats, rho, margin, doubled)
+        # t = alpha - 1; returns (min log delta over lambda, argmin lambda)
+        div = _divergence_from_t(t, rho, doubled)
+        return _min_logsum_linear(*_security_coefficients(t, n, c_nats, div, margin), margin)
 
     val, t, lam = _search_alpha(objective, t_lo, t_hi)
     return _clamp_prob(val), BoundFreeParams(alpha=1.0 + t, lambda_nats=lam)

@@ -8,13 +8,15 @@ anywhere, so outputs are deterministic for a given config.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid input (config, command
 arguments, or a radial profile the threshold search cannot resolve),
-3 infeasible plan.
+3 infeasible plan.  A command creates its output directory only once it has
+results to write, so a rejected run leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -256,6 +258,7 @@ def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,
 
 
 def _out_dir(rc: RunConfig, args) -> Path:
+    # called only once the command has results, so a rejected run creates nothing
     out = Path(args.out) if args.out else Path(rc.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -268,17 +271,15 @@ def _feasible_plan(rc: RunConfig) -> PlanResult:
 
 
 def _cmd_plan(rc: RunConfig, args) -> int:
-    out = _out_dir(rc, args)
     plan = _feasible_plan(rc)
     print(f"C_AB: {plan.c_ab_bits:.6g} bit/use (SNR {ratio_to_db(plan.bob_link.snr):.4g} dB)")
     print(f"resolved L: {plan.code.randomness_bits:.6g} bit/use")
     print(f"achieved phi: {plan.achieved_phi:.6g} (target {plan.phi_target:g})")
-    _write_metadata(rc, out, "plan", {"plan": plan.to_dict()}, [])
+    _write_metadata(rc, _out_dir(rc, args), "plan", {"plan": plan.to_dict()}, [])
     return 0
 
 
 def _cmd_link(rc: RunConfig, args) -> int:
-    out = _out_dir(rc, args)
     sc = rc.scenario
     if args.distance is not None:
         distance = args.distance
@@ -294,7 +295,7 @@ def _cmd_link(rc: RunConfig, args) -> int:
     print(f"noise power: {watts_to_dbm(link.noise_power_w):.6g} dBm")
     print(f"SNR: {ratio_to_db(link.snr):.6g} dB")
     print(f"capacity: {link.capacity_bits:.6g} bit/use, rho {link.rho:.6g}")
-    _write_metadata(rc, out, "link", {
+    _write_metadata(rc, _out_dir(rc, args), "link", {
         "link": {
             "distance_m": distance,
             "received_power_w": link.received_power_w,
@@ -307,10 +308,10 @@ def _cmd_link(rc: RunConfig, args) -> int:
 
 
 def _cmd_map(rc: RunConfig, args) -> int:
-    out = _out_dir(rc, args)
     plan = _feasible_plan(rc)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    threads = args.threads or os.cpu_count() or 1
     grid = evaluate_map(plan, rc.scenario, args.resolution, threads=threads)
+    out = _out_dir(rc, args)
     csv_path = out / "map.csv"
     pgm_path = out / "map.pgm"
     write_map_csv(grid, csv_path)
@@ -322,9 +323,9 @@ def _cmd_map(rc: RunConfig, args) -> int:
 
 
 def _cmd_radial(rc: RunConfig, args) -> int:
-    out = _out_dir(rc, args)
     plan = _feasible_plan(rc)
     profile = radial_profile(plan, rc.scenario, args.r_min, args.r_max, args.steps)
+    out = _out_dir(rc, args)
     csv_path = out / "radial.csv"
     write_profile_csv(profile, csv_path)
     _write_metadata(rc, out, "radial",
@@ -337,11 +338,10 @@ def _cmd_radial(rc: RunConfig, args) -> int:
 
 
 def _cmd_threshold(rc: RunConfig, args) -> int:
-    out = _out_dir(rc, args)
     plan = _feasible_plan(rc)
     radius = threshold_radius(plan, rc.scenario, args.delta)
     print(f"r_E0: {radius:.4f} m (delta = {args.delta:g})")
-    _write_metadata(rc, out, "threshold",
+    _write_metadata(rc, _out_dir(rc, args), "threshold",
                     {"plan": plan.to_dict(),
                      "threshold": {"delta": args.delta, "r_e0_m": radius}},
                     [])
@@ -349,33 +349,57 @@ def _cmd_threshold(rc: RunConfig, args) -> int:
 
 
 def _cmd_sweep(rc: RunConfig, args) -> int:
-    out = _out_dir(rc, args)
-    values = []
-    for item in args.values.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            values.append(float(item))
-        except ValueError as exc:
-            raise ConfigError(f"invalid sweep value {item!r}") from exc
-    if not values:
-        raise ConfigError("sweep requires at least one value")
     rows = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target,
-                 rc.scenario.transmit_power_w, args.variable, values,
+                 rc.scenario.transmit_power_w, args.variable, args.values,
                  delta_0=args.delta, area_resolution_m=args.area_resolution)
+    out = _out_dir(rc, args)
     csv_path = out / "sweep.csv"
     write_sweep_csv(rows, csv_path)
     _write_metadata(rc, out, "sweep",
-                    {"sweep": {"variable": args.variable, "values": values,
+                    {"sweep": {"variable": args.variable, "values": args.values,
                                "delta": args.delta}},
                     ["sweep.csv"])
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a bad command line as a ValueError, so ``run`` reports it in one
+    line with exit 2 instead of argparse's usage block."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    values = [_finite_float(item) for item in text.split(",") if item.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="thzsecmap",
         description="Secrecy-map planning for line-of-sight THz wiretap links")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -389,33 +413,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link", help="single-link budget diagnostic")
     common(p)
-    p.add_argument("--distance", type=float, default=None,
+    p.add_argument("--distance", type=_finite_float, default=None,
                    help="override path length in meters (full boresight gains)")
 
     p = sub.add_parser("map", help="security-level map over the room grid")
     common(p)
-    p.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION_M,
+    p.add_argument("--resolution", type=_finite_float, default=DEFAULT_RESOLUTION_M,
                    help="grid spacing in meters (default %(default)s)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: machine parallelism)")
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="worker processes, at least 1 (default: machine parallelism)")
 
     p = sub.add_parser("radial", help="security level along a radial cut (cell scenario)")
     common(p)
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=30.0)
+    p.add_argument("--r-min", type=_finite_float, default=0.0)
+    p.add_argument("--r-max", type=_finite_float, default=30.0)
     p.add_argument("--steps", type=int, default=121)
 
     p = sub.add_parser("threshold", help="radius where the security level reaches a target")
     common(p)
-    p.add_argument("--delta", type=float, default=1e-3)
+    p.add_argument("--delta", type=_finite_float, default=1e-3)
 
     p = sub.add_parser("sweep", help="re-plan along one swept variable and tabulate")
     common(p)
     p.add_argument("--variable", required=True, choices=SWEEP_VARIABLES)
-    p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--delta", type=float, default=1e-3,
+    p.add_argument("--values", type=_float_list, required=True,
+                   help="comma-separated values")
+    p.add_argument("--delta", type=_finite_float, default=1e-3,
                    help="threshold level for the r_e0 column")
-    p.add_argument("--area-resolution", type=float, default=2.0,
+    p.add_argument("--area-resolution", type=_finite_float, default=2.0,
                    help="grid spacing for the insecure-area column (directed)")
 
     return parser
@@ -432,13 +457,14 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         rc = load_config(args.config)
         return _COMMANDS[args.command](rc, args)
     except (ValueError, ProfileError) as exc:
-        # ConfigError and GeometryError are ValueErrors, as are the library's
-        # own argument checks (resolution, delta, steps, swept values)
+        # ConfigError and GeometryError are ValueErrors, as are the parser's
+        # errors and the library's own argument checks (resolution, delta,
+        # steps, swept values)
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except InfeasiblePlanError as exc:

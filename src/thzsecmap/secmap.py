@@ -27,13 +27,20 @@ THRESHOLD_RADIUS_TOL_M = 0.01
 SWEEP_VARIABLES = ("n", "phi_target", "R", "G_E", "G_A", "d_AB", "l_AB")
 
 
+def _check_levels(deltas: np.ndarray) -> None:
+    # the negated form also rejects NaN, which fails every comparison
+    if not np.all((deltas >= 0.0) & (deltas <= 1.0)):
+        raise ValueError("security levels must lie in [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class SecrecyMapGrid:
     """Security levels on a rectangular grid of eavesdropper positions.
 
     ``values`` has shape (ny, nx), row-major over (y, x) like the CSV
-    export.  ``metadata`` describes the grid (resolution, size, origin,
-    plane height); the plan and scenario are recorded by the caller.
+    export, and every value must lie in [0, 1].  ``metadata`` describes the
+    grid (resolution, size, origin, plane height); the plan and scenario are
+    recorded by the caller.
     """
 
     xs: np.ndarray
@@ -41,6 +48,9 @@ class SecrecyMapGrid:
     resolution_m: float
     values: np.ndarray
     metadata: dict
+
+    def __post_init__(self) -> None:
+        _check_levels(self.values)
 
     @property
     def origin_m(self) -> tuple[float, float]:
@@ -61,8 +71,7 @@ class RadialProfile:
     def __post_init__(self) -> None:
         if np.any(np.diff(self.radii_m) <= 0.0):
             raise ValueError("radii must be strictly increasing")
-        if np.any(self.deltas < 0.0) or np.any(self.deltas > 1.0):
-            raise ValueError("security levels must lie in [0, 1]")
+        _check_levels(self.deltas)
 
 
 class _EveEvaluator:

@@ -137,6 +137,17 @@ def grid_min_log_security(n, c_bits, l_bits, rho, *, doubled=True,
                             n_t, n_lam, zooms)
 
 
+def scan_min_logsum_linear(p, q, u, v, width, points=20001):
+    """Minimum of ln(exp(p - q*x) + exp(u + v*x)) over a dense scan of (0, width].
+
+    The scan is uniform and also log-spaced down to 1e-15*width, so a
+    minimum pressed against either end of the interval is resolved.
+    """
+    xs = np.concatenate([np.linspace(0.0, width, points)[1:],
+                         np.geomspace(1e-15 * width, width, points)])
+    return float(np.min(np.logaddexp(p - q * xs, u + v * xs)))
+
+
 def compare_to_grid_oracle(bound_value, grid_result, rel_tol=1e-6):
     """Check an optimizer result against a grid-oracle result.
 

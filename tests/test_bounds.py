@@ -18,6 +18,7 @@ from thzsecmap import (
     renyi_bivariate_gaussian,
     security_bound,
 )
+from thzsecmap.bounds import _min_logsum_linear
 
 LN2 = math.log(2.0)
 
@@ -190,6 +191,27 @@ def _security_instances(count, seed):
 
 
 class TestOptimizers:
+    def test_closed_form_lambda_matches_dense_scan(self):
+        rng = np.random.default_rng(17)
+        below = above = 0
+        for _ in range(300):
+            q, v = (float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 2)))
+            width = float(np.exp(rng.uniform(math.log(1e-4), math.log(10.0))))
+            # place the unconstrained stationary point below, inside or above (0, width]
+            stationary = float(rng.uniform(-width, 2.0 * width))
+            p = float(rng.uniform(-2000.0, 100.0))
+            u = p + math.log(q / v) - stationary * (q + v)
+            value, lam = _min_logsum_linear(p, q, u, v, width)
+            scan = oracles.scan_min_logsum_linear(p, q, u, v, width)
+            assert value <= scan + 1e-12 * abs(scan), (p, q, u, v, width)
+            assert value == pytest.approx(float(np.logaddexp(p - q * lam, u + v * lam)),
+                                          rel=1e-15, abs=0.0)
+            assert 0.0 < lam <= width
+            BoundFreeParams(alpha=2.0, lambda_nats=lam)
+            below += stationary <= 0.0
+            above += stationary >= width
+        assert below >= 30 and above >= 30
+
     def test_min_reliability_matches_grid_oracle(self):
         compared = 0
         for n, link, r_bits, l_bits in _reliability_instances(25, seed=11):

@@ -123,8 +123,11 @@ class TestPlanCommand:
         doc = base_config(str(tmp_path / "out"))
         doc["code"]["rate_bits"] = 3.0
         path = write_config(tmp_path, doc)
-        assert run(["plan", "--config", str(path)]) == 3
-        assert "infeasible" in capsys.readouterr().err
+        out = tmp_path / "X"
+        for command in ("plan", "map"):
+            assert run([command, "--config", str(path), "--out", str(out)]) == 3
+            assert "infeasible" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestMapCommand:
@@ -282,6 +285,34 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     assert len(err.splitlines()) == 1
     assert err.startswith("invalid input: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# warnings become errors, so a numpy warning ahead of the message fails the test
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(argv, option, id=" ".join(argv)) for argv, option in (
+        (["map", "--resolution", "abc"], "--resolution"),
+        (["map", "--resolution", "nan"], "--resolution"),
+        (["radial", "--r-max", "inf", "--steps", "3"], "--r-max"),
+        (["link", "--distance", "-inf"], "--distance"),
+        (["map", "--threads", "0"], "--threads"),
+        (["map", "--threads", "-3"], "--threads"),
+        (["radial", "--steps", "2.5"], "--steps"),
+        (["sweep", "--variable", "R", "--values", "0.1,nan"], "--values"),
+        (["sweep", "--variable", "R", "--values", ","], "--values"),
+        (["sweep", "--variable", "R"], "--values"),
+        (["sweep", "--variable", "X", "--values", "1"], "--variable"),
+    )
+])
+def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
+    path = write_config(tmp_path, base_config(str(tmp_path / "out")))
+    out = tmp_path / "X"
+    assert run([*argv, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid input: ") and option in err
+    assert not out.exists()
 
 
 def test_unresolvable_profile_exits_2(tmp_path, capsys, monkeypatch):

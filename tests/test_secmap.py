@@ -25,6 +25,8 @@ from thzsecmap import (
 )
 from thzsecmap.secmap import (
     SWEEP_COLUMNS,
+    RadialProfile,
+    SecrecyMapGrid,
     map_csv_lines,
     profile_csv_lines,
     sweep_csv_lines,
@@ -270,3 +272,14 @@ def test_insecure_fraction_counts_cells(cell_plan, small_cell):
     expected = float(np.count_nonzero(grid.values > 0.5)) / grid.values.size
     assert frac == expected
     assert 0.0 < frac < 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
+def test_levels_must_lie_in_unit_interval(bad):
+    levels = np.array([0.5, bad])
+    axis = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="security levels"):
+        SecrecyMapGrid(xs=axis, ys=axis[:1], resolution_m=1.0, values=levels[None, :],
+                       metadata={})
+    with pytest.raises(ValueError, match="security levels"):
+        RadialProfile(radii_m=axis, deltas=levels)
