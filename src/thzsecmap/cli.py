@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +71,8 @@ def _number(value, path: str, *, positive: bool = False, nonnegative: bool = Fal
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):  # json parses NaN and Infinity
+        raise ConfigError(f"{path} must be finite, got {v}")
     if positive and v <= 0.0:
         raise ConfigError(f"{path} must be positive, got {v}")
     if nonnegative and v < 0.0:
@@ -127,19 +128,16 @@ def parse_config(doc: dict) -> RunConfig:
     env_doc = _require(doc, "config", "environment")
     _reject_unknown(env_doc, "environment",
                     {"carrier_frequency_ghz", "bandwidth_ghz", "temperature_k", "noise_figure_db"})
-    try:
-        environment = RadioEnvironment(
-            carrier_frequency_hz=_number(_require(env_doc, "environment", "carrier_frequency_ghz"),
-                                         "environment.carrier_frequency_ghz", positive=True) * 1e9,
-            bandwidth_hz=_number(_require(env_doc, "environment", "bandwidth_ghz"),
-                                 "environment.bandwidth_ghz", positive=True) * 1e9,
-            temperature_k=_number(_require(env_doc, "environment", "temperature_k"),
-                                  "environment.temperature_k", positive=True),
-            noise_figure_db=_number(_require(env_doc, "environment", "noise_figure_db"),
-                                    "environment.noise_figure_db", nonnegative=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"environment: {exc}") from exc
+    environment = RadioEnvironment(
+        carrier_frequency_hz=_number(_require(env_doc, "environment", "carrier_frequency_ghz"),
+                                     "environment.carrier_frequency_ghz", positive=True) * 1e9,
+        bandwidth_hz=_number(_require(env_doc, "environment", "bandwidth_ghz"),
+                             "environment.bandwidth_ghz", positive=True) * 1e9,
+        temperature_k=_number(_require(env_doc, "environment", "temperature_k"),
+                              "environment.temperature_k", positive=True),
+        noise_figure_db=_number(_require(env_doc, "environment", "noise_figure_db"),
+                                "environment.noise_figure_db", nonnegative=True),
+    )
 
     ant_doc = _require(doc, "config", "antennas")
     _reject_unknown(ant_doc, "antennas", {"alice", "bob", "eve"})
@@ -309,8 +307,7 @@ def _cmd_link(rc: RunConfig, args) -> int:
 
 def _cmd_map(rc: RunConfig, args) -> int:
     plan = _feasible_plan(rc)
-    threads = args.threads or os.cpu_count() or 1
-    grid = evaluate_map(plan, rc.scenario, args.resolution, threads=threads)
+    grid = evaluate_map(plan, rc.scenario, args.resolution)
     out = _out_dir(rc, args)
     csv_path = out / "map.csv"
     pgm_path = out / "map.pgm"
@@ -421,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_finite_float, default=DEFAULT_RESOLUTION_M,
                    help="grid spacing in meters (default %(default)s)")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker processes, at least 1 (default: machine parallelism)")
+                   help="at least 1; accepted for compatibility; maps run in one process")
 
     p = sub.add_parser("radial", help="security level along a radial cut (cell scenario)")
     common(p)

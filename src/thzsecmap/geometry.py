@@ -20,6 +20,7 @@ from .linkmodel import RadioEnvironment
 CELL = "cell"
 DIRECTED = "directed"
 VARIANTS = (CELL, DIRECTED)
+MAX_GRID_POINTS = 4_000_000  # about 0.03 m spacing on a 60 m x 60 m room
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,16 @@ def grid_axes(config: ScenarioConfig, resolution_m: float) -> tuple[np.ndarray, 
 
     Point counts follow the fencepost rule (extent/resolution + 1); the
     spanned range is centered where the room is centered, so cell grids are
-    mirror-symmetric about the transmitter axis.
+    mirror-symmetric about the transmitter axis.  More than MAX_GRID_POINTS
+    points raise ValueError before any array is built.
     """
     if resolution_m <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution_m}")
-    ex, ey = config.room_extent_m
-    nx = int(math.floor(ex / resolution_m + 1e-9)) + 1
-    ny = int(math.floor(ey / resolution_m + 1e-9)) + 1
+    steps = [extent / resolution_m + 1e-9 for extent in config.room_extent_m]
+    nx, ny = (math.floor(s) + 1 if math.isfinite(s) else s for s in steps)  # inf stays inf
+    if nx * ny > MAX_GRID_POINTS:
+        raise ValueError(f"{nx} x {ny} = {nx * ny} grid points exceed the limit of "
+                         f"{MAX_GRID_POINTS}; use a coarser resolution")
     span_x = (nx - 1) * resolution_m
     span_y = (ny - 1) * resolution_m
     ys = np.arange(ny) * resolution_m - span_y / 2.0

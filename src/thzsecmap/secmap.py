@@ -1,16 +1,17 @@
 """Security-level maps, radial profiles, threshold radii, and parameter sweeps.
 
-Every grid point is an independent pure evaluation: build the transmitter-
-to-eavesdropper link (pattern gain at the eavesdropper's offset angle, the
-eavesdropper aimed straight back at the transmitter) and minimize the
-security bound there.  Results are deterministic and independent of how the
-grid is partitioned across workers.
+Each eavesdropper position is a pure evaluation: the security bound minimized
+on the link from the transmitter (pattern gain at the offset angle) to an
+eavesdropper aimed straight back.  The transmitter sits over y = 0 with no
+y-component in its boresight (cell: on the z axis), so x and y enter only as
+squares, sums and products with 0: the level depends, bit for bit, only on
+(|x|, |y|) unordered (cell) or on (x, |y|) (directed).  Each evaluator
+computes it once per such class; maps run in one process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,7 +76,7 @@ class RadialProfile:
 
 
 class _EveEvaluator:
-    """Security level at arbitrary eavesdropper positions for one plan."""
+    """Memoized security level at eavesdropper positions for one plan."""
 
     def __init__(self, plan: PlanResult, config: ScenarioConfig):
         require_feasible(plan)
@@ -86,9 +87,18 @@ class _EveEvaluator:
         self.config = config
         self.origin = tuple(float(c) for c in alice.position)
         self.boresight = tuple(float(c) for c in alice.boresight)
+        self._deltas: dict[tuple[float, float], float] = {}
 
     def delta_at(self, x: float, y: float) -> float:
         """Security level at (x, y) on the receiver plane."""
+        ax, ay = abs(x), abs(y)
+        # exact coordinates of the canonical symmetry partner, never rounded
+        key = (min(ax, ay), max(ax, ay)) if self.config.variant == CELL else (x, ay)
+        if key not in self._deltas:
+            self._deltas[key] = self._evaluate(*key)
+        return self._deltas[key]
+
+    def _evaluate(self, x: float, y: float) -> float:
         cfg = self.config
         z = cfg.receiver_height_m
         g_tx = pattern_gain(cfg.alice, offset_angle(self.boresight, self.origin, (x, y, z)))
@@ -100,11 +110,6 @@ class _EveEvaluator:
 
     def delta_at_radius(self, radius_m: float) -> float:
         return self.delta_at(radius_m, 0.0)
-
-
-def _map_rows(args) -> list[list[float]]:
-    evaluator, xs, ys, row_indices = args
-    return [[evaluator.delta_at(x, ys[iy]) for x in xs] for iy in row_indices]
 
 
 def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
@@ -119,25 +124,15 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
     resolution_m : float
         Grid spacing; grid axes follow geometry.grid_axes.
     threads : int
-        Worker processes.  Output is identical for any worker count.
+        Accepted for compatibility; maps run in one process.
     """
     evaluator = _EveEvaluator(plan, config)
     xs, ys = grid_axes(config, resolution_m)
-    x_list, y_list = xs.tolist(), ys.tolist()
-    ny = len(ys)
-    if threads <= 1:
-        rows = _map_rows((evaluator, x_list, y_list, range(ny)))
-    else:
-        chunk = max(1, ny // (4 * threads))
-        batches = [list(range(i, min(i + chunk, ny))) for i in range(0, ny, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(_map_rows, [(evaluator, x_list, y_list, b) for b in batches])
-        rows = [row for part in parts for row in part]
-    values = np.array(rows)
+    values = np.array([[evaluator.delta_at(x, y) for x in xs.tolist()] for y in ys.tolist()])
     metadata = {
         "resolution_m": resolution_m,
         "nx": len(xs),
-        "ny": ny,
+        "ny": len(ys),
         "origin_m": [float(xs[0]), float(ys[0])],
         "receiver_height_m": config.receiver_height_m,
     }

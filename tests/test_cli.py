@@ -259,6 +259,19 @@ def _set_alice_gain_zero(doc):
     doc["antennas"]["alice"] = {"gain_dbi": 0.0}
 
 
+# json parses these literals, so a config file can carry them
+def _set_transmit_nan(doc):
+    doc["power"]["transmit_mw"] = math.nan
+
+
+def _set_temperature_inf(doc):
+    doc["environment"]["temperature_k"] = math.inf
+
+
+def _set_eve_floor_minus_inf(doc):
+    doc["antennas"]["eve"]["min_relative_gain_db"] = -math.inf
+
+
 @pytest.mark.parametrize("argv, edit", [
     *[pytest.param(argv, None, id=" ".join(argv)) for argv in (
         ["map", "--resolution", "-1"],
@@ -272,8 +285,13 @@ def _set_alice_gain_zero(doc):
         ["sweep", "--variable", "R", "--values", "-1"],
         ["sweep", "--variable", "G_E", "--values", "-5"],
         ["sweep", "--variable", "l_AB", "--values", "0"],
+        ["map", "--resolution", "0.01"],
+        ["map", "--resolution", "5e-324"],
     )],
     pytest.param(["plan"], _set_alice_gain_zero, id="plan alice gain 0 dBi"),
+    pytest.param(["plan"], _set_transmit_nan, id="plan transmit_mw NaN"),
+    pytest.param(["plan"], _set_temperature_inf, id="plan temperature_k Infinity"),
+    pytest.param(["plan"], _set_eve_floor_minus_inf, id="plan eve floor -Infinity"),
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     doc = base_config(str(tmp_path / "out"))

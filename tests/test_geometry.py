@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from thzsecmap import (
     offset_angle,
     pattern_gain,
 )
+from thzsecmap.geometry import MAX_GRID_POINTS
 
 
 class TestBuildScenarioCell:
@@ -134,6 +136,25 @@ class TestEveGrid:
     def test_rejects_bad_resolution(self, cell_config):
         with pytest.raises(ValueError):
             eve_grid(cell_config, 0.0)
+
+    # only the boundary case builds axes (2 x 2000 values); the others must be
+    # refused from the counts alone, before any array exists
+    @pytest.mark.parametrize("extent, resolution, points", [
+        ((1999.0, 1999.0), 1.0, 2000 * 2000),
+        ((1999.0, 2000.0), 1.0, 2000 * 2001),
+        ((4_000_000.0, 0.5), 1.0, 4_000_001),
+        ((60.0, 60.0), 1e-5, 6_000_001 ** 2),
+        ((60.0, 60.0), 5e-324, math.inf),
+    ])
+    def test_point_cap(self, cell_config, extent, resolution, points):
+        assert MAX_GRID_POINTS == 2000 * 2000
+        cfg = replace(cell_config, room_extent_m=extent)
+        if points <= MAX_GRID_POINTS:
+            xs, ys = grid_axes(cfg, resolution)
+            assert len(xs) * len(ys) == points
+        else:
+            with pytest.raises(ValueError, match=f" = {points} grid points exceed the limit"):
+                grid_axes(cfg, resolution)
 
 
 def test_cell_radial_symmetry_of_geometry(cell_config):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from thzsecmap import (
     sweep,
     threshold_radius,
 )
+from thzsecmap import planner, secmap
+from thzsecmap.cli import load_config
 from thzsecmap.secmap import (
     SWEEP_COLUMNS,
     RadialProfile,
@@ -32,7 +35,10 @@ from thzsecmap.secmap import (
     sweep_csv_lines,
     write_map_csv,
     write_map_pgm,
+    _EveEvaluator,
 )
+
+CONFIGS = Path(__file__).parent.parent / "src" / "thzsecmap" / "configs"
 
 
 @pytest.fixture
@@ -43,6 +49,24 @@ def small_cell(cell_config):
 @pytest.fixture
 def cell_plan(small_cell):
     return plan_cell(small_cell, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+
+
+def shipped(name):
+    rc = load_config(CONFIGS / name)
+    sc = rc.scenario
+    return sc, planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target, sc.transmit_power_w)
+
+
+def count_min_security(monkeypatch) -> list:
+    """Record every security-bound minimization the secmap module runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return min_security(*args, **kwargs)
+
+    monkeypatch.setattr(secmap, "min_security", counted)
+    return calls
 
 
 class TestEvaluateMap:
@@ -97,6 +121,34 @@ class TestEvaluateMap:
         boosted = replace(small_cell, eve=replace(small_cell.eve, gain_dbi=20.0))
         high = evaluate_map(plan, boosted, 2.0)
         assert np.all(high.values >= low.values)
+
+    # the non-square room pairs x and y values from different axes, whose
+    # magnitudes need not match bit for bit
+    @pytest.mark.parametrize("name, room, resolution", [
+        ("scenario1_cell.json", None, 2.0),
+        ("scenario1_cell.json", (60.0, 40.0), 0.7),
+        ("scenario2_directed.json", None, 2.0),
+    ])
+    def test_memo_equals_brute_force(self, name, room, resolution):
+        config, map_plan = shipped(name)
+        if room is not None:
+            config = replace(config, room_extent_m=room)
+        grid = evaluate_map(map_plan, config, resolution)
+        uncached = _EveEvaluator(map_plan, config)._evaluate
+        brute = np.array([[uncached(x, y) for x in grid.xs.tolist()] for y in grid.ys.tolist()])
+        assert grid.values.tobytes() == brute.tobytes()
+
+    @pytest.mark.parametrize("name, resolution, points, evaluations", [
+        ("scenario1_cell.json", 2.0, 961, 136),  # 16 |x| values, unordered pairs
+        ("scenario2_directed.json", 4.0, 256, 128),  # 16 x values times 8 |y| values
+    ])
+    def test_each_symmetry_class_evaluated_once(self, monkeypatch, name, resolution, points,
+                                                evaluations):
+        config, map_plan = shipped(name)
+        calls = count_min_security(monkeypatch)
+        grid = evaluate_map(map_plan, config, resolution)
+        assert grid.values.size == points
+        assert len(calls) == evaluations
 
     def test_metadata_describes_the_grid(self, cell_plan, small_cell):
         # the plan and the scenario are recorded by the CLI's metadata writer
@@ -209,6 +261,16 @@ class TestSweep:
     def test_d_ab_requires_directed(self, cell_config):
         with pytest.raises(ConfigError):
             sweep(cell_config, 2000, 0.2, 1e-3, 9e-3, "d_AB", [5.0])
+
+    def test_crossings_share_evaluations(self, cell_config, monkeypatch):
+        calls = count_min_security(monkeypatch)
+        [row] = sweep(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W, "n", [2000])
+        in_sweep = len(calls)
+        calls.clear()
+        row_plan = planner.plan(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+        for column, level in (("r_delta_hi_m", 0.99), ("r_e0_m", 1e-3), ("r_delta_lo_m", 0.01)):
+            assert row[column] == threshold_radius(row_plan, cell_config, level), column
+        assert 0 < in_sweep < len(calls)
 
     def test_infeasible_rows_marked(self, cell_config):
         rows = sweep(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W, "R", [0.2, 2.5])
