@@ -19,8 +19,8 @@ from .bounds import (
     renyi_bivariate_gaussian,
     security_bound,
 )
-from .errors import ConfigError, GeometryError, InfeasiblePlanError, OutOfCellError, ProfileError
-from .geometry import CELL, DIRECTED, NodePlacement, ScenarioConfig, build_scenario, eve_grid, grid_axes, offset_angle
+from .errors import ConfigError, GeometryError, InfeasiblePlanError, ProfileError
+from .geometry import CELL, DIRECTED, ScenarioConfig, grid_axes, offset_angle, path, receiver_x, transmitter
 from .linkmodel import (
     BOLTZMANN_J_K,
     LinkState,

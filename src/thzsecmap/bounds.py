@@ -9,8 +9,7 @@ on a single consistent scale.
 
 The divergence of the complex AWGN channel is taken as twice the bivariate
 (real) Gaussian closed form, which makes its alpha -> 1 limit equal the
-channel capacity ln(1 + SNR); pass ``doubled=False`` for the undoubled
-variant.
+channel capacity ln(1 + SNR).
 
 Minimization over the free parameters (alpha, lambda) is nested.  For fixed
 alpha the log objective logaddexp(p - q*lambda, u + v*lambda), q, v > 0, is
@@ -71,20 +70,17 @@ class BoundFreeParams:
 
     ``alpha`` is the Renyi order (in (0,1) for the reliability bound, above 1
     for the security bound) and ``lambda_nats`` the positive rate-splitting
-    slack.  The higher-order epsilon term is negligible and fixed to 0.
+    slack.  The higher-order epsilon term is negligible and omitted.
     """
 
     alpha: float
     lambda_nats: float
-    epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0 or self.alpha == 1.0:
             raise ValueError(f"alpha must be positive and != 1, got {self.alpha}")
         if self.lambda_nats <= 0.0:
             raise ValueError(f"lambda must be positive, got {self.lambda_nats}")
-        if self.epsilon != 0.0:
-            raise ValueError("higher-order epsilon terms are fixed to 0")
 
 
 def _check_renyi_domain(alpha: float, rho_i: float, rho_j: float) -> float:
@@ -119,15 +115,14 @@ def renyi_bivariate_gaussian(alpha: float, rho_i: float, rho_j: float = 0.0) -> 
     return first - second
 
 
-def channel_divergence(alpha: float, link: LinkState, *, doubled: bool = True) -> float:
+def channel_divergence(alpha: float, link: LinkState) -> float:
     """Divergence between joint and product input/output laws of one link, nats.
 
     The channel is complex (two real dimensions), so the bivariate closed
-    form is doubled by default; its alpha -> 1 limit then equals
-    ``link.capacity_nats``.
+    form is doubled; its alpha -> 1 limit then equals ``link.capacity_nats``.
     """
     _check_renyi_domain(alpha, link.rho, 0.0)
-    return _divergence_from_t(alpha - 1.0, link.rho, doubled)
+    return _divergence_from_t(alpha - 1.0, link.rho)
 
 
 def _clamp_prob(log_value: float) -> float:
@@ -142,8 +137,7 @@ def _logaddexp(e1: float, e2: float) -> float:
     return e1 + math.log1p(math.exp(e2 - e1))
 
 
-def reliability_bound(code: SecrecyCode, link_ab: LinkState, params: BoundFreeParams,
-                      *, doubled: bool = True) -> float:
+def reliability_bound(code: SecrecyCode, link_ab: LinkState, params: BoundFreeParams) -> float:
     """Achievable average error probability at the legitimate receiver.
 
     exp(-n(1-alpha)(D_alpha - C + lambda)) + exp(-n(C - R - L - lambda)),
@@ -151,7 +145,7 @@ def reliability_bound(code: SecrecyCode, link_ab: LinkState, params: BoundFreePa
     """
     if not 0.0 < params.alpha < 1.0:
         raise ValueError(f"reliability bound requires alpha in (0,1), got {params.alpha}")
-    div = channel_divergence(params.alpha, link_ab, doubled=doubled)
+    div = channel_divergence(params.alpha, link_ab)
     c_nats = link_ab.capacity_nats
     margin = c_nats - (code.rate_bits + code.randomness_bits) * LN2
     p, q, u, v = _reliability_coefficients(1.0 - params.alpha, code.blocklength, c_nats,
@@ -159,8 +153,7 @@ def reliability_bound(code: SecrecyCode, link_ab: LinkState, params: BoundFreePa
     return _clamp_prob(_logaddexp(p - q * params.lambda_nats, u + v * params.lambda_nats))
 
 
-def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParams,
-                   *, doubled: bool = True) -> float:
+def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParams) -> float:
     """Achievable semantic security level against an eavesdropper's link.
 
     exp(-n(1-alpha)(D_alpha - C_E - lambda)) + exp(-n(L - C_E - lambda)/2),
@@ -169,7 +162,7 @@ def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParam
     """
     if params.alpha <= 1.0:
         raise ValueError(f"security bound requires alpha > 1, got {params.alpha}")
-    div = channel_divergence(params.alpha, link_ae, doubled=doubled)
+    div = channel_divergence(params.alpha, link_ae)
     c_nats = link_ae.capacity_nats
     margin = code.randomness_bits * LN2 - c_nats
     p, q, u, v = _security_coefficients(params.alpha - 1.0, code.blocklength, c_nats,
@@ -177,13 +170,12 @@ def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParam
     return _clamp_prob(_logaddexp(p - q * params.lambda_nats, u + v * params.lambda_nats))
 
 
-def _divergence_from_t(t_signed: float, rho: float, doubled: bool) -> float:
+def _divergence_from_t(t_signed: float, rho: float) -> float:
     # Closed form with rho_j = 0 as a function of t = alpha - 1 (either sign):
     # D = -0.5*log1p(-rho^2) - (1/(2t))*log1p(-(t*rho)^2), doubled for the
     # complex channel.
     g = t_signed * rho
-    value = -0.5 * math.log1p(-rho * rho) - math.log1p(-g * g) / (2.0 * t_signed)
-    return 2.0 * value if doubled else value
+    return 2.0 * (-0.5 * math.log1p(-rho * rho) - math.log1p(-g * g) / (2.0 * t_signed))
 
 
 def _min_logsum_linear(p: float, q: float, u: float, v: float, width: float) -> tuple[float, float]:
@@ -255,8 +247,7 @@ def _search_alpha(objective, t_lo: float, t_hi: float) -> tuple[float, float, fl
     return best_val, best_t, best_lam
 
 
-def min_reliability(code: SecrecyCode, link_ab: LinkState,
-                    *, doubled: bool = True) -> tuple[float, BoundFreeParams | None]:
+def min_reliability(code: SecrecyCode, link_ab: LinkState) -> tuple[float, BoundFreeParams | None]:
     """Minimize the reliability bound over alpha in (0,1) and lambda in (0, C-R-L).
 
     Returns (phi_star, argmin params); (1.0, None) when the capacity does
@@ -271,15 +262,14 @@ def min_reliability(code: SecrecyCode, link_ab: LinkState,
 
     def objective(t: float) -> tuple[float, float]:
         # t = 1 - alpha; returns (min log phi over lambda, argmin lambda)
-        div = _divergence_from_t(-t, rho, doubled)
+        div = _divergence_from_t(-t, rho)
         return _min_logsum_linear(*_reliability_coefficients(t, n, c_nats, div, margin), margin)
 
     val, t, lam = _search_alpha(objective, _ALPHA_GUARD, 1.0 - _ALPHA_GUARD)
     return _clamp_prob(val), BoundFreeParams(alpha=1.0 - t, lambda_nats=lam)
 
 
-def min_security(code: SecrecyCode, link_ae: LinkState,
-                 *, doubled: bool = True) -> tuple[float, BoundFreeParams | None]:
+def min_security(code: SecrecyCode, link_ae: LinkState) -> tuple[float, BoundFreeParams | None]:
     """Minimize the security bound over alpha in (1, 1 + 1/rho) and lambda in (0, L-C_E).
 
     Returns (delta_star, argmin params); (1.0, None) when the randomness
@@ -297,7 +287,7 @@ def min_security(code: SecrecyCode, link_ae: LinkState,
 
     def objective(t: float) -> tuple[float, float]:
         # t = alpha - 1; returns (min log delta over lambda, argmin lambda)
-        div = _divergence_from_t(t, rho, doubled)
+        div = _divergence_from_t(t, rho)
         return _min_logsum_linear(*_security_coefficients(t, n, c_nats, div, margin), margin)
 
     val, t, lam = _search_alpha(objective, t_lo, t_hi)

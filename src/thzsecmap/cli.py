@@ -25,7 +25,7 @@ from . import __version__, planner
 from .antenna import Antenna, beamwidth_from_gain
 from .errors import ConfigError, InfeasiblePlanError, ProfileError
 from .geometry import CELL, DIRECTED, ScenarioConfig
-from .linkmodel import RadioEnvironment, link_budget, ratio_to_db, watts_to_dbm
+from .linkmodel import RadioEnvironment, db_to_ratio, link_budget, ratio_to_db, watts_to_dbm
 from .planner import PlanResult, require_feasible
 from .secmap import (
     SWEEP_VARIABLES,
@@ -41,6 +41,9 @@ from .secmap import (
 
 DEFAULT_RESOLUTION_M = 0.25
 DEFAULT_TX_POWER_MW = {CELL: 9.0, DIRECTED: 0.5}
+MAX_BLOCKLENGTH = 2 ** 53  # the bounds compute with n as a float, exact up to here
+# the antenna pattern's exponent 4 (theta / theta_3dB)**2 stays finite for theta <= pi
+MIN_BEAMWIDTH_RAD = 4.0 * math.pi / math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -61,52 +64,68 @@ def _require(section: dict, path: str, key: str):
     return section[key]
 
 
-def _reject_unknown(section: dict, path: str, allowed: set[str]) -> None:
+def _reject_unknown(section, path: str, allowed: set[str]) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be an object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}.{key}")
 
 
-def _number(value, path: str, *, positive: bool = False, nonnegative: bool = False) -> float:
+def _number(value, path: str, *, positive: bool = False, nonnegative: bool = False,
+            decibels: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # json integers have no size limit
+        v = math.inf
     if not math.isfinite(v):  # json parses NaN and Infinity
-        raise ConfigError(f"{path} must be finite, got {v}")
+        raise ConfigError(f"{path} must be finite, got {value}")
     if positive and v <= 0.0:
         raise ConfigError(f"{path} must be positive, got {v}")
     if nonnegative and v < 0.0:
         raise ConfigError(f"{path} must be >= 0, got {v}")
+    if decibels:
+        try:
+            db_to_ratio(v)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return v
 
 
-def _integer(value, path: str, minimum: int = 1) -> int:
+def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}, got {value}")
+    if not 1 <= value <= MAX_BLOCKLENGTH:
+        raise ConfigError(f"{path} must lie in [1, 2**53], got {value}")
     return value
 
 
 def _antenna(section, path: str) -> Antenna:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path} must be an object")
     _reject_unknown(section, path,
                     {"gain_dbi", "kappa_deg2", "min_relative_gain_db", "beamwidth_override_deg"})
-    gain = _number(_require(section, path, "gain_dbi"), f"{path}.gain_dbi", nonnegative=True)
+    gain = _number(_require(section, path, "gain_dbi"), f"{path}.gain_dbi", nonnegative=True,
+                   decibels=True)
     kwargs = {}
     if section.get("kappa_deg2") is not None:
         kwargs["kappa_deg2"] = _number(section["kappa_deg2"], f"{path}.kappa_deg2", positive=True)
     if section.get("min_relative_gain_db") is not None:
         kwargs["min_relative_gain_db"] = _number(section["min_relative_gain_db"],
-                                                 f"{path}.min_relative_gain_db")
+                                                 f"{path}.min_relative_gain_db", decibels=True)
     if section.get("beamwidth_override_deg") is not None:
         kwargs["beamwidth_override_deg"] = _number(section["beamwidth_override_deg"],
                                                    f"{path}.beamwidth_override_deg", positive=True)
     try:
-        return Antenna(gain_dbi=gain, **kwargs)
+        antenna = Antenna(gain_dbi=gain, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    width = beamwidth_from_gain(antenna)
+    if math.radians(width) < MIN_BEAMWIDTH_RAD:
+        key = "kappa_deg2" if antenna.beamwidth_override_deg is None else "beamwidth_override_deg"
+        raise ConfigError(f"{path}.{key} gives a half-power beamwidth of {width:g} deg, "
+                          "too narrow to evaluate the antenna pattern")
+    return antenna
 
 
 def load_config(path) -> RunConfig:
@@ -136,7 +155,7 @@ def parse_config(doc: dict) -> RunConfig:
         temperature_k=_number(_require(env_doc, "environment", "temperature_k"),
                               "environment.temperature_k", positive=True),
         noise_figure_db=_number(_require(env_doc, "environment", "noise_figure_db"),
-                                "environment.noise_figure_db", nonnegative=True),
+                                "environment.noise_figure_db", nonnegative=True, decibels=True),
     )
 
     ant_doc = _require(doc, "config", "antennas")

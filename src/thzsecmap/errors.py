@@ -6,11 +6,7 @@ class ConfigError(ValueError):
 
 
 class GeometryError(ValueError):
-    """Geometrically infeasible request (degenerate cone, node outside room)."""
-
-
-class OutOfCellError(GeometryError):
-    """Receiver placed outside the half-power cone footprint."""
+    """Geometrically infeasible request (degenerate cone, receiver outside the room)."""
 
 
 class InfeasiblePlanError(RuntimeError):

@@ -1,26 +1,29 @@
-"""Scenario geometry: node placement, boresight offsets, eavesdropper grids.
+"""Scenario geometry: the transmitter, the receiver position, paths, grid axes.
 
 Coordinates are right-handed with z vertical.  The receiver plane sits at
 z = receiver_height.  In the ceiling-cell scenario the transmitter hangs on
 the vertical axis through the room center and points straight down; in the
 directed scenario it sits on the x = 0 wall and is aimed at the receiver.
+Either way a link to a point on the receiver plane is fixed by two scalars,
+its length and its angle off the transmitter's boresight (``path``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .antenna import Antenna, cone_radius
-from .errors import GeometryError, OutOfCellError
+from .errors import GeometryError
 from .linkmodel import RadioEnvironment
 
 CELL = "cell"
 DIRECTED = "directed"
 VARIANTS = (CELL, DIRECTED)
 MAX_GRID_POINTS = 4_000_000  # about 0.03 m spacing on a 60 m x 60 m room
+MAX_LENGTH_M = 1e150  # squared path lengths and their sums stay finite
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,10 @@ class ScenarioConfig:
         ex, ey = self.room_extent_m
         if ex <= 0.0 or ey <= 0.0:
             raise ValueError(f"room extent must be positive, got {self.room_extent_m}")
+        longest = max(self.height_difference_m, self.receiver_height_m, ex, ey,
+                      self.horizontal_distance_m or 0.0)
+        if longest > MAX_LENGTH_M:
+            raise ValueError(f"lengths must be at most {MAX_LENGTH_M:g} m, got {longest}")
         if self.variant == DIRECTED:
             if self.horizontal_distance_m is None:
                 raise ValueError("directed scenario requires horizontal_distance_m")
@@ -65,78 +72,51 @@ class ScenarioConfig:
                 )
 
 
-@dataclass(frozen=True, eq=False)
-class NodePlacement:
-    """A node's position, boresight direction, and antenna."""
+def receiver_x(config: ScenarioConfig) -> float:
+    """The legitimate receiver's x on the receiver plane; it sits at y = 0.
 
-    position: np.ndarray
-    boresight: np.ndarray
-    antenna: Antenna = field(repr=False)
-
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.boresight))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"boresight must be a unit vector, |b| = {norm}")
-
-
-def _as_offset(bob_offset) -> tuple[float, float]:
-    if bob_offset is None:
-        return 0.0, 0.0
-    if np.isscalar(bob_offset):
-        return float(bob_offset), 0.0
-    ox, oy = bob_offset
-    return float(ox), float(oy)
+    Cell variant: the worst-case position on the half-power cone edge.
+    Directed variant: ``horizontal_distance_m`` from the transmitter wall.
+    Raises GeometryError when that position lies outside the room.
+    """
+    ex = config.room_extent_m[0]
+    if config.variant == CELL:
+        r_b = cone_radius(config.alice, config.height_difference_m)
+        if r_b > ex / 2.0 + 1e-9:
+            raise GeometryError(f"receiver offset ({r_b}, 0.0) lies outside the room")
+        return r_b
+    d = config.horizontal_distance_m
+    if not 0.0 <= d <= ex + 1e-9:
+        raise GeometryError(f"receiver distance {d} m lies outside the room (0 to {ex} m)")
+    return d
 
 
-def build_scenario(config: ScenarioConfig, bob_offset=None) -> dict[str, NodePlacement]:
-    """Place the transmitter and the legitimate receiver.
+def transmitter(config: ScenarioConfig) -> tuple[tuple[float, float, float],
+                                                 tuple[float, float, float]]:
+    """The transmitter's position and unit boresight.
 
-    Parameters
-    ----------
-    config : ScenarioConfig
-    bob_offset : float, 2-sequence, or None
-        Cell variant only: horizontal offset of the receiver from the
-        transmitter's floor projection, either a radial scalar (along +x)
-        or an (x, y) pair.  Must stay within the half-power cone footprint.
-        Ignored for the directed variant, where the receiver position comes
-        from ``horizontal_distance_m``.
-
-    Returns
-    -------
-    dict with keys "alice" and "bob" mapping to NodePlacement.
+    Cell variant: straight down.  Directed variant: aimed at the receiver.
     """
     z_rx = config.receiver_height_m
     z_tx = z_rx + config.height_difference_m
-    ex, ey = config.room_extent_m
-
     if config.variant == CELL:
-        ox, oy = _as_offset(bob_offset)
-        radius = math.hypot(ox, oy)
-        r_b = cone_radius(config.alice, config.height_difference_m)
-        if radius > r_b + 1e-9:
-            raise OutOfCellError(
-                f"receiver offset {radius:.3f} m exceeds cone footprint radius {r_b:.3f} m"
-            )
-        if abs(ox) > ex / 2.0 + 1e-9 or abs(oy) > ey / 2.0 + 1e-9:
-            raise GeometryError(f"receiver offset ({ox}, {oy}) lies outside the room")
-        alice_pos = np.array([0.0, 0.0, z_tx])
-        bob_pos = np.array([ox, oy, z_rx])
-        alice_bore = np.array([0.0, 0.0, -1.0])
-    else:
-        d = config.horizontal_distance_m
-        if not 0.0 <= d <= ex + 1e-9:
-            raise GeometryError(f"receiver distance {d} m lies outside the room (0 to {ex} m)")
-        alice_pos = np.array([0.0, 0.0, z_tx])
-        bob_pos = np.array([d, 0.0, z_rx])
-        alice_bore = bob_pos - alice_pos
-        alice_bore = alice_bore / np.linalg.norm(alice_bore)
+        return (0.0, 0.0, z_tx), (0.0, 0.0, -1.0)
+    d = receiver_x(config)
+    dz = z_rx - z_tx
+    norm = math.sqrt(d * d + dz * dz)
+    return (0.0, 0.0, z_tx), (d / norm, 0.0, dz / norm)
 
-    bob_bore = alice_pos - bob_pos
-    bob_bore = bob_bore / np.linalg.norm(bob_bore)
-    return {
-        "alice": NodePlacement(alice_pos, alice_bore, config.alice),
-        "bob": NodePlacement(bob_pos, bob_bore, config.bob),
-    }
+
+def path(config: ScenarioConfig, x: float, y: float) -> tuple[float, float]:
+    """Length and angle off the transmitter's boresight of the path to (x, y).
+
+    (x, y) is a point on the receiver plane; the angle is in radians.
+    """
+    origin, boresight = transmitter(config)
+    ax, ay, az = origin
+    z = config.receiver_height_m
+    distance = math.sqrt((x - ax) ** 2 + (y - ay) ** 2 + (z - az) ** 2)
+    return distance, offset_angle(boresight, origin, (x, y, z))
 
 
 def offset_angle(boresight, from_position, to_position) -> float:
@@ -180,16 +160,3 @@ def grid_axes(config: ScenarioConfig, resolution_m: float) -> tuple[np.ndarray, 
     else:
         xs = np.arange(nx) * resolution_m
     return xs, ys
-
-
-def eve_grid(config: ScenarioConfig, resolution_m: float) -> np.ndarray:
-    """Eavesdropper evaluation positions at receiver height, row-major.
-
-    Rows iterate over y, columns over x; shape (nx * ny, 3).  The
-    eavesdropper's receive antenna is assumed perfectly aimed at the
-    transmitter at every position (worst case).
-    """
-    xs, ys = grid_axes(config, resolution_m)
-    gx, gy = np.meshgrid(xs, ys)
-    z = np.full(gx.size, config.receiver_height_m)
-    return np.column_stack([gx.ravel(), gy.ravel(), z])

@@ -20,8 +20,11 @@ LN2 = math.log(2.0)
 
 
 def db_to_ratio(db: float) -> float:
-    """Convert a decibel power value to a linear ratio."""
-    return 10.0 ** (db / 10.0)
+    """Convert a decibel power value to a linear ratio (ValueError past about 3082.5 dB)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db:g} dB overflows a linear ratio") from None
 
 
 def ratio_to_db(ratio: float) -> float:
@@ -39,14 +42,6 @@ def watts_to_dbm(watts: float) -> float:
     if watts <= 0.0:
         raise ValueError(f"power must be positive, got {watts}")
     return 10.0 * math.log10(watts) + 30.0
-
-
-def bits_to_nats(bits: float) -> float:
-    return bits * LN2
-
-
-def nats_to_bits(nats: float) -> float:
-    return nats / LN2
 
 
 @dataclass(frozen=True)
@@ -71,6 +66,8 @@ class RadioEnvironment:
             raise ValueError(f"temperature must be positive, got {self.temperature_k}")
         if self.noise_figure_db < 0.0:
             raise ValueError(f"noise figure must be >= 0 dB, got {self.noise_figure_db}")
+        if noise_power(self) == 0.0:
+            raise ValueError("noise power k*T*B*F underflows to 0 W")
 
 
 @dataclass(frozen=True)
@@ -88,9 +85,6 @@ class LinkState:
     rho : float
         Input-output correlation coefficient of the Gaussian-input AWGN
         channel, sqrt(snr / (1 + snr)).
-    channel_coefficient_magnitude : float
-        sqrt(received_power / transmit_power) when a transmit power was
-        attached at construction.
     """
 
     received_power_w: float
@@ -99,7 +93,6 @@ class LinkState:
     capacity_bits: float
     capacity_nats: float
     rho: float
-    channel_coefficient_magnitude: float
 
     def __post_init__(self) -> None:
         if self.noise_power_w <= 0.0:
@@ -129,7 +122,7 @@ def noise_power(env: RadioEnvironment) -> float:
     return BOLTZMANN_J_K * env.temperature_k * env.bandwidth_hz * db_to_ratio(env.noise_figure_db)
 
 
-def _link_from_powers(received_w: float, noise_w: float, tx_power_w: float) -> LinkState:
+def _link_from_powers(received_w: float, noise_w: float) -> LinkState:
     snr = received_w / noise_w
     rho = math.sqrt(snr / (1.0 + snr))
     if rho >= 1.0:  # only reachable at absurd SNR where 1/(1+snr) underflows
@@ -142,7 +135,6 @@ def _link_from_powers(received_w: float, noise_w: float, tx_power_w: float) -> L
         capacity_bits=capacity_nats / LN2,
         capacity_nats=capacity_nats,
         rho=rho,
-        channel_coefficient_magnitude=math.sqrt(received_w / tx_power_w),
     )
 
 
@@ -176,18 +168,18 @@ def link_budget(
     if g_tx_effective <= 0.0 or g_rx_effective <= 0.0:
         raise ValueError("antenna gains must be positive ratios")
     received = tx_power_w * g_tx_effective * g_rx_effective * fspl_gain(env.carrier_frequency_hz, distance_m)
-    return _link_from_powers(received, noise_power(env), tx_power_w)
+    return _link_from_powers(received, noise_power(env))
 
 
-def link_from_snr(snr: float, noise_power_w: float = 1.0) -> LinkState:
-    """Build a LinkState directly from an SNR (unit transmit power).
+def link_from_snr(snr: float) -> LinkState:
+    """Build a LinkState directly from an SNR.
 
     Convenience constructor for bound evaluations that are functions of the
     SNR alone.
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
-    return _link_from_powers(snr * noise_power_w, noise_power_w, 1.0 * noise_power_w)
+    return _link_from_powers(snr, 1.0)
 
 
 def link_from_capacity_bits(capacity_bits: float) -> LinkState:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .antenna import cone_radius, pattern_gain
+from .antenna import pattern_gain
 from .bounds import SecrecyCode, min_reliability
 from .errors import InfeasiblePlanError
-from .geometry import CELL, DIRECTED, ScenarioConfig, build_scenario, offset_angle
+from .geometry import CELL, DIRECTED, ScenarioConfig, path, receiver_x
 from .linkmodel import LinkState, link_budget
 
 L_BISECTION_TOL_BITS = 1e-6
@@ -93,16 +93,10 @@ def bob_link(config: ScenarioConfig, tx_power_w: float) -> tuple[LinkState, floa
     ``horizontal_distance_m`` with the transmitter aligned to it (full
     boresight gain).  Returns (link, distance in meters, linear transmit gain).
     """
-    cell = config.variant == CELL
-    r_b = cone_radius(config.alice, config.height_difference_m) if cell else None
-    nodes = build_scenario(config, bob_offset=r_b)
-    alice, bob = nodes["alice"], nodes["bob"]
-    if cell:
-        theta = offset_angle(alice.boresight, alice.position, bob.position)
-        g_tx = pattern_gain(config.alice, theta)
-    else:
-        g_tx = config.alice.gain_linear
-    distance = float(((bob.position - alice.position) ** 2).sum() ** 0.5)
+    distance, theta = path(config, receiver_x(config), 0.0)
+    # the directed transmitter is aimed at the receiver: its full gain, not the
+    # pattern at the rounding-level angle the aim leaves
+    g_tx = pattern_gain(config.alice, theta) if config.variant == CELL else config.alice.gain_linear
     link = link_budget(tx_power_w, g_tx, config.bob.gain_linear, distance, config.environment)
     return link, distance, g_tx
 

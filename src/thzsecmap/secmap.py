@@ -11,16 +11,15 @@ computes it once per such class; maps run in one process.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import planner
+from . import geometry, planner
 from .antenna import cone_radius, pattern_gain
 from .bounds import min_security
 from .errors import ConfigError, ProfileError
-from .geometry import CELL, DIRECTED, ScenarioConfig, build_scenario, grid_axes, offset_angle
+from .geometry import CELL, DIRECTED, MAX_LENGTH_M, ScenarioConfig, grid_axes
 from .linkmodel import link_budget
 from .planner import PlanResult, require_feasible
 
@@ -53,14 +52,6 @@ class SecrecyMapGrid:
     def __post_init__(self) -> None:
         _check_levels(self.values)
 
-    @property
-    def origin_m(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.ys[0])
-
-    @property
-    def extent_m(self) -> tuple[float, float]:
-        return float(self.xs[-1] - self.xs[0]), float(self.ys[-1] - self.ys[0])
-
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
@@ -80,13 +71,8 @@ class _EveEvaluator:
 
     def __init__(self, plan: PlanResult, config: ScenarioConfig):
         require_feasible(plan)
-        # the receiver's own position never enters the eavesdropper links, so
-        # the cell variant is built at nadir
-        alice = build_scenario(config, bob_offset=0.0 if config.variant == CELL else None)["alice"]
         self.plan = plan
         self.config = config
-        self.origin = tuple(float(c) for c in alice.position)
-        self.boresight = tuple(float(c) for c in alice.boresight)
         self._deltas: dict[tuple[float, float], float] = {}
 
     def delta_at(self, x: float, y: float) -> float:
@@ -100,10 +86,8 @@ class _EveEvaluator:
 
     def _evaluate(self, x: float, y: float) -> float:
         cfg = self.config
-        z = cfg.receiver_height_m
-        g_tx = pattern_gain(cfg.alice, offset_angle(self.boresight, self.origin, (x, y, z)))
-        ax, ay, az = self.origin
-        distance = math.sqrt((x - ax) ** 2 + (y - ay) ** 2 + (z - az) ** 2)
+        distance, theta = geometry.path(cfg, x, y)
+        g_tx = pattern_gain(cfg.alice, theta)
         link = link_budget(self.plan.transmit_power_w, g_tx, cfg.eve.gain_linear,
                            distance, cfg.environment)
         return min_security(self.plan.code, link)[0]
@@ -148,8 +132,8 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
     """
     if config.variant != CELL:
         raise ConfigError("radial profile requires the cell scenario (radial symmetry)")
-    if not 0.0 <= r_min_m < r_max_m:
-        raise ValueError(f"need 0 <= r_min < r_max, got {r_min_m}, {r_max_m}")
+    if not 0.0 <= r_min_m < r_max_m <= MAX_LENGTH_M:
+        raise ValueError(f"need 0 <= r_min < r_max <= {MAX_LENGTH_M:g}, got {r_min_m}, {r_max_m}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     evaluator = _EveEvaluator(plan, config)
@@ -301,10 +285,14 @@ def map_csv_lines(grid: SecrecyMapGrid) -> list[str]:
     return lines
 
 
-def write_map_csv(grid: SecrecyMapGrid, path) -> None:
+def _write_lines(lines: list[str], path) -> None:
     with open(path, "w") as f:
-        f.write("\n".join(map_csv_lines(grid)))
+        f.write("\n".join(lines))
         f.write("\n")
+
+
+def write_map_csv(grid: SecrecyMapGrid, path) -> None:
+    _write_lines(map_csv_lines(grid), path)
 
 
 def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
@@ -318,9 +306,7 @@ def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
     lines = ["P2", f"{nx} {ny}", "255"]
     for iy in range(ny):
         lines.append(" ".join(str(int(v)) for v in pixels[iy]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+    _write_lines(lines, path)
 
 
 def profile_csv_lines(profile: RadialProfile) -> list[str]:
@@ -331,9 +317,7 @@ def profile_csv_lines(profile: RadialProfile) -> list[str]:
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:
-    with open(path, "w") as f:
-        f.write("\n".join(profile_csv_lines(profile)))
-        f.write("\n")
+    _write_lines(profile_csv_lines(profile), path)
 
 
 SWEEP_COLUMNS = ["variable", "value", "feasible", "r_b_m", "c_ab_bits", "l_bits",
@@ -362,9 +346,7 @@ def sweep_csv_lines(rows: list[dict]) -> list[str]:
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    with open(path, "w") as f:
-        f.write("\n".join(sweep_csv_lines(rows)))
-        f.write("\n")
+    _write_lines(sweep_csv_lines(rows), path)
 
 
 __all__ = [

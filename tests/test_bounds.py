@@ -81,11 +81,6 @@ class TestChannelDivergence:
             values = [channel_divergence(float(a), link) for a in alphas]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_undoubled_switch(self):
-        link = link_from_snr(2.0)
-        assert channel_divergence(1.5, link, doubled=False) == pytest.approx(
-            channel_divergence(1.5, link) / 2.0, rel=1e-14)
-
 
 class TestBoundEvaluators:
     def test_reliability_frozen_example(self):
@@ -164,8 +159,6 @@ class TestParamValidation:
             BoundFreeParams(alpha=1.0, lambda_nats=0.1)
         with pytest.raises(ValueError):
             BoundFreeParams(alpha=0.5, lambda_nats=0.0)
-        with pytest.raises(ValueError):
-            BoundFreeParams(alpha=0.5, lambda_nats=0.1, epsilon=0.5)
 
 
 def _reliability_instances(count, seed):

@@ -272,6 +272,19 @@ def _set_eve_floor_minus_inf(doc):
     doc["antennas"]["eve"]["min_relative_gain_db"] = -math.inf
 
 
+def _set_room_below_footprint(doc):
+    doc["scenario"]["room_extent_m"] = [10.0, 10.0]  # the cone footprint radius is 7.2 m
+
+
+def _set_directed(doc):
+    doc.update(base_config(doc["output"]["dir"], variant="directed"))
+
+
+def _set_directed_beyond_room(doc):
+    _set_directed(doc)
+    doc["scenario"]["horizontal_distance_m"] = 70.0
+
+
 @pytest.mark.parametrize("argv, edit", [
     *[pytest.param(argv, None, id=" ".join(argv)) for argv in (
         ["map", "--resolution", "-1"],
@@ -280,11 +293,13 @@ def _set_eve_floor_minus_inf(doc):
         ["threshold", "--delta", "0"],
         ["radial", "--steps", "1"],
         ["radial", "--r-min", "5", "--r-max", "1"],
+        ["radial", "--r-max", "1e200", "--steps", "3"],
         ["link", "--distance", "-3"],
         ["sweep", "--variable", "phi_target", "--values", "2"],
         ["sweep", "--variable", "R", "--values", "-1"],
         ["sweep", "--variable", "G_E", "--values", "-5"],
         ["sweep", "--variable", "l_AB", "--values", "0"],
+        ["sweep", "--variable", "G_A", "--values", "1e308"],
         ["map", "--resolution", "0.01"],
         ["map", "--resolution", "5e-324"],
     )],
@@ -292,6 +307,10 @@ def _set_eve_floor_minus_inf(doc):
     pytest.param(["plan"], _set_transmit_nan, id="plan transmit_mw NaN"),
     pytest.param(["plan"], _set_temperature_inf, id="plan temperature_k Infinity"),
     pytest.param(["plan"], _set_eve_floor_minus_inf, id="plan eve floor -Infinity"),
+    pytest.param(["plan"], _set_room_below_footprint, id="plan cell room 10 m"),
+    pytest.param(["plan"], _set_directed_beyond_room, id="plan directed receiver beyond room"),
+    pytest.param(["sweep", "--variable", "d_AB", "--values", "70"], _set_directed,
+                 id="sweep directed d_AB 70"),
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     doc = base_config(str(tmp_path / "out"))

@@ -6,74 +6,88 @@ import pytest
 
 from thzsecmap import (
     Antenna,
-    OutOfCellError,
+    GeometryError,
     ScenarioConfig,
-    build_scenario,
+    beamwidth_from_gain,
     cone_radius,
-    eve_grid,
     grid_axes,
     offset_angle,
+    path,
     pattern_gain,
+    receiver_x,
+    transmitter,
 )
 from thzsecmap.geometry import MAX_GRID_POINTS
 
 
+def directed_path_oracle(config, x, y):
+    """Length and boresight angle from hypot and atan2 alone: atan2(|b x v|, b . v)."""
+    h = config.height_difference_m
+    bx, bz = config.horizontal_distance_m, -h  # boresight toward the receiver at (d, 0)
+    vx, vy, vz = x, y, -h  # ray toward (x, y)
+    cross = math.hypot(-bz * vy, bz * vx - bx * vz, bx * vy)
+    return math.hypot(x, y, h), math.atan2(cross, bx * vx + bz * vz)
+
+
 class TestBuildScenarioCell:
     def test_nadir_placement(self, cell_config):
-        nodes = build_scenario(cell_config, bob_offset=0.0)
-        alice, bob = nodes["alice"], nodes["bob"]
-        assert np.allclose(alice.boresight, [0.0, 0.0, -1.0])
-        assert float(np.linalg.norm(bob.position - alice.position)) == pytest.approx(3.5)
-        assert offset_angle(alice.boresight, alice.position, bob.position) == pytest.approx(0.0)
+        origin, boresight = transmitter(cell_config)
+        assert origin == (0.0, 0.0, 4.5)
+        assert boresight == (0.0, 0.0, -1.0)
+        assert path(cell_config, 0.0, 0.0) == (3.5, 0.0)
 
     def test_cone_edge_offset_angle(self, cell_config):
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
-        nodes = build_scenario(cell_config, bob_offset=r_b)
-        alice, bob = nodes["alice"], nodes["bob"]
-        theta = offset_angle(alice.boresight, alice.position, bob.position)
-        from thzsecmap import beamwidth_from_gain
-
+        assert receiver_x(cell_config) == r_b
+        distance, theta = path(cell_config, r_b, 0.0)
         half_width = math.radians(beamwidth_from_gain(cell_config.alice)) / 2.0
         assert theta == pytest.approx(half_width, abs=1e-12)
+        assert distance == pytest.approx(math.hypot(r_b, 3.5), rel=1e-15)
         # at the cone edge the transmit pattern is exactly half power
         assert pattern_gain(cell_config.alice, theta) == pytest.approx(
             cell_config.alice.gain_linear / 2.0, rel=1e-12)
 
-    def test_two_vector_offset(self, cell_config):
-        nodes = build_scenario(cell_config, bob_offset=(3.0, 4.0))
-        assert nodes["bob"].position[0] == 3.0
-        assert nodes["bob"].position[1] == 4.0
+    def test_cone_edge_outside_room_rejected(self, cell_config):
+        # the 7.2 m footprint radius does not fit in a 10 m room
+        small = replace(cell_config, room_extent_m=(10.0, 10.0))
+        with pytest.raises(GeometryError, match=r"receiver offset \(7\.2.*, 0\.0\) lies outside"):
+            receiver_x(small)
 
-    def test_outside_cone_rejected(self, cell_config):
-        r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
-        with pytest.raises(OutOfCellError):
-            build_scenario(cell_config, bob_offset=r_b + 0.05)
-
-    def test_bob_receive_antenna_aimed_at_alice(self, cell_config):
-        nodes = build_scenario(cell_config, bob_offset=2.0)
-        alice, bob = nodes["alice"], nodes["bob"]
-        assert offset_angle(bob.boresight, bob.position, alice.position) == pytest.approx(0.0)
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (3.0, 4.0), (-7.2, 0.5), (0.0, -29.0),
+                                      (25.0, 25.0)])
+    def test_path_matches_hypot_atan2(self, cell_config, x, y):
+        distance, theta = path(cell_config, x, y)
+        assert distance == pytest.approx(math.hypot(x, y, 3.5), rel=1e-15)
+        assert theta == pytest.approx(math.atan2(math.hypot(x, y), 3.5), abs=1e-12)
 
 
 class TestBuildScenarioDirected:
     def test_slant_distance(self, directed_config):
-        nodes = build_scenario(directed_config)
-        alice, bob = nodes["alice"], nodes["bob"]
         # frozen: hypot(15, 8.5)
-        assert float(np.linalg.norm(bob.position - alice.position)) == pytest.approx(
+        assert path(directed_config, receiver_x(directed_config), 0.0)[0] == pytest.approx(
             17.2409396496, abs=1e-9)
 
     def test_boresight_hits_bob(self, directed_config):
-        nodes = build_scenario(directed_config)
-        alice, bob = nodes["alice"], nodes["bob"]
-        assert offset_angle(alice.boresight, alice.position, bob.position) == pytest.approx(0.0)
+        origin, boresight = transmitter(directed_config)
+        assert origin == (0.0, 0.0, 9.5)
+        assert math.hypot(*boresight) == pytest.approx(1.0, rel=1e-15)
+        assert boresight[1] == 0.0
+        assert path(directed_config, 15.0, 0.0)[1] == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (3.0, 4.0), (15.0, -6.0), (40.0, 0.0),
+                                      (59.0, 29.0)])
+    def test_path_matches_hypot_atan2(self, directed_config, x, y):
+        distance, theta = path(directed_config, x, y)
+        want_distance, want_theta = directed_path_oracle(directed_config, x, y)
+        assert distance == pytest.approx(want_distance, rel=1e-15)
+        assert theta == pytest.approx(want_theta, abs=1e-7)
 
     def test_outside_room_rejected(self, directed_config):
-        from dataclasses import replace
-
         bad = replace(directed_config, horizontal_distance_m=100.0)
-        with pytest.raises(ValueError):
-            build_scenario(bad)
+        with pytest.raises(GeometryError, match="receiver distance 100.0 m lies outside the room"):
+            receiver_x(bad)
+        with pytest.raises(GeometryError):
+            path(bad, 1.0, 0.0)
 
     def test_requires_distance(self, paper_env):
         a = Antenna(20.0)
@@ -109,24 +123,13 @@ class TestEveGrid:
         cfg = ScenarioConfig(variant="cell", environment=paper_env, alice=a, bob=a, eve=a,
                              transmit_power_w=1e-3, height_difference_m=3.5,
                              room_extent_m=(10.0, 10.0))
-        grid = eve_grid(cfg, 5.0)
-        assert grid.shape == (9, 3)
-
-    def test_all_at_receiver_height(self, cell_config):
-        grid = eve_grid(cell_config, 10.0)
-        assert np.all(grid[:, 2] == cell_config.receiver_height_m)
+        xs, ys = grid_axes(cfg, 5.0)
+        assert (len(xs), len(ys)) == (3, 3)
 
     def test_mirror_symmetry(self, cell_config):
         xs, ys = grid_axes(cell_config, 7.5)
         assert np.allclose(xs, -xs[::-1])
         assert np.allclose(ys, -ys[::-1])
-
-    def test_row_major_order(self, cell_config):
-        grid = eve_grid(cell_config, 30.0)
-        xs, ys = grid_axes(cell_config, 30.0)
-        # x varies fastest
-        assert np.array_equal(grid[: len(xs), 0], xs)
-        assert np.all(grid[: len(xs), 1] == ys[0])
 
     def test_directed_grid_starts_at_wall(self, directed_config):
         xs, ys = grid_axes(directed_config, 10.0)
@@ -135,7 +138,7 @@ class TestEveGrid:
 
     def test_rejects_bad_resolution(self, cell_config):
         with pytest.raises(ValueError):
-            eve_grid(cell_config, 0.0)
+            grid_axes(cell_config, 0.0)
 
     # only the boundary case builds axes (2 x 2000 values); the others must be
     # refused from the counts alone, before any array exists
@@ -158,11 +161,9 @@ class TestEveGrid:
 
 
 def test_cell_radial_symmetry_of_geometry(cell_config):
-    nodes = build_scenario(cell_config, bob_offset=0.0)
-    alice = nodes["alice"]
     r = 9.0
-    angles = []
-    for phi in (0.0, 0.7, 1.9, 3.1, 4.4, 5.8):
-        pos = np.array([r * math.cos(phi), r * math.sin(phi), cell_config.receiver_height_m])
-        angles.append(offset_angle(alice.boresight, alice.position, pos))
+    paths = [path(cell_config, r * math.cos(phi), r * math.sin(phi))
+             for phi in (0.0, 0.7, 1.9, 3.1, 4.4, 5.8)]
+    distances, angles = zip(*paths)
     assert max(angles) - min(angles) < 1e-12
+    assert max(distances) - min(distances) < 1e-12

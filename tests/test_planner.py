@@ -72,15 +72,12 @@ class TestPlanCell:
         assert all(b <= a for a, b in zip(ls_rate, ls_rate[1:]))
 
     def test_worst_case_dominance(self, cell_config):
-        from thzsecmap import build_scenario, link_budget, offset_angle, pattern_gain
+        from thzsecmap import link_budget, path, pattern_gain
 
         plan = plan_cell(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
         for frac in (0.0, 0.3, 0.6, 0.9):
-            nodes = build_scenario(cell_config, bob_offset=frac * r_b)
-            alice, bob = nodes["alice"], nodes["bob"]
-            theta = offset_angle(alice.boresight, alice.position, bob.position)
-            d = float(np.linalg.norm(bob.position - alice.position))
+            d, theta = path(cell_config, frac * r_b, 0.0)
             link = link_budget(CALIBRATED_TX_POWER_W, pattern_gain(cell_config.alice, theta),
                                cell_config.bob.gain_linear, d, cell_config.environment)
             assert min_reliability(plan.code, link)[0] <= plan.achieved_phi * (1 + 1e-9)
@@ -127,6 +124,16 @@ class TestPlanDirected:
     def test_rejects_cell_config(self, cell_config):
         with pytest.raises(ValueError):
             plan_directed(cell_config, 15.0, 2000, 0.2, 1e-3, 1e-3)
+
+    def test_bob_link_has_full_boresight_gain(self, directed_config):
+        # the aim leaves a rounding-level angle at 5 m, where the pattern gain
+        # would fall short of the boresight gain in the last bits
+        from thzsecmap.planner import bob_link
+
+        config = replace(directed_config, horizontal_distance_m=5.0)
+        link, distance, g_tx = bob_link(config, 0.5e-3)
+        assert g_tx == config.alice.gain_linear
+        assert distance == pytest.approx(math.hypot(5.0, 8.5), rel=1e-15)
 
 
 class TestRandomizedMaximality:

@@ -10,13 +10,11 @@ from conftest import CALIBRATED_TX_POWER_W
 from thzsecmap import (
     ConfigError,
     InfeasiblePlanError,
-    build_scenario,
-    cone_radius,
     evaluate_map,
     insecure_fraction,
     link_budget,
     min_security,
-    offset_angle,
+    path,
     pattern_gain,
     plan_cell,
     plan_directed,
@@ -91,15 +89,9 @@ class TestEvaluateMap:
 
     def test_single_point_equals_direct_call(self, cell_plan, small_cell):
         grid = evaluate_map(cell_plan, small_cell, 3.0)
-        r_b = cone_radius(small_cell.alice, small_cell.height_difference_m)
-        nodes = build_scenario(small_cell, bob_offset=r_b)
-        alice = nodes["alice"]
         iy, ix = 1, 2  # off-center point in the transition region of this room
-        pos = np.array([grid.xs[ix], grid.ys[iy], small_cell.receiver_height_m])
-        theta = offset_angle(alice.boresight, alice.position, pos)
+        d, theta = path(small_cell, float(grid.xs[ix]), float(grid.ys[iy]))
         g_tx = pattern_gain(small_cell.alice, theta)
-        diff = pos - alice.position
-        d = math.sqrt(float(diff[0]) ** 2 + float(diff[1]) ** 2 + float(diff[2]) ** 2)
         link = link_budget(CALIBRATED_TX_POWER_W, g_tx, small_cell.eve.gain_linear, d,
                            small_cell.environment)
         assert min_security(cell_plan.code, link)[0] == grid.values[iy, ix]
@@ -287,6 +279,9 @@ class TestSerialization:
         first = lines[1].split(",")
         assert float(first[0]) == grid.xs[0]
         assert float(first[1]) == grid.ys[0]
+        # row-major: x varies fastest
+        second = lines[2].split(",")
+        assert (float(second[0]), float(second[1])) == (grid.xs[1], grid.ys[0])
         path = tmp_path / "map.csv"
         write_map_csv(grid, path)
         text = path.read_text()
