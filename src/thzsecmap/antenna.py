@@ -9,6 +9,7 @@ or published beamwidths can be pinned exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import GeometryError
@@ -16,6 +17,9 @@ from .linkmodel import db_to_ratio
 
 KRAUS_BEAM_CONSTANT_DEG2 = 41253.0
 """Default kappa: square degrees in a sphere, the classic directivity approximation."""
+
+# narrowest beamwidth for which the pattern exponent 4 (theta/theta_3dB)**2 is finite up to pi
+MIN_BEAMWIDTH_RAD = 4.0 * math.pi / math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,19 @@ class Antenna:
     beamwidth_override_deg: float | None = None
 
     def __post_init__(self) -> None:
+        # each message starts with the field name; the config loader prefixes the section
         if self.gain_dbi < 0.0:
-            raise ValueError(f"boresight gain must be >= 0 dBi, got {self.gain_dbi}")
+            raise ValueError(f"gain_dbi must be >= 0, got {self.gain_dbi}")
         if self.kappa_deg2 <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa_deg2}")
-        if self.beamwidth_override_deg is not None and not 0.0 < self.beamwidth_override_deg <= 180.0:
-            raise ValueError(
-                f"beamwidth override must lie in (0, 180] degrees, got {self.beamwidth_override_deg}"
-            )
+            raise ValueError(f"kappa_deg2 must be positive, got {self.kappa_deg2}")
+        override = self.beamwidth_override_deg
+        if override is not None and not 0.0 < override <= 180.0:
+            raise ValueError(f"beamwidth_override_deg must lie in (0, 180], got {override}")
+        width = beamwidth_from_gain(self)
+        if math.radians(width) < MIN_BEAMWIDTH_RAD:
+            key = "kappa_deg2" if override is None else "beamwidth_override_deg"
+            raise ValueError(f"{key} gives a half-power beamwidth of {width:g} deg, "
+                             "too narrow to evaluate the antenna pattern")
 
     @property
     def gain_linear(self) -> float:

@@ -42,8 +42,6 @@ from .secmap import (
 DEFAULT_RESOLUTION_M = 0.25
 DEFAULT_TX_POWER_MW = {CELL: 9.0, DIRECTED: 0.5}
 MAX_BLOCKLENGTH = 2 ** 53  # the bounds compute with n as a float, exact up to here
-# the antenna pattern's exponent 4 (theta / theta_3dB)**2 stays finite for theta <= pi
-MIN_BEAMWIDTH_RAD = 4.0 * math.pi / math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -108,24 +106,15 @@ def _antenna(section, path: str) -> Antenna:
     gain = _number(_require(section, path, "gain_dbi"), f"{path}.gain_dbi", nonnegative=True,
                    decibels=True)
     kwargs = {}
-    if section.get("kappa_deg2") is not None:
-        kwargs["kappa_deg2"] = _number(section["kappa_deg2"], f"{path}.kappa_deg2", positive=True)
-    if section.get("min_relative_gain_db") is not None:
-        kwargs["min_relative_gain_db"] = _number(section["min_relative_gain_db"],
-                                                 f"{path}.min_relative_gain_db", decibels=True)
-    if section.get("beamwidth_override_deg") is not None:
-        kwargs["beamwidth_override_deg"] = _number(section["beamwidth_override_deg"],
-                                                   f"{path}.beamwidth_override_deg", positive=True)
+    for key, check in (("kappa_deg2", {"positive": True}),
+                       ("min_relative_gain_db", {"decibels": True}),
+                       ("beamwidth_override_deg", {"positive": True})):
+        if section.get(key) is not None:
+            kwargs[key] = _number(section[key], f"{path}.{key}", **check)
     try:
-        antenna = Antenna(gain_dbi=gain, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    width = beamwidth_from_gain(antenna)
-    if math.radians(width) < MIN_BEAMWIDTH_RAD:
-        key = "kappa_deg2" if antenna.beamwidth_override_deg is None else "beamwidth_override_deg"
-        raise ConfigError(f"{path}.{key} gives a half-power beamwidth of {width:g} deg, "
-                          "too narrow to evaluate the antenna pattern")
-    return antenna
+        return Antenna(gain_dbi=gain, **kwargs)
+    except ValueError as exc:  # its messages start with the field name
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def load_config(path) -> RunConfig:

@@ -32,6 +32,14 @@ class TestBeamwidthFromGain:
         with pytest.raises(ValueError):
             Antenna(10.0, beamwidth_override_deg=190.0)
 
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"beamwidth_override_deg": 1e-300}, "beamwidth_override_deg"),
+        ({"kappa_deg2": 1e-300, "gain_dbi": 60.0}, "kappa_deg2"),
+    ])
+    def test_too_narrow_to_evaluate(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} gives .* too narrow"):
+            Antenna(**{"gain_dbi": 10.0, **kwargs})
+
 
 class TestPatternGain:
     def test_boresight(self):

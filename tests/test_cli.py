@@ -285,6 +285,12 @@ def _set_directed_beyond_room(doc):
     doc["scenario"]["horizontal_distance_m"] = 70.0
 
 
+def _set_directed_small_kappa(doc):
+    _set_directed(doc)
+    # 20 dBi gives a 1e-151 deg beamwidth, which loads; the swept 60 dBi gives 1e-153 deg
+    doc["antennas"]["alice"]["kappa_deg2"] = 1e-300
+
+
 @pytest.mark.parametrize("argv, edit", [
     *[pytest.param(argv, None, id=" ".join(argv)) for argv in (
         ["map", "--resolution", "-1"],
@@ -311,6 +317,8 @@ def _set_directed_beyond_room(doc):
     pytest.param(["plan"], _set_directed_beyond_room, id="plan directed receiver beyond room"),
     pytest.param(["sweep", "--variable", "d_AB", "--values", "70"], _set_directed,
                  id="sweep directed d_AB 70"),
+    pytest.param(["sweep", "--variable", "G_A", "--values", "60"], _set_directed_small_kappa,
+                 id="sweep directed G_A 60 on kappa 1e-300"),
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     doc = base_config(str(tmp_path / "out"))

@@ -72,7 +72,7 @@ class TestBuildScenarioDirected:
         assert origin == (0.0, 0.0, 9.5)
         assert math.hypot(*boresight) == pytest.approx(1.0, rel=1e-15)
         assert boresight[1] == 0.0
-        assert path(directed_config, 15.0, 0.0)[1] == pytest.approx(0.0, abs=1e-7)
+        assert path(directed_config, receiver_x(directed_config), 0.0)[1] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("x, y", [(0.0, 0.0), (3.0, 4.0), (15.0, -6.0), (40.0, 0.0),
                                       (59.0, 29.0)])
