@@ -34,6 +34,7 @@ _ALPHA_SEEDS = 64
 _ALPHA_GUARD = 1e-9
 _INNER_REL_TOL = 1e-9
 _MAX_ITER = 200
+MAX_BLOCKLENGTH = 2 ** 53  # the bounds compute with n as a float, exact up to here
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class SecrecyCode:
     randomness_bits: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.blocklength, int) or self.blocklength < 1:
-            raise ValueError(f"blocklength must be an integer >= 1, got {self.blocklength}")
+        n = self.blocklength
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BLOCKLENGTH:
+            raise ValueError(f"blocklength must be an integer in [1, 2**53], got {n!r}")
         if self.rate_bits <= 0.0:
             raise ValueError(f"secrecy rate must be positive, got {self.rate_bits}")
         if self.randomness_bits < 0.0:

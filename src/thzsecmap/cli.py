@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, planner
-from .antenna import Antenna, beamwidth_from_gain
+from .antenna import KRAUS_BEAM_CONSTANT_DEG2, Antenna, beamwidth_from_gain
+from .bounds import MAX_BLOCKLENGTH
 from .errors import ConfigError, InfeasiblePlanError, ProfileError
-from .geometry import CELL, DIRECTED, ScenarioConfig
+from .geometry import CELL, DIRECTED, VARIANTS, ScenarioConfig
 from .linkmodel import RadioEnvironment, db_to_ratio, link_budget, ratio_to_db, watts_to_dbm
 from .planner import PlanResult, require_feasible
 from .secmap import (
@@ -41,7 +42,6 @@ from .secmap import (
 
 DEFAULT_RESOLUTION_M = 0.25
 DEFAULT_TX_POWER_MW = {CELL: 9.0, DIRECTED: 0.5}
-MAX_BLOCKLENGTH = 2 ** 53  # the bounds compute with n as a float, exact up to here
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,10 @@ class RunConfig:
     rate_bits: float
     phi_target: float
     output_dir: str
-    raw: dict  # resolved document in config units, re-emitted as metadata
+    raw: dict  # validated document in config units, re-emitted as metadata
 
 
-def _require(section: dict, path: str, key: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {path}.{key}")
-    return section[key]
-
-
-def _reject_unknown(section, path: str, allowed: set[str]) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path} must be an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}")
-
-
-def _number(value, path: str, *, positive: bool = False, nonnegative: bool = False,
-            decibels: bool = False) -> float:
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     try:
@@ -80,19 +65,36 @@ def _number(value, path: str, *, positive: bool = False, nonnegative: bool = Fal
         v = math.inf
     if not math.isfinite(v):  # json parses NaN and Infinity
         raise ConfigError(f"{path} must be finite, got {value}")
-    if positive and v <= 0.0:
-        raise ConfigError(f"{path} must be positive, got {v}")
-    if nonnegative and v < 0.0:
-        raise ConfigError(f"{path} must be >= 0, got {v}")
-    if decibels:
+    return v
+
+
+def _bounded(holds, requirement: str):
+    """A number check that also needs ``holds(v)``: '<path> must <requirement>, got v'."""
+    def check(value, path: str) -> float:
+        v = _number(value, path)
+        if not holds(v):
+            raise ConfigError(f"{path} must {requirement}, got {v}")
+        return v
+    return check
+
+
+_positive = _bounded(lambda v: v > 0.0, "be positive")
+_nonnegative = _bounded(lambda v: v >= 0.0, "be >= 0")
+
+
+def _decibels(check):
+    """``check``, then refuse a decibel value whose linear ratio overflows."""
+    def decibel_check(value, path: str) -> float:
+        v = check(value, path)
         try:
             db_to_ratio(v)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    return v
+        return v
+    return decibel_check
 
 
-def _integer(value, path: str) -> int:
+def _blocklength(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     if not 1 <= value <= MAX_BLOCKLENGTH:
@@ -100,21 +102,103 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _antenna(section, path: str) -> Antenna:
-    _reject_unknown(section, path,
-                    {"gain_dbi", "kappa_deg2", "min_relative_gain_db", "beamwidth_override_deg"})
-    gain = _number(_require(section, path, "gain_dbi"), f"{path}.gain_dbi", nonnegative=True,
-                   decibels=True)
-    kwargs = {}
-    for key, check in (("kappa_deg2", {"positive": True}),
-                       ("min_relative_gain_db", {"decibels": True}),
-                       ("beamwidth_override_deg", {"positive": True})):
-        if section.get(key) is not None:
-            kwargs[key] = _number(section[key], f"{path}.{key}", **check)
-    try:
-        return Antenna(gain_dbi=gain, **kwargs)
-    except ValueError as exc:  # its messages start with the field name
-        raise ConfigError(f"{path}.{exc}") from exc
+def _variant(value, path: str) -> str:
+    if value not in VARIANTS:
+        raise ConfigError(f"{path} must be 'cell' or 'directed', got {value!r}")
+    return value
+
+
+def _extent(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path} must be a [x, y] pair of meters")
+    return _positive(value[0], f"{path}[0]"), _positive(value[1], f"{path}[1]")
+
+
+def _directory(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path} must be a non-empty string")
+    return value
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its check, its default, and how it maps to internal units."""
+
+    check: object  # (value, path) -> the validated value in config units
+    default: object = REQUIRED
+    field: str | None = None  # keyword of the internal object, when not the key
+    scale: float | None = None  # factor from the config unit to the internal one
+
+
+_ANTENNA = {
+    "gain_dbi": _Key(_decibels(_nonnegative)),
+    "kappa_deg2": _Key(_positive, KRAUS_BEAM_CONSTANT_DEG2),
+    "min_relative_gain_db": _Key(_decibels(_number), None),
+    "beamwidth_override_deg": _Key(_positive, None),
+}
+
+# Every config key, once.  A nested dict is a section, required when any key
+# in it is; null means absent.  docs/config.md documents the same keys.
+SCHEMA = {
+    "environment": {
+        "carrier_frequency_ghz": _Key(_positive, field="carrier_frequency_hz", scale=1e9),
+        "bandwidth_ghz": _Key(_positive, field="bandwidth_hz", scale=1e9),
+        "temperature_k": _Key(_positive),
+        "noise_figure_db": _Key(_decibels(_nonnegative)),
+    },
+    "antennas": {"alice": _ANTENNA, "bob": _ANTENNA, "eve": _ANTENNA},
+    "scenario": {
+        "variant": _Key(_variant),
+        "room_extent_m": _Key(_extent, (60.0, 60.0)),
+        "height_difference_m": _Key(_positive),
+        "horizontal_distance_m": _Key(_positive, None),  # required by the directed variant
+        "receiver_height_m": _Key(_nonnegative, 1.0),
+    },
+    "code": {
+        "n": _Key(_blocklength),
+        "rate_bits": _Key(_positive),
+        "phi_target": _Key(_bounded(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    },
+    # the default depends on the variant: DEFAULT_TX_POWER_MW
+    "power": {"transmit_mw": _Key(_positive, None, field="transmit_power_w", scale=1e-3)},
+    "output": {"dir": _Key(_directory, "out", field="output_dir")},
+    "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
+}
+
+
+def _required(row) -> bool:
+    if isinstance(row, dict):
+        return any(_required(sub) for sub in row.values())
+    return row.default is REQUIRED
+
+
+def _walk(table: dict, section, path: str) -> dict:
+    """Validate one section against its table and fill in the defaults."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be an object")
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"unknown key {path}.{key}")
+    out = {}
+    for key, row in table.items():
+        where = key if table is SCHEMA else f"{path}.{key}"
+        value = section.get(key)
+        if value is None and _required(row):
+            raise ConfigError(f"missing required key {path}.{key}")
+        if isinstance(row, dict):
+            out[key] = _walk(row, {} if value is None else value, where)
+        else:
+            out[key] = row.default if value is None else row.check(value, where)
+    return out
+
+
+def _fields(table: dict, section: dict) -> dict:
+    """A validated section as keyword arguments in internal units."""
+    return {row.field or key: section[key] if row.scale is None else section[key] * row.scale
+            for key, row in table.items()}
 
 
 def load_config(path) -> RunConfig:
@@ -130,120 +214,27 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _reject_unknown(doc, "config",
-                    {"environment", "antennas", "scenario", "code", "power", "output", "run"})
-
-    env_doc = _require(doc, "config", "environment")
-    _reject_unknown(env_doc, "environment",
-                    {"carrier_frequency_ghz", "bandwidth_ghz", "temperature_k", "noise_figure_db"})
-    environment = RadioEnvironment(
-        carrier_frequency_hz=_number(_require(env_doc, "environment", "carrier_frequency_ghz"),
-                                     "environment.carrier_frequency_ghz", positive=True) * 1e9,
-        bandwidth_hz=_number(_require(env_doc, "environment", "bandwidth_ghz"),
-                             "environment.bandwidth_ghz", positive=True) * 1e9,
-        temperature_k=_number(_require(env_doc, "environment", "temperature_k"),
-                              "environment.temperature_k", positive=True),
-        noise_figure_db=_number(_require(env_doc, "environment", "noise_figure_db"),
-                                "environment.noise_figure_db", nonnegative=True, decibels=True),
-    )
-
-    ant_doc = _require(doc, "config", "antennas")
-    _reject_unknown(ant_doc, "antennas", {"alice", "bob", "eve"})
-    alice = _antenna(_require(ant_doc, "antennas", "alice"), "antennas.alice")
-    bob = _antenna(_require(ant_doc, "antennas", "bob"), "antennas.bob")
-    eve = _antenna(_require(ant_doc, "antennas", "eve"), "antennas.eve")
-
-    sc_doc = _require(doc, "config", "scenario")
-    _reject_unknown(sc_doc, "scenario",
-                    {"variant", "room_extent_m", "height_difference_m", "horizontal_distance_m",
-                     "receiver_height_m"})
-    variant = _require(sc_doc, "scenario", "variant")
-    if variant not in (CELL, DIRECTED):
-        raise ConfigError(f"scenario.variant must be 'cell' or 'directed', got {variant!r}")
-    extent = sc_doc.get("room_extent_m", [60.0, 60.0])
-    if (not isinstance(extent, (list, tuple)) or len(extent) != 2):
-        raise ConfigError("scenario.room_extent_m must be a [x, y] pair of meters")
-    room_extent = (_number(extent[0], "scenario.room_extent_m[0]", positive=True),
-                   _number(extent[1], "scenario.room_extent_m[1]", positive=True))
-    height = _number(_require(sc_doc, "scenario", "height_difference_m"),
-                     "scenario.height_difference_m", positive=True)
-    horizontal = sc_doc.get("horizontal_distance_m")
-    if variant == DIRECTED and horizontal is None:
+    raw = _walk(SCHEMA, doc, "config")
+    sc = raw["scenario"]
+    if sc["variant"] == DIRECTED and sc["horizontal_distance_m"] is None:
         raise ConfigError("missing required key scenario.horizontal_distance_m (directed variant)")
-    if horizontal is not None:
-        horizontal = _number(horizontal, "scenario.horizontal_distance_m", positive=True)
-    receiver_height = _number(sc_doc.get("receiver_height_m", 1.0),
-                              "scenario.receiver_height_m", nonnegative=True)
-
-    code_doc = _require(doc, "config", "code")
-    _reject_unknown(code_doc, "code", {"n", "rate_bits", "phi_target"})
-    n = _integer(_require(code_doc, "code", "n"), "code.n")
-    rate_bits = _number(_require(code_doc, "code", "rate_bits"), "code.rate_bits", positive=True)
-    phi_target = _number(_require(code_doc, "code", "phi_target"), "code.phi_target")
-    if not 0.0 < phi_target < 1.0:
-        raise ConfigError(f"code.phi_target must lie in (0, 1), got {phi_target}")
-
-    power_doc = doc.get("power", {})
-    _reject_unknown(power_doc, "power", {"transmit_mw"})
-    tx_mw = power_doc.get("transmit_mw", DEFAULT_TX_POWER_MW[variant])
-    tx_mw = _number(tx_mw, "power.transmit_mw", positive=True)
-
-    out_doc = doc.get("output", {})
-    _reject_unknown(out_doc, "output", {"dir"})
-    out_dir = out_doc.get("dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("output.dir must be a non-empty string")
-
+    if raw["power"]["transmit_mw"] is None:
+        raw["power"]["transmit_mw"] = DEFAULT_TX_POWER_MW[sc["variant"]]
+    environment = RadioEnvironment(**_fields(SCHEMA["environment"], raw["environment"]))
+    antennas = {}
+    for name, section in raw["antennas"].items():
+        try:
+            antennas[name] = Antenna(**section)
+        except ValueError as exc:  # its messages start with the field name
+            raise ConfigError(f"antennas.{name}.{exc}") from exc
     try:
-        scenario = ScenarioConfig(
-            variant=variant,
-            environment=environment,
-            alice=alice,
-            bob=bob,
-            eve=eve,
-            transmit_power_w=tx_mw * 1e-3,
-            height_difference_m=height,
-            horizontal_distance_m=horizontal,
-            room_extent_m=room_extent,
-            receiver_height_m=receiver_height,
-        )
+        scenario = ScenarioConfig(environment=environment, **antennas,
+                                  **_fields(SCHEMA["scenario"], sc),
+                                  **_fields(SCHEMA["power"], raw["power"]))
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
-
-    raw = {
-        "environment": {
-            "carrier_frequency_ghz": environment.carrier_frequency_hz / 1e9,
-            "bandwidth_ghz": environment.bandwidth_hz / 1e9,
-            "temperature_k": environment.temperature_k,
-            "noise_figure_db": environment.noise_figure_db,
-        },
-        "antennas": {
-            "alice": _antenna_dict(alice),
-            "bob": _antenna_dict(bob),
-            "eve": _antenna_dict(eve),
-        },
-        "scenario": {
-            "variant": variant,
-            "room_extent_m": [room_extent[0], room_extent[1]],
-            "height_difference_m": height,
-            "horizontal_distance_m": horizontal,
-            "receiver_height_m": receiver_height,
-        },
-        "code": {"n": n, "rate_bits": rate_bits, "phi_target": phi_target},
-        "power": {"transmit_mw": tx_mw},
-        "output": {"dir": out_dir},
-    }
-    return RunConfig(scenario=scenario, n=n, rate_bits=rate_bits, phi_target=phi_target,
-                     output_dir=out_dir, raw=raw)
-
-
-def _antenna_dict(antenna: Antenna) -> dict:
-    return {
-        "gain_dbi": antenna.gain_dbi,
-        "kappa_deg2": antenna.kappa_deg2,
-        "min_relative_gain_db": antenna.min_relative_gain_db,
-        "beamwidth_override_deg": antenna.beamwidth_override_deg,
-    }
+    return RunConfig(scenario=scenario, raw=raw, **_fields(SCHEMA["code"], raw["code"]),
+                     **_fields(SCHEMA["output"], raw["output"]))
 
 
 def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import geometry, planner
 from .antenna import cone_radius, pattern_gain
-from .bounds import min_security
+from .bounds import MAX_BLOCKLENGTH, min_security
 from .errors import ConfigError, ProfileError
-from .geometry import CELL, DIRECTED, MAX_LENGTH_M, ScenarioConfig, grid_axes
+from .geometry import CELL, DIRECTED, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioConfig, grid_axes
 from .linkmodel import link_budget
 from .planner import PlanResult, require_feasible
 
@@ -136,6 +136,8 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
         raise ValueError(f"need 0 <= r_min < r_max <= {MAX_LENGTH_M:g}, got {r_min_m}, {r_max_m}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
+    if steps > MAX_GRID_POINTS:  # refused before np.linspace builds the radii
+        raise ValueError(f"{steps} steps exceed the limit of {MAX_GRID_POINTS}")
     evaluator = _EveEvaluator(plan, config)
     radii = np.linspace(r_min_m, r_max_m, steps)
     deltas = np.array([evaluator.delta_at_radius(float(r)) for r in radii])
@@ -196,8 +198,9 @@ def insecure_fraction(grid: SecrecyMapGrid, threshold: float = 0.5) -> float:
 def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
                        phi_target: float, variable: str, value: float):
     if variable == "n":
-        if value != int(value) or int(value) < 1:
-            raise ConfigError(f"swept blocklength must be a positive integer, got {value}")
+        # SecrecyCode checks the same range; here the message shows the float, not int(1e300)
+        if value != int(value) or not 1 <= value <= MAX_BLOCKLENGTH:
+            raise ConfigError(f"swept blocklength must be an integer in [1, 2**53], got {value}")
         return config, int(value), rate_bits, phi_target
     if variable == "phi_target":
         return config, n, rate_bits, float(value)

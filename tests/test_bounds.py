@@ -153,6 +153,11 @@ class TestParamValidation:
             SecrecyCode(100, 0.0, 0.5)
         with pytest.raises(ValueError):
             SecrecyCode(100, 0.2, -0.1)
+        with pytest.raises(ValueError):
+            SecrecyCode(True, 0.2, 0.1)
+        with pytest.raises(ValueError):
+            SecrecyCode(2 ** 53 + 1, 0.2, 0.1)
+        assert SecrecyCode(2 ** 53, 0.2, 0.1).blocklength == 2 ** 53
 
     def test_free_params(self):
         with pytest.raises(ValueError):

@@ -181,6 +181,35 @@ class TestMapCommand:
         assert (out1 / "map.csv").read_bytes() == (out2 / "map.csv").read_bytes()
 
 
+ROUND_TRIP_COMMANDS = (
+    ["plan"], ["link"], ["map", "--resolution", "4"], ["radial"], ["threshold"],
+    ["sweep", "--variable", "R", "--values", "0.1,0.2", "--area-resolution", "10"],
+)
+
+
+def _round_trip_cases():
+    for config in SHIPPED_CONFIGS:
+        cell = json.loads(config.read_text())["scenario"]["variant"] == "cell"
+        for argv in ROUND_TRIP_COMMANDS:
+            if cell or argv[0] not in ("radial", "threshold"):  # both need the cell variant
+                yield pytest.param(config, argv, id=f"{config.stem} {argv[0]}")
+
+
+@pytest.mark.parametrize("config, argv", _round_trip_cases())
+def test_metadata_reproduces_every_command(tmp_path, capsys, config, argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run([*argv, "--config", str(config), "--out", str(first)]) == 0
+    stdout = capsys.readouterr().out
+    meta = first / f"{argv[0]}_metadata.json"
+    assert run([*argv, "--config", str(meta), "--out", str(second)]) == 0
+    assert capsys.readouterr().out == stdout.replace(str(first), str(second))
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:  # only output.dir differs
+        expected = (first / name).read_bytes().replace(bytes(first), bytes(second))
+        assert (second / name).read_bytes() == expected
+
+
 class TestOtherCommands:
     def test_radial(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -300,12 +329,14 @@ def _set_directed_small_kappa(doc):
         ["radial", "--steps", "1"],
         ["radial", "--r-min", "5", "--r-max", "1"],
         ["radial", "--r-max", "1e200", "--steps", "3"],
+        ["radial", "--steps", "100000000000000"],
         ["link", "--distance", "-3"],
         ["sweep", "--variable", "phi_target", "--values", "2"],
         ["sweep", "--variable", "R", "--values", "-1"],
         ["sweep", "--variable", "G_E", "--values", "-5"],
         ["sweep", "--variable", "l_AB", "--values", "0"],
         ["sweep", "--variable", "G_A", "--values", "1e308"],
+        ["sweep", "--variable", "n", "--values", "1e300"],
         ["map", "--resolution", "0.01"],
         ["map", "--resolution", "5e-324"],
     )],
