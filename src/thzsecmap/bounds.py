@@ -9,16 +9,25 @@ on a single consistent scale.
 
 The divergence of the complex AWGN channel is taken as twice the bivariate
 (real) Gaussian closed form, which makes its alpha -> 1 limit equal the
-channel capacity ln(1 + SNR).
+channel capacity C = ln(1 + SNR) = -ln(1 - rho^2).
 
-Minimization over the free parameters (alpha, lambda) is nested.  For fixed
-alpha the log objective logaddexp(p - q*lambda, u + v*lambda), q, v > 0, is
-a log-sum-exp of affine functions of lambda and hence convex (Boyd &
-Vandenberghe, *Convex Optimization* 3.1.5), so lambda is solved in closed
-form: the stationary point, clamped to the admissible interval.  Alpha is
-seeded on a 64-point log-spaced grid and refined by golden-section search
-around the best seed.  Everything is evaluated in log space, so bound
-values far below the smallest positive double are reported as exactly 0.
+With t = 1 - alpha (reliability) or t = alpha - 1 (security) the capacity
+cancels from the divergence exponent, and both log bounds read
+logaddexp(E1, e2) with
+
+    E1 = -n*(ln(1 - t^2 rho^2) + t*lambda),    e2 = -k*n*(m - lambda),
+
+k = 1, m = C - R - L for reliability and k = 1/2, m = L - C_E for security.
+For fixed lambda, E1 is convex in t with minimizer
+t*(lambda) = lambda / (rho*(sqrt(rho^2 + lambda^2) + rho)), clamped to the
+order's domain.  By the envelope theorem the lambda-minimized log bound
+rises where g(lambda) = e2 - E1(t*, lambda) - ln(t*/k) is positive and
+falls where it is negative; g' = n*(k + t*) - rho/(lambda*sqrt(rho^2 +
+lambda^2)) increases, so g is convex.  The minimum over lambda in (0, m] is
+therefore the larger root of g, found by Newton's method from lambda = m,
+which approaches it monotonically from the right.  Without such a root the
+bound is 1.  Everything is evaluated in log space, so bound values far
+below the smallest positive double are reported as exactly 0.
 """
 
 from __future__ import annotations
@@ -28,13 +37,18 @@ from dataclasses import dataclass
 
 from .linkmodel import LN2, LinkState
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-_ALPHA_SEEDS = 64
 _ALPHA_GUARD = 1e-9
-_INNER_REL_TOL = 1e-9
-_MAX_ITER = 200
+_T_FLOOR = 2.0 ** -52  # the smallest t with 1 - t != 1 and 1 + t != 1
+_NEWTON_MAX_STEPS = 100
 MAX_BLOCKLENGTH = 2 ** 53  # the bounds compute with n as a float, exact up to here
+
+
+def blocklength_text(n) -> str:
+    """``repr(n)`` for a message, or an integer beyond the cap by its digit count."""
+    if isinstance(n, int) and abs(n) > MAX_BLOCKLENGTH:
+        sign = "a negative" if n < 0 else "an"
+        return f"{sign} integer of {len(str(abs(n)))} digits"
+    return repr(n)
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,8 @@ class SecrecyCode:
     def __post_init__(self) -> None:
         n = self.blocklength
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BLOCKLENGTH:
-            raise ValueError(f"blocklength must be an integer in [1, 2**53], got {n!r}")
+            raise ValueError(f"blocklength must be an integer in [1, 2**53], "
+                             f"got {blocklength_text(n)}")
         if self.rate_bits <= 0.0:
             raise ValueError(f"secrecy rate must be positive, got {self.rate_bits}")
         if self.randomness_bits < 0.0:
@@ -147,12 +162,10 @@ def reliability_bound(code: SecrecyCode, link_ab: LinkState, params: BoundFreePa
     """
     if not 0.0 < params.alpha < 1.0:
         raise ValueError(f"reliability bound requires alpha in (0,1), got {params.alpha}")
-    div = channel_divergence(params.alpha, link_ab)
-    c_nats = link_ab.capacity_nats
-    margin = c_nats - (code.rate_bits + code.randomness_bits) * LN2
-    p, q, u, v = _reliability_coefficients(1.0 - params.alpha, code.blocklength, c_nats,
-                                           div, margin)
-    return _clamp_prob(_logaddexp(p - q * params.lambda_nats, u + v * params.lambda_nats))
+    margin = link_ab.capacity_nats - (code.rate_bits + code.randomness_bits) * LN2
+    e1, e2, _ = _exponents(code.blocklength, link_ab.rho, 1.0 - params.alpha,
+                           params.lambda_nats, 1.0, margin)
+    return _clamp_prob(_logaddexp(e1, e2))
 
 
 def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParams) -> float:
@@ -164,12 +177,11 @@ def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParam
     """
     if params.alpha <= 1.0:
         raise ValueError(f"security bound requires alpha > 1, got {params.alpha}")
-    div = channel_divergence(params.alpha, link_ae)
-    c_nats = link_ae.capacity_nats
-    margin = code.randomness_bits * LN2 - c_nats
-    p, q, u, v = _security_coefficients(params.alpha - 1.0, code.blocklength, c_nats,
-                                        div, margin)
-    return _clamp_prob(_logaddexp(p - q * params.lambda_nats, u + v * params.lambda_nats))
+    _check_renyi_domain(params.alpha, link_ae.rho, 0.0)
+    margin = code.randomness_bits * LN2 - link_ae.capacity_nats
+    e1, e2, _ = _exponents(code.blocklength, link_ae.rho, params.alpha - 1.0,
+                           params.lambda_nats, 0.5, margin)
+    return _clamp_prob(_logaddexp(e1, e2))
 
 
 def _divergence_from_t(t_signed: float, rho: float) -> float:
@@ -180,119 +192,92 @@ def _divergence_from_t(t_signed: float, rho: float) -> float:
     return 2.0 * (-0.5 * math.log1p(-rho * rho) - math.log1p(-g * g) / (2.0 * t_signed))
 
 
-def _min_logsum_linear(p: float, q: float, u: float, v: float, width: float) -> tuple[float, float]:
-    """Minimize logaddexp(p - q*x, u + v*x) over x in (0, width] in closed form.
+def _exponents(n: int, rho: float, t: float, lam: float, k: float,
+               m: float) -> tuple[float, float, float]:
+    # (E1, e2, -n*ln(1 - t^2 rho^2)) of either bound: its log value is logaddexp(E1, e2)
+    tr = t * rho
+    a = -n * math.log1p(-tr * tr)
+    return a - n * t * lam, -k * n * (m - lam), a
 
-    A log-sum-exp of affine functions is convex (Boyd & Vandenberghe,
-    *Convex Optimization* 3.1.5).  With q, v > 0 its stationary point
-    x* = (p - u + ln(q/v)) / (q + v) balances the two exponentials, so the
-    constrained minimum is x* clamped to the interval.  The floor keeps x
-    positive, as BoundFreeParams requires.  Returns (value, x_min).
+
+def _t_star(rho: float, lam: float, t_hi: float) -> tuple[float, float]:
+    # (t*, lam * d(ln t*)/d(lam)): the minimizer of E1 over t in [_T_FLOOR, t_hi],
+    # in a form that neither cancels nor underflows at small lambda, and its
+    # log-slope, which is 0 where t* is clamped
+    if rho == 0.0:
+        return t_hi, 0.0
+    h = math.hypot(rho, lam)
+    t = lam / rho / (h + rho)
+    if t >= t_hi:
+        return t_hi, 0.0
+    if t <= _T_FLOOR:
+        return _T_FLOOR, 0.0
+    return t, rho / h
+
+
+def _min_log_bound(n: int, rho: float, k: float, m: float,
+                   t_hi: float) -> tuple[float, float, float]:
+    """Minimize logaddexp(E1, e2) over t in [_T_FLOOR, t_hi] and lambda in (0, m].
+
+    Newton's method on the convex g(lambda), started at lambda = m.  When
+    g(m) <= 0 the log bound still falls at m and is minimized there.
+    Otherwise every iterate stays at or right of the larger root of g, and
+    the loop stops once it is reached to a few ulps or crossed by rounding.
+    An iterate where g has no positive slope, or a step to lambda <= 0,
+    shows that g > 0 on all of (0, m]: the log bound rises from
+    logaddexp(0, -k*n*m) > 0, so the bound is 1, reported at lambda = m.
+    Returns (log value, t, lambda).
     """
-    x = min(max((p - u + math.log(q / v)) / (q + v), 1e-15 * width), width)
-    return _logaddexp(p - q * x, u + v * x), x
-
-
-def _reliability_coefficients(t: float, n: int, c_nats: float, div: float,
-                              margin: float) -> tuple[float, float, float, float]:
-    # t = 1 - alpha, margin = C - R - L: log phi = logaddexp(p - q*lambda, u + v*lambda)
-    return -n * t * (div - c_nats), n * t, -n * margin, float(n)
-
-
-def _security_coefficients(t: float, n: int, c_nats: float, div: float,
-                           margin: float) -> tuple[float, float, float, float]:
-    # t = alpha - 1, margin = L - C_E: log delta = logaddexp(p - q*lambda, u + v*lambda)
-    return n * t * (div - c_nats), n * t, -n * margin / 2.0, n / 2.0
-
-
-def _search_alpha(objective, t_lo: float, t_hi: float) -> tuple[float, float, float]:
-    """Log-spaced seed scan plus golden refinement on ln t.
-
-    Returns (best log value, best t, best lambda).
-    """
-    ratio = (t_hi / t_lo) ** (1.0 / (_ALPHA_SEEDS - 1))
-    best_val = math.inf
-    best_i = 0
-    best_t = t_lo
-    best_lam = 0.0
-    t = t_lo
-    for i in range(_ALPHA_SEEDS):
-        val, lam = objective(t)
-        if val < best_val:
-            best_val, best_t, best_lam, best_i = val, t, lam, i
-        t *= ratio
-    u_lo = math.log(t_lo) + max(best_i - 1, 0) * math.log(ratio)
-    u_hi = math.log(t_lo) + min(best_i + 1, _ALPHA_SEEDS - 1) * math.log(ratio)
-    a, b = u_lo, u_hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc, lam_c = objective(math.exp(c))
-    yd, lam_d = objective(math.exp(d))
-    for _ in range(_MAX_ITER):
-        if yc < yd:
-            b, d, yd, lam_d = d, c, yc, lam_c
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
-            yc, lam_c = objective(math.exp(c))
-        else:
-            a, c, yc, lam_c = c, d, yd, lam_d
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            yd, lam_d = objective(math.exp(d))
-        if abs(yc - yd) <= _INNER_REL_TOL * max(abs(yc), abs(yd)) or h <= 1e-15 * (u_hi - u_lo):
+    lam = m
+    for _ in range(_NEWTON_MAX_STEPS):
+        t, s = _t_star(rho, lam, t_hi)
+        e1, e2, a = _exponents(n, rho, t, lam, k, m)
+        log_t = math.log(t / k)
+        if e2 - e1 - log_t <= 0.0:
             break
-    if yc < yd and yc < best_val:
-        return yc, math.exp(c), lam_c
-    if yd <= yc and yd < best_val:
-        return yd, math.exp(d), lam_d
-    return best_val, best_t, best_lam
+        slope = n * (k + t) - s / lam
+        # lam - g/slope, written so that a root far below lam keeps its digits
+        new = (k * n * m + a + log_t - s) / slope if slope > 0.0 else 0.0
+        if new <= 0.0:
+            t = _t_star(rho, m, t_hi)[0]
+            e1, e2, _ = _exponents(n, rho, t, m, k, m)
+            return _logaddexp(e1, e2), t, m
+        if new >= lam - 4.0 * math.ulp(lam):
+            break
+        lam = new
+    else:
+        raise RuntimeError(f"Newton search on lambda did not converge (n={n}, rho={rho!r}, "
+                           f"k={k}, m={m!r})")
+    return _logaddexp(e1, e2), t, lam
 
 
 def min_reliability(code: SecrecyCode, link_ab: LinkState) -> tuple[float, BoundFreeParams | None]:
-    """Minimize the reliability bound over alpha in (0,1) and lambda in (0, C-R-L).
+    """Minimize the reliability bound over alpha in (0,1) and lambda in (0, C-R-L].
 
     Returns (phi_star, argmin params); (1.0, None) when the capacity does
     not exceed the combined rate R + L.
     """
-    c_nats = link_ab.capacity_nats
-    margin = c_nats - (code.rate_bits + code.randomness_bits) * LN2
+    margin = link_ab.capacity_nats - (code.rate_bits + code.randomness_bits) * LN2
     if margin <= 0.0:
         return 1.0, None
-    n = code.blocklength
-    rho = link_ab.rho
-
-    def objective(t: float) -> tuple[float, float]:
-        # t = 1 - alpha; returns (min log phi over lambda, argmin lambda)
-        div = _divergence_from_t(-t, rho)
-        return _min_logsum_linear(*_reliability_coefficients(t, n, c_nats, div, margin), margin)
-
-    val, t, lam = _search_alpha(objective, _ALPHA_GUARD, 1.0 - _ALPHA_GUARD)
+    val, t, lam = _min_log_bound(code.blocklength, link_ab.rho, 1.0, margin,
+                                 1.0 - _ALPHA_GUARD)
     return _clamp_prob(val), BoundFreeParams(alpha=1.0 - t, lambda_nats=lam)
 
 
 def min_security(code: SecrecyCode, link_ae: LinkState) -> tuple[float, BoundFreeParams | None]:
-    """Minimize the security bound over alpha in (1, 1 + 1/rho) and lambda in (0, L-C_E).
+    """Minimize the security bound over alpha in (1, 1 + 1/rho) and lambda in (0, L-C_E].
 
     Returns (delta_star, argmin params); (1.0, None) when the randomness
     rate L does not exceed the eavesdropper capacity.
     """
-    c_nats = link_ae.capacity_nats
-    margin = code.randomness_bits * LN2 - c_nats
+    margin = code.randomness_bits * LN2 - link_ae.capacity_nats
     if margin <= 0.0:
         return 1.0, None
-    n = code.blocklength
     rho = link_ae.rho
     # relative guard keeps (t*rho)^2 < 1 even when 1/rho dwarfs an absolute one
     t_hi = 1e12 if rho == 0.0 else (1.0 - _ALPHA_GUARD) / rho
-    t_lo = t_hi * 1e-12
-
-    def objective(t: float) -> tuple[float, float]:
-        # t = alpha - 1; returns (min log delta over lambda, argmin lambda)
-        div = _divergence_from_t(t, rho)
-        return _min_logsum_linear(*_security_coefficients(t, n, c_nats, div, margin), margin)
-
-    val, t, lam = _search_alpha(objective, t_lo, t_hi)
+    val, t, lam = _min_log_bound(code.blocklength, rho, 0.5, margin, t_hi)
     return _clamp_prob(val), BoundFreeParams(alpha=1.0 + t, lambda_nats=lam)
 
 

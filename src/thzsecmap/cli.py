@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__, planner
 from .antenna import KRAUS_BEAM_CONSTANT_DEG2, Antenna, beamwidth_from_gain
-from .bounds import MAX_BLOCKLENGTH
+from .bounds import MAX_BLOCKLENGTH, blocklength_text
 from .errors import ConfigError, InfeasiblePlanError, ProfileError
 from .geometry import CELL, DIRECTED, VARIANTS, ScenarioConfig
 from .linkmodel import RadioEnvironment, db_to_ratio, link_budget, ratio_to_db, watts_to_dbm
@@ -98,7 +98,7 @@ def _blocklength(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     if not 1 <= value <= MAX_BLOCKLENGTH:
-        raise ConfigError(f"{path} must lie in [1, 2**53], got {value}")
+        raise ConfigError(f"{path} must lie in [1, 2**53], got {blocklength_text(value)}")
     return value
 
 

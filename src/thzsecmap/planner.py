@@ -66,23 +66,24 @@ def _max_randomness(n: int, rate_bits: float, phi_target: float,
         return min_reliability(SecrecyCode(n, rate_bits, l_bits), link)[0]
 
     c_bits = link.capacity_bits
-    if c_bits <= rate_bits or phi_at(0.0) > phi_target:
+    lo, phi_lo = 0.0, phi_at(0.0)  # phi_lo is always phi at the current lo
+    if c_bits <= rate_bits or phi_lo > phi_target:
         return PlanResult(
             feasible=False, code=None, transmit_power_w=tx_power_w, bob_link=link,
-            achieved_phi=phi_at(0.0), phi_target=phi_target, c_ab_bits=c_bits)
+            achieved_phi=phi_lo, phi_target=phi_target, c_ab_bits=c_bits)
 
-    lo = 0.0
     hi = c_bits - rate_bits  # phi clamps to 1 here, always infeasible
     while hi - lo > L_BISECTION_TOL_BITS:
         mid = 0.5 * (lo + hi)
-        if phi_at(mid) <= phi_target:
-            lo = mid
+        phi_mid = phi_at(mid)
+        if phi_mid <= phi_target:
+            lo, phi_lo = mid, phi_mid
         else:
             hi = mid
     code = SecrecyCode(n, rate_bits, lo)  # tie toward smaller L
     return PlanResult(
         feasible=True, code=code, transmit_power_w=tx_power_w, bob_link=link,
-        achieved_phi=phi_at(lo), phi_target=phi_target, c_ab_bits=c_bits)
+        achieved_phi=phi_lo, phi_target=phi_target, c_ab_bits=c_bits)
 
 
 def bob_link(config: ScenarioConfig, tx_power_w: float) -> tuple[LinkState, float, float]:

@@ -137,15 +137,16 @@ def grid_min_log_security(n, c_bits, l_bits, rho, *, doubled=True,
                             n_t, n_lam, zooms)
 
 
-def scan_min_logsum_linear(p, q, u, v, width, points=20001):
-    """Minimum of ln(exp(p - q*x) + exp(u + v*x)) over a dense scan of (0, width].
+def log_reliability_at(n, c_bits, r_bits, l_bits, rho, alpha, lam):
+    """log(reliability bound) at one (alpha, lambda), by the grid formula."""
+    return float(_grid_log_reliability(n, c_bits * LN2, (r_bits + l_bits) * LN2, rho,
+                                       np.array([1.0 - alpha]), np.array([lam]), True)[0, 0])
 
-    The scan is uniform and also log-spaced down to 1e-15*width, so a
-    minimum pressed against either end of the interval is resolved.
-    """
-    xs = np.concatenate([np.linspace(0.0, width, points)[1:],
-                         np.geomspace(1e-15 * width, width, points)])
-    return float(np.min(np.logaddexp(p - q * xs, u + v * xs)))
+
+def log_security_at(n, c_bits, l_bits, rho, alpha, lam):
+    """log(security bound) at one (alpha, lambda), by the grid formula."""
+    return float(_grid_log_security(n, c_bits * LN2, l_bits * LN2, rho,
+                                    np.array([alpha - 1.0]), np.array([lam]), True)[0, 0])
 
 
 def compare_to_grid_oracle(bound_value, grid_result, rel_tol=1e-6):

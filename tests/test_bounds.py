@@ -18,7 +18,7 @@ from thzsecmap import (
     renyi_bivariate_gaussian,
     security_bound,
 )
-from thzsecmap.bounds import _min_logsum_linear
+from thzsecmap.bounds import _min_log_bound
 
 LN2 = math.log(2.0)
 
@@ -158,6 +158,8 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             SecrecyCode(2 ** 53 + 1, 0.2, 0.1)
         assert SecrecyCode(2 ** 53, 0.2, 0.1).blocklength == 2 ** 53
+        with pytest.raises(ValueError, match=r"got an integer of 401 digits$"):
+            SecrecyCode(10 ** 400, 0.2, 0.1)
 
     def test_free_params(self):
         with pytest.raises(ValueError):
@@ -188,28 +190,37 @@ def _security_instances(count, seed):
         yield n, link, l_bits
 
 
-class TestOptimizers:
-    def test_closed_form_lambda_matches_dense_scan(self):
-        rng = np.random.default_rng(17)
-        below = above = 0
-        for _ in range(300):
-            q, v = (float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 2)))
-            width = float(np.exp(rng.uniform(math.log(1e-4), math.log(10.0))))
-            # place the unconstrained stationary point below, inside or above (0, width]
-            stationary = float(rng.uniform(-width, 2.0 * width))
-            p = float(rng.uniform(-2000.0, 100.0))
-            u = p + math.log(q / v) - stationary * (q + v)
-            value, lam = _min_logsum_linear(p, q, u, v, width)
-            scan = oracles.scan_min_logsum_linear(p, q, u, v, width)
-            assert value <= scan + 1e-12 * abs(scan), (p, q, u, v, width)
-            assert value == pytest.approx(float(np.logaddexp(p - q * lam, u + v * lam)),
-                                          rel=1e-15, abs=0.0)
-            assert 0.0 < lam <= width
-            BoundFreeParams(alpha=2.0, lambda_nats=lam)
-            below += stationary <= 0.0
-            above += stationary >= width
-        assert below >= 30 and above >= 30
+def _wide_instances(count, seed):
+    # n log-uniform in [1e2, 1e5], SNR log-uniform in [1e-4, 1e4]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(np.exp(rng.uniform(np.log(1e2), np.log(1e5))))
+        yield n, link_from_snr(float(np.exp(rng.uniform(np.log(1e-4), np.log(1e4)))))
 
+
+def _g(lam, n, rho, k, m, t_hi):
+    """g(lambda) from the formulas in the bounds module docstring, in numpy.
+
+    Returns g and, per point, the size of the terms that cancel in it.
+    """
+    t = np.minimum(lam / (rho * (np.sqrt(rho * rho + lam * lam) + rho)), t_hi)
+    a = n * np.log1p(-(t * rho) ** 2)
+    e2 = -k * n * (m - lam)
+    log_t = np.log(t / k)
+    return e2 + a + n * t * lam - log_t, np.abs(e2) + np.abs(a) + n * t * lam + np.abs(log_t)
+
+
+def _same_in_log_space(a, b, rel=1e-12):
+    # |ln a - ln b| <= rel*|ln a|; a subnormal carries only a few digits, so
+    # there a few of its ulps are also allowed
+    if a == b:
+        return True
+    if min(a, b) <= 0.0:
+        return False
+    return abs(math.log(a) - math.log(b)) <= rel * abs(math.log(a)) or abs(a - b) <= 2e-323
+
+
+class TestOptimizers:
     def test_min_reliability_matches_grid_oracle(self):
         compared = 0
         for n, link, r_bits, l_bits in _reliability_instances(25, seed=11):
@@ -252,23 +263,77 @@ class TestOptimizers:
                   for c in (0.1, 0.3, 0.6, 0.9, 1.1)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_zero_rho_security(self):
-        # divergence vanishes, bound reduces to the randomness margin term
-        link = link_from_snr(0.0)
-        code = SecrecyCode(1000, 0.2, 0.1)
+    def test_lambda_pinned_at_margin(self):
+        # g(m) <= 0: the log bound still falls at lambda = m, where e2 = 0, so the bound is 1
+        link = link_from_snr(0.0101)
+        code = SecrecyCode(1, 0.2, (link.capacity_nats + 0.05) / LN2)
+        m = code.randomness_bits * LN2 - link.capacity_nats
+        g, _ = _g(np.array([m]), 1, link.rho, 0.5, m, (1.0 - 1e-9) / link.rho)
+        assert g[0] < 0.0
         delta, params = min_security(code, link)
+        assert (delta, params.lambda_nats) == (1.0, m)
+        assert security_bound(code, link, params) == 1.0
+
+    def test_no_root_returns_one(self):
+        # g > 0 on all of (0, m], but g(m) is on its rising side, so Newton
+        # steps inward before it finds no root
+        link = link_from_snr(1.0)
+        code = SecrecyCode(100, 0.2, 1.1)
+        m = code.randomness_bits * LN2 - link.capacity_nats
+        lam = np.geomspace(1e-9 * m, m, 10000)
+        g, _ = _g(lam, 100, link.rho, 0.5, m, (1.0 - 1e-9) / link.rho)
+        assert g.min() > 0.0 and g[-1] > g[-2]
+        delta, params = min_security(code, link)
+        assert delta == 1.0 and params is not None
+        assert security_bound(code, link, params) == 1.0
+
+    def test_reliability_t_clamp(self):
+        # m < C < 2*SNR keeps the reliability t* below 1 on (0, m], so only a
+        # margin no code has reaches the clamp; there g is affine in lambda
+        # and its root has a closed form
+        n, link, m = 100, link_from_snr(0.1), 1.0
+        t_hi = 1.0 - 1e-9
+        value, t, lam = _min_log_bound(n, link.rho, 1.0, m, t_hi)
+        log1p_term = math.log1p(-(t_hi * link.rho) ** 2)
+        assert t == t_hi
+        assert lam == pytest.approx((n * m - n * log1p_term + math.log(t_hi)) / (n * (1.0 + t_hi)),
+                                    rel=1e-14)
+        assert lam > 2.0 * link.snr
+        assert value == pytest.approx(float(np.logaddexp(-n * (log1p_term + t_hi * lam),
+                                                         -n * (m - lam))), rel=1e-14)
+
+    def test_margin_of_one_ulp_keeps_alpha_off_one(self):
+        # t* ~ m/(2 rho^2) falls below 2**-53 here, where 1 + t* rounds to 1
+        link = link_from_snr(1.0)
+        code = SecrecyCode(1000, 0.2, math.nextafter(link.capacity_nats / LN2, math.inf))
+        assert 0.0 < code.randomness_bits * LN2 - link.capacity_nats < 1e-15
+        delta, params = min_security(code, link)
+        assert delta == 1.0 and params.alpha > 1.0
+        assert security_bound(code, link, params) == 1.0
+
+    def test_zero_rho_security(self):
+        # divergence vanishes, bound reduces to the randomness margin term;
+        # at SNR 1e-40 the root in lambda lies far below an ulp of the margin
+        code = SecrecyCode(1000, 0.2, 0.1)
         expected = math.exp(-1000 * 0.1 * LN2 / 2.0)
-        assert delta <= expected * (1.0 + 1e-6)
-        assert params is not None
+        for snr in (0.0, 1e-40):
+            link = link_from_snr(snr)
+            delta, params = min_security(code, link)
+            assert delta <= expected * (1.0 + 1e-6)
+            assert params is not None
+            assert _same_in_log_space(security_bound(code, link, params), delta)
 
     def test_deep_underflow_reports_zero(self):
         # exponents far past double range come back as exactly 0
         link = link_from_snr(1e-6)
-        delta, params = min_security(SecrecyCode(8000, 0.2, 4.0), link)
+        code = SecrecyCode(8000, 0.2, 4.0)
+        delta, params = min_security(code, link)
         assert delta == 0.0
-        assert params is not None
-        phi, _ = min_reliability(SecrecyCode(8000, 0.1, 0.1), link_from_snr(1e4))
+        assert security_bound(code, link, params) == 0.0
+        code, link = SecrecyCode(8000, 0.1, 0.1), link_from_snr(1e4)
+        phi, params = min_reliability(code, link)
         assert phi == 0.0
+        assert reliability_bound(code, link, params) == 0.0
 
     def test_argmin_reproduces_minimum(self):
         link = link_from_capacity_bits(1.2)
@@ -278,6 +343,55 @@ class TestOptimizers:
         link_e = link_from_capacity_bits(0.1)
         delta, params_e = min_security(code, link_e)
         assert security_bound(code, link_e, params_e) == pytest.approx(delta, rel=1e-9)
+        rng = np.random.default_rng(23)
+        below_one = 0
+        for n, link in _wide_instances(1000, seed=29):
+            c = link.capacity_bits
+            r_bits = float(rng.uniform(0.05, 1.0)) * c
+            l_bits = float(rng.uniform(0.0, 1.0)) * (c - r_bits)
+            code = SecrecyCode(n, r_bits, l_bits)
+            phi, params = min_reliability(code, link)
+            assert _same_in_log_space(reliability_bound(code, link, params), phi), (n, link.snr)
+            code = SecrecyCode(n, 0.2, c + float(rng.uniform(0.0, 2.0)))
+            delta, params = min_security(code, link)
+            assert _same_in_log_space(security_bound(code, link, params), delta), (n, link.snr)
+            below_one += (0.0 < phi < 1.0) + (0.0 < delta < 1.0)
+        assert below_one >= 1000
+
+    def test_minimum_is_exact(self):
+        # the argmin is at least as good as the refined grid minimum, up to rounding
+        compared = 0
+        for n, link, r_bits, l_bits in _reliability_instances(25, seed=11):
+            _, params = min_reliability(SecrecyCode(n, r_bits, l_bits), link)
+            refined = oracles.grid_min_log_reliability(n, link.capacity_bits, r_bits, l_bits,
+                                                       link.rho)[1]
+            value = oracles.log_reliability_at(n, link.capacity_bits, r_bits, l_bits, link.rho,
+                                               params.alpha, params.lambda_nats)
+            assert value <= refined + 1e-11 * abs(refined), (n, link.snr, value, refined)
+            compared += refined < 0.0
+        for n, link, l_bits in _security_instances(25, seed=13):
+            _, params = min_security(SecrecyCode(n, 0.2, l_bits), link)
+            refined = oracles.grid_min_log_security(n, link.capacity_bits, l_bits, link.rho)[1]
+            value = oracles.log_security_at(n, link.capacity_bits, l_bits, link.rho,
+                                            params.alpha, params.lambda_nats)
+            assert value <= refined + 1e-11 * abs(refined), (n, link.snr, value, refined)
+            compared += refined < 0.0
+        assert compared >= 40
+
+    def test_g_is_convex(self):
+        # Newton from lambda = m relies on it; lambda reaches 3x past 2*SNR,
+        # where the reliability t* clamps
+        rng = np.random.default_rng(31)
+        for n, link in _wide_instances(1000, seed=37):
+            rho = link.rho
+            m = float(rng.uniform(0.0, 2.0)) * link.capacity_nats
+            top = 3.0 * max(2.0 * link.snr, m)
+            lam = np.geomspace(1e-6 * top, top, 1500)
+            for k, t_hi in ((1.0, 1.0 - 1e-9), (0.5, (1.0 - 1e-9) / rho)):
+                g, size = _g(lam, n, rho, k, m, t_hi)
+                slope = np.diff(g) / np.diff(lam)
+                noise = 8.0 * np.finfo(float).eps * (size[:-1] + size[1:]) / np.diff(lam)
+                assert np.all(np.diff(slope) >= -(noise[:-1] + noise[1:])), (n, link.snr, k)
 
 
 class TestEveErrorFloor:

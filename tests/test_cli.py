@@ -320,6 +320,10 @@ def _set_directed_small_kappa(doc):
     doc["antennas"]["alice"]["kappa_deg2"] = 1e-300
 
 
+def _set_blocklength_huge(doc):
+    doc["code"]["n"] = 10 ** 400  # json writes and reads every digit
+
+
 @pytest.mark.parametrize("argv, edit", [
     *[pytest.param(argv, None, id=" ".join(argv)) for argv in (
         ["map", "--resolution", "-1"],
@@ -350,6 +354,7 @@ def _set_directed_small_kappa(doc):
                  id="sweep directed d_AB 70"),
     pytest.param(["sweep", "--variable", "G_A", "--values", "60"], _set_directed_small_kappa,
                  id="sweep directed G_A 60 on kappa 1e-300"),
+    pytest.param(["plan"], _set_blocklength_huge, id="plan code.n 10**400"),
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     doc = base_config(str(tmp_path / "out"))
@@ -359,6 +364,7 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     assert run([*argv, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
+    assert len(err) < 160
     assert err.startswith("invalid input: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
