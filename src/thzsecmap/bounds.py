@@ -46,8 +46,14 @@ MAX_BLOCKLENGTH = 2 ** 53  # the bounds compute with n as a float, exact up to h
 def blocklength_text(n) -> str:
     """``repr(n)`` for a message, or an integer beyond the cap by its digit count."""
     if isinstance(n, int) and abs(n) > MAX_BLOCKLENGTH:
+        m = abs(n)
+        # str(m) is refused past 4300 digits: start at most at the digit count
+        # (0.3010299 < log10(2)) and count up against powers of ten
+        digits = (m.bit_length() - 1) * 3010299 // 10 ** 7 + 1
+        while 10 ** digits <= m:
+            digits += 1
         sign = "a negative" if n < 0 else "an"
-        return f"{sign} integer of {len(str(abs(n)))} digits"
+        return f"{sign} integer of {digits} digits"
     return repr(n)
 
 
@@ -138,8 +144,7 @@ def channel_divergence(alpha: float, link: LinkState) -> float:
     The channel is complex (two real dimensions), so the bivariate closed
     form is doubled; its alpha -> 1 limit then equals ``link.capacity_nats``.
     """
-    _check_renyi_domain(alpha, link.rho, 0.0)
-    return _divergence_from_t(alpha - 1.0, link.rho)
+    return 2.0 * renyi_bivariate_gaussian(alpha, link.rho)
 
 
 def _clamp_prob(log_value: float) -> float:
@@ -182,14 +187,6 @@ def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParam
     e1, e2, _ = _exponents(code.blocklength, link_ae.rho, params.alpha - 1.0,
                            params.lambda_nats, 0.5, margin)
     return _clamp_prob(_logaddexp(e1, e2))
-
-
-def _divergence_from_t(t_signed: float, rho: float) -> float:
-    # Closed form with rho_j = 0 as a function of t = alpha - 1 (either sign):
-    # D = -0.5*log1p(-rho^2) - (1/(2t))*log1p(-(t*rho)^2), doubled for the
-    # complex channel.
-    g = t_signed * rho
-    return 2.0 * (-0.5 * math.log1p(-rho * rho) - math.log1p(-g * g) / (2.0 * t_signed))
 
 
 def _exponents(n: int, rho: float, t: float, lam: float, k: float,

@@ -41,6 +41,7 @@ from .secmap import (
 )
 
 DEFAULT_RESOLUTION_M = 0.25
+MAX_INT_DIGITS = 4300  # Python's default limit on converting text to int
 DEFAULT_TX_POWER_MW = {CELL: 9.0, DIRECTED: 0.5}
 
 
@@ -203,9 +204,17 @@ def _fields(table: dict, section: dict) -> dict:
 
 def load_config(path) -> RunConfig:
     """Load and strictly validate a run configuration JSON file."""
+    def parse_int(text: str) -> int:
+        # int() refuses longer literals with a message that names no file
+        digits = len(text.lstrip("-"))
+        if digits > MAX_INT_DIGITS:
+            raise ConfigError(f"{path}: an integer of {digits} digits exceeds the limit of "
+                              f"{MAX_INT_DIGITS}")
+        return int(text)
+
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict):
@@ -262,9 +271,7 @@ def _out_dir(rc: RunConfig, args) -> Path:
 
 
 def _feasible_plan(rc: RunConfig) -> PlanResult:
-    sc = rc.scenario
-    return require_feasible(
-        planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target, sc.transmit_power_w))
+    return require_feasible(planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target))
 
 
 def _cmd_plan(rc: RunConfig, args) -> int:
@@ -284,7 +291,7 @@ def _cmd_link(rc: RunConfig, args) -> int:
         link = link_budget(sc.transmit_power_w, g_tx, sc.bob.gain_linear, distance,
                            sc.environment)
     else:
-        link, distance, g_tx = planner.bob_link(sc, sc.transmit_power_w)
+        link, distance, g_tx = planner.bob_link(sc)
     print(f"distance: {distance:.6g} m")
     print(f"tx gain (effective): {ratio_to_db(g_tx):.6g} dBi, "
           f"beamwidth {beamwidth_from_gain(sc.alice):.6g} deg")
@@ -345,8 +352,7 @@ def _cmd_threshold(rc: RunConfig, args) -> int:
 
 
 def _cmd_sweep(rc: RunConfig, args) -> int:
-    rows = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target,
-                 rc.scenario.transmit_power_w, args.variable, args.values,
+    rows = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, args.variable, args.values,
                  delta_0=args.delta, area_resolution_m=args.area_resolution)
     out = _out_dir(rc, args)
     csv_path = out / "sweep.csv"

@@ -1,17 +1,17 @@
 """Resolution of the transmit-power / local-randomness trade.
 
 The reliability target pins only a combination of transmit power and
-randomness rate, so the planner takes the power as an input and returns the
-largest randomness rate L that still meets the target at the worst-case
-receiver position: the cone edge for the ceiling-cell scenario (longest
-path, half the boresight gain), the exact aligned position for the directed
-scenario.  Maximizing L gives the most favorable security level at every
-eavesdropper position for the chosen power.
+randomness rate, so the planner takes the power from the scenario, as it
+takes the receiver distance, and returns the largest randomness rate L that
+still meets the target at the worst-case receiver position: the cone edge
+for the ceiling-cell scenario (longest path, half the boresight gain), the
+exact aligned position for the directed scenario.  Maximizing L gives the
+most favorable security level at every eavesdropper position for that power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .antenna import pattern_gain
 from .bounds import SecrecyCode, min_reliability
@@ -57,8 +57,9 @@ class PlanResult:
         return out
 
 
-def _max_randomness(n: int, rate_bits: float, phi_target: float,
-                    link: LinkState, tx_power_w: float) -> PlanResult:
+def _max_randomness(config: ScenarioConfig, n: int, rate_bits: float,
+                    phi_target: float) -> PlanResult:
+    link = bob_link(config)[0]
     if not 0.0 < phi_target < 1.0:
         raise ValueError(f"phi target must lie in (0, 1), got {phi_target}")
 
@@ -69,7 +70,7 @@ def _max_randomness(n: int, rate_bits: float, phi_target: float,
     lo, phi_lo = 0.0, phi_at(0.0)  # phi_lo is always phi at the current lo
     if c_bits <= rate_bits or phi_lo > phi_target:
         return PlanResult(
-            feasible=False, code=None, transmit_power_w=tx_power_w, bob_link=link,
+            feasible=False, code=None, transmit_power_w=config.transmit_power_w, bob_link=link,
             achieved_phi=phi_lo, phi_target=phi_target, c_ab_bits=c_bits)
 
     hi = c_bits - rate_bits  # phi clamps to 1 here, always infeasible
@@ -82,65 +83,60 @@ def _max_randomness(n: int, rate_bits: float, phi_target: float,
             hi = mid
     code = SecrecyCode(n, rate_bits, lo)  # tie toward smaller L
     return PlanResult(
-        feasible=True, code=code, transmit_power_w=tx_power_w, bob_link=link,
+        feasible=True, code=code, transmit_power_w=config.transmit_power_w, bob_link=link,
         achieved_phi=phi_lo, phi_target=phi_target, c_ab_bits=c_bits)
 
 
-def bob_link(config: ScenarioConfig, tx_power_w: float) -> tuple[LinkState, float, float]:
+def bob_link(config: ScenarioConfig) -> tuple[LinkState, float, float]:
     """Link to the worst-case receiver position, with the distance and transmit gain used.
 
     Cell variant: the receiver on the half-power circle (maximum path length,
     the pattern gain at its offset angle).  Directed variant: the receiver at
     ``horizontal_distance_m`` with the transmitter aligned to it (full
-    boresight gain).  Returns (link, distance in meters, linear transmit gain).
+    boresight gain).  The transmit power is the scenario's.  Returns (link,
+    distance in meters, linear transmit gain).
     """
     distance, theta = path(config, receiver_x(config), 0.0)
     # the directed transmitter is aimed at the receiver: its full gain, not the
     # pattern at the rounding-level angle the aim leaves
     g_tx = pattern_gain(config.alice, theta) if config.variant == CELL else config.alice.gain_linear
-    link = link_budget(tx_power_w, g_tx, config.bob.gain_linear, distance, config.environment)
+    link = link_budget(config.transmit_power_w, g_tx, config.bob.gain_linear, distance,
+                       config.environment)
     return link, distance, g_tx
 
 
-def plan(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
-         tx_power_w: float) -> PlanResult:
+def plan(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float) -> PlanResult:
     """Plan either scenario variant at its configured receiver position."""
     if config.variant == CELL:
-        return plan_cell(config, n, rate_bits, phi_target, tx_power_w)
-    return plan_directed(config, config.horizontal_distance_m, n, rate_bits, phi_target,
-                         tx_power_w)
+        return plan_cell(config, n, rate_bits, phi_target)
+    return plan_directed(config, n, rate_bits, phi_target)
 
 
-def plan_cell(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
-              tx_power_w: float) -> PlanResult:
+def plan_cell(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float) -> PlanResult:
     """Plan the ceiling-cell scenario with the receiver on the cone edge.
 
     The worst-case receiver sits on the half-power circle: maximum path
     length and half the boresight transmit gain.  Returns the plan with the
     largest randomness rate meeting ``phi_target`` there (bisection,
-    absolute tolerance 1e-6 bit).
+    absolute tolerance 1e-6 bit) at the scenario's transmit power.
     """
     if config.variant != CELL:
         raise ValueError(f"plan_cell requires a cell scenario, got {config.variant!r}")
-    link = bob_link(config, tx_power_w)[0]
-    return _max_randomness(n, rate_bits, phi_target, link, tx_power_w)
+    return _max_randomness(config, n, rate_bits, phi_target)
 
 
-def plan_directed(config: ScenarioConfig, d_ab_m: float, n: int, rate_bits: float,
-                  phi_target: float, tx_power_w: float) -> PlanResult:
+def plan_directed(config: ScenarioConfig, n: int, rate_bits: float,
+                  phi_target: float) -> PlanResult:
     """Plan the directed scenario with the transmitter aligned to the receiver.
 
     Both ends contribute their full boresight gains over the slant path of
-    horizontal distance ``d_ab_m``.  The randomness rate is maximized the
-    same way as for the cell plan and is therefore specific to this
-    receiver position.
+    the scenario's ``horizontal_distance_m``, at its transmit power.  The
+    randomness rate is maximized the same way as for the cell plan and is
+    therefore specific to this receiver position.
     """
     if config.variant != DIRECTED:
         raise ValueError(f"plan_directed requires a directed scenario, got {config.variant!r}")
-    if config.horizontal_distance_m != d_ab_m:
-        config = replace(config, horizontal_distance_m=d_ab_m)
-    link = bob_link(config, tx_power_w)[0]
-    return _max_randomness(n, rate_bits, phi_target, link, tx_power_w)
+    return _max_randomness(config, n, rate_bits, phi_target)
 
 
 def require_feasible(plan: PlanResult) -> PlanResult:

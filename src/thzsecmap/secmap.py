@@ -24,7 +24,11 @@ from .linkmodel import link_budget
 from .planner import PlanResult, require_feasible
 
 THRESHOLD_RADIUS_TOL_M = 0.01
+INSECURE_LEVEL = 0.5  # a map cell counts as insecure where delta exceeds this
 SWEEP_VARIABLES = ("n", "phi_target", "R", "G_E", "G_A", "d_AB", "l_AB")
+SWEEP_COLUMNS = ["variable", "value", "feasible", "r_b_m", "c_ab_bits", "l_bits",
+                 "achieved_phi", "r_e0_m", "r_delta_hi_m", "r_delta_lo_m",
+                 "transition_width_m", "insecure_fraction"]
 
 
 def _check_levels(deltas: np.ndarray) -> None:
@@ -190,9 +194,9 @@ def _crossing_radius(evaluator: _EveEvaluator, delta_0: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def insecure_fraction(grid: SecrecyMapGrid, threshold: float = 0.5) -> float:
-    """Fraction of grid cells whose security level exceeds the threshold."""
-    return float(np.count_nonzero(grid.values > threshold)) / grid.values.size
+def insecure_fraction(grid: SecrecyMapGrid) -> float:
+    """Fraction of grid cells whose security level exceeds ``INSECURE_LEVEL``."""
+    return float(np.count_nonzero(grid.values > INSECURE_LEVEL)) / grid.values.size
 
 
 def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
@@ -225,8 +229,8 @@ def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
 
 
 def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
-          tx_power_w: float, variable: str, values, *, delta_0: float = 1e-3,
-          area_threshold: float = 0.5, area_resolution_m: float = 2.0) -> list[dict]:
+          variable: str, values, *, delta_0: float = 1e-3,
+          area_resolution_m: float = 2.0) -> list[dict]:
     """Re-plan and summarize the secrecy geometry along one swept variable.
 
     Produces one long-format row per swept value with the cone footprint
@@ -241,24 +245,15 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     for value in values:
         cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
                                                   variable, value)
-        plan = planner.plan(cfg, n_v, r_v, phi_v, tx_power_w)
-        row = {
-            "variable": variable,
-            "value": value,
-            "feasible": plan.feasible,
-            "r_b_m": None,
-            "c_ab_bits": plan.c_ab_bits,
-            "l_bits": plan.code.randomness_bits if plan.feasible else None,
-            "achieved_phi": plan.achieved_phi if plan.feasible else None,
-            "r_e0_m": None,
-            "r_delta_hi_m": None,
-            "r_delta_lo_m": None,
-            "transition_width_m": None,
-            "insecure_fraction": None,
-        }
+        plan = planner.plan(cfg, n_v, r_v, phi_v)
+        row = dict.fromkeys(SWEEP_COLUMNS)  # None: the column does not apply to this row
+        row.update(variable=variable, value=value, feasible=plan.feasible,
+                   c_ab_bits=plan.c_ab_bits)
         if cfg.variant == CELL:
             row["r_b_m"] = cone_radius(cfg.alice, cfg.height_difference_m)
         if plan.feasible:
+            row["l_bits"] = plan.code.randomness_bits
+            row["achieved_phi"] = plan.achieved_phi
             if cfg.variant == CELL:
                 evaluator = _EveEvaluator(plan, cfg)
                 row["r_e0_m"] = _crossing_radius(evaluator, delta_0)
@@ -267,35 +262,36 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
                 row["transition_width_m"] = row["r_delta_lo_m"] - row["r_delta_hi_m"]
             else:
                 grid = evaluate_map(plan, cfg, area_resolution_m)
-                row["insecure_fraction"] = insecure_fraction(grid, area_threshold)
+                row["insecure_fraction"] = insecure_fraction(grid)
         rows.append(row)
     return rows
 
 
-def format_float(value: float) -> str:
-    """Fixed 9-significant-digit rendering used by every text export."""
-    return format(value, ".9g")
+def _cell(v) -> str:
+    """One CSV cell: floats to 9 significant digits, None empty, bools lowercase."""
+    if isinstance(v, float):  # np.float64 too, and by far the most common cell
+        return format(v, ".9g")
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return v if isinstance(v, str) else format(float(v), ".9g")  # np.float32 and other reals
 
 
-def map_csv_lines(grid: SecrecyMapGrid) -> list[str]:
-    """Row-major CSV rows ``x_m,y_m,delta`` with 9 significant digits."""
-    lines = ["x_m,y_m,delta"]
-    for iy, y in enumerate(grid.ys):
-        for ix, x in enumerate(grid.xs):
-            lines.append(
-                f"{format_float(float(x))},{format_float(float(y))},"
-                f"{format_float(float(grid.values[iy, ix]))}")
-    return lines
-
-
-def _write_lines(lines: list[str], path) -> None:
+def _write_table(path, header, rows) -> None:
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows), ""]
     with open(path, "w") as f:
         f.write("\n".join(lines))
-        f.write("\n")
 
 
 def write_map_csv(grid: SecrecyMapGrid, path) -> None:
-    _write_lines(map_csv_lines(grid), path)
+    """Row-major CSV rows ``x_m,y_m,delta``: x varies fastest."""
+    xs = grid.xs.tolist()
+    _write_table(path, ("x_m", "y_m", "delta"),
+                 ((x, y, d) for y, row in zip(grid.ys.tolist(), grid.values.tolist())
+                  for x, d in zip(xs, row)))
 
 
 def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
@@ -306,50 +302,17 @@ def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
     """
     ny, nx = grid.values.shape
     pixels = np.rint(255.0 * (1.0 - grid.values)).astype(int)
-    lines = ["P2", f"{nx} {ny}", "255"]
-    for iy in range(ny):
-        lines.append(" ".join(str(int(v)) for v in pixels[iy]))
-    _write_lines(lines, path)
-
-
-def profile_csv_lines(profile: RadialProfile) -> list[str]:
-    lines = ["r_m,delta"]
-    for r, d in zip(profile.radii_m, profile.deltas):
-        lines.append(f"{format_float(float(r))},{format_float(float(d))}")
-    return lines
+    lines = ["P2", f"{nx} {ny}", "255", *(" ".join(map(str, row)) for row in pixels.tolist()), ""]
+    with open(path, "w") as f:
+        f.write("\n".join(lines))
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:
-    _write_lines(profile_csv_lines(profile), path)
-
-
-SWEEP_COLUMNS = ["variable", "value", "feasible", "r_b_m", "c_ab_bits", "l_bits",
-                 "achieved_phi", "r_e0_m", "r_delta_hi_m", "r_delta_lo_m",
-                 "transition_width_m", "insecure_fraction"]
-
-
-def sweep_csv_lines(rows: list[dict]) -> list[str]:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            v = row[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format_float(float(v)))
-        lines.append(",".join(cells))
-    return lines
+    _write_table(path, ("r_m", "delta"), zip(profile.radii_m.tolist(), profile.deltas.tolist()))
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    _write_lines(sweep_csv_lines(rows), path)
+    _write_table(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
 __all__ = [
@@ -362,13 +325,10 @@ __all__ = [
     "sweep",
     "SWEEP_VARIABLES",
     "SWEEP_COLUMNS",
-    "map_csv_lines",
     "write_map_csv",
     "write_map_pgm",
-    "profile_csv_lines",
     "write_profile_csv",
-    "sweep_csv_lines",
     "write_sweep_csv",
-    "format_float",
     "THRESHOLD_RADIUS_TOL_M",
+    "INSECURE_LEVEL",
 ]

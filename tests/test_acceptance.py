@@ -32,7 +32,7 @@ from thzsecmap import (
     watts_to_dbm,
 )
 from thzsecmap.planner import L_BISECTION_TOL_BITS
-from thzsecmap.secmap import map_csv_lines
+from thzsecmap.secmap import write_map_csv
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -136,7 +136,7 @@ def test_criterion_5_planner_maximality(env):
         ant = Antenna(gain)
         cfg = ScenarioConfig(variant="cell", environment=env, alice=ant, bob=ant, eve=ant,
                              transmit_power_w=power, height_difference_m=3.5)
-        plan = plan_cell(cfg, n, rate, phi_target, power)
+        plan = plan_cell(cfg, n, rate, phi_target)
         if not plan.feasible:
             continue
         held = min_reliability(plan.code, plan.bob_link)[0] <= phi_target
@@ -148,7 +148,7 @@ def test_criterion_5_planner_maximality(env):
 
 
 def test_criterion_6_radial_monotonicity_and_symmetry(anchor_config):
-    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
     profile = radial_profile(plan, anchor_config, 0.0, 30.0, 301)
     monotone = bool(np.all(np.diff(profile.deltas) <= 1e-12))
     grid = evaluate_map(plan, anchor_config, 2.0)
@@ -173,7 +173,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
     # transition width strictly decreasing in blocklength; larger eavesdropper
     # gain shifts the transition outward (checked at the capacity-figure power)
     def transition(cfg, n):
-        plan = plan_cell(cfg, n, 0.2, 1e-3, 9e-3)
+        plan = plan_cell(cfg, n, 0.2, 1e-3)
         hi = threshold_radius(plan, cfg, 0.99)
         lo = threshold_radius(plan, cfg, 0.01)
         return hi, lo - hi
@@ -190,7 +190,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
     fig6_outward = hi20 > starts[1]
 
     def r_e0(cfg, n, rate, phi):
-        plan = plan_cell(cfg, n, rate, phi, 9e-3)
+        plan = plan_cell(cfg, n, rate, phi)
         return threshold_radius(plan, cfg, 1e-3)
 
     r_by_rate = [r_e0(cfg9, 2000, r, 1e-3) for r in (0.1, 0.2, 0.4)]
@@ -214,7 +214,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
 
 def test_criterion_8_calibrated_anchor(anchor_config):
     r_b = cone_radius(anchor_config.alice, anchor_config.height_difference_m)
-    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
     boundary = threshold_radius(plan, anchor_config, 0.99)
     r_e0 = threshold_radius(plan, anchor_config, 1e-3)
     published = 21.1
@@ -227,13 +227,15 @@ def test_criterion_8_calibrated_anchor(anchor_config):
            f"calibration: {CALIBRATED_TX_POWER_W * 1e3:.1f} mW, see docs/calibration.md)")
 
 
-def test_criterion_9_determinism_and_runtime(anchor_config):
-    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+def test_criterion_9_determinism_and_runtime(anchor_config, tmp_path):
+    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
     t0 = time.perf_counter()
     one = evaluate_map(plan, anchor_config, 0.5, threads=1)
     elapsed = time.perf_counter() - t0
     many = evaluate_map(plan, anchor_config, 0.5, threads=4)
-    identical = map_csv_lines(one) == map_csv_lines(many)
+    write_map_csv(one, tmp_path / "one.csv")
+    write_map_csv(many, tmp_path / "many.csv")
+    identical = (tmp_path / "one.csv").read_bytes() == (tmp_path / "many.csv").read_bytes()
     ok = identical and elapsed < 60.0
     report(9, ok, f"0.5 m 60x60 map: {elapsed:.1f} s single worker (limit 60 s); "
                   f"1-vs-4 worker CSV byte-identical: {identical}")

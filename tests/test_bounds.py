@@ -160,6 +160,12 @@ class TestParamValidation:
         assert SecrecyCode(2 ** 53, 0.2, 0.1).blocklength == 2 ** 53
         with pytest.raises(ValueError, match=r"got an integer of 401 digits$"):
             SecrecyCode(10 ** 400, 0.2, 0.1)
+        # past the 4300 digits that str() of an int accepts, counted exactly
+        for n, text in ((10 ** 5000, "an integer of 5001 digits"),
+                        (10 ** 5000 - 1, "an integer of 5000 digits"),
+                        (-10 ** 9000, "a negative integer of 9001 digits")):
+            with pytest.raises(ValueError, match=f"got {text}$"):
+                SecrecyCode(n, 0.2, 0.1)
 
     def test_free_params(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CALIBRATED_BEAMWIDTH_DEG
+from thzsecmap import ConfigError
 from thzsecmap.cli import load_config, run
 from thzsecmap.planner import plan
 
@@ -83,6 +84,12 @@ class TestConfigLoading:
         assert run(["plan", "--config", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_integer_beyond_int_limit_names_file(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"code": {"n": ' + "9" * 5001 + "}}")
+        with pytest.raises(ConfigError, match=r"huge\.json: an integer of 5001 digits"):
+            load_config(path)
+
     def test_bad_value_rejected(self, tmp_path, capsys):
         doc = base_config(str(tmp_path / "out"))
         doc["environment"]["temperature_k"] = -3.0
@@ -160,8 +167,7 @@ class TestMapCommand:
                     "--threads", "1"]) == 0
         meta = json.loads((out / "map_metadata.json").read_text())
         rc = load_config(path)
-        expected = plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target,
-                        rc.scenario.transmit_power_w)
+        expected = plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
         assert meta["run"]["plan"]["randomness_bits"] == expected.code.randomness_bits
         assert meta["power"]["transmit_mw"] == 2.5
         assert meta["antennas"]["eve"]["gain_dbi"] == rc.scenario.eve.gain_dbi
@@ -233,7 +239,6 @@ class TestOtherCommands:
     def test_threshold_equals_library_call(self, tmp_path, capsys, cell_config):
         from dataclasses import replace
 
-        from conftest import CALIBRATED_TX_POWER_W
         from thzsecmap import plan_cell, threshold_radius
 
         out = tmp_path / "out"
@@ -242,7 +247,7 @@ class TestOtherCommands:
         assert run(["threshold", "--config", str(path), "--delta", "1e-3"]) == 0
         meta = json.loads((out / "threshold_metadata.json").read_text())
         cfg = replace(cell_config, room_extent_m=(20.0, 20.0))
-        plan = plan_cell(cfg, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+        plan = plan_cell(cfg, 2000, 0.2, 1e-3)
         expected = threshold_radius(plan, cfg, 1e-3)
         assert meta["run"]["threshold"]["r_e0_m"] == pytest.approx(expected, abs=1e-12)
 
@@ -324,6 +329,11 @@ def _set_blocklength_huge(doc):
     doc["code"]["n"] = 10 ** 400  # json writes and reads every digit
 
 
+def _set_blocklength_5001_digits(doc):
+    # json.dumps refuses an integer of more than 4300 digits, so the edit writes the text
+    return json.dumps(doc, indent=2).replace('"n": 2000', '"n": 1' + "0" * 5000)
+
+
 @pytest.mark.parametrize("argv, edit", [
     *[pytest.param(argv, None, id=" ".join(argv)) for argv in (
         ["map", "--resolution", "-1"],
@@ -355,12 +365,14 @@ def _set_blocklength_huge(doc):
     pytest.param(["sweep", "--variable", "G_A", "--values", "60"], _set_directed_small_kappa,
                  id="sweep directed G_A 60 on kappa 1e-300"),
     pytest.param(["plan"], _set_blocklength_huge, id="plan code.n 10**400"),
+    pytest.param(["plan"], _set_blocklength_5001_digits, id="plan code.n of 5001 digits"),
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     doc = base_config(str(tmp_path / "out"))
-    if edit is not None:
-        edit(doc)
+    text = edit(doc) if edit is not None else None  # an edit may return the file's text
     path = write_config(tmp_path, doc)
+    if text is not None:
+        path.write_text(text)
     assert run([*argv, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

@@ -28,11 +28,10 @@ from thzsecmap.secmap import (
     SWEEP_COLUMNS,
     RadialProfile,
     SecrecyMapGrid,
-    map_csv_lines,
-    profile_csv_lines,
-    sweep_csv_lines,
     write_map_csv,
     write_map_pgm,
+    write_profile_csv,
+    write_sweep_csv,
     _EveEvaluator,
 )
 
@@ -46,13 +45,13 @@ def small_cell(cell_config):
 
 @pytest.fixture
 def cell_plan(small_cell):
-    return plan_cell(small_cell, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+    return plan_cell(small_cell, 2000, 0.2, 1e-3)
 
 
 def shipped(name):
     rc = load_config(CONFIGS / name)
     sc = rc.scenario
-    return sc, planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target, sc.transmit_power_w)
+    return sc, planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target)
 
 
 def count_min_security(monkeypatch) -> list:
@@ -80,7 +79,7 @@ class TestEvaluateMap:
         assert np.array_equal(grid.values, grid.values.T)
 
     def test_center_insecure_far_corner_secure(self, cell_config, calibrated_alice):
-        plan = plan_cell(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+        plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
         grid = evaluate_map(plan, cell_config, 6.0)
         cy = len(grid.ys) // 2
         cx = len(grid.xs) // 2
@@ -96,19 +95,21 @@ class TestEvaluateMap:
                            small_cell.environment)
         assert min_security(cell_plan.code, link)[0] == grid.values[iy, ix]
 
-    def test_thread_partitioning_is_invisible(self, cell_plan, small_cell):
+    def test_thread_partitioning_is_invisible(self, cell_plan, small_cell, tmp_path):
         one = evaluate_map(cell_plan, small_cell, 2.0, threads=1)
         many = evaluate_map(cell_plan, small_cell, 2.0, threads=3)
         assert np.array_equal(one.values, many.values)
-        assert map_csv_lines(one) == map_csv_lines(many)
+        write_map_csv(one, tmp_path / "one.csv")
+        write_map_csv(many, tmp_path / "many.csv")
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "many.csv").read_bytes()
 
     def test_infeasible_plan_rejected(self, small_cell):
-        bad = plan_cell(small_cell, 2000, 3.0, 1e-3, CALIBRATED_TX_POWER_W)
+        bad = plan_cell(small_cell, 2000, 3.0, 1e-3)
         with pytest.raises(InfeasiblePlanError):
             evaluate_map(bad, small_cell, 2.0)
 
     def test_eve_gain_dominance(self, small_cell):
-        plan = plan_cell(small_cell, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+        plan = plan_cell(small_cell, 2000, 0.2, 1e-3)
         low = evaluate_map(plan, small_cell, 2.0)
         boosted = replace(small_cell, eve=replace(small_cell.eve, gain_dbi=20.0))
         high = evaluate_map(plan, boosted, 2.0)
@@ -169,7 +170,7 @@ class TestRadialProfile:
             assert profile.deltas[k] == grid.values[cy, cx + k], f"radius {r}"
 
     def test_directed_unsupported(self, directed_config):
-        plan = plan_directed(directed_config, 15.0, 2000, 0.2, 1e-3, 0.5e-3)
+        plan = plan_directed(directed_config, 2000, 0.2, 1e-3)
         with pytest.raises(ConfigError):
             radial_profile(plan, directed_config, 0.0, 10.0, 5)
 
@@ -189,7 +190,7 @@ class TestThresholdRadius:
 
     def test_zero_when_secure_everywhere(self, small_cell):
         # a weak, distant eavesdropper never reaches the target level, even on axis
-        plan = plan_cell(small_cell, 8000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+        plan = plan_cell(small_cell, 8000, 0.2, 1e-3)
         quiet = replace(small_cell, eve=replace(small_cell.eve, gain_dbi=0.0),
                         height_difference_m=8.5)
         assert threshold_radius(plan, quiet, 0.999999) == 0.0
@@ -201,7 +202,7 @@ class TestThresholdRadius:
             threshold_radius(cell_plan, small_cell, 1.0)
 
     def test_directed_unsupported(self, directed_config):
-        plan = plan_directed(directed_config, 15.0, 2000, 0.2, 1e-3, 0.5e-3)
+        plan = plan_directed(directed_config, 2000, 0.2, 1e-3)
         with pytest.raises(ConfigError):
             threshold_radius(plan, directed_config, 1e-3)
 
@@ -221,26 +222,27 @@ class TestThresholdRadius:
 
 class TestSweep:
     def test_gain_sweep_reproduces_footprint_shrink(self, paper_env, cell_config):
-        cfg = replace(cell_config, alice=replace(cell_config.alice, beamwidth_override_deg=None))
-        rows = sweep(cfg, 2000, 0.2, 1e-3, 9e-3, "G_A", [10.0, 15.0, 20.0, 25.0])
+        cfg = replace(cell_config, alice=replace(cell_config.alice, beamwidth_override_deg=None),
+                      transmit_power_w=9e-3)
+        rows = sweep(cfg, 2000, 0.2, 1e-3, "G_A", [10.0, 15.0, 20.0, 25.0])
         radii = [row["r_b_m"] for row in rows]
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_blocklength_sweep_sharpens_transition(self, cell_config):
-        rows = sweep(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W, "n",
-                     [500, 2000, 8000])
+        rows = sweep(cell_config, 2000, 0.2, 1e-3, "n", [500, 2000, 8000])
         widths = [row["transition_width_m"] for row in rows]
         r_e0 = [row["r_e0_m"] for row in rows]
         assert widths[0] > widths[1] > widths[2]
         assert r_e0[0] > r_e0[1] > r_e0[2]
 
     def test_rate_sweep_grows_threshold(self, cell_config):
-        rows = sweep(cell_config, 2000, 0.2, 1e-3, 9e-3, "R", [0.1, 0.2, 0.4])
+        cfg9 = replace(cell_config, transmit_power_w=9e-3)
+        rows = sweep(cfg9, 2000, 0.2, 1e-3, "R", [0.1, 0.2, 0.4])
         r_e0 = [row["r_e0_m"] for row in rows]
         assert r_e0[0] <= r_e0[1] <= r_e0[2]
 
     def test_directed_distance_sweep_grows_area(self, directed_config):
-        rows = sweep(directed_config, 2000, 0.2, 1e-3, 0.5e-3, "d_AB", [5.0, 15.0, 25.0],
+        rows = sweep(directed_config, 2000, 0.2, 1e-3, "d_AB", [5.0, 15.0, 25.0],
                      area_resolution_m=3.0)
         fracs = [row["insecure_fraction"] for row in rows]
         assert fracs[0] <= fracs[1] <= fracs[2]
@@ -248,32 +250,42 @@ class TestSweep:
 
     def test_unknown_variable_rejected(self, cell_config):
         with pytest.raises(ConfigError):
-            sweep(cell_config, 2000, 0.2, 1e-3, 9e-3, "bogus", [1.0])
+            sweep(cell_config, 2000, 0.2, 1e-3, "bogus", [1.0])
 
     def test_d_ab_requires_directed(self, cell_config):
         with pytest.raises(ConfigError):
-            sweep(cell_config, 2000, 0.2, 1e-3, 9e-3, "d_AB", [5.0])
+            sweep(cell_config, 2000, 0.2, 1e-3, "d_AB", [5.0])
 
     def test_crossings_share_evaluations(self, cell_config, monkeypatch):
         calls = count_min_security(monkeypatch)
-        [row] = sweep(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W, "n", [2000])
+        [row] = sweep(cell_config, 2000, 0.2, 1e-3, "n", [2000])
         in_sweep = len(calls)
         calls.clear()
-        row_plan = planner.plan(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W)
+        row_plan = planner.plan(cell_config, 2000, 0.2, 1e-3)
         for column, level in (("r_delta_hi_m", 0.99), ("r_e0_m", 1e-3), ("r_delta_lo_m", 0.01)):
             assert row[column] == threshold_radius(row_plan, cell_config, level), column
         assert 0 < in_sweep < len(calls)
 
     def test_infeasible_rows_marked(self, cell_config):
-        rows = sweep(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W, "R", [0.2, 2.5])
+        rows = sweep(cell_config, 2000, 0.2, 1e-3, "R", [0.2, 2.5])
         assert rows[0]["feasible"] and not rows[1]["feasible"]
         assert rows[1]["l_bits"] is None
+
+
+def _table(header: str, rows) -> str:
+    """CSV text built independently of the package: 9 significant digits, row-major."""
+    return "".join(line + "\n" for line in
+                   [header, *(",".join(format(v, ".9g") for v in row) for row in rows)])
 
 
 class TestSerialization:
     def test_csv_layout_and_digits(self, cell_plan, small_cell, tmp_path):
         grid = evaluate_map(cell_plan, small_cell, 4.0)
-        lines = map_csv_lines(grid)
+        path = tmp_path / "map.csv"
+        write_map_csv(grid, path)
+        text = path.read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == "x_m,y_m,delta"
         assert len(lines) == 1 + grid.values.size
         first = lines[1].split(",")
@@ -282,16 +294,11 @@ class TestSerialization:
         # row-major: x varies fastest
         second = lines[2].split(",")
         assert (float(second[0]), float(second[1])) == (grid.xs[1], grid.ys[0])
-        path = tmp_path / "map.csv"
-        write_map_csv(grid, path)
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert text.count("\n") == len(lines)
 
-    def test_csv_deterministic_across_runs(self, cell_plan, small_cell):
-        a = map_csv_lines(evaluate_map(cell_plan, small_cell, 3.0))
-        b = map_csv_lines(evaluate_map(cell_plan, small_cell, 3.0))
-        assert a == b
+    def test_csv_deterministic_across_runs(self, cell_plan, small_cell, tmp_path):
+        write_map_csv(evaluate_map(cell_plan, small_cell, 3.0), tmp_path / "a.csv")
+        write_map_csv(evaluate_map(cell_plan, small_cell, 3.0), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_pgm_format(self, cell_plan, small_cell, tmp_path):
         grid = evaluate_map(cell_plan, small_cell, 4.0)
@@ -310,22 +317,52 @@ class TestSerialization:
         center = grid.values.shape[1] // 2
         assert pixels[center * nx + center] == 0
 
-    def test_profile_csv(self, cell_plan, small_cell):
+    def test_profile_csv(self, cell_plan, small_cell, tmp_path):
         profile = radial_profile(cell_plan, small_cell, 0.0, 10.0, 5)
-        lines = profile_csv_lines(profile)
+        path = tmp_path / "radial.csv"
+        write_profile_csv(profile, path)
+        lines = path.read_text().splitlines()
         assert lines[0] == "r_m,delta"
         assert len(lines) == 6
 
-    def test_sweep_csv_columns(self, cell_config):
-        rows = sweep(cell_config, 2000, 0.2, 1e-3, CALIBRATED_TX_POWER_W, "G_E", [10.0])
-        lines = sweep_csv_lines(rows)
+    def test_sweep_csv_columns(self, cell_config, tmp_path):
+        rows = sweep(cell_config, 2000, 0.2, 1e-3, "G_E", [10.0])
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(rows, path)
+        lines = path.read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 2
+
+    def test_map_text_is_exact(self, cell_plan, small_cell, tmp_path):
+        grid = evaluate_map(cell_plan, small_cell, 6.0)
+        path = tmp_path / "map.csv"
+        write_map_csv(grid, path)
+        expected = _table("x_m,y_m,delta",
+                          ((x, y, grid.values[iy, ix]) for iy, y in enumerate(grid.ys)
+                           for ix, x in enumerate(grid.xs)))
+        assert path.read_text() == expected
+
+    def test_profile_text_is_exact(self, cell_plan, small_cell, tmp_path):
+        profile = radial_profile(cell_plan, small_cell, 0.0, 13.0, 7)
+        path = tmp_path / "radial.csv"
+        write_profile_csv(profile, path)
+        assert path.read_text() == _table("r_m,delta", zip(profile.radii_m, profile.deltas))
+
+    def test_sweep_text_is_exact(self, cell_config, tmp_path):
+        feasible, infeasible = sweep(cell_config, 2000, 0.2, 1e-3, "R", [0.2, 3.0])
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([feasible, infeasible], path)
+        numbers = [format(feasible[c], ".9g") for c in SWEEP_COLUMNS[3:11]]
+        r_b, c_ab = (format(infeasible[c], ".9g") for c in ("r_b_m", "c_ab_bits"))
+        assert path.read_text() == (
+            ",".join(SWEEP_COLUMNS) + "\n"
+            + ",".join(["R", "0.2", "true", *numbers, ""]) + "\n"
+            + f"R,3,false,{r_b},{c_ab},,,,,,,\n")
 
 
 def test_insecure_fraction_counts_cells(cell_plan, small_cell):
     grid = evaluate_map(cell_plan, small_cell, 2.0)
-    frac = insecure_fraction(grid, 0.5)
+    frac = insecure_fraction(grid)
     expected = float(np.count_nonzero(grid.values > 0.5)) / grid.values.size
     assert frac == expected
     assert 0.0 < frac < 1.0
