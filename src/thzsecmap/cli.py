@@ -258,8 +258,7 @@ def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,
     }
     path = out_dir / f"{command}_metadata.json"
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -6,7 +6,9 @@ eavesdropper aimed straight back.  The transmitter sits over y = 0 with no
 y-component in its boresight (cell: on the z axis), so x and y enter only as
 squares, sums and products with 0: the level depends, bit for bit, only on
 (|x|, |y|) unordered (cell) or on (x, |y|) (directed).  Each evaluator
-computes it once per such class; maps run in one process.
+computes it once per such class; maps run in one process.  The map exports
+likewise format each distinct value once: every axis coordinate, every
+distinct delta and each of the 256 grey levels.
 """
 
 from __future__ import annotations
@@ -280,18 +282,37 @@ def _cell(v) -> str:
     return v if isinstance(v, str) else format(float(v), ".9g")  # np.float32 and other reals
 
 
-def _write_table(path, header, rows) -> None:
-    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows), ""]
+def _write_lines(path, lines) -> None:
+    """Write the text lines, each ended by a newline."""
     with open(path, "w") as f:
         f.write("\n".join(lines))
+        f.write("\n")
+
+
+def _write_table(path, header, rows) -> None:
+    _write_lines(path, [",".join(header), *(",".join(map(_cell, row)) for row in rows)])
 
 
 def write_map_csv(grid: SecrecyMapGrid, path) -> None:
-    """Row-major CSV rows ``x_m,y_m,delta``: x varies fastest."""
-    xs = grid.xs.tolist()
-    _write_table(path, ("x_m", "y_m", "delta"),
-                 ((x, y, d) for y, row in zip(grid.ys.tolist(), grid.values.tolist())
-                  for x, d in zip(xs, row)))
+    """Row-major CSV rows ``x_m,y_m,delta``: x varies fastest.
+
+    Each x, y and distinct delta is formatted once and the rows are joined
+    from those texts.  Deltas are told apart by their bits, not by ``==``, so
+    -0.0 keeps its own text beside 0.0.
+    """
+    values = np.ascontiguousarray(grid.values, dtype=float)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    delta_texts = np.array([_cell(d) for d in bits.view(float).tolist()], dtype=object)
+    pieces = np.empty(values.shape + (4,), dtype=object)  # "x,", "y,", delta, newline
+    pieces[..., 0] = np.array([_cell(x) + "," for x in grid.xs.tolist()], dtype=object)
+    pieces[..., 1] = np.array([_cell(y) + "," for y in grid.ys.tolist()], dtype=object)[:, None]
+    pieces[..., 2] = delta_texts[index.reshape(values.shape)]
+    pieces[..., 3] = "\n"
+    # the last newline is dropped here because _write_lines ends the text with one
+    _write_lines(path, ("x_m,y_m,delta", "".join(pieces.ravel()[:-1].tolist())))
+
+
+_PGM_LEVELS = np.array([str(level) for level in range(256)], dtype=object)
 
 
 def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
@@ -302,9 +323,7 @@ def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
     """
     ny, nx = grid.values.shape
     pixels = np.rint(255.0 * (1.0 - grid.values)).astype(int)
-    lines = ["P2", f"{nx} {ny}", "255", *(" ".join(map(str, row)) for row in pixels.tolist()), ""]
-    with open(path, "w") as f:
-        f.write("\n".join(lines))
+    _write_lines(path, ["P2", f"{nx} {ny}", "255", *map(" ".join, _PGM_LEVELS[pixels])])
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:

@@ -278,6 +278,18 @@ def _table(header: str, rows) -> str:
                    [header, *(",".join(format(v, ".9g") for v in row) for row in rows)])
 
 
+def _hand_built_grid() -> SecrecyMapGrid:
+    """Repeated levels, 0.0 beside -0.0 (equal, yet printed apart), a subnormal,
+    a half grey level, and axes that are not symmetric."""
+    values = np.array([[0.25, 1.0, 0.0, -0.0],
+                       [-0.0, 5e-324, 0.25, 0.0],
+                       [1.0, 0.0, 0.1 + 0.2, 0.5],
+                       [0.25, -0.0, 0.5, 1.0]])
+    return SecrecyMapGrid(xs=np.array([-1.5, 0.0, 2.0, 7.25]),
+                          ys=np.array([-0.5, 1.0 / 3.0, 4.0, 9.0]),
+                          resolution_m=1.0, values=values, metadata={})
+
+
 class TestSerialization:
     def test_csv_layout_and_digits(self, cell_plan, small_cell, tmp_path):
         grid = evaluate_map(cell_plan, small_cell, 4.0)
@@ -341,6 +353,28 @@ class TestSerialization:
                           ((x, y, grid.values[iy, ix]) for iy, y in enumerate(grid.ys)
                            for ix, x in enumerate(grid.xs)))
         assert path.read_text() == expected
+
+    def test_hand_built_map_text_is_exact(self, tmp_path):
+        grid = _hand_built_grid()
+        path = tmp_path / "map.csv"
+        write_map_csv(grid, path)
+        expected = _table("x_m,y_m,delta",
+                          ((x, y, grid.values[iy, ix]) for iy, y in enumerate(grid.ys)
+                           for ix, x in enumerate(grid.xs)))
+        assert ",-0\n" in expected and ",0\n" in expected and ",4.94065646e-324\n" in expected
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("hand_built", [False, True])
+    def test_pgm_text_is_exact(self, hand_built, cell_plan, small_cell, tmp_path):
+        grid = _hand_built_grid() if hand_built else evaluate_map(cell_plan, small_cell, 3.0)
+        path = tmp_path / "map.pgm"
+        write_map_pgm(grid, path)
+        ny, nx = grid.values.shape
+        # Python's round, like np.rint, rounds half to even: 0.5 renders 128
+        pixels = [" ".join(str(round(255.0 * (1.0 - v))) for v in row)
+                  for row in grid.values.tolist()]
+        assert path.read_text() == "".join(line + "\n"
+                                           for line in ["P2", f"{nx} {ny}", "255", *pixels])
 
     def test_profile_text_is_exact(self, cell_plan, small_cell, tmp_path):
         profile = radial_profile(cell_plan, small_cell, 0.0, 13.0, 7)
