@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .antenna import Antenna, cone_radius
 from .errors import GeometryError
 from .linkmodel import RadioEnvironment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CELL = "cell"
 DIRECTED = "directed"
@@ -145,6 +147,8 @@ def grid_axes(config: ScenarioConfig, resolution_m: float) -> tuple[np.ndarray, 
     mirror-symmetric about the transmitter axis.  More than MAX_GRID_POINTS
     points raise ValueError before any array is built.
     """
+    import numpy as np  # here, not at the top: commands that build no grid never load it
+
     if resolution_m <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution_m}")
     steps = [extent / resolution_m + 1e-9 for extent in config.room_extent_m]

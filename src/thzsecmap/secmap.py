@@ -9,13 +9,19 @@ squares, sums and products with 0: the level depends, bit for bit, only on
 computes it once per such class; maps run in one process.  The map exports
 likewise format each distinct value once: every axis coordinate, every
 distinct delta and each of the 256 grey levels.
+
+Only the functions that build, check or write a grid import numpy, and they
+do so when they run: ``plan``, ``link``, ``threshold``, ``radial`` and cell
+sweeps never load it, and for them start-up is most of the run time.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import geometry, planner
 from .antenna import cone_radius, pattern_gain
@@ -25,6 +31,9 @@ from .geometry import CELL, DIRECTED, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioCon
 from .linkmodel import link_budget
 from .planner import PlanResult, require_feasible
 
+if TYPE_CHECKING:
+    import numpy as np
+
 THRESHOLD_RADIUS_TOL_M = 0.01
 INSECURE_LEVEL = 0.5  # a map cell counts as insecure where delta exceeds this
 SWEEP_VARIABLES = ("n", "phi_target", "R", "G_E", "G_A", "d_AB", "l_AB")
@@ -33,20 +42,14 @@ SWEEP_COLUMNS = ["variable", "value", "feasible", "r_b_m", "c_ab_bits", "l_bits"
                  "transition_width_m", "insecure_fraction"]
 
 
-def _check_levels(deltas: np.ndarray) -> None:
-    # the negated form also rejects NaN, which fails every comparison
-    if not np.all((deltas >= 0.0) & (deltas <= 1.0)):
-        raise ValueError("security levels must lie in [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class SecrecyMapGrid:
     """Security levels on a rectangular grid of eavesdropper positions.
 
-    ``values`` has shape (ny, nx), row-major over (y, x) like the CSV
-    export, and every value must lie in [0, 1].  ``metadata`` describes the
-    grid (resolution, size, origin, plane height); the plan and scenario are
-    recorded by the caller.
+    ``values`` has shape (len(ys), len(xs)), row-major over (y, x) like the
+    CSV export, and every value must lie in [0, 1].  ``metadata`` describes
+    the grid (resolution, size, origin, plane height); the plan and scenario
+    are recorded by the caller.
     """
 
     xs: np.ndarray
@@ -56,20 +59,39 @@ class SecrecyMapGrid:
     metadata: dict
 
     def __post_init__(self) -> None:
-        _check_levels(self.values)
+        import numpy as np
+
+        shape = np.shape(self.values)
+        if shape != (len(self.ys), len(self.xs)):
+            raise ValueError(f"values of shape {shape} do not match {len(self.ys)} y "
+                             f"and {len(self.xs)} x coordinates")
+        # the negated form also rejects NaN, which fails every comparison
+        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
+            raise ValueError("security levels must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """Security level versus horizontal distance from the transmitter."""
+    """Security level versus horizontal distance from the transmitter.
 
-    radii_m: np.ndarray
-    deltas: np.ndarray
+    ``radii_m`` and ``deltas`` are tuples of floats of one length; the radii
+    are finite and strictly increasing and every level lies in [0, 1].
+    """
+
+    radii_m: tuple[float, ...]
+    deltas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.radii_m) <= 0.0):
+        radii = self.radii_m
+        if len(radii) != len(self.deltas):
+            raise ValueError(f"{len(radii)} radii but {len(self.deltas)} security levels")
+        # negated forms, so that NaN, which fails every comparison, is rejected too
+        if not all(-math.inf < r < math.inf for r in radii):
+            raise ValueError("radii must be finite")
+        if not all(a < b for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        _check_levels(self.deltas)
+        if not all(0.0 <= d <= 1.0 for d in self.deltas):
+            raise ValueError("security levels must lie in [0, 1]")
 
 
 class _EveEvaluator:
@@ -116,6 +138,8 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
     threads : int
         Accepted for compatibility; maps run in one process.
     """
+    import numpy as np
+
     evaluator = _EveEvaluator(plan, config)
     xs, ys = grid_axes(config, resolution_m)
     values = np.array([[evaluator.delta_at(x, y) for x in xs.tolist()] for y in ys.tolist()])
@@ -142,12 +166,22 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
         raise ValueError(f"need 0 <= r_min < r_max <= {MAX_LENGTH_M:g}, got {r_min_m}, {r_max_m}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    if steps > MAX_GRID_POINTS:  # refused before np.linspace builds the radii
+    if steps > MAX_GRID_POINTS:  # refused before the radii are built
         raise ValueError(f"{steps} steps exceed the limit of {MAX_GRID_POINTS}")
     evaluator = _EveEvaluator(plan, config)
-    radii = np.linspace(r_min_m, r_max_m, steps)
-    deltas = np.array([evaluator.delta_at_radius(float(r)) for r in radii])
-    return RadialProfile(radii_m=radii, deltas=deltas)
+    radii = _linspace(float(r_min_m), float(r_max_m), steps)
+    return RadialProfile(radii_m=radii, deltas=tuple(map(evaluator.delta_at_radius, radii)))
+
+
+def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
+    """``num`` >= 2 evenly spaced floats from start to stop, bit for bit as
+    ``numpy.linspace`` computes them: k * step + start, and stop itself last."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # a subnormal step underflows; numpy then scales k / div instead
+        return (*(k / div * delta + start for k in range(div)), stop)
+    return (*(k * step + start for k in range(div)), stop)
 
 
 def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -> float:
@@ -198,6 +232,8 @@ def _crossing_radius(evaluator: _EveEvaluator, delta_0: float) -> float:
 
 def insecure_fraction(grid: SecrecyMapGrid) -> float:
     """Fraction of grid cells whose security level exceeds ``INSECURE_LEVEL``."""
+    import numpy as np
+
     return float(np.count_nonzero(grid.values > INSECURE_LEVEL)) / grid.values.size
 
 
@@ -277,7 +313,7 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):  # int and numpy's integers
         return str(int(v))
     return v if isinstance(v, str) else format(float(v), ".9g")  # np.float32 and other reals
 
@@ -300,6 +336,8 @@ def write_map_csv(grid: SecrecyMapGrid, path) -> None:
     from those texts.  Deltas are told apart by their bits, not by ``==``, so
     -0.0 keeps its own text beside 0.0.
     """
+    import numpy as np
+
     values = np.ascontiguousarray(grid.values, dtype=float)
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     delta_texts = np.array([_cell(d) for d in bits.view(float).tolist()], dtype=object)
@@ -312,7 +350,12 @@ def write_map_csv(grid: SecrecyMapGrid, path) -> None:
     _write_lines(path, ("x_m,y_m,delta", "".join(pieces.ravel()[:-1].tolist())))
 
 
-_PGM_LEVELS = np.array([str(level) for level in range(256)], dtype=object)
+@functools.cache
+def _pgm_levels():
+    """The 256 grey levels as text, built when a PGM is first written."""
+    import numpy as np
+
+    return np.array([str(level) for level in range(256)], dtype=object)
 
 
 def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
@@ -321,13 +364,15 @@ def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
     Secure regions render bright.  The first pixel row is the smallest y,
     matching the CSV row order.
     """
+    import numpy as np
+
     ny, nx = grid.values.shape
     pixels = np.rint(255.0 * (1.0 - grid.values)).astype(int)
-    _write_lines(path, ["P2", f"{nx} {ny}", "255", *map(" ".join, _PGM_LEVELS[pixels])])
+    _write_lines(path, ["P2", f"{nx} {ny}", "255", *map(" ".join, _pgm_levels()[pixels])])
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:
-    _write_table(path, ("r_m", "delta"), zip(profile.radii_m.tolist(), profile.deltas.tolist()))
+    _write_table(path, ("r_m", "delta"), zip(profile.radii_m, profile.deltas))
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:

@@ -178,6 +178,30 @@ class TestRadialProfile:
         with pytest.raises(ValueError):
             radial_profile(cell_plan, small_cell, 5.0, 5.0, 10)
 
+    def test_radii_are_a_tuple_of_floats(self, cell_plan, small_cell):
+        profile = radial_profile(cell_plan, small_cell, 0, 10, 5)
+        assert profile.radii_m == (0.0, 2.5, 5.0, 7.5, 10.0)
+        assert all(type(v) is float for v in profile.radii_m + profile.deltas)
+
+    # the last case has a step that underflows to 0, which numpy scales differently
+    @pytest.mark.parametrize("start, stop, num", [(0.0, 30.0, 121), (0.0, 30.0, 1001),
+                                                  (2.5, 17.3, 77), (0.1, 0.7, 3),
+                                                  (1e-300, 1e150, 4097), (0.0, 2e-323, 10)])
+    def test_radii_equal_numpy_linspace(self, start, stop, num):
+        assert secmap._linspace(start, stop, num) == tuple(np.linspace(start, stop, num).tolist())
+
+    @pytest.mark.parametrize("radii, deltas, message", [
+        ((0.0, math.nan, 2.0), (1.0, 0.5, 0.0), "finite"),
+        ((0.0, 1.0, math.inf), (1.0, 0.5, 0.0), "finite"),
+        ((-math.inf, 0.0), (1.0, 0.5), "finite"),
+        ((0.0, 1.0, 2.0), (1.0, 0.5), "3 radii but 2"),
+        ((0.0, 1.0), (1.0, 0.5, 0.0), "2 radii but 3"),
+        ((0.0, 2.0, 1.0), (1.0, 0.5, 0.0), "strictly increasing"),
+    ])
+    def test_rejects_bad_radii(self, radii, deltas, message):
+        with pytest.raises(ValueError, match=message):
+            RadialProfile(radii_m=radii, deltas=deltas)
+
 
 class TestThresholdRadius:
     def test_matches_dense_scan(self, cell_plan, small_cell):
@@ -291,6 +315,13 @@ def _hand_built_grid() -> SecrecyMapGrid:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.1"), (np.float64(1 / 3), "0.333333333"), (None, ""), (True, "true"),
+        (2**60 + 1, "1152921504606846977"), (np.int64(-7), "-7"),
+        (np.uint8(255), "255"), (np.float32(0.1), "0.100000001"), ("R", "R")])
+    def test_cell_text(self, value, text):
+        assert secmap._cell(value) == text
+
     def test_csv_layout_and_digits(self, cell_plan, small_cell, tmp_path):
         grid = evaluate_map(cell_plan, small_cell, 4.0)
         path = tmp_path / "map.csv"
@@ -411,3 +442,11 @@ def test_levels_must_lie_in_unit_interval(bad):
                        metadata={})
     with pytest.raises(ValueError, match="security levels"):
         RadialProfile(radii_m=axis, deltas=levels)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2,), (2, 1)])
+def test_grid_values_must_match_the_axes(shape):
+    axis = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="do not match 1 y and 2 x"):
+        SecrecyMapGrid(xs=axis, ys=axis[:1], resolution_m=1.0, values=np.zeros(shape),
+                       metadata={})
