@@ -20,7 +20,17 @@ from .bounds import (
     security_bound,
 )
 from .errors import ConfigError, GeometryError, InfeasiblePlanError, ProfileError
-from .geometry import CELL, DIRECTED, ScenarioConfig, grid_axes, offset_angle, path, receiver_x, transmitter
+from .geometry import (
+    CELL,
+    DIRECTED,
+    ScenarioConfig,
+    Scene,
+    grid_axes,
+    offset_angle,
+    path,
+    receiver_x,
+    transmitter,
+)
 from .linkmodel import (
     BOLTZMANN_J_K,
     LinkState,

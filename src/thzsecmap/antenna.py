@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GeometryError
 from .linkmodel import db_to_ratio
@@ -39,6 +40,10 @@ class Antenna:
     beamwidth_override_deg : float or None
         When set, pins the full half-power beamwidth to this value and the
         kappa relation is ignored.
+
+    ``gain_linear``, ``beamwidth_rad`` and ``relative_gain_floor`` are
+    computed from these fields once per instance, on first use, so a
+    ``dataclasses.replace`` copy computes its own.
     """
 
     gain_dbi: float
@@ -61,9 +66,24 @@ class Antenna:
             raise ValueError(f"{key} gives a half-power beamwidth of {width:g} deg, "
                              "too narrow to evaluate the antenna pattern")
 
-    @property
+    @cached_property
     def gain_linear(self) -> float:
         return db_to_ratio(self.gain_dbi)
+
+    @cached_property
+    def beamwidth_rad(self) -> float:
+        """Full half-power beamwidth in radians (``beamwidth_from_gain``)."""
+        return math.radians(beamwidth_from_gain(self))
+
+    @cached_property
+    def relative_gain_floor(self) -> float:
+        """Smallest relative gain of the pattern: the sidelobe floor, when set."""
+        # far below any physical dynamic range, so that narrow beams cannot
+        # underflow to an exact zero gain
+        floor = 1e-300
+        if self.min_relative_gain_db is not None:
+            floor = max(floor, db_to_ratio(self.min_relative_gain_db))
+        return floor
 
 
 def beamwidth_from_gain(antenna: Antenna) -> float:
@@ -86,12 +106,8 @@ def pattern_gain(antenna: Antenna, offset_angle_rad: float) -> float:
     """
     if not 0.0 <= offset_angle_rad <= math.pi + 1e-12:
         raise ValueError(f"offset angle must lie in [0, pi], got {offset_angle_rad}")
-    theta3_rad = math.radians(beamwidth_from_gain(antenna))
-    # floor far below any physical dynamic range so narrow beams cannot
-    # underflow to an exact zero gain
-    rel = max(2.0 ** (-4.0 * (offset_angle_rad / theta3_rad) ** 2), 1e-300)
-    if antenna.min_relative_gain_db is not None:
-        rel = max(rel, db_to_ratio(antenna.min_relative_gain_db))
+    rel = max(2.0 ** (-4.0 * (offset_angle_rad / antenna.beamwidth_rad) ** 2),
+              antenna.relative_gain_floor)
     return antenna.gain_linear * rel
 
 

@@ -5,7 +5,7 @@ z = receiver_height.  In the ceiling-cell scenario the transmitter hangs on
 the vertical axis through the room center and points straight down; in the
 directed scenario it sits on the x = 0 wall and is aimed at the receiver.
 Either way a link to a point on the receiver plane is fixed by two scalars,
-its length and its angle off the transmitter's boresight (``path``).
+its length and its angle off the transmitter's boresight (``Scene.path``).
 """
 
 from __future__ import annotations
@@ -109,16 +109,34 @@ def transmitter(config: ScenarioConfig) -> tuple[tuple[float, float, float],
     return (0.0, 0.0, z_tx), (d / norm, 0.0, dz / norm)
 
 
-def path(config: ScenarioConfig, x: float, y: float) -> tuple[float, float]:
-    """Length and angle off the transmitter's boresight of the path to (x, y).
+class Scene:
+    """The transmitter pose and the receiver plane of one scenario, built once.
 
-    (x, y) is a point on the receiver plane; the angle is in radians.
+    Every link from the transmitter to the receiver plane goes through
+    ``path``: the planner's link to the receiver and each eavesdropper
+    position of a map or profile.
     """
-    origin, boresight = transmitter(config)
-    ax, ay, az = origin
-    z = config.receiver_height_m
-    distance = math.sqrt((x - ax) ** 2 + (y - ay) ** 2 + (z - az) ** 2)
-    return distance, offset_angle(boresight, origin, (x, y, z))
+
+    __slots__ = ("origin", "boresight", "receiver_height_m")
+
+    def __init__(self, config: ScenarioConfig):
+        self.origin, self.boresight = transmitter(config)
+        self.receiver_height_m = config.receiver_height_m
+
+    def path(self, x: float, y: float) -> tuple[float, float]:
+        """Length and angle off the transmitter's boresight of the path to (x, y).
+
+        (x, y) is a point on the receiver plane; the angle is in radians.
+        """
+        ax, ay, az = origin = self.origin
+        z = self.receiver_height_m
+        distance = math.sqrt((x - ax) ** 2 + (y - ay) ** 2 + (z - az) ** 2)
+        return distance, offset_angle(self.boresight, origin, (x, y, z))
+
+
+def path(config: ScenarioConfig, x: float, y: float) -> tuple[float, float]:
+    """``Scene(config).path(x, y)``, for a single path."""
+    return Scene(config).path(x, y)
 
 
 def offset_angle(boresight, from_position, to_position) -> float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 """Speed of light in vacuum (CODATA, exact)."""
@@ -49,7 +51,8 @@ class RadioEnvironment:
     """Carrier, bandwidth, temperature, and receiver noise figure.
 
     Together with the Boltzmann constant these determine the thermal noise
-    floor shared by every receiver in a scenario.
+    floor shared by every receiver in a scenario, ``noise_power_w``: computed
+    once per instance, so a ``dataclasses.replace`` copy computes its own.
     """
 
     carrier_frequency_hz: float
@@ -66,13 +69,28 @@ class RadioEnvironment:
             raise ValueError(f"temperature must be positive, got {self.temperature_k}")
         if self.noise_figure_db < 0.0:
             raise ValueError(f"noise figure must be >= 0 dB, got {self.noise_figure_db}")
-        if noise_power(self) == 0.0:
+        if self.noise_power_w == 0.0:
             raise ValueError("noise power k*T*B*F underflows to 0 W")
 
+    @cached_property
+    def noise_power_w(self) -> float:
+        return noise_power(self)
 
-@dataclass(frozen=True)
-class LinkState:
-    """Resolved quantities of one line-of-sight link.
+
+class _LinkFields(NamedTuple):
+    received_power_w: float
+    noise_power_w: float
+    snr: float
+    capacity_bits: float
+    capacity_nats: float
+    rho: float
+
+
+class LinkState(_LinkFields):
+    """Resolved quantities of one line-of-sight link, an immutable named tuple.
+
+    Every way of building one checks the noise power, the SNR and rho,
+    ``_replace`` included.
 
     Attributes
     ----------
@@ -87,20 +105,22 @@ class LinkState:
         channel, sqrt(snr / (1 + snr)).
     """
 
-    received_power_w: float
-    noise_power_w: float
-    snr: float
-    capacity_bits: float
-    capacity_nats: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.noise_power_w <= 0.0:
-            raise ValueError(f"noise power must be positive, got {self.noise_power_w}")
-        if self.snr < 0.0:
-            raise ValueError(f"snr must be >= 0, got {self.snr}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
+    def __new__(cls, received_power_w: float, noise_power_w: float, snr: float,
+                capacity_bits: float, capacity_nats: float, rho: float) -> LinkState:
+        if noise_power_w <= 0.0:
+            raise ValueError(f"noise power must be positive, got {noise_power_w}")
+        if snr < 0.0:
+            raise ValueError(f"snr must be >= 0, got {snr}")
+        if not 0.0 <= rho < 1.0:
+            raise ValueError(f"rho must lie in [0, 1), got {rho}")
+        return tuple.__new__(cls, (received_power_w, noise_power_w, snr, capacity_bits,
+                                   capacity_nats, rho))
+
+    @classmethod
+    def _make(cls, iterable) -> LinkState:
+        return cls(*iterable)
 
 
 def fspl_gain(carrier_frequency_hz: float, distance_m: float) -> float:
@@ -128,14 +148,7 @@ def _link_from_powers(received_w: float, noise_w: float) -> LinkState:
     if rho >= 1.0:  # only reachable at absurd SNR where 1/(1+snr) underflows
         rho = math.nextafter(1.0, 0.0)
     capacity_nats = math.log1p(snr)
-    return LinkState(
-        received_power_w=received_w,
-        noise_power_w=noise_w,
-        snr=snr,
-        capacity_bits=capacity_nats / LN2,
-        capacity_nats=capacity_nats,
-        rho=rho,
-    )
+    return LinkState(received_w, noise_w, snr, capacity_nats / LN2, capacity_nats, rho)
 
 
 def link_budget(
@@ -168,7 +181,7 @@ def link_budget(
     if g_tx_effective <= 0.0 or g_rx_effective <= 0.0:
         raise ValueError("antenna gains must be positive ratios")
     received = tx_power_w * g_tx_effective * g_rx_effective * fspl_gain(env.carrier_frequency_hz, distance_m)
-    return _link_from_powers(received, noise_power(env))
+    return _link_from_powers(received, env.noise_power_w)
 
 
 def link_from_snr(snr: float) -> LinkState:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .antenna import pattern_gain
 from .bounds import SecrecyCode, min_reliability
 from .errors import InfeasiblePlanError
-from .geometry import CELL, DIRECTED, ScenarioConfig, path, receiver_x
+from .geometry import CELL, DIRECTED, Scene, ScenarioConfig, receiver_x
 from .linkmodel import LinkState, link_budget
 
 L_BISECTION_TOL_BITS = 1e-6
@@ -96,7 +96,7 @@ def bob_link(config: ScenarioConfig) -> tuple[LinkState, float, float]:
     boresight gain).  The transmit power is the scenario's.  Returns (link,
     distance in meters, linear transmit gain).
     """
-    distance, theta = path(config, receiver_x(config), 0.0)
+    distance, theta = Scene(config).path(receiver_x(config), 0.0)
     # the directed transmitter is aimed at the receiver: its full gain, not the
     # pattern at the rounding-level angle the aim leaves
     g_tx = pattern_gain(config.alice, theta) if config.variant == CELL else config.alice.gain_linear

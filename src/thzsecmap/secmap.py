@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -28,7 +29,7 @@ from .antenna import cone_radius, pattern_gain
 from .bounds import MAX_BLOCKLENGTH, min_security
 from .errors import ConfigError, ProfileError
 from .geometry import CELL, DIRECTED, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioConfig, grid_axes
-from .linkmodel import link_budget
+from .linkmodel import LinkState, link_budget
 from .planner import PlanResult, require_feasible
 
 if TYPE_CHECKING:
@@ -101,6 +102,7 @@ class _EveEvaluator:
         require_feasible(plan)
         self.plan = plan
         self.config = config
+        self.scene = geometry.Scene(config)
         self._deltas: dict[tuple[float, float], float] = {}
 
     def delta_at(self, x: float, y: float) -> float:
@@ -113,12 +115,14 @@ class _EveEvaluator:
         return self._deltas[key]
 
     def _evaluate(self, x: float, y: float) -> float:
+        return min_security(self.plan.code, self.link_at(x, y))[0]
+
+    def link_at(self, x: float, y: float) -> LinkState:
+        """The link to an eavesdropper at (x, y), aimed straight back at the transmitter."""
         cfg = self.config
-        distance, theta = geometry.path(cfg, x, y)
-        g_tx = pattern_gain(cfg.alice, theta)
-        link = link_budget(self.plan.transmit_power_w, g_tx, cfg.eve.gain_linear,
-                           distance, cfg.environment)
-        return min_security(self.plan.code, link)[0]
+        distance, theta = self.scene.path(x, y)
+        return link_budget(self.plan.transmit_power_w, pattern_gain(cfg.alice, theta),
+                           cfg.eve.gain_linear, distance, cfg.environment)
 
     def delta_at_radius(self, radius_m: float) -> float:
         return self.delta_at(radius_m, 0.0)
@@ -168,8 +172,13 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
         raise ValueError(f"need at least 2 steps, got {steps}")
     if steps > MAX_GRID_POINTS:  # refused before the radii are built
         raise ValueError(f"{steps} steps exceed the limit of {MAX_GRID_POINTS}")
-    evaluator = _EveEvaluator(plan, config)
     radii = _linspace(float(r_min_m), float(r_max_m), steps)
+    # a step below the spacing of floats repeats radii; refused before any evaluation
+    if not all(a < b for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"r_min {r_min_m:g} m to r_max {r_max_m:g} m in {steps} steps gives "
+                         "radii that are not strictly increasing; widen the range or use "
+                         "fewer steps")
+    evaluator = _EveEvaluator(plan, config)
     return RadialProfile(radii_m=radii, deltas=tuple(map(evaluator.delta_at_radius, radii)))
 
 
@@ -311,11 +320,17 @@ def _cell(v) -> str:
         return format(v, ".9g")
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, bool) or _is_numpy_bool(v):
         return "true" if v else "false"
     if isinstance(v, numbers.Integral):  # int and numpy's integers
         return str(int(v))
     return v if isinstance(v, str) else format(float(v), ".9g")  # np.float32 and other reals
+
+
+def _is_numpy_bool(v) -> bool:
+    # a numpy bool is neither bool nor Integral; without numpy loaded, v cannot be one
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(v, np.bool_)
 
 
 def _write_lines(path, lines) -> None:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CALIBRATED_BEAMWIDTH_DEG
-from thzsecmap import Antenna, GeometryError, beamwidth_from_gain, cone_radius, pattern_gain
+from thzsecmap import (Antenna, GeometryError, beamwidth_from_gain, cone_radius, db_to_ratio,
+                       pattern_gain)
 
 
 class TestBeamwidthFromGain:
@@ -39,6 +41,28 @@ class TestBeamwidthFromGain:
     def test_too_narrow_to_evaluate(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key} gives .* too narrow"):
             Antenna(**{"gain_dbi": 10.0, **kwargs})
+
+
+@pytest.mark.parametrize("antenna", [
+    Antenna(gain_dbi=10.0),
+    Antenna(gain_dbi=20.0, min_relative_gain_db=-30.0),
+    Antenna(gain_dbi=10.0, beamwidth_override_deg=CALIBRATED_BEAMWIDTH_DEG),
+])
+def test_cached_constants_follow_the_fields(antenna):
+    def formulas(ant):
+        floor = 1e-300
+        if ant.min_relative_gain_db is not None:
+            floor = max(floor, db_to_ratio(ant.min_relative_gain_db))
+        return (db_to_ratio(ant.gain_dbi), math.radians(beamwidth_from_gain(ant)), floor)
+
+    def cached(ant):
+        return (ant.gain_linear, ant.beamwidth_rad, ant.relative_gain_floor)
+
+    assert cached(antenna) == formulas(antenna)
+    other = replace(antenna, gain_dbi=antenna.gain_dbi + 3.0, min_relative_gain_db=-20.0)
+    assert cached(other) == formulas(other)
+    assert other.gain_linear != antenna.gain_linear
+    assert other.relative_gain_floor != antenna.relative_gain_floor
 
 
 class TestPatternGain:

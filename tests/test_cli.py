@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CALIBRATED_BEAMWIDTH_DEG
-from thzsecmap import ConfigError
+from thzsecmap import ConfigError, secmap
 from thzsecmap.cli import load_config, run
 from thzsecmap.planner import plan
 
@@ -343,6 +343,7 @@ def _set_blocklength_5001_digits(doc):
         ["radial", "--steps", "1"],
         ["radial", "--r-min", "5", "--r-max", "1"],
         ["radial", "--r-max", "1e200", "--steps", "3"],
+        ["radial", "--r-max", "5e-324", "--steps", "3"],
         ["radial", "--steps", "100000000000000"],
         ["link", "--distance", "-3"],
         ["sweep", "--variable", "phi_target", "--values", "2"],
@@ -380,6 +381,17 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
     assert err.startswith("invalid input: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(secmap, "min_security", lambda *args: calls.append(args))
+    path = write_config(tmp_path, base_config(str(tmp_path / "out")))
+    # the step, 5e-324 / 2, rounds to 0: the radii would be 0, 0 and 5e-324
+    assert run(["radial", "--r-max", "5e-324", "--steps", "3", "--config", str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert all(name in line for name in ("r_min", "r_max", "steps")), line
+    assert calls == []
 
 
 # warnings become errors, so a numpy warning ahead of the message fails the test

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from thzsecmap import (
+    LinkState,
     RadioEnvironment,
     db_to_ratio,
     dbm_to_watts,
@@ -57,6 +59,11 @@ class TestNoisePower:
         env = RadioEnvironment(300e9, 1.0, 290.0, 0.0)
         assert noise_power(env) == pytest.approx(4.0038821e-21, rel=1e-9)
 
+    def test_cached_on_the_environment(self, paper_env):
+        assert paper_env.noise_power_w == noise_power(paper_env)
+        colder = replace(paper_env, temperature_k=145.0)
+        assert colder.noise_power_w == noise_power(colder) != paper_env.noise_power_w
+
     def test_environment_validation(self):
         with pytest.raises(ValueError):
             RadioEnvironment(300e9, 0.0, 290.0, 9.0)
@@ -106,6 +113,20 @@ class TestLinkBudget:
             link_budget(1e-3, -1.0, 10.0, 4.0, paper_env)
         with pytest.raises(ValueError):
             link_budget(1e-3, 10.0, 10.0, 0.0, paper_env)
+
+    def test_infinite_snr_rejected(self):
+        with pytest.raises(ValueError, match="rho must lie in"):  # rho = inf / inf is NaN
+            link_from_snr(math.inf)
+
+    def test_link_state_checked_and_immutable(self):
+        link = link_from_snr(1.0)
+        assert type(link) is LinkState
+        assert link._replace(snr=3.0).snr == 3.0
+        for field, value in (("noise_power_w", 0.0), ("snr", -1.0), ("rho", 1.0)):
+            with pytest.raises(ValueError, match=field.split("_")[0]):
+                link._replace(**{field: value})
+        with pytest.raises(AttributeError):
+            link.snr = 2.0
 
     def test_link_from_capacity_round_trip(self):
         link = link_from_capacity_bits(1.2)

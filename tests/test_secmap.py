@@ -19,10 +19,11 @@ from thzsecmap import (
     plan_cell,
     plan_directed,
     radial_profile,
+    receiver_x,
     sweep,
     threshold_radius,
 )
-from thzsecmap import planner, secmap
+from thzsecmap import geometry, planner, secmap
 from thzsecmap.cli import load_config
 from thzsecmap.secmap import (
     SWEEP_COLUMNS,
@@ -54,15 +55,24 @@ def shipped(name):
     return sc, planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target)
 
 
-def count_min_security(monkeypatch) -> list:
-    """Record every security-bound minimization the secmap module runs."""
-    calls = []
+# The per-point layers that perfbench traces.  Its tracer, like these counters,
+# swaps module attributes, so each layer must be looked up when it is called.
+LINK_PATH = ((secmap, "min_security"), (secmap, "pattern_gain"), (secmap, "link_budget"),
+             (geometry, "offset_angle"))
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return min_security(*args, **kwargs)
 
-    monkeypatch.setattr(secmap, "min_security", counted)
+def count_calls(monkeypatch, targets=LINK_PATH) -> dict[str, list]:
+    """Record the arguments of every call through each ``(module, name)`` of ``targets``."""
+    calls = {}
+    for module, name in targets:
+        record = calls[name] = []
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _record=record, **kwargs):
+            _record.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -138,10 +148,25 @@ class TestEvaluateMap:
     def test_each_symmetry_class_evaluated_once(self, monkeypatch, name, resolution, points,
                                                 evaluations):
         config, map_plan = shipped(name)
-        calls = count_min_security(monkeypatch)
+        calls = count_calls(monkeypatch)
         grid = evaluate_map(map_plan, config, resolution)
         assert grid.values.size == points
-        assert len(calls) == evaluations
+        counts = {layer: len(args) for layer, args in calls.items()}
+        assert counts == dict.fromkeys(calls, evaluations)
+
+    @pytest.mark.parametrize("name", ["scenario1_cell.json", "scenario2_directed.json"])
+    def test_bob_link_is_one_path(self, monkeypatch, name):
+        config = load_config(CONFIGS / name).scenario
+        calls = count_calls(monkeypatch, ((planner, "link_budget"), (geometry, "offset_angle")))
+        planner.bob_link(config)
+        counts = {layer: len(args) for layer, args in calls.items()}
+        assert counts == {"link_budget": 1, "offset_angle": 1}
+
+    def test_eve_with_bobs_antenna_sees_bobs_link(self):
+        config, cell_plan = shipped("scenario1_cell.json")
+        config = replace(config, eve=config.bob)
+        eve = _EveEvaluator(cell_plan, config).link_at(receiver_x(config), 0.0)
+        assert [v.hex() for v in eve] == [v.hex() for v in planner.bob_link(config)[0]]
 
     def test_metadata_describes_the_grid(self, cell_plan, small_cell):
         # the plan and the scenario are recorded by the CLI's metadata writer
@@ -281,7 +306,7 @@ class TestSweep:
             sweep(cell_config, 2000, 0.2, 1e-3, "d_AB", [5.0])
 
     def test_crossings_share_evaluations(self, cell_config, monkeypatch):
-        calls = count_min_security(monkeypatch)
+        calls = count_calls(monkeypatch)["min_security"]
         [row] = sweep(cell_config, 2000, 0.2, 1e-3, "n", [2000])
         in_sweep = len(calls)
         calls.clear()
@@ -318,7 +343,8 @@ class TestSerialization:
     @pytest.mark.parametrize("value, text", [
         (0.1, "0.1"), (np.float64(1 / 3), "0.333333333"), (None, ""), (True, "true"),
         (2**60 + 1, "1152921504606846977"), (np.int64(-7), "-7"),
-        (np.uint8(255), "255"), (np.float32(0.1), "0.100000001"), ("R", "R")])
+        (np.uint8(255), "255"), (np.float32(0.1), "0.100000001"), ("R", "R"),
+        (np.bool_(True), "true"), (np.bool_(False), "false")])
     def test_cell_text(self, value, text):
         assert secmap._cell(value) == text
 
