@@ -81,10 +81,14 @@ class SecrecyCode:
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BLOCKLENGTH:
             raise ValueError(f"blocklength must be an integer in [1, 2**53], "
                              f"got {blocklength_text(n)}")
-        if self.rate_bits <= 0.0:
-            raise ValueError(f"secrecy rate must be positive, got {self.rate_bits}")
-        if self.randomness_bits < 0.0:
-            raise ValueError(f"randomness rate must be >= 0, got {self.randomness_bits}")
+        rate, randomness = self.rate_bits, self.randomness_bits
+        # negated forms, so that NaN, which fails every comparison, is rejected too
+        if not (-math.inf < rate < math.inf and -math.inf < randomness < math.inf):
+            raise ValueError(f"code rates must be finite, got R = {rate}, L = {randomness}")
+        if rate <= 0.0:
+            raise ValueError(f"secrecy rate must be positive, got {rate}")
+        if randomness < 0.0:
+            raise ValueError(f"randomness rate must be >= 0, got {randomness}")
 
 
 @dataclass(frozen=True)

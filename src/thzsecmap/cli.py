@@ -15,6 +15,7 @@ results to write, so a rejected run leaves nothing behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -399,7 +400,13 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Parsing leaves a parser as it was, so one serves every run in a process;
+    callers must not add to it.
+    """
     parser = _ArgumentParser(
         prog="thzsecmap",
         description="Secrecy-map planning for line-of-sight THz wiretap links")
@@ -458,6 +465,10 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when None) and return its exit code.
+
+    Every run in a process shares the parser that ``build_parser`` built first.
+    """
     try:
         args = build_parser().parse_args(argv)
         rc = load_config(args.config)

@@ -10,6 +10,11 @@ computes it once per such class; maps run in one process.  The map exports
 likewise format each distinct value once: every axis coordinate, every
 distinct delta and each of the 256 grey levels.
 
+A directed sweep row builds no map.  The level depends on the link only
+through Eve's SNR and does not fall as that SNR rises, so the row sorts the
+symmetry classes' links by SNR and bisects for the first insecure one: about
+log2(classes) bound minimizations per row instead of one per class.
+
 Only the functions that build, check or write a grid import numpy, and they
 do so when they run: ``plan``, ``link``, ``threshold``, ``radial`` and cell
 sweeps never load it, and for them start-up is most of the run time.
@@ -17,10 +22,12 @@ sweeps never load it, and for them start-up is most of the run time.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -105,11 +112,15 @@ class _EveEvaluator:
         self.scene = geometry.Scene(config)
         self._deltas: dict[tuple[float, float], float] = {}
 
+    def key(self, x: float, y: float) -> tuple[float, float]:
+        """The symmetry class of (x, y): the exact coordinates, never rounded, of its
+        canonical partner, which has the same security level bit for bit."""
+        ax, ay = abs(x), abs(y)
+        return (min(ax, ay), max(ax, ay)) if self.config.variant == CELL else (x, ay)
+
     def delta_at(self, x: float, y: float) -> float:
         """Security level at (x, y) on the receiver plane."""
-        ax, ay = abs(x), abs(y)
-        # exact coordinates of the canonical symmetry partner, never rounded
-        key = (min(ax, ay), max(ax, ay)) if self.config.variant == CELL else (x, ay)
+        key = self.key(x, y)
         if key not in self._deltas:
             self._deltas[key] = self._evaluate(*key)
         return self._deltas[key]
@@ -126,6 +137,20 @@ class _EveEvaluator:
 
     def delta_at_radius(self, radius_m: float) -> float:
         return self.delta_at(radius_m, 0.0)
+
+    def insecure_fraction(self, resolution_m: float) -> float:
+        """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
+        from the links of the grid's symmetry classes sorted by Eve's SNR."""
+        xs, ys = grid_axes(self.config, resolution_m)
+        xs, ys = xs.tolist(), ys.tolist()
+        classes = Counter(self.key(x, y) for y in ys for x in xs)  # key -> grid points
+        links = sorted(((self.link_at(*key), points) for key, points in classes.items()),
+                       key=lambda entry: entry[0].snr)
+        code = self.plan.code
+        # the level does not fall as the SNR rises: every class right of the boundary is insecure
+        boundary = bisect.bisect_right(links, INSECURE_LEVEL,
+                                       key=lambda entry: min_security(code, entry[0])[0])
+        return sum(points for _, points in links[boundary:]) / (len(xs) * len(ys))
 
 
 def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
@@ -249,8 +274,9 @@ def insecure_fraction(grid: SecrecyMapGrid) -> float:
 def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
                        phi_target: float, variable: str, value: float):
     if variable == "n":
-        # SecrecyCode checks the same range; here the message shows the float, not int(1e300)
-        if value != int(value) or not 1 <= value <= MAX_BLOCKLENGTH:
+        # SecrecyCode checks the same range; here the message shows the float, not int(1e300).
+        # The range comes first: int() raises on inf and NaN, which fail it.
+        if not 1 <= value <= MAX_BLOCKLENGTH or value != int(value):
             raise ConfigError(f"swept blocklength must be an integer in [1, 2**53], got {value}")
         return config, int(value), rate_bits, phi_target
     if variable == "phi_target":
@@ -283,8 +309,10 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     Produces one long-format row per swept value with the cone footprint
     radius, worst-case capacity, resolved randomness rate, and (cell
     scenario) the radii where the security level crosses 0.99, ``delta_0``
-    and 0.01.  Directed rows carry the insecure-area fraction of a coarse
-    map instead.
+    and 0.01.  Directed rows carry instead the fraction of the grid at
+    ``area_resolution_m`` whose level exceeds ``INSECURE_LEVEL``, equal bit
+    for bit to ``insecure_fraction`` of that map but found by bisecting on
+    Eve's SNR over the grid's symmetry classes, without building the map.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")
@@ -308,8 +336,8 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
                 row["r_delta_lo_m"] = _crossing_radius(evaluator, 0.01)
                 row["transition_width_m"] = row["r_delta_lo_m"] - row["r_delta_hi_m"]
             else:
-                grid = evaluate_map(plan, cfg, area_resolution_m)
-                row["insecure_fraction"] = insecure_fraction(grid)
+                row["insecure_fraction"] = _EveEvaluator(plan, cfg).insecure_fraction(
+                    area_resolution_m)
         rows.append(row)
     return rows
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from thzsecmap import (
@@ -167,6 +167,14 @@ class TestParamValidation:
             with pytest.raises(ValueError, match=f"got {text}$"):
                 SecrecyCode(n, 0.2, 0.1)
 
+    @pytest.mark.parametrize("rate, randomness", [
+        (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+        (0.2, math.nan), (0.2, math.inf), (0.2, -math.inf),
+    ])
+    def test_secrecy_code_rates_must_be_finite(self, rate, randomness):
+        with pytest.raises(ValueError, match="code rates must be finite"):
+            SecrecyCode(2000, rate, randomness)
+
     def test_free_params(self):
         with pytest.raises(ValueError):
             BoundFreeParams(alpha=1.0, lambda_nats=0.1)
@@ -251,6 +259,22 @@ class TestOptimizers:
             assert params is not None and params.alpha > 1.0
             compared += counted
         assert compared >= 15
+
+    # A plan fixes the code; the security level reads only n and L from it, so
+    # random (n, L) pairs cover every feasible plan's code.
+    @seed(20261021)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(min_value=100, max_value=20000),
+           st.floats(min_value=0.0, max_value=6.0),
+           st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=40))
+    def test_security_level_non_decreasing_in_snr(self, n, l_bits, drawn):
+        code = SecrecyCode(n, 0.2, l_bits)
+        log_spaced = [10.0 ** (k / 20.0) for k in range(-120, 61)]  # 1e-6 to 1e3
+        neighbours = [math.nextafter(s, math.inf) for s in drawn]
+        snrs = sorted({*log_spaced, *drawn, *neighbours})
+        deltas = [min_security(code, link_from_snr(s))[0] for s in snrs]
+        for k in range(1, len(snrs)):
+            assert deltas[k - 1] <= deltas[k], (n, l_bits, snrs[k - 1], snrs[k])
 
     def test_infeasible_rate_returns_one(self):
         link = link_from_capacity_bits(0.6)

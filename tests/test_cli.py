@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import CALIBRATED_BEAMWIDTH_DEG
-from thzsecmap import ConfigError, secmap
+from thzsecmap import ConfigError, cli, secmap
 from thzsecmap.cli import load_config, run
 from thzsecmap.planner import plan
 
@@ -434,3 +437,45 @@ def test_unresolvable_profile_exits_2(tmp_path, capsys, monkeypatch):
     assert run(["threshold", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "not monotone" in err
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_one_parser_serves_every_run_in_a_process(tmp_path, capsys, monkeypatch):
+    """A rejected command line leaves the shared parser as it was: the commands after
+    it write what each writes in a fresh interpreter."""
+    assert cli.build_parser() is cli.build_parser()
+    cell, directed = (str(path) for path in SHIPPED_CONFIGS)
+    good = [
+        ["sweep", "--config", directed, "--variable", "d_AB", "--values", "5,30",
+         "--area-resolution", "4.0", "--out", "out/sweep"],
+        ["plan", "--config", cell, "--out", "out/plan"],
+    ]
+    (tmp_path / "shared").mkdir()
+    monkeypatch.chdir(tmp_path / "shared")
+    assert run(["sweep", "--variable", "R", "--values", "0.1,nan", "--config", directed]) == 2
+    assert run(["map", "--resolution", "abc", "--config", cell]) == 2
+    capsys.readouterr()
+    shared = []
+    for argv in good:
+        shared.append((run(argv), *capsys.readouterr()))
+
+    (tmp_path / "fresh").mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    fresh = []
+    for argv in good:
+        proc = subprocess.run([sys.executable, "-m", "thzsecmap.cli", *argv],
+                              cwd=tmp_path / "fresh", env=env, capture_output=True, text=True,
+                              timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0]
+    files = _files(tmp_path / "shared")
+    assert sorted(files) == ["out/plan/plan_metadata.json", "out/sweep/sweep.csv",
+                             "out/sweep/sweep_metadata.json"]
+    assert files == _files(tmp_path / "fresh")

@@ -88,6 +88,11 @@ class TestPlanCell:
         with pytest.raises(ValueError):
             plan_cell(cell_config, 2000, 0.2, 1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, cell_config, rate):
+        with pytest.raises(ValueError, match="code rates must be finite"):
+            plan_cell(cell_config, 2000, rate, 1e-3)
+
     def test_rejects_directed_config(self, directed_config):
         with pytest.raises(ValueError):
             plan_cell(directed_config, 2000, 0.2, 1e-3)

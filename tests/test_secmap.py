@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from conftest import CALIBRATED_TX_POWER_W
@@ -319,6 +320,101 @@ class TestSweep:
         rows = sweep(cell_config, 2000, 0.2, 1e-3, "R", [0.2, 2.5])
         assert rows[0]["feasible"] and not rows[1]["feasible"]
         assert rows[1]["l_bits"] is None
+
+    def test_non_finite_rate_rejected(self, directed_config):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(directed_config, 2000, 0.2, 1e-3, "R", [math.nan])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_blocklength_rejected(self, cell_config, value):
+        with pytest.raises(ConfigError, match="swept blocklength"):
+            sweep(cell_config, 2000, 0.2, 1e-3, "n", [value])
+
+
+def _map_fraction(config, n, rate_bits, phi_target, resolution_m):
+    """The directed column's reference: the count over the full map."""
+    map_plan = planner.plan(config, n, rate_bits, phi_target)
+    return insecure_fraction(evaluate_map(map_plan, config, resolution_m))
+
+
+@st.composite
+def directed_cases(draw):
+    """A directed scenario around the shipped one, its code and an area resolution."""
+    config = load_config(CONFIGS / "scenario2_directed.json").scenario
+    gain = draw(st.floats(10.0, 30.0))
+    config = replace(
+        config,
+        alice=replace(config.alice, gain_dbi=gain), bob=replace(config.bob, gain_dbi=gain),
+        eve=replace(config.eve, gain_dbi=draw(st.floats(5.0, 30.0))),
+        height_difference_m=draw(st.floats(1.0, 10.0)),
+        receiver_height_m=draw(st.floats(0.0, 3.0)),
+        horizontal_distance_m=draw(st.floats(1.0, 60.0)))
+    code = (draw(st.integers(200, 8000)), draw(st.floats(0.05, 1.0)),
+            10.0 ** draw(st.floats(-6.0, -1.0)))
+    return config, code, draw(st.floats(1.5, 6.0))
+
+
+class TestDirectedInsecureFraction:
+    """The directed sweep column bisects on Eve's SNR; the full map's count is the reference."""
+
+    @pytest.mark.parametrize("resolution", [4.0, 2.0])
+    def test_equals_the_map_count_on_the_shipped_config(self, resolution):
+        rc = load_config(CONFIGS / "scenario2_directed.json")
+        distances = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+        rows = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", distances,
+                     area_resolution_m=resolution)
+        for row, d_ab in zip(rows, distances):
+            config = replace(rc.scenario, horizontal_distance_m=d_ab)
+            expected = _map_fraction(config, rc.n, rc.rate_bits, rc.phi_target, resolution)
+            assert row["insecure_fraction"].hex() == expected.hex(), d_ab
+        assert rows[-1]["insecure_fraction"] > 0.0
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(directed_cases())
+    def test_equals_the_map_count_on_random_configs(self, case):
+        config, (n, rate_bits, phi_target), resolution = case
+        d_ab = config.horizontal_distance_m
+        [row] = sweep(config, n, rate_bits, phi_target, "d_AB", [d_ab],
+                      area_resolution_m=resolution)
+        if not row["feasible"]:
+            assert row["insecure_fraction"] is None
+            return
+        expected = _map_fraction(config, n, rate_bits, phi_target, resolution)
+        assert row["insecure_fraction"].hex() == expected.hex()
+
+    def test_a_level_of_exactly_one_half_is_not_insecure(self, monkeypatch):
+        rc = load_config(CONFIGS / "scenario2_directed.json")
+        row_plan = planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
+        evaluator = _EveEvaluator(row_plan, rc.scenario)
+        xs, ys = geometry.grid_axes(rc.scenario, 4.0)
+        snrs = sorted({evaluator.link_at(x, abs(y)).snr for x in xs.tolist() for y in ys.tolist()})
+        low, high = snrs[len(snrs) // 3], snrs[2 * len(snrs) // 3]
+
+        def steps(code, link):  # 0, then exactly INSECURE_LEVEL, then 1, rising with the SNR
+            return (0.0 if link.snr < low else 0.5 if link.snr < high else 1.0), None
+
+        monkeypatch.setattr(secmap, "min_security", steps)
+        [row] = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB",
+                      [rc.scenario.horizontal_distance_m], area_resolution_m=4.0)
+        grid = evaluate_map(row_plan, rc.scenario, 4.0)
+        assert np.count_nonzero(grid.values == 0.5) > 0
+        assert row["insecure_fraction"] == insecure_fraction(grid)
+        assert row["insecure_fraction"] == np.count_nonzero(grid.values == 1.0) / grid.values.size
+
+    @pytest.mark.parametrize("resolution", [4.0, 2.0])
+    def test_one_link_per_class_and_a_bisection_of_bounds(self, monkeypatch, resolution):
+        rc = load_config(CONFIGS / "scenario2_directed.json")
+        xs, ys = geometry.grid_axes(rc.scenario, resolution)
+        classes = len({(x, abs(y)) for x in xs.tolist() for y in ys.tolist()})
+        distances = [5.0, 15.0, 30.0]
+        calls = count_calls(monkeypatch)
+        sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", distances,
+              area_resolution_m=resolution)
+        rows = len(distances)
+        assert len(calls["link_budget"]) == len(calls["pattern_gain"]) == classes * rows
+        assert len(calls["offset_angle"]) == (classes + 1) * rows  # and the plan's link
+        assert 0 < len(calls["min_security"]) <= (math.ceil(math.log2(classes)) + 1) * rows
 
 
 def _table(header: str, rows) -> str:
