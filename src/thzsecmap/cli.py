@@ -292,13 +292,16 @@ def _cmd_link(rc: RunConfig, args) -> int:
                            sc.environment)
     else:
         link, distance, g_tx = planner.bob_link(sc)
-    print(f"distance: {distance:.6g} m")
-    print(f"tx gain (effective): {ratio_to_db(g_tx):.6g} dBi, "
-          f"beamwidth {beamwidth_from_gain(sc.alice):.6g} deg")
-    print(f"received power: {watts_to_dbm(link.received_power_w):.6g} dBm")
-    print(f"noise power: {watts_to_dbm(link.noise_power_w):.6g} dBm")
-    print(f"SNR: {ratio_to_db(link.snr):.6g} dB")
-    print(f"capacity: {link.capacity_bits:.6g} bit/use, rho {link.rho:.6g}")
+    if link.received_power_w == 0.0:
+        raise ValueError(f"received power underflows to 0 W at {distance} m")
+    # one print of text formatted in full, so a value that cannot be shown prints nothing
+    print(f"distance: {distance:.6g} m\n"
+          f"tx gain (effective): {ratio_to_db(g_tx):.6g} dBi, "
+          f"beamwidth {beamwidth_from_gain(sc.alice):.6g} deg\n"
+          f"received power: {watts_to_dbm(link.received_power_w):.6g} dBm\n"
+          f"noise power: {watts_to_dbm(link.noise_power_w):.6g} dBm\n"
+          f"SNR: {ratio_to_db(link.snr):.6g} dB\n"
+          f"capacity: {link.capacity_bits:.6g} bit/use, rho {link.rho:.6g}")
     _write_metadata(rc, _out_dir(rc, args), "link", {
         "link": {
             "distance_m": distance,
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_finite_float, default=DEFAULT_RESOLUTION_M,
                    help="grid spacing in meters (default %(default)s)")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="at least 1; accepted for compatibility; maps run in one process")
+                   help="at least 1; ignored, since maps run in one process")
 
     p = sub.add_parser("radial", help="security level along a radial cut (cell scenario)")
     common(p)

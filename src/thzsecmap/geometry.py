@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .antenna import Antenna, cone_radius
 from .errors import GeometryError
 from .linkmodel import RadioEnvironment
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CELL = "cell"
 DIRECTED = "directed"
@@ -157,28 +153,26 @@ def offset_angle(boresight, from_position, to_position) -> float:
     return math.acos(max(-1.0, min(1.0, cosine)))
 
 
-def grid_axes(config: ScenarioConfig, resolution_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Regular grid axes covering the room at the given resolution.
+def grid_axes(config: ScenarioConfig,
+              resolution_m: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Regular grid axes covering the room at the given resolution, as tuples of floats.
 
     Point counts follow the fencepost rule (extent/resolution + 1); the
     spanned range is centered where the room is centered, so cell grids are
-    mirror-symmetric about the transmitter axis.  More than MAX_GRID_POINTS
-    points raise ValueError before any array is built.
+    mirror-symmetric about the transmitter axis.  The k-th coordinate is
+    ``k * resolution_m - span / 2``, or ``k * resolution_m`` on the directed x
+    axis.  More than MAX_GRID_POINTS points raise ValueError before any axis
+    is built.
     """
-    import numpy as np  # here, not at the top: commands that build no grid never load it
-
-    if resolution_m <= 0.0:
+    if not resolution_m > 0.0:  # the negated form also rejects NaN
         raise ValueError(f"resolution must be positive, got {resolution_m}")
     steps = [extent / resolution_m + 1e-9 for extent in config.room_extent_m]
     nx, ny = (math.floor(s) + 1 if math.isfinite(s) else s for s in steps)  # inf stays inf
     if nx * ny > MAX_GRID_POINTS:
         raise ValueError(f"{nx} x {ny} = {nx * ny} grid points exceed the limit of "
                          f"{MAX_GRID_POINTS}; use a coarser resolution")
-    span_x = (nx - 1) * resolution_m
-    span_y = (ny - 1) * resolution_m
-    ys = np.arange(ny) * resolution_m - span_y / 2.0
-    if config.variant == CELL:
-        xs = np.arange(nx) * resolution_m - span_x / 2.0
-    else:
-        xs = np.arange(nx) * resolution_m
-    return xs, ys
+    # subtracting 0.0 leaves every float, -0.0 included, as it is
+    x0 = (nx - 1) * resolution_m / 2.0 if config.variant == CELL else 0.0
+    y0 = (ny - 1) * resolution_m / 2.0
+    return (tuple(k * resolution_m - x0 for k in range(nx)),
+            tuple(k * resolution_m - y0 for k in range(ny)))

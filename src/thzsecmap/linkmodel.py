@@ -181,6 +181,8 @@ def link_budget(
     if g_tx_effective <= 0.0 or g_rx_effective <= 0.0:
         raise ValueError("antenna gains must be positive ratios")
     received = tx_power_w * g_tx_effective * g_rx_effective * fspl_gain(env.carrier_frequency_hz, distance_m)
+    if received == math.inf:  # its SNR would be inf, and rho = sqrt(inf / inf) NaN
+        raise ValueError(f"received power overflows to inf W at {distance_m} m")
     return _link_from_powers(received, env.noise_power_w)
 
 

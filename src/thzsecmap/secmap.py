@@ -15,9 +15,10 @@ through Eve's SNR and does not fall as that SNR rises, so the row sorts the
 symmetry classes' links by SNR and bisects for the first insecure one: about
 log2(classes) bound minimizations per row instead of one per class.
 
-Only the functions that build, check or write a grid import numpy, and they
-do so when they run: ``plan``, ``link``, ``threshold``, ``radial`` and cell
-sweeps never load it, and for them start-up is most of the run time.
+Grid axes are tuples of floats and only a map's values are a numpy array, so
+only the functions that build, check or write a map import numpy, when they
+run: every command but ``map`` runs without it, and for them start-up is most
+of the run time.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ SWEEP_COLUMNS = ["variable", "value", "feasible", "r_b_m", "c_ab_bits", "l_bits"
 class SecrecyMapGrid:
     """Security levels on a rectangular grid of eavesdropper positions.
 
-    ``values`` has shape (len(ys), len(xs)), row-major over (y, x) like the
-    CSV export, and every value must lie in [0, 1].  ``metadata`` describes
-    the grid (resolution, size, origin, plane height); the plan and scenario
-    are recorded by the caller.
+    ``xs`` and ``ys`` are sequences of floats, tuples from ``evaluate_map``.
+    ``values`` is a numpy array of shape (len(ys), len(xs)), row-major over
+    (y, x) like the CSV export, and every value must lie in [0, 1].
+    ``metadata`` describes the grid (resolution, size, origin, plane height);
+    the plan and scenario are recorded by the caller.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     resolution_m: float
     values: np.ndarray
     metadata: dict
@@ -142,7 +144,6 @@ class _EveEvaluator:
         """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
         from the links of the grid's symmetry classes sorted by Eve's SNR."""
         xs, ys = grid_axes(self.config, resolution_m)
-        xs, ys = xs.tolist(), ys.tolist()
         classes = Counter(self.key(x, y) for y in ys for x in xs)  # key -> grid points
         links = sorted(((self.link_at(*key), points) for key, points in classes.items()),
                        key=lambda entry: entry[0].snr)
@@ -153,8 +154,8 @@ class _EveEvaluator:
         return sum(points for _, points in links[boundary:]) / (len(xs) * len(ys))
 
 
-def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
-                 *, threads: int = 1) -> SecrecyMapGrid:
+def evaluate_map(plan: PlanResult, config: ScenarioConfig,
+                 resolution_m: float) -> SecrecyMapGrid:
     """Security level at every grid point of the room at receiver height.
 
     Parameters
@@ -164,19 +165,17 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig, resolution_m: float,
     config : ScenarioConfig
     resolution_m : float
         Grid spacing; grid axes follow geometry.grid_axes.
-    threads : int
-        Accepted for compatibility; maps run in one process.
     """
     import numpy as np
 
     evaluator = _EveEvaluator(plan, config)
     xs, ys = grid_axes(config, resolution_m)
-    values = np.array([[evaluator.delta_at(x, y) for x in xs.tolist()] for y in ys.tolist()])
+    values = np.array([[evaluator.delta_at(x, y) for x in xs] for y in ys])
     metadata = {
         "resolution_m": resolution_m,
         "nx": len(xs),
         "ny": len(ys),
-        "origin_m": [float(xs[0]), float(ys[0])],
+        "origin_m": [xs[0], ys[0]],
         "receiver_height_m": config.receiver_height_m,
     }
     return SecrecyMapGrid(xs=xs, ys=ys, resolution_m=resolution_m, values=values,
@@ -296,9 +295,8 @@ def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
         if config.variant != DIRECTED:
             raise ConfigError("d_AB can only be swept in the directed scenario")
         return replace(config, horizontal_distance_m=float(value)), n, rate_bits, phi_target
-    if variable == "l_AB":
-        return replace(config, height_difference_m=float(value)), n, rate_bits, phi_target
-    raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")
+    # l_AB, the last of SWEEP_VARIABLES: sweep refuses any other name before it plans
+    return replace(config, height_difference_m=float(value)), n, rate_bits, phi_target
 
 
 def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
@@ -385,8 +383,8 @@ def write_map_csv(grid: SecrecyMapGrid, path) -> None:
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     delta_texts = np.array([_cell(d) for d in bits.view(float).tolist()], dtype=object)
     pieces = np.empty(values.shape + (4,), dtype=object)  # "x,", "y,", delta, newline
-    pieces[..., 0] = np.array([_cell(x) + "," for x in grid.xs.tolist()], dtype=object)
-    pieces[..., 1] = np.array([_cell(y) + "," for y in grid.ys.tolist()], dtype=object)[:, None]
+    pieces[..., 0] = np.array([_cell(x) + "," for x in grid.xs], dtype=object)
+    pieces[..., 1] = np.array([_cell(y) + "," for y in grid.ys], dtype=object)[:, None]
     pieces[..., 2] = delta_texts[index.reshape(values.shape)]
     pieces[..., 3] = "\n"
     # the last newline is dropped here because _write_lines ends the text with one

@@ -230,12 +230,12 @@ def test_criterion_8_calibrated_anchor(anchor_config):
 def test_criterion_9_determinism_and_runtime(anchor_config, tmp_path):
     plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
     t0 = time.perf_counter()
-    one = evaluate_map(plan, anchor_config, 0.5, threads=1)
+    one = evaluate_map(plan, anchor_config, 0.5)
     elapsed = time.perf_counter() - t0
-    many = evaluate_map(plan, anchor_config, 0.5, threads=4)
+    again = evaluate_map(plan, anchor_config, 0.5)
     write_map_csv(one, tmp_path / "one.csv")
-    write_map_csv(many, tmp_path / "many.csv")
-    identical = (tmp_path / "one.csv").read_bytes() == (tmp_path / "many.csv").read_bytes()
+    write_map_csv(again, tmp_path / "again.csv")
+    identical = (tmp_path / "one.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
     ok = identical and elapsed < 60.0
-    report(9, ok, f"0.5 m 60x60 map: {elapsed:.1f} s single worker (limit 60 s); "
-                  f"1-vs-4 worker CSV byte-identical: {identical}")
+    report(9, ok, f"0.5 m 60x60 map: {elapsed:.1f} s in one process (limit 60 s); "
+                  f"two runs' CSVs byte-identical: {identical}")

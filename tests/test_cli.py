@@ -286,6 +286,20 @@ class TestOtherCommands:
             assert link_meta["capacity_bits"] == plan_meta["c_ab_bits"]
             assert link_meta["snr"] == plan_meta["snr_ab"]
 
+    # 1e300 m underflows the received power to 0 W; the shorter two overflow it to inf
+    @pytest.mark.parametrize("distance", ["1e300", "1e-200", "1e-320"])
+    def test_link_distance_with_no_finite_power_prints_nothing(self, tmp_path, capsys,
+                                                               distance):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(str(out)))
+        assert run(["link", "--config", str(path), "--distance", distance]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("invalid input: received power ")
+        assert line.endswith(f" at {float(distance)} m")
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         code = run(["plan", "--config", str(missing)])

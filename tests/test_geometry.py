@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from thzsecmap import (
     Antenna,
     GeometryError,
+    RadioEnvironment,
     ScenarioConfig,
     beamwidth_from_gain,
     cone_radius,
@@ -128,13 +130,13 @@ class TestEveGrid:
 
     def test_mirror_symmetry(self, cell_config):
         xs, ys = grid_axes(cell_config, 7.5)
-        assert np.allclose(xs, -xs[::-1])
-        assert np.allclose(ys, -ys[::-1])
+        assert np.allclose(xs, [-x for x in reversed(xs)])
+        assert np.allclose(ys, [-y for y in reversed(ys)])
 
     def test_directed_grid_starts_at_wall(self, directed_config):
         xs, ys = grid_axes(directed_config, 10.0)
         assert xs[0] == 0.0
-        assert np.allclose(ys, -ys[::-1])
+        assert np.allclose(ys, [-y for y in reversed(ys)])
 
     def test_rejects_bad_resolution(self, cell_config):
         with pytest.raises(ValueError):
@@ -158,6 +160,31 @@ class TestEveGrid:
         else:
             with pytest.raises(ValueError, match=f" = {points} grid points exceed the limit"):
                 grid_axes(cfg, resolution)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(["cell", "directed"]), st.floats(0.1, 200.0), st.floats(0.1, 200.0),
+       st.one_of(st.floats(0.01, 50.0), st.sampled_from([0.1, 0.25, 0.3, 0.7, 1.0 / 3.0])))
+def test_axes_equal_numpy_arange_bit_for_bit(variant, ex, ey, resolution):
+    assume(max(ex, ey) / resolution < 1000.0)
+    a = Antenna(gain_dbi=10.0)
+    env = RadioEnvironment(carrier_frequency_hz=300e9, bandwidth_hz=1e9, temperature_k=290.0,
+                           noise_figure_db=9.0)
+    cfg = ScenarioConfig(variant=variant, environment=env, alice=a, bob=a, eve=a,
+                         transmit_power_w=1e-3, height_difference_m=3.5,
+                         horizontal_distance_m=1.0, room_extent_m=(ex, ey))
+    xs, ys = grid_axes(cfg, resolution)
+    assert all(type(v) is float for v in xs + ys)
+    nx, ny = len(xs), len(ys)
+    assert (nx, ny) == (math.floor(ex / resolution + 1e-9) + 1,
+                        math.floor(ey / resolution + 1e-9) + 1)
+    expected_y = np.arange(ny) * resolution - (ny - 1) * resolution / 2.0
+    expected_x = np.arange(nx) * resolution
+    if variant == "cell":
+        expected_x = expected_x - (nx - 1) * resolution / 2.0
+    assert np.array(xs).tobytes() == expected_x.tobytes()
+    assert np.array(ys).tobytes() == expected_y.tobytes()
 
 
 def test_cell_radial_symmetry_of_geometry(cell_config):

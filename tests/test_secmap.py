@@ -106,13 +106,13 @@ class TestEvaluateMap:
                            small_cell.environment)
         assert min_security(cell_plan.code, link)[0] == grid.values[iy, ix]
 
-    def test_thread_partitioning_is_invisible(self, cell_plan, small_cell, tmp_path):
-        one = evaluate_map(cell_plan, small_cell, 2.0, threads=1)
-        many = evaluate_map(cell_plan, small_cell, 2.0, threads=3)
-        assert np.array_equal(one.values, many.values)
+    def test_repeat_is_identical(self, cell_plan, small_cell, tmp_path):
+        one = evaluate_map(cell_plan, small_cell, 2.0)
+        again = evaluate_map(cell_plan, small_cell, 2.0)
+        assert np.array_equal(one.values, again.values)
         write_map_csv(one, tmp_path / "one.csv")
-        write_map_csv(many, tmp_path / "many.csv")
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "many.csv").read_bytes()
+        write_map_csv(again, tmp_path / "again.csv")
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
     def test_infeasible_plan_rejected(self, small_cell):
         bad = plan_cell(small_cell, 2000, 3.0, 1e-3)
@@ -139,7 +139,7 @@ class TestEvaluateMap:
             config = replace(config, room_extent_m=room)
         grid = evaluate_map(map_plan, config, resolution)
         uncached = _EveEvaluator(map_plan, config)._evaluate
-        brute = np.array([[uncached(x, y) for x in grid.xs.tolist()] for y in grid.ys.tolist()])
+        brute = np.array([[uncached(x, y) for x in grid.xs] for y in grid.ys])
         assert grid.values.tobytes() == brute.tobytes()
 
     @pytest.mark.parametrize("name, resolution, points, evaluations", [
@@ -388,7 +388,7 @@ class TestDirectedInsecureFraction:
         row_plan = planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
         evaluator = _EveEvaluator(row_plan, rc.scenario)
         xs, ys = geometry.grid_axes(rc.scenario, 4.0)
-        snrs = sorted({evaluator.link_at(x, abs(y)).snr for x in xs.tolist() for y in ys.tolist()})
+        snrs = sorted({evaluator.link_at(x, abs(y)).snr for x in xs for y in ys})
         low, high = snrs[len(snrs) // 3], snrs[2 * len(snrs) // 3]
 
         def steps(code, link):  # 0, then exactly INSECURE_LEVEL, then 1, rising with the SNR
@@ -406,7 +406,7 @@ class TestDirectedInsecureFraction:
     def test_one_link_per_class_and_a_bisection_of_bounds(self, monkeypatch, resolution):
         rc = load_config(CONFIGS / "scenario2_directed.json")
         xs, ys = geometry.grid_axes(rc.scenario, resolution)
-        classes = len({(x, abs(y)) for x in xs.tolist() for y in ys.tolist()})
+        classes = len({(x, abs(y)) for x in xs for y in ys})
         distances = [5.0, 15.0, 30.0]
         calls = count_calls(monkeypatch)
         sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", distances,

@@ -1,8 +1,9 @@
-"""Commands that build no grid run without numpy and write the same bytes.
+"""Commands that build no map run without numpy and write the same bytes.
 
 Importing numpy is about half of a fresh CLI process's start-up, so only the
-code that builds, checks or writes a grid imports it.  Each test runs a fresh
-interpreter, since this test session has loaded numpy long ago.
+code that builds, checks or writes a map's values imports it; grid axes are
+plain floats, so a directed sweep's insecure-area column needs no numpy.  Each
+test runs a fresh interpreter, since this test session has loaded numpy long ago.
 """
 
 import json
@@ -24,6 +25,8 @@ COMMANDS = {
     "cell-sweep-n": ["sweep", "--config", CELL, "--variable", "n", "--values", "1000,4000"],
     "directed-plan": ["plan", "--config", DIRECTED],
     "directed-link": ["link", "--config", DIRECTED],
+    "directed-sweep-d_AB": ["sweep", "--config", DIRECTED, "--variable", "d_AB",
+                            "--values", "5,30", "--area-resolution", "4.0"],
 }
 
 # argv[1] is "blocked" or "normal"; argv[2] the JSON list of command lines.
@@ -75,6 +78,6 @@ def test_commands_without_a_grid_need_no_numpy(tmp_path):
     for name in COMMANDS:
         assert blocked[name][0] == 0, name
     assert blocked == normal
-    # every command writes its metadata; radial and the sweep also write a CSV
-    assert len(normal_files) == len(COMMANDS) + 2
+    # every command writes its metadata; radial and the two sweeps also write a CSV
+    assert len(normal_files) == len(COMMANDS) + 3
     assert blocked_files == normal_files
