@@ -12,12 +12,9 @@ from .bounds import (
     BoundFreeParams,
     SecrecyCode,
     channel_divergence,
-    eve_error_floor,
     min_reliability,
     min_security,
-    reliability_bound,
     renyi_bivariate_gaussian,
-    security_bound,
 )
 from .errors import ConfigError, GeometryError, InfeasiblePlanError, ProfileError
 from .geometry import (
@@ -27,7 +24,6 @@ from .geometry import (
     Scene,
     grid_axes,
     offset_angle,
-    path,
     receiver_x,
     transmitter,
 )

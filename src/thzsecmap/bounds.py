@@ -110,20 +110,6 @@ class BoundFreeParams:
             raise ValueError(f"lambda must be positive, got {self.lambda_nats}")
 
 
-def _check_renyi_domain(alpha: float, rho_i: float, rho_j: float) -> float:
-    # returns the mixed correlation alpha*rho_j + (1-alpha)*rho_i
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
-    if not 0.0 <= rho_i < 1.0 or not 0.0 <= rho_j < 1.0:
-        raise ValueError(f"correlations must lie in [0, 1), got {rho_i}, {rho_j}")
-    mix = alpha * rho_j + (1.0 - alpha) * rho_i
-    if mix * mix >= 1.0:
-        raise ValueError(
-            f"order alpha={alpha} outside validity domain for rho_i={rho_i}, rho_j={rho_j}"
-        )
-    return mix
-
-
 def renyi_bivariate_gaussian(alpha: float, rho_i: float, rho_j: float = 0.0) -> float:
     """Renyi divergence of order alpha between bivariate Gaussians, in nats.
 
@@ -136,7 +122,15 @@ def renyi_bivariate_gaussian(alpha: float, rho_i: float, rho_j: float = 0.0) -> 
 
     valid while the argument of the second logarithm stays positive.
     """
-    mix = _check_renyi_domain(alpha, rho_i, rho_j)
+    if alpha <= 0.0 or alpha == 1.0:
+        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
+    if not 0.0 <= rho_i < 1.0 or not 0.0 <= rho_j < 1.0:
+        raise ValueError(f"correlations must lie in [0, 1), got {rho_i}, {rho_j}")
+    mix = alpha * rho_j + (1.0 - alpha) * rho_i
+    if mix * mix >= 1.0:
+        raise ValueError(
+            f"order alpha={alpha} outside validity domain for rho_i={rho_i}, rho_j={rho_j}"
+        )
     first = 0.5 * (math.log1p(-rho_j * rho_j) - math.log1p(-rho_i * rho_i))
     second = (math.log1p(-mix * mix) - math.log1p(-rho_j * rho_j)) / (2.0 * (alpha - 1.0))
     return first - second
@@ -161,36 +155,6 @@ def _logaddexp(e1: float, e2: float) -> float:
     if e1 < e2:
         e1, e2 = e2, e1
     return e1 + math.log1p(math.exp(e2 - e1))
-
-
-def reliability_bound(code: SecrecyCode, link_ab: LinkState, params: BoundFreeParams) -> float:
-    """Achievable average error probability at the legitimate receiver.
-
-    exp(-n(1-alpha)(D_alpha - C + lambda)) + exp(-n(C - R - L - lambda)),
-    all in nats, clamped to [0, 1].  Requires alpha in (0, 1).
-    """
-    if not 0.0 < params.alpha < 1.0:
-        raise ValueError(f"reliability bound requires alpha in (0,1), got {params.alpha}")
-    margin = link_ab.capacity_nats - (code.rate_bits + code.randomness_bits) * LN2
-    e1, e2, _ = _exponents(code.blocklength, link_ab.rho, 1.0 - params.alpha,
-                           params.lambda_nats, 1.0, margin)
-    return _clamp_prob(_logaddexp(e1, e2))
-
-
-def security_bound(code: SecrecyCode, link_ae: LinkState, params: BoundFreeParams) -> float:
-    """Achievable semantic security level against an eavesdropper's link.
-
-    exp(-n(1-alpha)(D_alpha - C_E - lambda)) + exp(-n(L - C_E - lambda)/2),
-    all in nats, clamped to [0, 1].  Requires alpha in the divergence
-    validity domain (1, 1 + 1/rho).
-    """
-    if params.alpha <= 1.0:
-        raise ValueError(f"security bound requires alpha > 1, got {params.alpha}")
-    _check_renyi_domain(params.alpha, link_ae.rho, 0.0)
-    margin = code.randomness_bits * LN2 - link_ae.capacity_nats
-    e1, e2, _ = _exponents(code.blocklength, link_ae.rho, params.alpha - 1.0,
-                           params.lambda_nats, 0.5, margin)
-    return _clamp_prob(_logaddexp(e1, e2))
 
 
 def _exponents(n: int, rho: float, t: float, lam: float, k: float,
@@ -280,15 +244,3 @@ def min_security(code: SecrecyCode, link_ae: LinkState) -> tuple[float, BoundFre
     t_hi = 1e12 if rho == 0.0 else (1.0 - _ALPHA_GUARD) / rho
     val, t, lam = _min_log_bound(code.blocklength, rho, 0.5, margin, t_hi)
     return _clamp_prob(val), BoundFreeParams(alpha=1.0 + t, lambda_nats=lam)
-
-
-def eve_error_floor(delta: float, bits: int) -> float:
-    """Lower bound on the eavesdropper's average error when reconstructing b bits.
-
-    max(0, 1 - delta - 2**-b).
-    """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not isinstance(bits, int) or bits < 1:
-        raise ValueError(f"bits must be an integer >= 1, got {bits}")
-    return max(0.0, 1.0 - delta - 2.0 ** (-bits))

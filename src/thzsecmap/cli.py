@@ -7,9 +7,9 @@ same outputs when fed back through ``--config``.  There is no randomness
 anywhere, so outputs are deterministic for a given config.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid input (config, command
-arguments, or a radial profile the threshold search cannot resolve),
-3 infeasible plan.  A command creates its output directory only once it has
-results to write, so a rejected run leaves nothing behind.
+arguments, or a security level that never falls below the threshold target
+out to 1e6 m), 3 infeasible plan.  A command creates its output directory
+only once it has results to write, so a rejected run leaves nothing behind.
 """
 
 from __future__ import annotations

@@ -14,4 +14,4 @@ class InfeasiblePlanError(RuntimeError):
 
 
 class ProfileError(RuntimeError):
-    """Diagnostic: a radial security profile violated expected monotonicity."""
+    """The security level never falls below a threshold target (CLI exit code 2)."""

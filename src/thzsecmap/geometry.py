@@ -130,11 +130,6 @@ class Scene:
         return distance, offset_angle(self.boresight, origin, (x, y, z))
 
 
-def path(config: ScenarioConfig, x: float, y: float) -> tuple[float, float]:
-    """``Scene(config).path(x, y)``, for a single path."""
-    return Scene(config).path(x, y)
-
-
 def offset_angle(boresight, from_position, to_position) -> float:
     """Angle in [0, pi] between a boresight direction and the ray from -> to.
 
@@ -164,8 +159,8 @@ def grid_axes(config: ScenarioConfig,
     axis.  More than MAX_GRID_POINTS points raise ValueError before any axis
     is built.
     """
-    if not resolution_m > 0.0:  # the negated form also rejects NaN
-        raise ValueError(f"resolution must be positive, got {resolution_m}")
+    if not 0.0 < resolution_m < math.inf:  # the negated form also rejects NaN
+        raise ValueError(f"resolution must be positive and finite, got {resolution_m}")
     steps = [extent / resolution_m + 1e-9 for extent in config.room_extent_m]
     nx, ny = (math.floor(s) + 1 if math.isfinite(s) else s for s in steps)  # inf stays inf
     if nx * ny > MAX_GRID_POINTS:

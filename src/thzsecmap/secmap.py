@@ -137,9 +137,6 @@ class _EveEvaluator:
         return link_budget(self.plan.transmit_power_w, pattern_gain(cfg.alice, theta),
                            cfg.eve.gain_linear, distance, cfg.environment)
 
-    def delta_at_radius(self, radius_m: float) -> float:
-        return self.delta_at(radius_m, 0.0)
-
     def insecure_fraction(self, resolution_m: float) -> float:
         """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
         from the links of the grid's symmetry classes sorted by Eve's SNR."""
@@ -203,7 +200,7 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
                          "radii that are not strictly increasing; widen the range or use "
                          "fewer steps")
     evaluator = _EveEvaluator(plan, config)
-    return RadialProfile(radii_m=radii, deltas=tuple(map(evaluator.delta_at_radius, radii)))
+    return RadialProfile(radii_m=radii, deltas=tuple(evaluator.delta_at(r, 0.0) for r in radii))
 
 
 def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
@@ -220,8 +217,12 @@ def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
 def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -> float:
     """Smallest radius at which the security level falls to ``delta_0``.
 
-    Bisection along the (non-increasing) radial profile to 1 cm.  Returns
-    0.0 when the level is already below the target at the transmitter axis.
+    Bisection along the radial profile to 1 cm.  Returns 0.0 when the level
+    is already below the target at the transmitter axis.  The bisection
+    relies on a profile that does not rise with the radius: Eve's SNR does
+    not rise as she moves away from the axis
+    (``test_eve_snr_does_not_rise_with_the_radius``), and the level does not
+    fall as her SNR rises (``test_security_level_non_decreasing_in_snr``).
     """
     if config.variant != CELL:
         raise ConfigError("threshold radius requires the cell scenario")
@@ -232,31 +233,24 @@ def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -
 
 
 def _crossing_radius(evaluator: _EveEvaluator, delta_0: float) -> float:
-    delta_axis = evaluator.delta_at_radius(0.0)
-    if delta_axis < delta_0:
+    """Bisect the non-increasing level delta(r) at y = 0 for ``delta_0``, to 1 cm.
+
+    The bracket doubles from twice the cone radius; a level still at or
+    above ``delta_0`` past 1e6 m raises ProfileError.
+    """
+    if evaluator.delta_at(0.0, 0.0) < delta_0:
         return 0.0
     lo = 0.0
     hi = max(1.0, 2.0 * cone_radius(evaluator.config.alice,
                                     evaluator.config.height_difference_m))
-    while evaluator.delta_at_radius(hi) >= delta_0:
+    while evaluator.delta_at(hi, 0.0) >= delta_0:
         lo = hi
         hi *= 2.0
         if hi > 1e6:
             raise ProfileError(f"security level never fell below {delta_0:g} out to 1e6 m")
-    # coarse monotonicity diagnostic across the bracket before trusting bisection
-    previous = delta_axis
-    prev_r = 0.0
-    for k in range(1, 17):
-        r = hi * k / 16.0
-        value = evaluator.delta_at_radius(r)
-        if value > previous + 1e-6:
-            raise ProfileError(
-                f"security level rose from {previous:g} at {prev_r:.3f} m to {value:g} "
-                f"at {r:.3f} m; profile is not monotone")
-        previous, prev_r = value, r
     while hi - lo > THRESHOLD_RADIUS_TOL_M:
         mid = 0.5 * (lo + hi)
-        if evaluator.delta_at_radius(mid) >= delta_0:
+        if evaluator.delta_at(mid, 0.0) >= delta_0:
             lo = mid
         else:
             hi = mid

@@ -149,6 +149,19 @@ def log_security_at(n, c_bits, l_bits, rho, alpha, lam):
                                     np.array([alpha - 1.0]), np.array([lam]), True)[0, 0])
 
 
+def log_bound_at(n, rho, t, lam, k, m):
+    """log of either bound at one (t, lambda), in scalar math from the bounds docstring.
+
+    logaddexp(E1, e2) with E1 = -n*(ln(1 - t^2 rho^2) + t*lambda) and
+    e2 = -k*n*(m - lambda): t = 1 - alpha, k = 1, m = C - R - L for the
+    reliability bound; t = alpha - 1, k = 1/2, m = L - C_E for security.
+    """
+    e1 = -n * (math.log1p(-(t * rho) ** 2) + t * lam)
+    e2 = -k * n * (m - lam)
+    hi, lo = max(e1, e2), min(e1, e2)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
 def compare_to_grid_oracle(bound_value, grid_result, rel_tol=1e-6):
     """Check an optimizer result against a grid-oracle result.
 

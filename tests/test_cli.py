@@ -438,19 +438,19 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
     assert not out.exists()
 
 
-def test_unresolvable_profile_exits_2(tmp_path, capsys, monkeypatch):
-    from thzsecmap.secmap import _EveEvaluator
-
-    def bumpy(self, radius_m):
-        if 3.0 < radius_m < 5.0:
-            return 0.9
-        return max(0.0, 0.5 - 0.05 * radius_m)
-
-    monkeypatch.setattr(_EveEvaluator, "delta_at_radius", bumpy)
-    path = write_config(tmp_path, base_config(str(tmp_path / "out")))
-    assert run(["threshold", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "not monotone" in err
+def test_unresolvable_profile_exits_2(tmp_path, capsys):
+    # R = 1.123 bit leaves the shipped cell plan almost no randomness, so even a
+    # distant eavesdropper keeps the security level above the target
+    doc = json.loads(SHIPPED_CONFIGS[0].read_text())  # scenario1_cell.json
+    doc["code"]["rate_bits"] = 1.123
+    out = tmp_path / "out"
+    path = write_config(tmp_path, doc)
+    assert run(["threshold", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid input: security level never fell below 0.001 "
+                            "out to 1e6 m\n")
+    assert not out.exists()
 
 
 def _files(root: Path) -> dict:

@@ -10,11 +10,11 @@ from thzsecmap import (
     GeometryError,
     RadioEnvironment,
     ScenarioConfig,
+    Scene,
     beamwidth_from_gain,
     cone_radius,
     grid_axes,
     offset_angle,
-    path,
     pattern_gain,
     receiver_x,
     transmitter,
@@ -36,12 +36,12 @@ class TestBuildScenarioCell:
         origin, boresight = transmitter(cell_config)
         assert origin == (0.0, 0.0, 4.5)
         assert boresight == (0.0, 0.0, -1.0)
-        assert path(cell_config, 0.0, 0.0) == (3.5, 0.0)
+        assert Scene(cell_config).path(0.0, 0.0) == (3.5, 0.0)
 
     def test_cone_edge_offset_angle(self, cell_config):
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
         assert receiver_x(cell_config) == r_b
-        distance, theta = path(cell_config, r_b, 0.0)
+        distance, theta = Scene(cell_config).path(r_b, 0.0)
         half_width = math.radians(beamwidth_from_gain(cell_config.alice)) / 2.0
         assert theta == pytest.approx(half_width, abs=1e-12)
         assert distance == pytest.approx(math.hypot(r_b, 3.5), rel=1e-15)
@@ -58,7 +58,7 @@ class TestBuildScenarioCell:
     @pytest.mark.parametrize("x, y", [(0.0, 0.0), (3.0, 4.0), (-7.2, 0.5), (0.0, -29.0),
                                       (25.0, 25.0)])
     def test_path_matches_hypot_atan2(self, cell_config, x, y):
-        distance, theta = path(cell_config, x, y)
+        distance, theta = Scene(cell_config).path(x, y)
         assert distance == pytest.approx(math.hypot(x, y, 3.5), rel=1e-15)
         assert theta == pytest.approx(math.atan2(math.hypot(x, y), 3.5), abs=1e-12)
 
@@ -66,7 +66,7 @@ class TestBuildScenarioCell:
 class TestBuildScenarioDirected:
     def test_slant_distance(self, directed_config):
         # frozen: hypot(15, 8.5)
-        assert path(directed_config, receiver_x(directed_config), 0.0)[0] == pytest.approx(
+        assert Scene(directed_config).path(receiver_x(directed_config), 0.0)[0] == pytest.approx(
             17.2409396496, abs=1e-9)
 
     def test_boresight_hits_bob(self, directed_config):
@@ -74,12 +74,13 @@ class TestBuildScenarioDirected:
         assert origin == (0.0, 0.0, 9.5)
         assert math.hypot(*boresight) == pytest.approx(1.0, rel=1e-15)
         assert boresight[1] == 0.0
-        assert path(directed_config, receiver_x(directed_config), 0.0)[1] == pytest.approx(0.0)
+        bob = receiver_x(directed_config)
+        assert Scene(directed_config).path(bob, 0.0)[1] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("x, y", [(0.0, 0.0), (3.0, 4.0), (15.0, -6.0), (40.0, 0.0),
                                       (59.0, 29.0)])
     def test_path_matches_hypot_atan2(self, directed_config, x, y):
-        distance, theta = path(directed_config, x, y)
+        distance, theta = Scene(directed_config).path(x, y)
         want_distance, want_theta = directed_path_oracle(directed_config, x, y)
         assert distance == pytest.approx(want_distance, rel=1e-15)
         assert theta == pytest.approx(want_theta, abs=1e-7)
@@ -89,7 +90,7 @@ class TestBuildScenarioDirected:
         with pytest.raises(GeometryError, match="receiver distance 100.0 m lies outside the room"):
             receiver_x(bad)
         with pytest.raises(GeometryError):
-            path(bad, 1.0, 0.0)
+            Scene(bad).path(1.0, 0.0)
 
     def test_requires_distance(self, paper_env):
         a = Antenna(20.0)
@@ -141,6 +142,9 @@ class TestEveGrid:
     def test_rejects_bad_resolution(self, cell_config):
         with pytest.raises(ValueError):
             grid_axes(cell_config, 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                grid_axes(cell_config, bad)
 
     # only the boundary case builds axes (2 x 2000 values); the others must be
     # refused from the counts alone, before any array exists
@@ -189,7 +193,7 @@ def test_axes_equal_numpy_arange_bit_for_bit(variant, ex, ey, resolution):
 
 def test_cell_radial_symmetry_of_geometry(cell_config):
     r = 9.0
-    paths = [path(cell_config, r * math.cos(phi), r * math.sin(phi))
+    paths = [Scene(cell_config).path(r * math.cos(phi), r * math.sin(phi))
              for phi in (0.0, 0.7, 1.9, 3.1, 4.4, 5.8)]
     distances, angles = zip(*paths)
     assert max(angles) - min(angles) < 1e-12

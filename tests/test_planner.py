@@ -72,12 +72,12 @@ class TestPlanCell:
         assert all(b <= a for a, b in zip(ls_rate, ls_rate[1:]))
 
     def test_worst_case_dominance(self, cell_config):
-        from thzsecmap import link_budget, path, pattern_gain
+        from thzsecmap import Scene, link_budget, pattern_gain
 
         plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
         for frac in (0.0, 0.3, 0.6, 0.9):
-            d, theta = path(cell_config, frac * r_b, 0.0)
+            d, theta = Scene(cell_config).path(frac * r_b, 0.0)
             link = link_budget(CALIBRATED_TX_POWER_W, pattern_gain(cell_config.alice, theta),
                                cell_config.bob.gain_linear, d, cell_config.environment)
             assert min_reliability(plan.code, link)[0] <= plan.achieved_phi * (1 + 1e-9)

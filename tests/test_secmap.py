@@ -11,11 +11,11 @@ from conftest import CALIBRATED_TX_POWER_W
 from thzsecmap import (
     ConfigError,
     InfeasiblePlanError,
+    Scene,
     evaluate_map,
     insecure_fraction,
     link_budget,
     min_security,
-    path,
     pattern_gain,
     plan_cell,
     plan_directed,
@@ -100,7 +100,7 @@ class TestEvaluateMap:
     def test_single_point_equals_direct_call(self, cell_plan, small_cell):
         grid = evaluate_map(cell_plan, small_cell, 3.0)
         iy, ix = 1, 2  # off-center point in the transition region of this room
-        d, theta = path(small_cell, float(grid.xs[ix]), float(grid.ys[iy]))
+        d, theta = Scene(small_cell).path(float(grid.xs[ix]), float(grid.ys[iy]))
         g_tx = pattern_gain(small_cell.alice, theta)
         link = link_budget(CALIBRATED_TX_POWER_W, g_tx, small_cell.eve.gain_linear, d,
                            small_cell.environment)
@@ -235,7 +235,8 @@ class TestThresholdRadius:
 
         r = threshold_radius(cell_plan, small_cell, 1e-3)
         evaluator = _EveEvaluator(cell_plan, small_cell)
-        scan = oracles.scan_crossing_radius(evaluator.delta_at_radius, 1e-3, r_max=40.0)
+        scan = oracles.scan_crossing_radius(lambda r: evaluator.delta_at(r, 0.0), 1e-3,
+                                            r_max=40.0)
         assert abs(r - scan) <= 0.02
 
     def test_zero_when_secure_everywhere(self, small_cell):
@@ -256,18 +257,30 @@ class TestThresholdRadius:
         with pytest.raises(ConfigError):
             threshold_radius(plan, directed_config, 1e-3)
 
-    def test_non_monotone_profile_diagnosed(self, cell_plan, small_cell, monkeypatch):
-        from thzsecmap.errors import ProfileError
-        from thzsecmap.secmap import _EveEvaluator
-
-        def bumpy(self, radius_m):
-            if 3.0 < radius_m < 5.0:
-                return 0.9
-            return max(0.0, 0.5 - 0.05 * radius_m)
-
-        monkeypatch.setattr(_EveEvaluator, "delta_at_radius", bumpy)
-        with pytest.raises(ProfileError):
-            threshold_radius(cell_plan, small_cell, 1e-3)
+    # The bisection needs a level that does not rise with the radius.  The level
+    # does not fall as Eve's SNR rises (test_bounds.py), so the SNR must not
+    # rise with the radius, for every antenna pattern and height.
+    @seed(20261022)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(0.0, 40.0), st.one_of(st.none(), st.floats(0.5, 180.0)),
+           st.one_of(st.none(), st.floats(-80.0, -1.0)), st.floats(0.0, 40.0),
+           st.floats(0.05, 50.0), st.floats(0.0, 5.0),
+           st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
+    def test_eve_snr_does_not_rise_with_the_radius(self, gain, beamwidth, floor, eve_gain,
+                                                   height, receiver_height, drawn):
+        config, plan = shipped("scenario1_cell.json")
+        config = replace(
+            config,
+            alice=replace(config.alice, gain_dbi=gain, beamwidth_override_deg=beamwidth,
+                          min_relative_gain_db=floor),
+            eve=replace(config.eve, gain_dbi=eve_gain),
+            height_difference_m=height, receiver_height_m=receiver_height)
+        evaluator = _EveEvaluator(plan, config)
+        radii = sorted({*(k / 4.0 for k in range(401)), *drawn,
+                        *(math.nextafter(r, math.inf) for r in drawn)})
+        snrs = [evaluator.link_at(r, 0.0).snr for r in radii]
+        for k in range(1, len(radii)):
+            assert snrs[k] <= snrs[k - 1], (radii[k - 1], radii[k])
 
 
 class TestSweep:
@@ -572,3 +585,15 @@ def test_grid_values_must_match_the_axes(shape):
     with pytest.raises(ValueError, match="do not match 1 y and 2 x"):
         SecrecyMapGrid(xs=axis, ys=axis[:1], resolution_m=1.0, values=np.zeros(shape),
                        metadata={})
+
+
+def test_infinite_resolution_is_refused():
+    # a directed sweep builds the grid axes of its area column
+    rc = load_config(CONFIGS / "scenario2_directed.json")
+    message = "resolution must be positive and finite, got inf"
+    map_plan = planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
+    with pytest.raises(ValueError, match=message):
+        evaluate_map(map_plan, rc.scenario, math.inf)
+    with pytest.raises(ValueError, match=message):
+        sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", [15.0],
+              area_resolution_m=math.inf)
