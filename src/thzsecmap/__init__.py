@@ -33,7 +33,6 @@ from .linkmodel import (
     RadioEnvironment,
     SPEED_OF_LIGHT_M_S,
     db_to_ratio,
-    dbm_to_watts,
     fspl_gain,
     link_budget,
     link_from_capacity_bits,

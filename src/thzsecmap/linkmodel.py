@@ -36,10 +36,6 @@ def ratio_to_db(ratio: float) -> float:
     return 10.0 * math.log10(ratio)
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
 def watts_to_dbm(watts: float) -> float:
     if watts <= 0.0:
         raise ValueError(f"power must be positive, got {watts}")

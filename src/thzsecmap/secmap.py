@@ -11,9 +11,11 @@ likewise format each distinct value once: every axis coordinate, every
 distinct delta and each of the 256 grey levels.
 
 A directed sweep row builds no map.  The level depends on the link only
-through Eve's SNR and does not fall as that SNR rises, so the row sorts the
-symmetry classes' links by SNR and bisects for the first insecure one: about
-log2(classes) bound minimizations per row instead of one per class.
+through Eve's SNR and does not fall as that SNR rises, and the SNR does not
+rise as |y| grows along a grid column, so the row bisects each column on |y|:
+about nx * log2(ny) links per row instead of one per class, and a bound
+minimization only for an SNR not yet bracketed by one found secure and one
+found insecure.
 
 Grid axes are tuples of floats and only a map's values are a numpy array, so
 only the functions that build, check or write a map import numpy, when they
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import numbers
 import sys
@@ -139,16 +142,39 @@ class _EveEvaluator:
 
     def insecure_fraction(self, resolution_m: float) -> float:
         """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
-        from the links of the grid's symmetry classes sorted by Eve's SNR."""
+        from a bisection of each grid column on |y| (directed scenario).
+
+        Eve's SNR does not rise as |y| grows along a column, and the level does
+        not fall as the SNR rises, so a column's insecure classes are those of
+        its smallest |y| values, up to its first secure class.
+        """
         xs, ys = grid_axes(self.config, resolution_m)
-        classes = Counter(self.key(x, y) for y in ys for x in xs)  # key -> grid points
-        links = sorted(((self.link_at(*key), points) for key, points in classes.items()),
-                       key=lambda entry: entry[0].snr)
+        points = Counter(map(abs, ys))  # |y| -> grid points in each column
+        us = sorted(points)  # the distinct |y|, ascending
+        below = [0, *itertools.accumulate(points[u] for u in us)]  # points under each us[k]
         code = self.plan.code
-        # the level does not fall as the SNR rises: every class right of the boundary is insecure
-        boundary = bisect.bisect_right(links, INSECURE_LEVEL,
-                                       key=lambda entry: min_security(code, entry[0])[0])
-        return sum(points for _, points in links[boundary:]) / (len(xs) * len(ys))
+        secure_snr, insecure_snr = -math.inf, math.inf  # the level is known outside these
+
+        def secure(x: float, u: float) -> bool:
+            nonlocal secure_snr, insecure_snr
+            link = self.link_at(x, u)  # (x, u) is its class's own key
+            snr = link.snr
+            if snr <= secure_snr:
+                return True
+            if snr >= insecure_snr:
+                return False
+            if min_security(code, link)[0] <= INSECURE_LEVEL:
+                secure_snr = snr
+                return True
+            insecure_snr = snr
+            return False
+
+        insecure = 0
+        for x in xs:
+            if not secure(x, us[0]):
+                first_secure = bisect.bisect_left(us, True, 1, key=functools.partial(secure, x))
+                insecure += below[first_secure]
+        return insecure / (len(xs) * len(ys))
 
 
 def evaluate_map(plan: PlanResult, config: ScenarioConfig,
@@ -303,8 +329,8 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     scenario) the radii where the security level crosses 0.99, ``delta_0``
     and 0.01.  Directed rows carry instead the fraction of the grid at
     ``area_resolution_m`` whose level exceeds ``INSECURE_LEVEL``, equal bit
-    for bit to ``insecure_fraction`` of that map but found by bisecting on
-    Eve's SNR over the grid's symmetry classes, without building the map.
+    for bit to ``insecure_fraction`` of that map but found by bisecting each
+    grid column on |y|, without building the map.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")

@@ -282,6 +282,36 @@ class TestThresholdRadius:
         for k in range(1, len(radii)):
             assert snrs[k] <= snrs[k - 1], (radii[k - 1], radii[k])
 
+    # The directed sweep bisects each grid column on |y|, so Eve's SNR must not
+    # rise as |y| grows at a fixed x either, for every pattern, height and d_AB.
+    @seed(20261023)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(0.0, 40.0), st.one_of(st.none(), st.floats(0.5, 180.0)),
+           st.one_of(st.none(), st.floats(-80.0, -1.0)), st.floats(0.0, 40.0),
+           st.floats(0.05, 50.0), st.floats(0.0, 5.0),
+           st.one_of(st.floats(0.0, 60.0, exclude_min=True), st.just(60.0)),  # the room's depth
+           st.lists(st.floats(0.0, 60.0), max_size=3),
+           st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
+    def test_eve_snr_does_not_rise_along_a_directed_column(self, gain, beamwidth, floor,
+                                                           eve_gain, height, receiver_height,
+                                                           d_ab, drawn_xs, drawn_us):
+        config, plan = shipped("scenario2_directed.json")
+        config = replace(
+            config,
+            alice=replace(config.alice, gain_dbi=gain, beamwidth_override_deg=beamwidth,
+                          min_relative_gain_db=floor),
+            eve=replace(config.eve, gain_dbi=eve_gain),
+            height_difference_m=height, receiver_height_m=receiver_height,
+            horizontal_distance_m=d_ab)
+        evaluator = _EveEvaluator(plan, config)
+        us = sorted({*(k / 4.0 for k in range(121)), *drawn_us,
+                     *(math.nextafter(u, math.inf) for u in drawn_us)})
+        # the transmitter wall, Bob, the far wall and drawn columns
+        for x in (0.0, d_ab, config.room_extent_m[0], *drawn_xs):
+            snrs = [evaluator.link_at(x, u).snr for u in us]
+            for k in range(1, len(us)):
+                assert snrs[k] <= snrs[k - 1], (x, us[k - 1], us[k])
+
 
 class TestSweep:
     def test_gain_sweep_reproduces_footprint_shrink(self, paper_env, cell_config):
@@ -370,10 +400,12 @@ def directed_cases(draw):
 class TestDirectedInsecureFraction:
     """The directed sweep column bisects on Eve's SNR; the full map's count is the reference."""
 
-    @pytest.mark.parametrize("resolution", [4.0, 2.0])
+    # 0.7 m and 1/3 m give y axes whose |y| values do not pair up; 0.25 m,
+    # the default map grid, is checked on one row only.
+    @pytest.mark.parametrize("resolution", [4.0, 2.0, 0.7, 1.0 / 3.0, 0.25])
     def test_equals_the_map_count_on_the_shipped_config(self, resolution):
         rc = load_config(CONFIGS / "scenario2_directed.json")
-        distances = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+        distances = [15.0] if resolution == 0.25 else [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
         rows = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", distances,
                      area_resolution_m=resolution)
         for row, d_ab in zip(rows, distances):
@@ -381,6 +413,24 @@ class TestDirectedInsecureFraction:
             expected = _map_fraction(config, rc.n, rc.rate_bits, rc.phi_target, resolution)
             assert row["insecure_fraction"].hex() == expected.hex(), d_ab
         assert rows[-1]["insecure_fraction"] > 0.0
+
+    @pytest.mark.parametrize("variable, value, resolution", [
+        ("d_AB", 2.0, 1e300),  # a one-point grid, insecure
+        ("d_AB", 15.0, 1e300),  # and secure
+        ("G_A", 300.0, 1.0),  # a beam narrower than a grid cell
+    ])
+    def test_equals_the_map_count_on_edge_grids(self, variable, value, resolution):
+        rc = load_config(CONFIGS / "scenario2_directed.json")
+        [row] = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, variable, [value],
+                      area_resolution_m=resolution)
+        config = rc.scenario
+        if variable == "d_AB":
+            config = replace(config, horizontal_distance_m=value)
+        else:
+            config = replace(config, alice=replace(config.alice, gain_dbi=value),
+                             bob=replace(config.bob, gain_dbi=value))
+        expected = _map_fraction(config, rc.n, rc.rate_bits, rc.phi_target, resolution)
+        assert row["insecure_fraction"].hex() == expected.hex()
 
     @seed(20261020)
     @settings(max_examples=60, deadline=None, database=None)
@@ -415,19 +465,24 @@ class TestDirectedInsecureFraction:
         assert row["insecure_fraction"] == insecure_fraction(grid)
         assert row["insecure_fraction"] == np.count_nonzero(grid.values == 1.0) / grid.values.size
 
+    # Three rows of the shipped config: exact link and bound counts, and the
+    # structural bounds of a bisection per grid column with one bound per link.
     @pytest.mark.parametrize("resolution", [4.0, 2.0])
-    def test_one_link_per_class_and_a_bisection_of_bounds(self, monkeypatch, resolution):
+    def test_column_bisection_link_and_bound_counts(self, monkeypatch, resolution):
+        links, bounds = {4.0: (96, 23), 2.0: (241, 31)}[resolution]
         rc = load_config(CONFIGS / "scenario2_directed.json")
         xs, ys = geometry.grid_axes(rc.scenario, resolution)
-        classes = len({(x, abs(y)) for x in xs for y in ys})
+        depths = len({abs(y) for y in ys})  # the classes of one column
         distances = [5.0, 15.0, 30.0]
         calls = count_calls(monkeypatch)
         sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", distances,
               area_resolution_m=resolution)
         rows = len(distances)
-        assert len(calls["link_budget"]) == len(calls["pattern_gain"]) == classes * rows
-        assert len(calls["offset_angle"]) == (classes + 1) * rows  # and the plan's link
-        assert 0 < len(calls["min_security"]) <= (math.ceil(math.log2(classes)) + 1) * rows
+        assert len(calls["link_budget"]) == len(calls["pattern_gain"]) == links
+        assert len(calls["offset_angle"]) == links + rows  # and the plans' links
+        assert len(calls["min_security"]) == bounds
+        assert links <= rows * len(xs) * (math.ceil(math.log2(depths)) + 1)
+        assert bounds <= links
 
 
 def _table(header: str, rows) -> str:
