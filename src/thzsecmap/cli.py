@@ -362,7 +362,8 @@ def _cmd_sweep(rc: RunConfig, args) -> int:
     write_sweep_csv(rows, csv_path)
     _write_metadata(rc, out, "sweep",
                     {"sweep": {"variable": args.variable, "values": args.values,
-                               "delta": args.delta}},
+                               "delta": args.delta,
+                               "area_resolution_m": args.area_resolution}},
                     ["sweep.csv"])
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0

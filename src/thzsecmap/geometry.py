@@ -133,18 +133,18 @@ class Scene:
 def offset_angle(boresight, from_position, to_position) -> float:
     """Angle in [0, pi] between a boresight direction and the ray from -> to.
 
-    Each argument is a 3-sequence (tuple or array); the arithmetic is scalar.
+    Each argument is a 3-sequence of floats; the arithmetic is scalar.
     """
     bx, by, bz = boresight
     fx, fy, fz = from_position
     tx, ty, tz = to_position
-    dx = float(tx) - float(fx)
-    dy = float(ty) - float(fy)
-    dz = float(tz) - float(fz)
+    dx = tx - fx
+    dy = ty - fy
+    dz = tz - fz
     norm = math.sqrt(dx * dx + dy * dy + dz * dz)
     if norm == 0.0:
         raise ValueError("offset angle undefined for coincident points")
-    cosine = (float(bx) * dx + float(by) * dy + float(bz) * dz) / norm
+    cosine = (bx * dx + by * dy + bz * dz) / norm
     return math.acos(max(-1.0, min(1.0, cosine)))
 
 

@@ -16,11 +16,6 @@ rise as |y| grows along a grid column, so the row bisects each column on |y|:
 about nx * log2(ny) links per row instead of one per class, and a bound
 minimization only for an SNR not yet bracketed by one found secure and one
 found insecure.
-
-Grid axes are tuples of floats and only a map's values are a numpy array, so
-only the functions that build, check or write a map import numpy, when they
-run: every command but ``map`` runs without it, and for them start-up is most
-of the run time.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import numbers
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from . import geometry, planner
 from .antenna import cone_radius, pattern_gain
@@ -43,9 +37,6 @@ from .geometry import CELL, DIRECTED, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioCon
 from .linkmodel import LinkState, link_budget
 from .planner import PlanResult, require_feasible
 
-if TYPE_CHECKING:
-    import numpy as np
-
 THRESHOLD_RADIUS_TOL_M = 0.01
 INSECURE_LEVEL = 0.5  # a map cell counts as insecure where delta exceeds this
 SWEEP_VARIABLES = ("n", "phi_target", "R", "G_E", "G_A", "d_AB", "l_AB")
@@ -54,13 +45,25 @@ SWEEP_COLUMNS = ["variable", "value", "feasible", "r_b_m", "c_ab_bits", "l_bits"
                  "transition_width_m", "insecure_fraction"]
 
 
+class MapValues(tuple):
+    """A map's security levels: one tuple of floats per y, row-major over (y, x)."""
+
+    __slots__ = ()
+
+    @property
+    def size(self) -> int:
+        """The number of grid points."""
+        return sum(map(len, self))
+
+
 @dataclass(frozen=True, eq=False)
 class SecrecyMapGrid:
     """Security levels on a rectangular grid of eavesdropper positions.
 
     ``xs`` and ``ys`` are sequences of floats, tuples from ``evaluate_map``.
-    ``values`` is a numpy array of shape (len(ys), len(xs)), row-major over
-    (y, x) like the CSV export, and every value must lie in [0, 1].
+    ``values`` holds len(ys) rows of len(xs) levels, row-major over (y, x)
+    like the CSV export, a ``MapValues`` from ``evaluate_map``, and every
+    level must lie in [0, 1].
     ``metadata`` describes the grid (resolution, size, origin, plane height);
     the plan and scenario are recorded by the caller.
     """
@@ -68,18 +71,16 @@ class SecrecyMapGrid:
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     resolution_m: float
-    values: np.ndarray
+    values: MapValues
     metadata: dict
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        shape = np.shape(self.values)
-        if shape != (len(self.ys), len(self.xs)):
-            raise ValueError(f"values of shape {shape} do not match {len(self.ys)} y "
-                             f"and {len(self.xs)} x coordinates")
+        ny, nx = len(self.ys), len(self.xs)
+        if len(self.values) != ny or any(len(row) != nx for row in self.values):
+            raise ValueError(f"values do not match {ny} y and {nx} x coordinates: "
+                             f"need {ny} rows of {nx}")
         # the negated form also rejects NaN, which fails every comparison
-        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
+        if not all(0.0 <= v <= 1.0 for row in self.values for v in row):
             raise ValueError("security levels must lie in [0, 1]")
 
 
@@ -189,11 +190,9 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     resolution_m : float
         Grid spacing; grid axes follow geometry.grid_axes.
     """
-    import numpy as np
-
     evaluator = _EveEvaluator(plan, config)
     xs, ys = grid_axes(config, resolution_m)
-    values = np.array([[evaluator.delta_at(x, y) for x in xs] for y in ys])
+    values = MapValues(tuple([evaluator.delta_at(x, y) for x in xs]) for y in ys)
     metadata = {
         "resolution_m": resolution_m,
         "nx": len(xs),
@@ -285,9 +284,8 @@ def _crossing_radius(evaluator: _EveEvaluator, delta_0: float) -> float:
 
 def insecure_fraction(grid: SecrecyMapGrid) -> float:
     """Fraction of grid cells whose security level exceeds ``INSECURE_LEVEL``."""
-    import numpy as np
-
-    return float(np.count_nonzero(grid.values > INSECURE_LEVEL)) / grid.values.size
+    insecure = sum(v > INSECURE_LEVEL for row in grid.values for v in row)
+    return insecure / (len(grid.xs) * len(grid.ys))
 
 
 def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
@@ -394,29 +392,24 @@ def write_map_csv(grid: SecrecyMapGrid, path) -> None:
     """Row-major CSV rows ``x_m,y_m,delta``: x varies fastest.
 
     Each x, y and distinct delta is formatted once and the rows are joined
-    from those texts.  Deltas are told apart by their bits, not by ``==``, so
-    -0.0 keeps its own text beside 0.0.
+    from those texts.  Deltas are told apart by value and sign, not by ``==``
+    alone, so -0.0 keeps its own text beside 0.0.
     """
-    import numpy as np
+    x_texts = [_cell(x) + "," for x in grid.xs]
+    delta_texts: dict[tuple[float, float], str] = {}
+    lines = ["x_m,y_m,delta"]
+    for y, row in zip(grid.ys, grid.values):
+        y_text = _cell(y) + ","
+        for x_text, d in zip(x_texts, row):
+            key = (d, math.copysign(1.0, d))
+            text = delta_texts.get(key)
+            if text is None:
+                text = delta_texts[key] = _cell(d)
+            lines.append(x_text + y_text + text)
+    _write_lines(path, lines)
 
-    values = np.ascontiguousarray(grid.values, dtype=float)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    delta_texts = np.array([_cell(d) for d in bits.view(float).tolist()], dtype=object)
-    pieces = np.empty(values.shape + (4,), dtype=object)  # "x,", "y,", delta, newline
-    pieces[..., 0] = np.array([_cell(x) + "," for x in grid.xs], dtype=object)
-    pieces[..., 1] = np.array([_cell(y) + "," for y in grid.ys], dtype=object)[:, None]
-    pieces[..., 2] = delta_texts[index.reshape(values.shape)]
-    pieces[..., 3] = "\n"
-    # the last newline is dropped here because _write_lines ends the text with one
-    _write_lines(path, ("x_m,y_m,delta", "".join(pieces.ravel()[:-1].tolist())))
 
-
-@functools.cache
-def _pgm_levels():
-    """The 256 grey levels as text, built when a PGM is first written."""
-    import numpy as np
-
-    return np.array([str(level) for level in range(256)], dtype=object)
+_PGM_LEVELS = tuple(map(str, range(256)))  # the grey levels as text
 
 
 def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
@@ -425,11 +418,10 @@ def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
     Secure regions render bright.  The first pixel row is the smallest y,
     matching the CSV row order.
     """
-    import numpy as np
-
-    ny, nx = grid.values.shape
-    pixels = np.rint(255.0 * (1.0 - grid.values)).astype(int)
-    _write_lines(path, ["P2", f"{nx} {ny}", "255", *map(" ".join, _pgm_levels()[pixels])])
+    # round rounds half to even: a level of exactly 0.5 renders 128
+    rows = (" ".join([_PGM_LEVELS[round(255.0 * (1.0 - d))] for d in row])
+            for row in grid.values)
+    _write_lines(path, ["P2", f"{len(grid.xs)} {len(grid.ys)}", "255", *rows])
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:
@@ -441,6 +433,7 @@ def write_sweep_csv(rows: list[dict], path) -> None:
 
 
 __all__ = [
+    "MapValues",
     "SecrecyMapGrid",
     "RadialProfile",
     "evaluate_map",

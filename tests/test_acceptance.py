@@ -151,12 +151,12 @@ def test_criterion_6_radial_monotonicity_and_symmetry(anchor_config):
     plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
     profile = radial_profile(plan, anchor_config, 0.0, 30.0, 301)
     monotone = bool(np.all(np.diff(profile.deltas) <= 1e-12))
-    grid = evaluate_map(plan, anchor_config, 2.0)
+    values = np.asarray(evaluate_map(plan, anchor_config, 2.0).values)
     # mirror and transpose images visit every grid point at equal radius
     worst = max(
-        float(np.max(np.abs(grid.values - grid.values[:, ::-1]))),
-        float(np.max(np.abs(grid.values - grid.values[::-1, :]))),
-        float(np.max(np.abs(grid.values - grid.values.T))),
+        float(np.max(np.abs(values - values[:, ::-1]))),
+        float(np.max(np.abs(values - values[::-1, :]))),
+        float(np.max(np.abs(values - values.T))),
     )
     ok = monotone and worst <= 1e-9
     report(6, ok, f"profile non-increasing: {monotone}; equal-radius spread {worst:.1e} "

@@ -263,6 +263,21 @@ class TestOtherCommands:
         assert len(lines) == 3
         assert lines[0].startswith("variable,value,feasible")
 
+    def test_sweep_metadata_records_its_area_resolution(self, tmp_path, capsys):
+        [directed] = (p for p in SHIPPED_CONFIGS if p.stem == "scenario2_directed")
+        tables = []
+        for resolution in ("4.0", "0.25"):
+            out = tmp_path / resolution
+            assert run(["sweep", "--config", str(directed), "--variable", "d_AB",
+                        "--values", "5,30", "--area-resolution", resolution,
+                        "--out", str(out)]) == 0
+            meta_path = out / "sweep_metadata.json"
+            meta = json.loads(meta_path.read_text())["run"]["sweep"]
+            assert meta["area_resolution_m"] == float(resolution)
+            load_config(meta_path)  # the metadata still loads as a config
+            tables.append((out / "sweep.csv").read_text())
+        assert tables[0] != tables[1]  # the grid changes the insecure fractions
+
     def test_sweep_bad_values(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(str(tmp_path / "out")))
         assert run(["sweep", "--config", str(path), "--variable", "n",
@@ -411,7 +426,7 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
     assert calls == []
 
 
-# warnings become errors, so a numpy warning ahead of the message fails the test
+# warnings become errors, so any warning ahead of the message fails the test
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, option", [
     pytest.param(argv, option, id=" ".join(argv)) for argv, option in (

@@ -28,6 +28,7 @@ from thzsecmap import geometry, planner, secmap
 from thzsecmap.cli import load_config
 from thzsecmap.secmap import (
     SWEEP_COLUMNS,
+    MapValues,
     RadialProfile,
     SecrecyMapGrid,
     write_map_csv,
@@ -80,22 +81,28 @@ def count_calls(monkeypatch, targets=LINK_PATH) -> dict[str, list]:
 class TestEvaluateMap:
     def test_values_in_unit_interval(self, cell_plan, small_cell):
         grid = evaluate_map(cell_plan, small_cell, 2.0)
-        assert grid.values.shape == (13, 13)
-        assert np.all(grid.values >= 0.0) and np.all(grid.values <= 1.0)
+        assert type(grid.values) is MapValues
+        assert all(type(row) is tuple and all(type(v) is float for v in row)
+                   for row in grid.values)
+        assert grid.values.size == len(grid.xs) * len(grid.ys)
+        values = np.asarray(grid.values)
+        assert values.shape == (13, 13)
+        assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
     def test_radial_symmetry_exact(self, cell_plan, small_cell):
-        grid = evaluate_map(cell_plan, small_cell, 2.0)
-        assert np.array_equal(grid.values, grid.values[:, ::-1])
-        assert np.array_equal(grid.values, grid.values[::-1, :])
-        assert np.array_equal(grid.values, grid.values.T)
+        values = np.asarray(evaluate_map(cell_plan, small_cell, 2.0).values)
+        assert np.array_equal(values, values[:, ::-1])
+        assert np.array_equal(values, values[::-1, :])
+        assert np.array_equal(values, values.T)
 
     def test_center_insecure_far_corner_secure(self, cell_config, calibrated_alice):
         plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
         grid = evaluate_map(plan, cell_config, 6.0)
         cy = len(grid.ys) // 2
         cx = len(grid.xs) // 2
-        assert grid.values[cy, cx] > 0.99
-        assert grid.values[0, 0] < 1e-6
+        values = np.asarray(grid.values)
+        assert values[cy, cx] > 0.99
+        assert values[0, 0] < 1e-6
 
     def test_single_point_equals_direct_call(self, cell_plan, small_cell):
         grid = evaluate_map(cell_plan, small_cell, 3.0)
@@ -104,7 +111,7 @@ class TestEvaluateMap:
         g_tx = pattern_gain(small_cell.alice, theta)
         link = link_budget(CALIBRATED_TX_POWER_W, g_tx, small_cell.eve.gain_linear, d,
                            small_cell.environment)
-        assert min_security(cell_plan.code, link)[0] == grid.values[iy, ix]
+        assert min_security(cell_plan.code, link)[0] == np.asarray(grid.values)[iy, ix]
 
     def test_repeat_is_identical(self, cell_plan, small_cell, tmp_path):
         one = evaluate_map(cell_plan, small_cell, 2.0)
@@ -124,7 +131,7 @@ class TestEvaluateMap:
         low = evaluate_map(plan, small_cell, 2.0)
         boosted = replace(small_cell, eve=replace(small_cell.eve, gain_dbi=20.0))
         high = evaluate_map(plan, boosted, 2.0)
-        assert np.all(high.values >= low.values)
+        assert np.all(np.asarray(high.values) >= np.asarray(low.values))
 
     # the non-square room pairs x and y values from different axes, whose
     # magnitudes need not match bit for bit
@@ -140,7 +147,7 @@ class TestEvaluateMap:
         grid = evaluate_map(map_plan, config, resolution)
         uncached = _EveEvaluator(map_plan, config)._evaluate
         brute = np.array([[uncached(x, y) for x in grid.xs] for y in grid.ys])
-        assert grid.values.tobytes() == brute.tobytes()
+        assert np.asarray(grid.values).tobytes() == brute.tobytes()
 
     @pytest.mark.parametrize("name, resolution, points, evaluations", [
         ("scenario1_cell.json", 2.0, 961, 136),  # 16 |x| values, unordered pairs
@@ -193,7 +200,7 @@ class TestRadialProfile:
         radii = [float(grid.xs[cx + k]) for k in range(1, 6)]
         profile = radial_profile(cell_plan, small_cell, radii[0], radii[-1], len(radii))
         for k, r in enumerate(radii):
-            assert profile.deltas[k] == grid.values[cy, cx + k], f"radius {r}"
+            assert profile.deltas[k] == np.asarray(grid.values)[cy, cx + k], f"radius {r}"
 
     def test_directed_unsupported(self, directed_config):
         plan = plan_directed(directed_config, 2000, 0.2, 1e-3)
@@ -461,9 +468,10 @@ class TestDirectedInsecureFraction:
         [row] = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB",
                       [rc.scenario.horizontal_distance_m], area_resolution_m=4.0)
         grid = evaluate_map(row_plan, rc.scenario, 4.0)
-        assert np.count_nonzero(grid.values == 0.5) > 0
+        values = np.asarray(grid.values)
+        assert np.count_nonzero(values == 0.5) > 0
         assert row["insecure_fraction"] == insecure_fraction(grid)
-        assert row["insecure_fraction"] == np.count_nonzero(grid.values == 1.0) / grid.values.size
+        assert row["insecure_fraction"] == np.count_nonzero(values == 1.0) / values.size
 
     # Three rows of the shipped config: exact link and bound counts, and the
     # structural bounds of a bisection per grid column with one bound per link.
@@ -494,12 +502,11 @@ def _table(header: str, rows) -> str:
 def _hand_built_grid() -> SecrecyMapGrid:
     """Repeated levels, 0.0 beside -0.0 (equal, yet printed apart), a subnormal,
     a half grey level, and axes that are not symmetric."""
-    values = np.array([[0.25, 1.0, 0.0, -0.0],
-                       [-0.0, 5e-324, 0.25, 0.0],
-                       [1.0, 0.0, 0.1 + 0.2, 0.5],
-                       [0.25, -0.0, 0.5, 1.0]])
-    return SecrecyMapGrid(xs=np.array([-1.5, 0.0, 2.0, 7.25]),
-                          ys=np.array([-0.5, 1.0 / 3.0, 4.0, 9.0]),
+    values = MapValues(((0.25, 1.0, 0.0, -0.0),
+                        (-0.0, 5e-324, 0.25, 0.0),
+                        (1.0, 0.0, 0.1 + 0.2, 0.5),
+                        (0.25, -0.0, 0.5, 1.0)))
+    return SecrecyMapGrid(xs=(-1.5, 0.0, 2.0, 7.25), ys=(-0.5, 1.0 / 3.0, 4.0, 9.0),
                           resolution_m=1.0, values=values, metadata={})
 
 
@@ -540,14 +547,14 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "P2"
         nx, ny = map(int, lines[1].split())
-        assert (ny, nx) == grid.values.shape
+        assert (ny, nx) == np.asarray(grid.values).shape
         assert lines[2] == "255"
         pixels = [int(v) for row in lines[3:] for v in row.split()]
         assert len(pixels) == grid.values.size
         assert all(0 <= v <= 255 for v in pixels)
         # secure far corner renders bright, insecure center dark
         assert pixels[0] == 255
-        center = grid.values.shape[1] // 2
+        center = np.asarray(grid.values).shape[1] // 2
         assert pixels[center * nx + center] == 0
 
     def test_profile_csv(self, cell_plan, small_cell, tmp_path):
@@ -570,8 +577,9 @@ class TestSerialization:
         grid = evaluate_map(cell_plan, small_cell, 6.0)
         path = tmp_path / "map.csv"
         write_map_csv(grid, path)
+        values = np.asarray(grid.values)
         expected = _table("x_m,y_m,delta",
-                          ((x, y, grid.values[iy, ix]) for iy, y in enumerate(grid.ys)
+                          ((x, y, values[iy, ix]) for iy, y in enumerate(grid.ys)
                            for ix, x in enumerate(grid.xs)))
         assert path.read_text() == expected
 
@@ -579,8 +587,9 @@ class TestSerialization:
         grid = _hand_built_grid()
         path = tmp_path / "map.csv"
         write_map_csv(grid, path)
+        values = np.asarray(grid.values)
         expected = _table("x_m,y_m,delta",
-                          ((x, y, grid.values[iy, ix]) for iy, y in enumerate(grid.ys)
+                          ((x, y, values[iy, ix]) for iy, y in enumerate(grid.ys)
                            for ix, x in enumerate(grid.xs)))
         assert ",-0\n" in expected and ",0\n" in expected and ",4.94065646e-324\n" in expected
         assert path.read_text() == expected
@@ -590,10 +599,11 @@ class TestSerialization:
         grid = _hand_built_grid() if hand_built else evaluate_map(cell_plan, small_cell, 3.0)
         path = tmp_path / "map.pgm"
         write_map_pgm(grid, path)
-        ny, nx = grid.values.shape
+        values = np.asarray(grid.values)
+        ny, nx = values.shape
         # Python's round, like np.rint, rounds half to even: 0.5 renders 128
         pixels = [" ".join(str(round(255.0 * (1.0 - v))) for v in row)
-                  for row in grid.values.tolist()]
+                  for row in values.tolist()]
         assert path.read_text() == "".join(line + "\n"
                                            for line in ["P2", f"{nx} {ny}", "255", *pixels])
 
@@ -618,7 +628,8 @@ class TestSerialization:
 def test_insecure_fraction_counts_cells(cell_plan, small_cell):
     grid = evaluate_map(cell_plan, small_cell, 2.0)
     frac = insecure_fraction(grid)
-    expected = float(np.count_nonzero(grid.values > 0.5)) / grid.values.size
+    values = np.asarray(grid.values)
+    expected = float(np.count_nonzero(values > 0.5)) / values.size
     assert frac == expected
     assert 0.0 < frac < 1.0
 
@@ -640,6 +651,13 @@ def test_grid_values_must_match_the_axes(shape):
     with pytest.raises(ValueError, match="do not match 1 y and 2 x"):
         SecrecyMapGrid(xs=axis, ys=axis[:1], resolution_m=1.0, values=np.zeros(shape),
                        metadata={})
+
+
+def test_grid_values_must_match_the_axes_in_every_row():
+    axis = (0.0, 1.0)
+    ragged = ((0.5, 0.5), (0.5,))  # two rows, of two levels and of one
+    with pytest.raises(ValueError, match="do not match 2 y and 2 x"):
+        SecrecyMapGrid(xs=axis, ys=axis, resolution_m=1.0, values=ragged, metadata={})
 
 
 def test_infinite_resolution_is_refused():

@@ -1,9 +1,9 @@
-"""Commands that build no map run without numpy and write the same bytes.
+"""Every command runs without numpy and writes the same bytes as with it.
 
-Importing numpy is about half of a fresh CLI process's start-up, so only the
-code that builds, checks or writes a map's values imports it; grid axes are
-plain floats, so a directed sweep's insecure-area column needs no numpy.  Each
-test runs a fresh interpreter, since this test session has loaded numpy long ago.
+The package needs only the standard library: grid axes, profiles and map
+values are plain floats, and importing numpy would be about half of a fresh
+CLI process's start-up.  Each test runs a fresh interpreter, since this test
+session has loaded numpy long ago.
 """
 
 import json
@@ -23,10 +23,12 @@ COMMANDS = {
     "cell-threshold": ["threshold", "--config", CELL],
     "cell-radial": ["radial", "--config", CELL],
     "cell-sweep-n": ["sweep", "--config", CELL, "--variable", "n", "--values", "1000,4000"],
+    "cell-map": ["map", "--config", CELL, "--resolution", "2.0"],
     "directed-plan": ["plan", "--config", DIRECTED],
     "directed-link": ["link", "--config", DIRECTED],
     "directed-sweep-d_AB": ["sweep", "--config", DIRECTED, "--variable", "d_AB",
                             "--values", "5,30", "--area-resolution", "4.0"],
+    "directed-map": ["map", "--config", DIRECTED, "--resolution", "4.0"],
 }
 
 # argv[1] is "blocked" or "normal"; argv[2] the JSON list of command lines.
@@ -72,12 +74,13 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def test_commands_without_a_grid_need_no_numpy(tmp_path):
+def test_every_command_runs_without_numpy(tmp_path):
     blocked, blocked_files = _run_all("blocked", tmp_path / "blocked")
     normal, normal_files = _run_all("normal", tmp_path / "normal")
     for name in COMMANDS:
         assert blocked[name][0] == 0, name
     assert blocked == normal
-    # every command writes its metadata; radial and the two sweeps also write a CSV
-    assert len(normal_files) == len(COMMANDS) + 3
+    # every command writes its metadata; radial and the two sweeps also write a
+    # CSV, and each map a CSV and a PGM
+    assert len(normal_files) == len(COMMANDS) + 7
     assert blocked_files == normal_files
