@@ -28,6 +28,20 @@ therefore the larger root of g, found by Newton's method from lambda = m,
 which approaches it monotonically from the right.  Without such a root the
 bound is 1.  Everything is evaluated in log space, so bound values far
 below the smallest positive double are reported as exactly 0.
+
+The planner needs the largest randomness rate L whose reliability bound
+meets a target phi.  E1 does not depend on L, so L meets it exactly when
+some lambda has e^E1*(lambda) + e^(-n*(C - R - L - lambda)) <= phi, with
+E1*(lambda) = E1(t*(lambda), lambda), and the largest such L is the maximum
+over lambda of F(lambda) = C - R - lambda + ln(phi - e^E1*(lambda))/n.  By
+the envelope theorem F rises where h(lambda) = E1*(lambda) + ln(1 + t*) -
+ln(phi) is positive and falls where it is negative, with h' = -n*t* +
+t*'/(1 + t*).  E1* is a minimum of functions affine in lambda and t* is
+increasing and concave, so h is concave wherever t* is above its floor.
+h(0+) = -ln(phi) > 0, and when L = 0 meets the target h(C - R) < 0 (else F
+would rise all the way to F(C - R) < 0).  So h has one root, the maximum of
+F, and Newton's method from lambda = C - R reaches it monotonically from the
+right: each tangent of a concave function lies above it.
 """
 
 from __future__ import annotations
@@ -214,6 +228,43 @@ def _min_log_bound(n: int, rho: float, k: float, m: float,
         raise RuntimeError(f"Newton search on lambda did not converge (n={n}, rho={rho!r}, "
                            f"k={k}, m={m!r})")
     return _logaddexp(e1, e2), t, lam
+
+
+def max_randomness(n: int, rate_bits: float, link_ab: LinkState, phi_target: float) -> float:
+    """Largest randomness rate L, in bits, at which the reliability bound meets phi_target.
+
+    L_max is the maximum over lambda of F(lambda) = C - R - lambda +
+    ln(phi - e^E1*(lambda))/n, in nats, whose derivative has the sign of
+    h(lambda) = E1*(lambda) + ln(1 + t*(lambda)) - ln(phi).  Newton's method on
+    the concave h, started at lambda = C - R, reaches its root from the right.
+    The caller checks first that L = 0 meets the target, which puts h(C - R)
+    below 0 and makes the clamp at 0 safe.  It also verifies the returned L
+    with ``min_reliability``: rounding may leave the bound there a hair above
+    the target.
+    """
+    top = link_ab.capacity_nats - rate_bits * LN2
+    rho, log_phi = link_ab.rho, math.log(phi_target)
+    lam = top
+    for _ in range(_NEWTON_MAX_STEPS):
+        t, s = _t_star(rho, lam, 1.0 - _ALPHA_GUARD)
+        e1, _, a = _exponents(n, rho, t, lam, 1.0, top)
+        log_1pt = math.log1p(t)
+        if e1 + log_1pt - log_phi >= 0.0:  # the root, crossed by rounding
+            break
+        st = t * s / (1.0 + t)
+        slope = n * t - st / lam  # -h'
+        # lam + h/slope, written so that a root far below lam keeps its digits
+        new = (a + log_1pt - log_phi - st) / slope if slope > 0.0 else 0.0
+        if new <= 0.0 or new >= lam - 4.0 * math.ulp(lam):
+            break
+        lam = new
+    else:
+        raise RuntimeError(f"Newton search on lambda did not converge (n={n}, "
+                           f"rho={rho!r}, R={rate_bits!r}, phi={phi_target!r})")
+    if e1 >= log_phi:
+        return 0.0
+    f = top - lam + (log_phi + math.log1p(-math.exp(e1 - log_phi))) / n
+    return max(0.0, f / LN2)
 
 
 def min_reliability(code: SecrecyCode, link_ab: LinkState) -> tuple[float, BoundFreeParams | None]:

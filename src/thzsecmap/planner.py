@@ -7,19 +7,26 @@ still meets the target at the worst-case receiver position: the cone edge
 for the ceiling-cell scenario (longest path, half the boresight gain), the
 exact aligned position for the directed scenario.  Maximizing L gives the
 most favorable security level at every eavesdropper position for that power.
+
+L is solved for, not searched: ``bounds.max_randomness`` maximizes the
+largest L the bound admits over its rate-splitting slack lambda, and one
+``min_reliability`` call checks the result, stepping it down while rounding
+leaves the bound a hair above the target.  A plan usually costs two or
+three bound minimizations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .antenna import pattern_gain
-from .bounds import SecrecyCode, min_reliability
+from .bounds import SecrecyCode, max_randomness, min_reliability
 from .errors import InfeasiblePlanError
 from .geometry import CELL, DIRECTED, Scene, ScenarioConfig, receiver_x
 from .linkmodel import LinkState, link_budget
 
-L_BISECTION_TOL_BITS = 1e-6
+_STEPS_DOWN_MAX = 64  # from the solved L; 54 doublings of its ulp reach L = 0
 
 
 @dataclass(frozen=True)
@@ -27,9 +34,10 @@ class PlanResult:
     """Outcome of resolving (P_A, L) for one scenario.
 
     ``feasible`` is False when even L = 0 misses the reliability target, in
-    which case ``code`` is None.  When feasible, L is maximal: raising it by
-    two bisection tolerances breaks the target.  The feasible interval of L
-    is [0, code.randomness_bits].
+    which case ``code`` is None.  When feasible, L is the largest rate meeting
+    the target up to rounding: ``achieved_phi`` is the minimized bound at L,
+    and 1e-9 bit more breaks the target.  The feasible interval of L is
+    [0, code.randomness_bits].
     """
 
     feasible: bool
@@ -62,29 +70,29 @@ def _max_randomness(config: ScenarioConfig, n: int, rate_bits: float,
     link = bob_link(config)[0]
     if not 0.0 < phi_target < 1.0:
         raise ValueError(f"phi target must lie in (0, 1), got {phi_target}")
-
-    def phi_at(l_bits: float) -> float:
-        return min_reliability(SecrecyCode(n, rate_bits, l_bits), link)[0]
-
     c_bits = link.capacity_bits
-    lo, phi_lo = 0.0, phi_at(0.0)  # phi_lo is always phi at the current lo
-    if c_bits <= rate_bits or phi_lo > phi_target:
+    phi = min_reliability(SecrecyCode(n, rate_bits, 0.0), link)[0]
+    if c_bits <= rate_bits or phi > phi_target:
         return PlanResult(
             feasible=False, code=None, transmit_power_w=config.transmit_power_w, bob_link=link,
-            achieved_phi=phi_lo, phi_target=phi_target, c_ab_bits=c_bits)
+            achieved_phi=phi, phi_target=phi_target, c_ab_bits=c_bits)
 
-    hi = c_bits - rate_bits  # phi clamps to 1 here, always infeasible
-    while hi - lo > L_BISECTION_TOL_BITS:
-        mid = 0.5 * (lo + hi)
-        phi_mid = phi_at(mid)
-        if phi_mid <= phi_target:
-            lo, phi_lo = mid, phi_mid
-        else:
-            hi = mid
-    code = SecrecyCode(n, rate_bits, lo)  # tie toward smaller L
+    l_bits = max_randomness(n, rate_bits, link, phi_target)
+    # rounding may leave the solved L a hair high: step down from one ulp,
+    # doubling, since R + L absorbs single ulps of an L far below R
+    step = math.ulp(l_bits)
+    for _ in range(_STEPS_DOWN_MAX + 1):
+        code = SecrecyCode(n, rate_bits, l_bits)
+        phi = min_reliability(code, link)[0]
+        if phi <= phi_target:
+            break
+        l_bits, step = max(0.0, l_bits - step), 2.0 * step
+    else:
+        raise RuntimeError(f"the solved randomness rate misses phi <= {phi_target!r} "
+                           f"after {_STEPS_DOWN_MAX} steps down (n={n}, R={rate_bits!r})")
     return PlanResult(
         feasible=True, code=code, transmit_power_w=config.transmit_power_w, bob_link=link,
-        achieved_phi=phi_lo, phi_target=phi_target, c_ab_bits=c_bits)
+        achieved_phi=phi, phi_target=phi_target, c_ab_bits=c_bits)
 
 
 def bob_link(config: ScenarioConfig) -> tuple[LinkState, float, float]:
@@ -117,8 +125,8 @@ def plan_cell(config: ScenarioConfig, n: int, rate_bits: float, phi_target: floa
 
     The worst-case receiver sits on the half-power circle: maximum path
     length and half the boresight transmit gain.  Returns the plan with the
-    largest randomness rate meeting ``phi_target`` there (bisection,
-    absolute tolerance 1e-6 bit) at the scenario's transmit power.
+    largest randomness rate meeting ``phi_target`` there, solved for and
+    checked against the minimized bound, at the scenario's transmit power.
     """
     if config.variant != CELL:
         raise ValueError(f"plan_cell requires a cell scenario, got {config.variant!r}")
@@ -155,5 +163,4 @@ __all__ = [
     "plan_cell",
     "plan_directed",
     "require_feasible",
-    "L_BISECTION_TOL_BITS",
 ]

@@ -207,6 +207,77 @@ def scan_max_randomness(phi_of_l, c_bits, r_bits, phi_target, step_bits=1e-4):
     return best
 
 
+def bisect_max_randomness(phi_of_l, c_bits, r_bits, phi_target, tol_bits=1e-6):
+    """Largest L meeting the target by bisection to ``tol_bits``, with phi there.
+
+    Returns (L, phi(L)), or None when L = 0 misses the target.  The feasible
+    end of the bracket is kept, so L lies at most ``tol_bits`` below the
+    true maximum and never above it.
+    """
+    lo, phi_lo = 0.0, phi_of_l(0.0)  # phi_lo is always phi at the current lo
+    if c_bits <= r_bits or phi_lo > phi_target:
+        return None
+    hi = c_bits - r_bits  # phi clamps to 1 here, always infeasible
+    while hi - lo > tol_bits:
+        mid = 0.5 * (lo + hi)
+        phi_mid = phi_of_l(mid)
+        if phi_mid <= phi_target:
+            lo, phi_lo = mid, phi_mid
+        else:
+            hi = mid
+    return lo, phi_lo
+
+
+def scan_max_randomness_nats(n, rho, c_nats, r_nats, phi, n_lam=2001, n_t=401, zooms=4):
+    """Largest L, in nats, meeting the reliability target, by dense scans.
+
+    L meets phi when some lambda has e^E1*(lambda) + e^(-n*(C - R - L - lambda))
+    <= phi, so the largest L is the maximum over lambda of
+    F(lambda) = C - R - lambda + ln(phi - e^E1*(lambda))/n, with
+    E1*(lambda) = min over t of -n*(ln(1 - t^2 rho^2) + t*lambda).  The
+    minimum over t is taken on a log-spaced grid over the bound's t range
+    [2^-52, 1 - 1e-9], refined ``zooms`` times around each lambda's grid
+    minimum; F is maximized the same way on a log-spaced lambda grid over
+    (0, C - R].  Returns (L_max in nats, lambda grid, h on that grid), where
+    h(lambda) = E1*(lambda) + ln(1 + t*(lambda)) - ln(phi) has the sign of
+    F'(lambda).
+    """
+    top = c_nats - r_nats
+    log_t_lo, log_t_hi = math.log(2.0 ** -52), math.log(1.0 - 1e-9)
+
+    def e1_star(lam):
+        # (E1*, t*) for every lambda of the 1-D array lam
+        log_t = np.broadcast_to(np.linspace(log_t_lo, log_t_hi, n_t), (lam.size, n_t))
+        for _ in range(zooms + 1):
+            t = np.exp(log_t)
+            e1 = -n * (np.log1p(-(t * rho) ** 2) + t * lam[:, None])
+            k = np.argmin(e1, axis=1)
+            rows = np.arange(lam.size)
+            lo = log_t[rows, np.maximum(k - 1, 0)]
+            hi = log_t[rows, np.minimum(k + 1, n_t - 1)]
+            best_e1, best_t = e1[rows, k], t[rows, k]
+            log_t = np.linspace(lo, hi, n_t, axis=1)
+        return best_e1, best_t
+
+    def f_of(lam):
+        e1, t = e1_star(lam)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            f = top - lam + np.log(phi - np.exp(e1)) / n
+        return np.where(np.exp(e1) < phi, f, -np.inf), e1, t
+
+    lam = np.geomspace(top * 1e-12, top, n_lam)
+    f, e1, t = f_of(lam)
+    h = e1 + np.log1p(t) - math.log(phi)
+    best = float(np.max(f))
+    grid = lam
+    for _ in range(zooms):
+        k = int(np.argmax(f))
+        grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 201)
+        f = f_of(grid)[0]
+        best = max(best, float(np.max(f)))
+    return best, lam, h
+
+
 def scan_crossing_radius(delta_of_r, delta_0, r_max, step_m=0.01):
     """First radius on a dense scan where delta drops below delta_0."""
     if delta_of_r(0.0) < delta_0:
