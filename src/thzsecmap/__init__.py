@@ -11,10 +11,8 @@ from .antenna import Antenna, KRAUS_BEAM_CONSTANT_DEG2, beamwidth_from_gain, con
 from .bounds import (
     BoundFreeParams,
     SecrecyCode,
-    channel_divergence,
     min_reliability,
     min_security,
-    renyi_bivariate_gaussian,
 )
 from .errors import ConfigError, GeometryError, InfeasiblePlanError, ProfileError
 from .geometry import (

@@ -9,7 +9,8 @@ on a single consistent scale.
 
 The divergence of the complex AWGN channel is taken as twice the bivariate
 (real) Gaussian closed form, which makes its alpha -> 1 limit equal the
-channel capacity C = ln(1 + SNR) = -ln(1 - rho^2).
+channel capacity C = ln(1 + SNR) = -ln(1 - rho^2).  The package never
+evaluates that divergence; the tests keep it as an oracle for E1 below.
 
 With t = 1 - alpha (reliability) or t = alpha - 1 (security) the capacity
 cancels from the divergence exponent, and both log bounds read
@@ -122,41 +123,6 @@ class BoundFreeParams:
             raise ValueError(f"alpha must be positive and != 1, got {self.alpha}")
         if self.lambda_nats <= 0.0:
             raise ValueError(f"lambda must be positive, got {self.lambda_nats}")
-
-
-def renyi_bivariate_gaussian(alpha: float, rho_i: float, rho_j: float = 0.0) -> float:
-    """Renyi divergence of order alpha between bivariate Gaussians, in nats.
-
-    Both distributions are standard bivariate normals differing only in
-    their correlation coefficients rho_i (first argument) and rho_j
-    (second argument).  Closed form:
-
-        0.5*ln((1-rho_j^2)/(1-rho_i^2))
-        - (1/(2(alpha-1))) * ln((1-(alpha*rho_j+(1-alpha)*rho_i)^2)/(1-rho_j^2))
-
-    valid while the argument of the second logarithm stays positive.
-    """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
-    if not 0.0 <= rho_i < 1.0 or not 0.0 <= rho_j < 1.0:
-        raise ValueError(f"correlations must lie in [0, 1), got {rho_i}, {rho_j}")
-    mix = alpha * rho_j + (1.0 - alpha) * rho_i
-    if mix * mix >= 1.0:
-        raise ValueError(
-            f"order alpha={alpha} outside validity domain for rho_i={rho_i}, rho_j={rho_j}"
-        )
-    first = 0.5 * (math.log1p(-rho_j * rho_j) - math.log1p(-rho_i * rho_i))
-    second = (math.log1p(-mix * mix) - math.log1p(-rho_j * rho_j)) / (2.0 * (alpha - 1.0))
-    return first - second
-
-
-def channel_divergence(alpha: float, link: LinkState) -> float:
-    """Divergence between joint and product input/output laws of one link, nats.
-
-    The channel is complex (two real dimensions), so the bivariate closed
-    form is doubled; its alpha -> 1 limit then equals ``link.capacity_nats``.
-    """
-    return 2.0 * renyi_bivariate_gaussian(alpha, link.rho)
 
 
 def _clamp_prob(log_value: float) -> float:

@@ -4,18 +4,29 @@ Each eavesdropper position is a pure evaluation: the security bound minimized
 on the link from the transmitter (pattern gain at the offset angle) to an
 eavesdropper aimed straight back.  The transmitter sits over y = 0 with no
 y-component in its boresight (cell: on the z axis), so x and y enter only as
-squares, sums and products with 0: the level depends, bit for bit, only on
-(|x|, |y|) unordered (cell) or on (x, |y|) (directed).  Each evaluator
-computes it once per such class; maps run in one process.  The map exports
-likewise format each distinct value once: every axis coordinate, every
-distinct delta and each of the 256 grey levels.
+squares, sums and products with 0: the link depends, bit for bit, only on
+(|x|, |y|) unordered (cell) or on (x, |y|) (directed).  ``_EveEvaluator``
+maps a position to that link, built once per such class.
 
-A directed sweep row builds no map.  The level depends on the link only
-through Eve's SNR and does not fall as that SNR rises, and the SNR does not
-rise as |y| grows along a grid column, so the row bisects each column on |y|:
-about nx * log2(ny) links per row instead of one per class, and a bound
-minimization only for an SNR not yet bracketed by one found secure and one
-found insecure.
+The level depends on the link only through Eve's SNR and does not fall as
+the SNR rises.  ``SecurityCurve`` is that function for one plan: memoized on
+the SNR, with a bracket for each level asked about, the largest SNR known at
+or below it and the smallest known above it.  Maps, profiles, threshold
+radii and both sweep kinds ask it for their levels.
+
+A map builds each distinct |y| row once, over the row's distinct classes,
+and mirrored rows are one tuple.  On the classes sorted by SNR the exact
+zeros form a prefix and the exact ones a suffix; two bisections find them,
+so only the classes between cost a bound minimization.  Maps run in one
+process.  The map exports format each distinct value once: every axis
+coordinate, every distinct delta and each of the 256 grey levels, and each
+row object once.
+
+A directed sweep row builds no map.  Eve's SNR does not rise as |y| grows
+along a grid column, so the row bisects each column on |y|: about
+nx * log2(ny) links per row instead of one per class, and a bound
+minimization only for an SNR that the curve's bracket at ``INSECURE_LEVEL``
+does not yet decide.
 """
 
 from __future__ import annotations
@@ -56,6 +67,11 @@ class MapValues(tuple):
         return sum(map(len, self))
 
 
+def _distinct_rows(rows) -> dict:
+    """id -> row for each row object of ``rows`` once, holding each row so its id stays its own."""
+    return {id(row): row for row in rows}
+
+
 @dataclass(frozen=True, eq=False)
 class SecrecyMapGrid:
     """Security levels on a rectangular grid of eavesdropper positions.
@@ -79,8 +95,10 @@ class SecrecyMapGrid:
         if len(self.values) != ny or any(len(row) != nx for row in self.values):
             raise ValueError(f"values do not match {ny} y and {nx} x coordinates: "
                              f"need {ny} rows of {nx}")
-        # the negated form also rejects NaN, which fails every comparison
-        if not all(0.0 <= v <= 1.0 for row in self.values for v in row):
+        # once per row object, as evaluate_map shares mirrored rows; the
+        # negated form also rejects NaN, which fails every comparison
+        rows = _distinct_rows(self.values).values()
+        if not all(0.0 <= v <= 1.0 for row in rows for v in row):
             raise ValueError("security levels must lie in [0, 1]")
 
 
@@ -108,31 +126,73 @@ class RadialProfile:
             raise ValueError("security levels must lie in [0, 1]")
 
 
+class SecurityCurve:
+    """The security level of one plan as a function of Eve's SNR.
+
+    ``min_security`` reads a link only through its rho and capacity, and a
+    link budget derives both from the SNR alone, so the level is a function
+    of the link's SNR and is memoized on it: each SNR costs one bound
+    minimization however many positions share it.  The level does not fall
+    as the SNR rises
+    (``test_security_level_non_decreasing_in_snr``), so for each level that
+    ``exceeds`` is asked about, the curve also keeps the largest SNR known at
+    or below that level and the smallest SNR known above it; an SNR outside
+    that bracket is decided without a bound minimization.
+    """
+
+    def __init__(self, plan: PlanResult):
+        require_feasible(plan)
+        self.code = plan.code
+        self._deltas: dict[float, float] = {}  # SNR -> level
+        self._brackets: dict[float, list[float]] = {}  # level -> [known at or below, known above]
+
+    def delta(self, link: LinkState) -> float:
+        """The security level at the link's SNR."""
+        snr = link.snr
+        delta = self._deltas.get(snr)
+        if delta is None:
+            delta = self._deltas[snr] = min_security(self.code, link)[0]
+        return delta
+
+    def exceeds(self, link: LinkState, level: float) -> bool:
+        """Whether the security level at the link's SNR exceeds ``level``."""
+        bracket = self._brackets.get(level)
+        if bracket is None:
+            bracket = self._brackets[level] = [-math.inf, math.inf]
+        snr = link.snr
+        if snr <= bracket[0]:
+            return False
+        if snr >= bracket[1]:
+            return True
+        if self.delta(link) > level:
+            bracket[1] = snr
+            return True
+        bracket[0] = snr
+        return False
+
+
 class _EveEvaluator:
-    """Memoized security level at eavesdropper positions for one plan."""
+    """The link to an eavesdropper at each position of one plan's scenario."""
 
     def __init__(self, plan: PlanResult, config: ScenarioConfig):
-        require_feasible(plan)
         self.plan = plan
         self.config = config
         self.scene = geometry.Scene(config)
-        self._deltas: dict[tuple[float, float], float] = {}
+        self._links: dict[tuple[float, float], LinkState] = {}
 
     def key(self, x: float, y: float) -> tuple[float, float]:
         """The symmetry class of (x, y): the exact coordinates, never rounded, of its
-        canonical partner, which has the same security level bit for bit."""
+        canonical partner, which has the same link bit for bit."""
         ax, ay = abs(x), abs(y)
         return (min(ax, ay), max(ax, ay)) if self.config.variant == CELL else (x, ay)
 
-    def delta_at(self, x: float, y: float) -> float:
-        """Security level at (x, y) on the receiver plane."""
+    def link(self, x: float, y: float) -> LinkState:
+        """The link at (x, y), built once per symmetry class."""
         key = self.key(x, y)
-        if key not in self._deltas:
-            self._deltas[key] = self._evaluate(*key)
-        return self._deltas[key]
-
-    def _evaluate(self, x: float, y: float) -> float:
-        return min_security(self.plan.code, self.link_at(x, y))[0]
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = self.link_at(*key)
+        return link
 
     def link_at(self, x: float, y: float) -> LinkState:
         """The link to an eavesdropper at (x, y), aimed straight back at the transmitter."""
@@ -141,46 +201,42 @@ class _EveEvaluator:
         return link_budget(self.plan.transmit_power_w, pattern_gain(cfg.alice, theta),
                            cfg.eve.gain_linear, distance, cfg.environment)
 
-    def insecure_fraction(self, resolution_m: float) -> float:
-        """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
-        from a bisection of each grid column on |y| (directed scenario).
 
-        Eve's SNR does not rise as |y| grows along a column, and the level does
-        not fall as the SNR rises, so a column's insecure classes are those of
-        its smallest |y| values, up to its first secure class.
-        """
-        xs, ys = grid_axes(self.config, resolution_m)
-        points = Counter(map(abs, ys))  # |y| -> grid points in each column
-        us = sorted(points)  # the distinct |y|, ascending
-        below = [0, *itertools.accumulate(points[u] for u in us)]  # points under each us[k]
-        code = self.plan.code
-        secure_snr, insecure_snr = -math.inf, math.inf  # the level is known outside these
+def _column_insecure_fraction(curve: SecurityCurve, evaluator: _EveEvaluator,
+                              resolution_m: float) -> float:
+    """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
+    from a bisection of each grid column on |y| (directed scenario).
 
-        def secure(x: float, u: float) -> bool:
-            nonlocal secure_snr, insecure_snr
-            link = self.link_at(x, u)  # (x, u) is its class's own key
-            snr = link.snr
-            if snr <= secure_snr:
-                return True
-            if snr >= insecure_snr:
-                return False
-            if min_security(code, link)[0] <= INSECURE_LEVEL:
-                secure_snr = snr
-                return True
-            insecure_snr = snr
-            return False
+    Eve's SNR does not rise as |y| grows along a column, and the level does
+    not fall as the SNR rises, so a column's insecure classes are those of
+    its smallest |y| values, up to its first secure class.
+    """
+    xs, ys = grid_axes(evaluator.config, resolution_m)
+    points = Counter(map(abs, ys))  # |y| -> grid points in each column
+    us = sorted(points)  # the distinct |y|, ascending
+    below = [0, *itertools.accumulate(points[u] for u in us)]  # points under each us[k]
 
-        insecure = 0
-        for x in xs:
-            if not secure(x, us[0]):
-                first_secure = bisect.bisect_left(us, True, 1, key=functools.partial(secure, x))
-                insecure += below[first_secure]
-        return insecure / (len(xs) * len(ys))
+    def secure(x: float, u: float) -> bool:
+        # (x, u) is its class's own key
+        return not curve.exceeds(evaluator.link_at(x, u), INSECURE_LEVEL)
+
+    insecure = 0
+    for x in xs:
+        if not secure(x, us[0]):
+            first_secure = bisect.bisect_left(us, True, 1, key=functools.partial(secure, x))
+            insecure += below[first_secure]
+    return insecure / (len(xs) * len(ys))
 
 
 def evaluate_map(plan: PlanResult, config: ScenarioConfig,
                  resolution_m: float) -> SecrecyMapGrid:
     """Security level at every grid point of the room at receiver height.
+
+    Rows of equal |y| are one tuple.  Each row is evaluated over the distinct
+    |x| (cell) or x (directed) and expanded to the grid's x axis.  Only the
+    classes whose SNR lies strictly between the exact zeros and the exact
+    ones of the SNR-sorted classes, which two bisections find, cost a bound
+    minimization.
 
     Parameters
     ----------
@@ -190,9 +246,34 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     resolution_m : float
         Grid spacing; grid axes follow geometry.grid_axes.
     """
+    curve = SecurityCurve(plan)
     evaluator = _EveEvaluator(plan, config)
     xs, ys = grid_axes(config, resolution_m)
-    values = MapValues(tuple([evaluator.delta_at(x, y) for x in xs]) for y in ys)
+    cell = config.variant == CELL
+    columns = tuple(dict.fromkeys(map(abs, xs))) if cell else xs  # a row's x classes
+    position = {a: k for k, a in enumerate(columns)}
+    column_of = [position[abs(x)] for x in xs]  # each x's class in its row
+    us = tuple(dict.fromkeys(map(abs, ys)))  # the distinct |y|, one row each
+    snr_of: dict[tuple[float, float], float] = {}  # class key -> Eve's SNR
+    links: dict[float, LinkState] = {}  # SNR -> a link of that SNR
+    row_snrs = []
+    for u in us:
+        snrs = []
+        for a in columns:
+            key = (u, a) if cell and u < a else (a, u)  # _EveEvaluator.key(a, u) for a, u >= 0
+            snr = snr_of.get(key)
+            if snr is None:
+                link = evaluator.link_at(*key)
+                snr = snr_of[key] = link.snr
+                links.setdefault(snr, link)
+            snrs.append(snr)
+        row_snrs.append(snrs)
+    levels = _levels_by_snr(curve, links)
+    rows = {}
+    for u, snrs in zip(us, row_snrs):
+        row = [levels[snr] for snr in snrs]
+        rows[u] = tuple([row[k] for k in column_of])
+    values = MapValues(rows[abs(y)] for y in ys)
     metadata = {
         "resolution_m": resolution_m,
         "nx": len(xs),
@@ -202,6 +283,27 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     }
     return SecrecyMapGrid(xs=xs, ys=ys, resolution_m=resolution_m, values=values,
                           metadata=metadata)
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # a level exceeds this only where it is exactly 1
+
+
+def _levels_by_snr(curve: SecurityCurve, links: dict[float, LinkState]) -> dict[float, float]:
+    """The security level at each SNR of ``links``, which maps it to a link of that SNR.
+
+    On the SNRs in ascending order the exact zeros form a prefix and the
+    exact ones a suffix, because the level does not fall as the SNR rises.
+    Two bisections find both; only the SNRs between them need the curve's
+    bound minimizations.
+    """
+    snrs = sorted(links)
+    zeros = bisect.bisect_left(snrs, True, key=lambda s: curve.exceeds(links[s], 0.0))
+    ones = bisect.bisect_left(snrs, True, zeros,
+                              key=lambda s: curve.exceeds(links[s], _BELOW_ONE))
+    levels = dict.fromkeys(snrs[:zeros], 0.0)
+    levels.update((s, curve.delta(links[s])) for s in snrs[zeros:ones])
+    levels.update(dict.fromkeys(snrs[ones:], 1.0))
+    return levels
 
 
 def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
@@ -224,8 +326,10 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
         raise ValueError(f"r_min {r_min_m:g} m to r_max {r_max_m:g} m in {steps} steps gives "
                          "radii that are not strictly increasing; widen the range or use "
                          "fewer steps")
+    curve = SecurityCurve(plan)
     evaluator = _EveEvaluator(plan, config)
-    return RadialProfile(radii_m=radii, deltas=tuple(evaluator.delta_at(r, 0.0) for r in radii))
+    return RadialProfile(radii_m=radii,
+                         deltas=tuple(curve.delta(evaluator.link(r, 0.0)) for r in radii))
 
 
 def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
@@ -253,29 +357,31 @@ def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -
         raise ConfigError("threshold radius requires the cell scenario")
     if not 0.0 < delta_0 < 1.0:
         raise ValueError(f"delta_0 must lie in (0, 1), got {delta_0}")
-    evaluator = _EveEvaluator(plan, config)
-    return _crossing_radius(evaluator, delta_0)
+    return _crossing_radius(SecurityCurve(plan), _EveEvaluator(plan, config), delta_0)
 
 
-def _crossing_radius(evaluator: _EveEvaluator, delta_0: float) -> float:
+def _crossing_radius(curve: SecurityCurve, evaluator: _EveEvaluator, delta_0: float) -> float:
     """Bisect the non-increasing level delta(r) at y = 0 for ``delta_0``, to 1 cm.
 
     The bracket doubles from twice the cone radius; a level still at or
     above ``delta_0`` past 1e6 m raises ProfileError.
     """
-    if evaluator.delta_at(0.0, 0.0) < delta_0:
+    def delta_at(r: float) -> float:
+        return curve.delta(evaluator.link(r, 0.0))
+
+    if delta_at(0.0) < delta_0:
         return 0.0
     lo = 0.0
     hi = max(1.0, 2.0 * cone_radius(evaluator.config.alice,
                                     evaluator.config.height_difference_m))
-    while evaluator.delta_at(hi, 0.0) >= delta_0:
+    while delta_at(hi) >= delta_0:
         lo = hi
         hi *= 2.0
         if hi > 1e6:
             raise ProfileError(f"security level never fell below {delta_0:g} out to 1e6 m")
     while hi - lo > THRESHOLD_RADIUS_TOL_M:
         mid = 0.5 * (lo + hi)
-        if evaluator.delta_at(mid, 0.0) >= delta_0:
+        if delta_at(mid) >= delta_0:
             lo = mid
         else:
             hi = mid
@@ -345,15 +451,15 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
         if plan.feasible:
             row["l_bits"] = plan.code.randomness_bits
             row["achieved_phi"] = plan.achieved_phi
+            curve, evaluator = SecurityCurve(plan), _EveEvaluator(plan, cfg)
             if cfg.variant == CELL:
-                evaluator = _EveEvaluator(plan, cfg)
-                row["r_e0_m"] = _crossing_radius(evaluator, delta_0)
-                row["r_delta_hi_m"] = _crossing_radius(evaluator, 0.99)
-                row["r_delta_lo_m"] = _crossing_radius(evaluator, 0.01)
+                row["r_e0_m"] = _crossing_radius(curve, evaluator, delta_0)
+                row["r_delta_hi_m"] = _crossing_radius(curve, evaluator, 0.99)
+                row["r_delta_lo_m"] = _crossing_radius(curve, evaluator, 0.01)
                 row["transition_width_m"] = row["r_delta_lo_m"] - row["r_delta_hi_m"]
             else:
-                row["insecure_fraction"] = _EveEvaluator(plan, cfg).insecure_fraction(
-                    area_resolution_m)
+                row["insecure_fraction"] = _column_insecure_fraction(curve, evaluator,
+                                                                     area_resolution_m)
         rows.append(row)
     return rows
 
@@ -391,22 +497,33 @@ def _write_table(path, header, rows) -> None:
 def write_map_csv(grid: SecrecyMapGrid, path) -> None:
     """Row-major CSV rows ``x_m,y_m,delta``: x varies fastest.
 
-    Each x, y and distinct delta is formatted once and the rows are joined
-    from those texts.  Deltas are told apart by value and sign, not by ``==``
-    alone, so -0.0 keeps its own text beside 0.0.
+    Each x, y and distinct delta is formatted once.  Each row object becomes
+    once the texts between its y's: the first ``x,``, then each delta with
+    its newline and the next ``x,``, then the last delta and its newline.
+    Each grid row joins those with its own ``y,``.  Deltas are told apart by
+    value and sign, not by ``==`` alone, so -0.0 keeps its own text beside 0.0.
     """
     x_texts = [_cell(x) + "," for x in grid.xs]
     delta_texts: dict[tuple[float, float], str] = {}
-    lines = ["x_m,y_m,delta"]
-    for y, row in zip(grid.ys, grid.values):
-        y_text = _cell(y) + ","
+
+    def pieces(row) -> list[str]:
+        out, before = [], ""
         for x_text, d in zip(x_texts, row):
             key = (d, math.copysign(1.0, d))
             text = delta_texts.get(key)
             if text is None:
                 text = delta_texts[key] = _cell(d)
-            lines.append(x_text + y_text + text)
-    _write_lines(path, lines)
+            out.append(before + x_text)
+            before = text + "\n"
+        out.append(before)
+        return out
+
+    rows = list(grid.values)
+    row_pieces = {key: pieces(row) for key, row in _distinct_rows(rows).items()}
+    with open(path, "w") as f:
+        f.write("x_m,y_m,delta\n")
+        f.write("".join([(_cell(y) + ",").join(row_pieces[id(row)])
+                         for y, row in zip(grid.ys, rows)]))
 
 
 _PGM_LEVELS = tuple(map(str, range(256)))  # the grey levels as text
@@ -419,9 +536,11 @@ def write_map_pgm(grid: SecrecyMapGrid, path) -> None:
     matching the CSV row order.
     """
     # round rounds half to even: a level of exactly 0.5 renders 128
-    rows = (" ".join([_PGM_LEVELS[round(255.0 * (1.0 - d))] for d in row])
-            for row in grid.values)
-    _write_lines(path, ["P2", f"{len(grid.xs)} {len(grid.ys)}", "255", *rows])
+    rows = list(grid.values)
+    texts = {key: " ".join([_PGM_LEVELS[round(255.0 * (1.0 - d))] for d in row])
+             for key, row in _distinct_rows(rows).items()}
+    _write_lines(path, ["P2", f"{len(grid.xs)} {len(grid.ys)}", "255",
+                        *(texts[id(row)] for row in rows)])
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:
@@ -436,6 +555,7 @@ __all__ = [
     "MapValues",
     "SecrecyMapGrid",
     "RadialProfile",
+    "SecurityCurve",
     "evaluate_map",
     "radial_profile",
     "threshold_radius",

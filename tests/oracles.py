@@ -34,8 +34,46 @@ def snr_db_budget(tx_dbm: float, g_tx_dbi: float, g_rx_dbi: float, freq_hz: floa
 
 
 # ----------------------------------------------------------------------
-# Renyi divergence by quadrature (bivariate standard normals)
+# Renyi divergence: closed form and quadrature (bivariate standard normals)
 # ----------------------------------------------------------------------
+
+def renyi_bivariate_gaussian(alpha: float, rho_i: float, rho_j: float = 0.0) -> float:
+    """Renyi divergence of order alpha between bivariate Gaussians, in nats.
+
+    Both distributions are standard bivariate normals differing only in
+    their correlation coefficients rho_i (first argument) and rho_j
+    (second argument).  Closed form:
+
+        0.5*ln((1-rho_j^2)/(1-rho_i^2))
+        - (1/(2(alpha-1))) * ln((1-(alpha*rho_j+(1-alpha)*rho_i)^2)/(1-rho_j^2))
+
+    valid while the argument of the second logarithm stays positive.
+    """
+    if alpha <= 0.0 or alpha == 1.0:
+        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
+    if not 0.0 <= rho_i < 1.0 or not 0.0 <= rho_j < 1.0:
+        raise ValueError(f"correlations must lie in [0, 1), got {rho_i}, {rho_j}")
+    mix = alpha * rho_j + (1.0 - alpha) * rho_i
+    if mix * mix >= 1.0:
+        raise ValueError(
+            f"order alpha={alpha} outside validity domain for rho_i={rho_i}, rho_j={rho_j}"
+        )
+    first = 0.5 * (math.log1p(-rho_j * rho_j) - math.log1p(-rho_i * rho_i))
+    second = (math.log1p(-mix * mix) - math.log1p(-rho_j * rho_j)) / (2.0 * (alpha - 1.0))
+    return first - second
+
+
+def channel_divergence(alpha: float, link) -> float:
+    """Divergence between joint and product input/output laws of one link, nats.
+
+    The channel is complex (two real dimensions), so the bivariate closed
+    form is doubled; its alpha -> 1 limit then equals ``link.capacity_nats``.
+    The bounds' first exponent is n*t*(D - C - lambda) with D this
+    divergence at alpha = 1 + t (security) and -n*t*(D - C + lambda) at
+    alpha = 1 - t (reliability).
+    """
+    return 2.0 * renyi_bivariate_gaussian(alpha, link.rho)
+
 
 def renyi_alpha2_quadrature(rho_i: float, rho_j: float = 0.0, half_width: float = 10.0,
                             points: int = 1601) -> float:
@@ -288,3 +326,29 @@ def scan_crossing_radius(delta_of_r, delta_0, r_max, step_m=0.01):
             return r
         r += step_m
     raise AssertionError(f"no crossing below {delta_0} up to {r_max} m")
+
+
+# ----------------------------------------------------------------------
+# reference map writers: one text per grid point
+# ----------------------------------------------------------------------
+
+def _text(v) -> str:
+    return format(v, ".9g")
+
+
+def write_map_csv_per_point(grid, path) -> None:
+    """Row-major CSV rows ``x_m,y_m,delta``, each line formatted on its own."""
+    lines = ["x_m,y_m,delta"]
+    for y, row in zip(grid.ys, grid.values):
+        for x, d in zip(grid.xs, row):
+            lines.append(f"{_text(x)},{_text(y)},{_text(d)}")
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in lines))
+
+
+def write_map_pgm_per_point(grid, path) -> None:
+    """ASCII PGM (P2), pixel = round(255 * (1 - delta)) computed for each point."""
+    lines = ["P2", f"{len(grid.xs)} {len(grid.ys)}", "255"]
+    lines += [" ".join(str(round(255.0 * (1.0 - d))) for d in row) for row in grid.values]
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in lines))

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import channel_divergence
 from conftest import CALIBRATED_BEAMWIDTH_DEG, CALIBRATED_TX_POWER_W
 from thzsecmap import (
     Antenna,
     RadioEnvironment,
     ScenarioConfig,
     SecrecyCode,
-    channel_divergence,
     cone_radius,
     evaluate_map,
     link_budget,

@@ -8,14 +8,13 @@ import oracles
 from thzsecmap import (
     BoundFreeParams,
     SecrecyCode,
-    channel_divergence,
     link_from_capacity_bits,
     link_from_snr,
     min_reliability,
     min_security,
-    renyi_bivariate_gaussian,
 )
-from thzsecmap.bounds import _min_log_bound
+from oracles import channel_divergence, renyi_bivariate_gaussian
+from thzsecmap.bounds import _exponents, _min_log_bound
 
 LN2 = math.log(2.0)
 
@@ -77,6 +76,29 @@ class TestChannelDivergence:
             alphas = alphas[np.abs(alphas - 1.0) > 1e-9]
             values = [channel_divergence(float(a), link) for a in alphas]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestExponentsAgainstDivergence:
+    """``_exponents``' E1 is the divergence exponent of the bounds with the capacity cancelled."""
+
+    @seed(20261024)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.integers(1, 2 ** 40), st.floats(1e-3, 0.999), st.floats(1e-3, 0.999),
+           st.floats(1e-9, 10.0), st.booleans())
+    def test_e1_equals_the_divergence_form(self, n, rho, fraction, lam, security):
+        link = link_from_snr(rho * rho / (1.0 - rho * rho))
+        rho, c = link.rho, link.capacity_nats
+        if security:  # alpha = 1 + t in (1, 1 + 1/rho)
+            t = fraction / rho
+            d = channel_divergence(1.0 + t, link)
+            expected = n * t * (d - c - lam)
+        else:  # alpha = 1 - t in (0, 1)
+            t = fraction
+            d = channel_divergence(1.0 - t, link)
+            expected = -n * t * (d - c + lam)
+        e1 = _exponents(n, rho, t, lam, 0.5 if security else 1.0, 1.0)[0]
+        # the divergence form subtracts C from D: its rounding scales with both
+        assert e1 == pytest.approx(expected, rel=0.0, abs=1e-12 * n * t * (abs(d) + c + lam))
 
 
 def _prob(log_value):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 import oracles
 from conftest import CALIBRATED_TX_POWER_W
@@ -15,6 +15,7 @@ from thzsecmap import (
     evaluate_map,
     insecure_fraction,
     link_budget,
+    link_from_snr,
     min_security,
     pattern_gain,
     plan_cell,
@@ -31,6 +32,7 @@ from thzsecmap.secmap import (
     MapValues,
     RadialProfile,
     SecrecyMapGrid,
+    SecurityCurve,
     write_map_csv,
     write_map_pgm,
     write_profile_csv,
@@ -76,6 +78,13 @@ def count_calls(monkeypatch, targets=LINK_PATH) -> dict[str, list]:
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _brute_force(map_plan, config, grid) -> np.ndarray:
+    """The level at every grid point, from its own link and bound minimization."""
+    evaluator = _EveEvaluator(map_plan, config)
+    return np.array([[min_security(map_plan.code, evaluator.link_at(x, y))[0] for x in grid.xs]
+                     for y in grid.ys])
 
 
 class TestEvaluateMap:
@@ -139,28 +148,68 @@ class TestEvaluateMap:
         ("scenario1_cell.json", None, 2.0),
         ("scenario1_cell.json", (60.0, 40.0), 0.7),
         ("scenario2_directed.json", None, 2.0),
+        ("scenario2_directed.json", None, 1.0),
     ])
     def test_memo_equals_brute_force(self, name, room, resolution):
         config, map_plan = shipped(name)
         if room is not None:
             config = replace(config, room_extent_m=room)
         grid = evaluate_map(map_plan, config, resolution)
-        uncached = _EveEvaluator(map_plan, config)._evaluate
-        brute = np.array([[uncached(x, y) for x in grid.xs] for y in grid.ys])
-        assert np.asarray(grid.values).tobytes() == brute.tobytes()
+        assert np.asarray(grid.values).tobytes() == _brute_force(map_plan, config, grid).tobytes()
 
-    @pytest.mark.parametrize("name, resolution, points, evaluations", [
+    # One link per symmetry class, and a bound minimization only for the SNRs
+    # between the exact zeros and the exact ones, the two bisections' probes
+    # included, where one per class would be 136, 7381, 128 and 29161.
+    BOUNDS = {("scenario1_cell.json", 2.0): 111, ("scenario1_cell.json", 0.25): 4843,
+              ("scenario2_directed.json", 4.0): 24, ("scenario2_directed.json", 0.25): 4781}
+
+    @pytest.mark.parametrize("name, resolution, points, links", [
         ("scenario1_cell.json", 2.0, 961, 136),  # 16 |x| values, unordered pairs
+        ("scenario1_cell.json", 0.25, 58081, 7381),  # 121 |x| values
         ("scenario2_directed.json", 4.0, 256, 128),  # 16 x values times 8 |y| values
+        ("scenario2_directed.json", 0.25, 58081, 29161),  # 241 x values times 121 |y|
     ])
     def test_each_symmetry_class_evaluated_once(self, monkeypatch, name, resolution, points,
-                                                evaluations):
+                                                links):
         config, map_plan = shipped(name)
         calls = count_calls(monkeypatch)
         grid = evaluate_map(map_plan, config, resolution)
         assert grid.values.size == points
         counts = {layer: len(args) for layer, args in calls.items()}
-        assert counts == dict.fromkeys(calls, evaluations)
+        assert counts == {"min_security": self.BOUNDS[name, resolution], "pattern_gain": links,
+                          "link_budget": links, "offset_angle": links}
+
+    def test_mirrored_rows_are_one_tuple(self):
+        config, map_plan = shipped("scenario1_cell.json")
+        grid = evaluate_map(map_plan, config, 2.0)
+        rows = grid.values
+        assert all(rows[k] is rows[-1 - k] for k in range(len(rows)))
+        assert len({id(row) for row in rows}) == 16
+
+    @seed(20261025)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_equals_brute_force_on_random_configs(self, data):
+        name = data.draw(st.sampled_from(["scenario1_cell.json", "scenario2_directed.json"]))
+        rc = load_config(CONFIGS / name)
+        config = rc.scenario
+        ex, ey = (data.draw(st.floats(8.0, 60.0)) for _ in range(2))
+        if config.variant == "directed":
+            d_ab = data.draw(st.floats(1.0, ex))
+            config = replace(config, horizontal_distance_m=d_ab)
+        else:  # the receiver sits on the cone edge, which must lie in the room
+            ex = max(ex, 2.0 * receiver_x(replace(config, room_extent_m=(60.0, 60.0))))
+        config = replace(
+            config, room_extent_m=(ex, ey),
+            eve=replace(config.eve, gain_dbi=data.draw(st.floats(0.0, 30.0))),
+            transmit_power_w=config.transmit_power_w * 10.0 ** data.draw(st.floats(-2.0, 1.0)))
+        resolution = max(ex, ey) / data.draw(st.integers(8, 30))
+        n = round(10.0 ** data.draw(st.floats(2.0, 4.7)))
+        map_plan = planner.plan(config, n, rc.rate_bits, rc.phi_target)
+        assume(map_plan.feasible)
+        grid = evaluate_map(map_plan, config, resolution)
+        brute = _brute_force(map_plan, config, grid)
+        assert [v.hex() for row in grid.values for v in row] == [v.hex() for v in brute.flat]
 
     @pytest.mark.parametrize("name", ["scenario1_cell.json", "scenario2_directed.json"])
     def test_bob_link_is_one_path(self, monkeypatch, name):
@@ -182,6 +231,47 @@ class TestEvaluateMap:
         assert grid.metadata == {"resolution_m": 4.0, "nx": 7, "ny": 7,
                                  "origin_m": [-12.0, -12.0],
                                  "receiver_height_m": small_cell.receiver_height_m}
+
+
+class TestSecurityCurve:
+    # The curve memoizes on the SNR: min_security reads a link only through
+    # rho and its capacity, which must follow from the SNR alone, bit for bit.
+    @seed(20261026)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(1e-6, 10.0), st.floats(1e-3, 1e4), st.floats(1e-3, 1e4),
+           st.floats(0.01, 1e4))
+    def test_a_link_is_fixed_by_its_snr(self, power, g_tx, g_rx, distance):
+        config, _ = shipped("scenario1_cell.json")
+        link = link_budget(power, g_tx, g_rx, distance, config.environment)
+        again = link_from_snr(link.snr)
+        assert (again.rho.hex(), again.capacity_nats.hex()) == \
+            (link.rho.hex(), link.capacity_nats.hex())
+
+    @pytest.mark.parametrize("level", [0.0, 1e-3, 0.5, math.nextafter(1.0, 0.0)])
+    def test_exceeds_agrees_with_the_bound(self, monkeypatch, level):
+        config, map_plan = shipped("scenario2_directed.json")
+        evaluator = _EveEvaluator(map_plan, config)
+        xs, ys = geometry.grid_axes(config, 4.0)
+        links = [evaluator.link_at(x, abs(y)) for x in xs for y in ys]
+        expected = [min_security(map_plan.code, link)[0] > level for link in links]
+        curve = SecurityCurve(map_plan)
+        calls = count_calls(monkeypatch, ((secmap, "min_security"),))["min_security"]
+        assert [curve.exceeds(link, level) for link in links] == expected
+        # each SNR at most once, and none that the bracket already decides
+        assert len(calls) == len({args[1].snr for args in calls}) < len(links)
+
+    def test_delta_is_memoized_on_the_snr(self, monkeypatch):
+        _, map_plan = shipped("scenario1_cell.json")
+        curve = SecurityCurve(map_plan)
+        calls = count_calls(monkeypatch, ((secmap, "min_security"),))["min_security"]
+        levels = [curve.delta(link_from_snr(snr)) for snr in (0.5, 2.0, 0.5, 2.0, 0.5)]
+        assert levels == [min_security(map_plan.code, link_from_snr(snr))[0]
+                          for snr in (0.5, 2.0, 0.5, 2.0, 0.5)]
+        assert len(calls) == 2
+
+    def test_infeasible_plan_rejected(self, small_cell):
+        with pytest.raises(InfeasiblePlanError):
+            SecurityCurve(plan_cell(small_cell, 2000, 3.0, 1e-3))
 
 
 class TestRadialProfile:
@@ -242,8 +332,9 @@ class TestThresholdRadius:
 
         r = threshold_radius(cell_plan, small_cell, 1e-3)
         evaluator = _EveEvaluator(cell_plan, small_cell)
-        scan = oracles.scan_crossing_radius(lambda r: evaluator.delta_at(r, 0.0), 1e-3,
-                                            r_max=40.0)
+        scan = oracles.scan_crossing_radius(
+            lambda r: min_security(cell_plan.code, evaluator.link_at(r, 0.0))[0], 1e-3,
+            r_max=40.0)
         assert abs(r - scan) <= 0.02
 
     def test_zero_when_secure_everywhere(self, small_cell):
@@ -508,6 +599,55 @@ def _hand_built_grid() -> SecrecyMapGrid:
                         (0.25, -0.0, 0.5, 1.0)))
     return SecrecyMapGrid(xs=(-1.5, 0.0, 2.0, 7.25), ys=(-0.5, 1.0 / 3.0, 4.0, 9.0),
                           resolution_m=1.0, values=values, metadata={})
+
+
+def _shared_rows_grid() -> SecrecyMapGrid:
+    """Rows that are one object, next to rows that are equal but not the same object."""
+    a, b = (0.5, -0.0, 1.0, 0.25), (1.0, 0.0, 0.5, 5e-324)
+    values = MapValues((a, b, a, tuple(b), a, (0.5, -0.0, 1.0, 0.25)))
+    return SecrecyMapGrid(xs=(-3.0, -1.0, 1.0, 3.0), ys=(-2.5, -1.5, -0.5, 0.5, 1.5, 2.5),
+                          resolution_m=1.0, values=values, metadata={})
+
+
+def _shipped_map(name, resolution, room=None) -> SecrecyMapGrid:
+    config, map_plan = shipped(name)
+    if room is not None:
+        config = replace(config, room_extent_m=room)
+    return evaluate_map(map_plan, config, resolution)
+
+
+WRITER_GRIDS = {
+    "hand built": _hand_built_grid,
+    "shared rows": _shared_rows_grid,
+    "cell map": lambda: _shipped_map("scenario1_cell.json", 2.0),
+    # |y| values that do not pair up, so some rows have no mirror
+    "unpaired rows": lambda: _shipped_map("scenario1_cell.json", 0.7, (60.0, 40.0)),
+    "directed map": lambda: _shipped_map("scenario2_directed.json", 1.0),  # exact zeros
+}
+
+
+class TestWritersAgainstPerPointOracles:
+    @pytest.mark.parametrize("name", WRITER_GRIDS)
+    def test_csv_and_pgm_bytes(self, name, tmp_path):
+        grid = WRITER_GRIDS[name]()
+        for write, oracle in ((write_map_csv, oracles.write_map_csv_per_point),
+                              (write_map_pgm, oracles.write_map_pgm_per_point)):
+            write(grid, tmp_path / "package")
+            oracle(grid, tmp_path / "oracle")
+            assert (tmp_path / "package").read_bytes() == (tmp_path / "oracle").read_bytes()
+
+    def test_the_oracles_see_signs_and_half_levels(self, tmp_path):
+        grid = _shared_rows_grid()
+        oracles.write_map_csv_per_point(grid, tmp_path / "map.csv")
+        oracles.write_map_pgm_per_point(grid, tmp_path / "map.pgm")
+        assert "-3,-2.5,0.5\n-1,-2.5,-0\n" in (tmp_path / "map.csv").read_text()
+        assert (tmp_path / "map.pgm").read_text().splitlines()[3] == "128 255 0 191"
+
+    def test_a_shared_row_is_range_checked(self):
+        good, bad = (0.5, 1.0), (0.5, math.nan)
+        with pytest.raises(ValueError, match="security levels"):
+            SecrecyMapGrid(xs=(0.0, 1.0), ys=(0.0, 1.0, 2.0), resolution_m=1.0,
+                           values=MapValues((good, bad, bad)), metadata={})
 
 
 class TestSerialization:
