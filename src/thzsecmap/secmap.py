@@ -5,14 +5,16 @@ on the link from the transmitter (pattern gain at the offset angle) to an
 eavesdropper aimed straight back.  The transmitter sits over y = 0 with no
 y-component in its boresight (cell: on the z axis), so x and y enter only as
 squares, sums and products with 0: the link depends, bit for bit, only on
-(|x|, |y|) unordered (cell) or on (x, |y|) (directed).  ``_EveEvaluator``
-maps a position to that link, built once per such class.
+(|x|, |y|) unordered (cell) or on (x, |y|) (directed).  Only a map
+deduplicates by that class, building one link per class; profiles,
+threshold radii and sweeps build the link at each position they probe.
 
 The level depends on the link only through Eve's SNR and does not fall as
-the SNR rises.  ``SecurityCurve`` is that function for one plan: memoized on
-the SNR, with a bracket for each level asked about, the largest SNR known at
-or below it and the smallest known above it.  Maps, profiles, threshold
-radii and both sweep kinds ask it for their levels.
+the SNR rises.  ``SecurityCurve`` is the one object per plan: it builds
+Eve's link at a position, and gives the level as a function of the SNR,
+memoized on the SNR, with a bracket for each level asked about, the largest
+SNR known at or below it and the smallest known above it.  Maps, profiles,
+threshold radii and both sweep kinds ask it for their links and levels.
 
 A map builds each distinct |y| row once, over the row's distinct classes,
 and mirrored rows are one tuple.  On the classes sorted by SNR the exact
@@ -36,7 +38,6 @@ import functools
 import itertools
 import math
 import numbers
-import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -86,7 +87,6 @@ class SecrecyMapGrid:
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    resolution_m: float
     values: MapValues
     metadata: dict
 
@@ -127,31 +127,41 @@ class RadialProfile:
 
 
 class SecurityCurve:
-    """The security level of one plan as a function of Eve's SNR.
+    """Eve's link and security level under one plan in its scenario.
 
-    ``min_security`` reads a link only through its rho and capacity, and a
-    link budget derives both from the SNR alone, so the level is a function
-    of the link's SNR and is memoized on it: each SNR costs one bound
-    minimization however many positions share it.  The level does not fall
-    as the SNR rises
-    (``test_security_level_non_decreasing_in_snr``), so for each level that
-    ``exceeds`` is asked about, the curve also keeps the largest SNR known at
-    or below that level and the smallest SNR known above it; an SNR outside
-    that bracket is decided without a bound minimization.
+    ``link_at`` builds the link to an eavesdropper at a position, afresh on
+    every call: only a map, which knows the symmetry classes, builds one link
+    per class.  ``min_security`` reads a link only through its rho and
+    capacity, and a link budget derives both from the SNR alone, so the level
+    is a function of the link's SNR and is memoized on it: each SNR costs one
+    bound minimization however many positions share it.  The level does not
+    fall as the SNR rises (``test_security_level_non_decreasing_in_snr``), so
+    for each level that ``exceeds`` is asked about, the curve also keeps the
+    largest SNR known at or below that level and the smallest SNR known above
+    it; an SNR outside that bracket is decided without a bound minimization.
     """
 
-    def __init__(self, plan: PlanResult):
+    def __init__(self, plan: PlanResult, config: ScenarioConfig):
         require_feasible(plan)
-        self.code = plan.code
+        self.plan = plan
+        self.config = config
+        self.scene = geometry.Scene(config)
         self._deltas: dict[float, float] = {}  # SNR -> level
         self._brackets: dict[float, list[float]] = {}  # level -> [known at or below, known above]
+
+    def link_at(self, x: float, y: float) -> LinkState:
+        """The link to an eavesdropper at (x, y), aimed straight back at the transmitter."""
+        cfg = self.config
+        distance, theta = self.scene.path(x, y)
+        return link_budget(self.plan.transmit_power_w, pattern_gain(cfg.alice, theta),
+                           cfg.eve.gain_linear, distance, cfg.environment)
 
     def delta(self, link: LinkState) -> float:
         """The security level at the link's SNR."""
         snr = link.snr
         delta = self._deltas.get(snr)
         if delta is None:
-            delta = self._deltas[snr] = min_security(self.code, link)[0]
+            delta = self._deltas[snr] = min_security(self.plan.code, link)[0]
         return delta
 
     def exceeds(self, link: LinkState, level: float) -> bool:
@@ -171,39 +181,7 @@ class SecurityCurve:
         return False
 
 
-class _EveEvaluator:
-    """The link to an eavesdropper at each position of one plan's scenario."""
-
-    def __init__(self, plan: PlanResult, config: ScenarioConfig):
-        self.plan = plan
-        self.config = config
-        self.scene = geometry.Scene(config)
-        self._links: dict[tuple[float, float], LinkState] = {}
-
-    def key(self, x: float, y: float) -> tuple[float, float]:
-        """The symmetry class of (x, y): the exact coordinates, never rounded, of its
-        canonical partner, which has the same link bit for bit."""
-        ax, ay = abs(x), abs(y)
-        return (min(ax, ay), max(ax, ay)) if self.config.variant == CELL else (x, ay)
-
-    def link(self, x: float, y: float) -> LinkState:
-        """The link at (x, y), built once per symmetry class."""
-        key = self.key(x, y)
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = self.link_at(*key)
-        return link
-
-    def link_at(self, x: float, y: float) -> LinkState:
-        """The link to an eavesdropper at (x, y), aimed straight back at the transmitter."""
-        cfg = self.config
-        distance, theta = self.scene.path(x, y)
-        return link_budget(self.plan.transmit_power_w, pattern_gain(cfg.alice, theta),
-                           cfg.eve.gain_linear, distance, cfg.environment)
-
-
-def _column_insecure_fraction(curve: SecurityCurve, evaluator: _EveEvaluator,
-                              resolution_m: float) -> float:
+def _column_insecure_fraction(curve: SecurityCurve, resolution_m: float) -> float:
     """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
     from a bisection of each grid column on |y| (directed scenario).
 
@@ -211,14 +189,13 @@ def _column_insecure_fraction(curve: SecurityCurve, evaluator: _EveEvaluator,
     not fall as the SNR rises, so a column's insecure classes are those of
     its smallest |y| values, up to its first secure class.
     """
-    xs, ys = grid_axes(evaluator.config, resolution_m)
+    xs, ys = grid_axes(curve.config, resolution_m)
     points = Counter(map(abs, ys))  # |y| -> grid points in each column
     us = sorted(points)  # the distinct |y|, ascending
     below = [0, *itertools.accumulate(points[u] for u in us)]  # points under each us[k]
 
     def secure(x: float, u: float) -> bool:
-        # (x, u) is its class's own key
-        return not curve.exceeds(evaluator.link_at(x, u), INSECURE_LEVEL)
+        return not curve.exceeds(curve.link_at(x, u), INSECURE_LEVEL)
 
     insecure = 0
     for x in xs:
@@ -246,8 +223,7 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     resolution_m : float
         Grid spacing; grid axes follow geometry.grid_axes.
     """
-    curve = SecurityCurve(plan)
-    evaluator = _EveEvaluator(plan, config)
+    curve = SecurityCurve(plan, config)
     xs, ys = grid_axes(config, resolution_m)
     cell = config.variant == CELL
     columns = tuple(dict.fromkeys(map(abs, xs))) if cell else xs  # a row's x classes
@@ -260,10 +236,10 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     for u in us:
         snrs = []
         for a in columns:
-            key = (u, a) if cell and u < a else (a, u)  # _EveEvaluator.key(a, u) for a, u >= 0
+            key = (u, a) if cell and u < a else (a, u)  # the class's canonical position
             snr = snr_of.get(key)
             if snr is None:
-                link = evaluator.link_at(*key)
+                link = curve.link_at(*key)
                 snr = snr_of[key] = link.snr
                 links.setdefault(snr, link)
             snrs.append(snr)
@@ -281,8 +257,7 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
         "origin_m": [xs[0], ys[0]],
         "receiver_height_m": config.receiver_height_m,
     }
-    return SecrecyMapGrid(xs=xs, ys=ys, resolution_m=resolution_m, values=values,
-                          metadata=metadata)
+    return SecrecyMapGrid(xs=xs, ys=ys, values=values, metadata=metadata)
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)  # a level exceeds this only where it is exactly 1
@@ -326,10 +301,9 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
         raise ValueError(f"r_min {r_min_m:g} m to r_max {r_max_m:g} m in {steps} steps gives "
                          "radii that are not strictly increasing; widen the range or use "
                          "fewer steps")
-    curve = SecurityCurve(plan)
-    evaluator = _EveEvaluator(plan, config)
+    curve = SecurityCurve(plan, config)
     return RadialProfile(radii_m=radii,
-                         deltas=tuple(curve.delta(evaluator.link(r, 0.0)) for r in radii))
+                         deltas=tuple(curve.delta(curve.link_at(r, 0.0)) for r in radii))
 
 
 def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
@@ -355,25 +329,28 @@ def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -
     """
     if config.variant != CELL:
         raise ConfigError("threshold radius requires the cell scenario")
+    _check_delta_0(delta_0)
+    return _crossing_radius(SecurityCurve(plan, config), delta_0)
+
+
+def _check_delta_0(delta_0: float) -> None:
     if not 0.0 < delta_0 < 1.0:
         raise ValueError(f"delta_0 must lie in (0, 1), got {delta_0}")
-    return _crossing_radius(SecurityCurve(plan), _EveEvaluator(plan, config), delta_0)
 
 
-def _crossing_radius(curve: SecurityCurve, evaluator: _EveEvaluator, delta_0: float) -> float:
+def _crossing_radius(curve: SecurityCurve, delta_0: float) -> float:
     """Bisect the non-increasing level delta(r) at y = 0 for ``delta_0``, to 1 cm.
 
     The bracket doubles from twice the cone radius; a level still at or
     above ``delta_0`` past 1e6 m raises ProfileError.
     """
     def delta_at(r: float) -> float:
-        return curve.delta(evaluator.link(r, 0.0))
+        return curve.delta(curve.link_at(r, 0.0))
 
     if delta_at(0.0) < delta_0:
         return 0.0
     lo = 0.0
-    hi = max(1.0, 2.0 * cone_radius(evaluator.config.alice,
-                                    evaluator.config.height_difference_m))
+    hi = max(1.0, 2.0 * cone_radius(curve.config.alice, curve.config.height_difference_m))
     while delta_at(hi) >= delta_0:
         lo = hi
         hi *= 2.0
@@ -434,10 +411,12 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     and 0.01.  Directed rows carry instead the fraction of the grid at
     ``area_resolution_m`` whose level exceeds ``INSECURE_LEVEL``, equal bit
     for bit to ``insecure_fraction`` of that map but found by bisecting each
-    grid column on |y|, without building the map.
+    grid column on |y|, without building the map.  ``delta_0`` must lie in
+    (0, 1), as for ``threshold_radius``, and is checked before the first plan.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")
+    _check_delta_0(delta_0)
     rows = []
     for value in values:
         cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
@@ -451,15 +430,14 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
         if plan.feasible:
             row["l_bits"] = plan.code.randomness_bits
             row["achieved_phi"] = plan.achieved_phi
-            curve, evaluator = SecurityCurve(plan), _EveEvaluator(plan, cfg)
+            curve = SecurityCurve(plan, cfg)
             if cfg.variant == CELL:
-                row["r_e0_m"] = _crossing_radius(curve, evaluator, delta_0)
-                row["r_delta_hi_m"] = _crossing_radius(curve, evaluator, 0.99)
-                row["r_delta_lo_m"] = _crossing_radius(curve, evaluator, 0.01)
+                row["r_e0_m"] = _crossing_radius(curve, delta_0)
+                row["r_delta_hi_m"] = _crossing_radius(curve, 0.99)
+                row["r_delta_lo_m"] = _crossing_radius(curve, 0.01)
                 row["transition_width_m"] = row["r_delta_lo_m"] - row["r_delta_hi_m"]
             else:
-                row["insecure_fraction"] = _column_insecure_fraction(curve, evaluator,
-                                                                     area_resolution_m)
+                row["insecure_fraction"] = _column_insecure_fraction(curve, area_resolution_m)
         rows.append(row)
     return rows
 
@@ -470,17 +448,11 @@ def _cell(v) -> str:
         return format(v, ".9g")
     if v is None:
         return ""
-    if isinstance(v, bool) or _is_numpy_bool(v):
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, numbers.Integral):  # int and numpy's integers
         return str(int(v))
     return v if isinstance(v, str) else format(float(v), ".9g")  # np.float32 and other reals
-
-
-def _is_numpy_bool(v) -> bool:
-    # a numpy bool is neither bool nor Integral; without numpy loaded, v cannot be one
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(v, np.bool_)
 
 
 def _write_lines(path, lines) -> None:

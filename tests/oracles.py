@@ -329,6 +329,24 @@ def scan_crossing_radius(delta_of_r, delta_0, r_max, step_m=0.01):
 
 
 # ----------------------------------------------------------------------
+# Eve's link at one position
+# ----------------------------------------------------------------------
+
+def eve_link(plan, config, x, y):
+    """The link to an eavesdropper at (x, y) under ``plan``, built on its own.
+
+    README's per-point recipe: the scene's path, the transmitter's pattern
+    gain at the offset angle, and the link budget to Eve's gain; no symmetry
+    class and no memo.
+    """
+    from thzsecmap import Scene, link_budget, pattern_gain
+
+    distance, theta = Scene(config).path(x, y)
+    return link_budget(plan.transmit_power_w, pattern_gain(config.alice, theta),
+                       config.eve.gain_linear, distance, config.environment)
+
+
+# ----------------------------------------------------------------------
 # reference map writers: one text per grid point
 # ----------------------------------------------------------------------
 

@@ -468,6 +468,22 @@ def test_unresolvable_profile_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# 1.5 and 1 would write a radius, 0 and -1 double it out to 1e6 m first
+@pytest.mark.parametrize("delta", ["1.5", "1", "0", "-1"])
+def test_sweep_refuses_the_deltas_that_threshold_refuses(tmp_path, capsys, delta):
+    cell = str(SHIPPED_CONFIGS[0])  # scenario1_cell.json
+    out = tmp_path / "out"
+    assert run(["threshold", "--config", cell, "--delta", delta, "--out", str(out)]) == 2
+    threshold_err = capsys.readouterr().err
+    assert run(["sweep", "--config", cell, "--variable", "n", "--values", "2000",
+                "--delta", delta, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == threshold_err == f"invalid input: delta_0 must lie in (0, 1), " \
+                                            f"got {float(delta)}\n"
+    assert not out.exists()
+
+
 def _files(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.is_file()}

@@ -37,7 +37,6 @@ from thzsecmap.secmap import (
     write_map_pgm,
     write_profile_csv,
     write_sweep_csv,
-    _EveEvaluator,
 )
 
 CONFIGS = Path(__file__).parent.parent / "src" / "thzsecmap" / "configs"
@@ -80,11 +79,17 @@ def count_calls(monkeypatch, targets=LINK_PATH) -> dict[str, list]:
     return calls
 
 
+def count_probes(monkeypatch, search) -> tuple[int, int]:
+    """The links and the bound minimizations that ``search()`` makes."""
+    calls = count_calls(monkeypatch, ((secmap, "link_budget"), (secmap, "min_security")))
+    search()
+    return len(calls["link_budget"]), len(calls["min_security"])
+
+
 def _brute_force(map_plan, config, grid) -> np.ndarray:
     """The level at every grid point, from its own link and bound minimization."""
-    evaluator = _EveEvaluator(map_plan, config)
-    return np.array([[min_security(map_plan.code, evaluator.link_at(x, y))[0] for x in grid.xs]
-                     for y in grid.ys])
+    return np.array([[min_security(map_plan.code, oracles.eve_link(map_plan, config, x, y))[0]
+                      for x in grid.xs] for y in grid.ys])
 
 
 class TestEvaluateMap:
@@ -222,7 +227,7 @@ class TestEvaluateMap:
     def test_eve_with_bobs_antenna_sees_bobs_link(self):
         config, cell_plan = shipped("scenario1_cell.json")
         config = replace(config, eve=config.bob)
-        eve = _EveEvaluator(cell_plan, config).link_at(receiver_x(config), 0.0)
+        eve = oracles.eve_link(cell_plan, config, receiver_x(config), 0.0)
         assert [v.hex() for v in eve] == [v.hex() for v in planner.bob_link(config)[0]]
 
     def test_metadata_describes_the_grid(self, cell_plan, small_cell):
@@ -250,19 +255,18 @@ class TestSecurityCurve:
     @pytest.mark.parametrize("level", [0.0, 1e-3, 0.5, math.nextafter(1.0, 0.0)])
     def test_exceeds_agrees_with_the_bound(self, monkeypatch, level):
         config, map_plan = shipped("scenario2_directed.json")
-        evaluator = _EveEvaluator(map_plan, config)
         xs, ys = geometry.grid_axes(config, 4.0)
-        links = [evaluator.link_at(x, abs(y)) for x in xs for y in ys]
+        links = [oracles.eve_link(map_plan, config, x, abs(y)) for x in xs for y in ys]
         expected = [min_security(map_plan.code, link)[0] > level for link in links]
-        curve = SecurityCurve(map_plan)
+        curve = SecurityCurve(map_plan, config)
         calls = count_calls(monkeypatch, ((secmap, "min_security"),))["min_security"]
         assert [curve.exceeds(link, level) for link in links] == expected
         # each SNR at most once, and none that the bracket already decides
         assert len(calls) == len({args[1].snr for args in calls}) < len(links)
 
     def test_delta_is_memoized_on_the_snr(self, monkeypatch):
-        _, map_plan = shipped("scenario1_cell.json")
-        curve = SecurityCurve(map_plan)
+        config, map_plan = shipped("scenario1_cell.json")
+        curve = SecurityCurve(map_plan, config)
         calls = count_calls(monkeypatch, ((secmap, "min_security"),))["min_security"]
         levels = [curve.delta(link_from_snr(snr)) for snr in (0.5, 2.0, 0.5, 2.0, 0.5)]
         assert levels == [min_security(map_plan.code, link_from_snr(snr))[0]
@@ -271,7 +275,7 @@ class TestSecurityCurve:
 
     def test_infeasible_plan_rejected(self, small_cell):
         with pytest.raises(InfeasiblePlanError):
-            SecurityCurve(plan_cell(small_cell, 2000, 3.0, 1e-3))
+            SecurityCurve(plan_cell(small_cell, 2000, 3.0, 1e-3), small_cell)
 
 
 class TestRadialProfile:
@@ -296,6 +300,11 @@ class TestRadialProfile:
         plan = plan_directed(directed_config, 2000, 0.2, 1e-3)
         with pytest.raises(ConfigError):
             radial_profile(plan, directed_config, 0.0, 10.0, 5)
+
+    def test_one_link_and_one_bound_per_radius(self, monkeypatch):
+        config, plan = shipped("scenario1_cell.json")
+        assert count_probes(monkeypatch,
+                            lambda: radial_profile(plan, config, 0.0, 30.0, 121)) == (121, 121)
 
     def test_bad_range(self, cell_plan, small_cell):
         with pytest.raises(ValueError):
@@ -328,12 +337,10 @@ class TestRadialProfile:
 
 class TestThresholdRadius:
     def test_matches_dense_scan(self, cell_plan, small_cell):
-        from thzsecmap.secmap import _EveEvaluator
-
         r = threshold_radius(cell_plan, small_cell, 1e-3)
-        evaluator = _EveEvaluator(cell_plan, small_cell)
         scan = oracles.scan_crossing_radius(
-            lambda r: min_security(cell_plan.code, evaluator.link_at(r, 0.0))[0], 1e-3,
+            lambda r: min_security(cell_plan.code,
+                                   oracles.eve_link(cell_plan, small_cell, r, 0.0))[0], 1e-3,
             r_max=40.0)
         assert abs(r - scan) <= 0.02
 
@@ -355,6 +362,10 @@ class TestThresholdRadius:
         with pytest.raises(ConfigError):
             threshold_radius(plan, directed_config, 1e-3)
 
+    def test_one_link_and_one_bound_per_probe(self, monkeypatch):
+        config, plan = shipped("scenario1_cell.json")
+        assert count_probes(monkeypatch, lambda: threshold_radius(plan, config, 1e-3)) == (13, 13)
+
     # The bisection needs a level that does not rise with the radius.  The level
     # does not fall as Eve's SNR rises (test_bounds.py), so the SNR must not
     # rise with the radius, for every antenna pattern and height.
@@ -373,10 +384,9 @@ class TestThresholdRadius:
                           min_relative_gain_db=floor),
             eve=replace(config.eve, gain_dbi=eve_gain),
             height_difference_m=height, receiver_height_m=receiver_height)
-        evaluator = _EveEvaluator(plan, config)
         radii = sorted({*(k / 4.0 for k in range(401)), *drawn,
                         *(math.nextafter(r, math.inf) for r in drawn)})
-        snrs = [evaluator.link_at(r, 0.0).snr for r in radii]
+        snrs = [oracles.eve_link(plan, config, r, 0.0).snr for r in radii]
         for k in range(1, len(radii)):
             assert snrs[k] <= snrs[k - 1], (radii[k - 1], radii[k])
 
@@ -401,12 +411,11 @@ class TestThresholdRadius:
             eve=replace(config.eve, gain_dbi=eve_gain),
             height_difference_m=height, receiver_height_m=receiver_height,
             horizontal_distance_m=d_ab)
-        evaluator = _EveEvaluator(plan, config)
         us = sorted({*(k / 4.0 for k in range(121)), *drawn_us,
                      *(math.nextafter(u, math.inf) for u in drawn_us)})
         # the transmitter wall, Bob, the far wall and drawn columns
         for x in (0.0, d_ab, config.room_extent_m[0], *drawn_xs):
-            snrs = [evaluator.link_at(x, u).snr for u in us]
+            snrs = [oracles.eve_link(plan, config, x, u).snr for u in us]
             for k in range(1, len(us)):
                 assert snrs[k] <= snrs[k - 1], (x, us[k - 1], us[k])
 
@@ -456,6 +465,22 @@ class TestSweep:
         for column, level in (("r_delta_hi_m", 0.99), ("r_e0_m", 1e-3), ("r_delta_lo_m", 0.01)):
             assert row[column] == threshold_radius(row_plan, cell_config, level), column
         assert 0 < in_sweep < len(calls)
+
+    # The three crossings of a row share one curve: a radius that two of them
+    # probe builds its link again but costs no second bound minimization.
+    @pytest.mark.parametrize("n, bounds", [(500, 29), (2000, 25), (8000, 24)])
+    def test_cell_row_link_and_bound_counts(self, monkeypatch, n, bounds):
+        rc = load_config(CONFIGS / "scenario1_cell.json")
+        counts = count_probes(monkeypatch, lambda: sweep(rc.scenario, rc.n, rc.rate_bits,
+                                                          rc.phi_target, "n", [n]))
+        assert counts == (39, bounds)
+
+    @pytest.mark.parametrize("delta_0", [1.5, 1.0, 0.0, -1.0])
+    def test_delta_outside_the_unit_interval_rejected(self, cell_config, monkeypatch, delta_0):
+        plans = count_calls(monkeypatch, ((planner, "plan"),))["plan"]
+        with pytest.raises(ValueError, match=r"delta_0 must lie in \(0, 1\)"):
+            sweep(cell_config, 2000, 0.2, 1e-3, "n", [2000], delta_0=delta_0)
+        assert plans == []  # refused before the first plan
 
     def test_infeasible_rows_marked(self, cell_config):
         rows = sweep(cell_config, 2000, 0.2, 1e-3, "R", [0.2, 2.5])
@@ -547,9 +572,9 @@ class TestDirectedInsecureFraction:
     def test_a_level_of_exactly_one_half_is_not_insecure(self, monkeypatch):
         rc = load_config(CONFIGS / "scenario2_directed.json")
         row_plan = planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
-        evaluator = _EveEvaluator(row_plan, rc.scenario)
         xs, ys = geometry.grid_axes(rc.scenario, 4.0)
-        snrs = sorted({evaluator.link_at(x, abs(y)).snr for x in xs for y in ys})
+        snrs = sorted({oracles.eve_link(row_plan, rc.scenario, x, abs(y)).snr
+                       for x in xs for y in ys})
         low, high = snrs[len(snrs) // 3], snrs[2 * len(snrs) // 3]
 
         def steps(code, link):  # 0, then exactly INSECURE_LEVEL, then 1, rising with the SNR
@@ -598,7 +623,7 @@ def _hand_built_grid() -> SecrecyMapGrid:
                         (1.0, 0.0, 0.1 + 0.2, 0.5),
                         (0.25, -0.0, 0.5, 1.0)))
     return SecrecyMapGrid(xs=(-1.5, 0.0, 2.0, 7.25), ys=(-0.5, 1.0 / 3.0, 4.0, 9.0),
-                          resolution_m=1.0, values=values, metadata={})
+                          values=values, metadata={})
 
 
 def _shared_rows_grid() -> SecrecyMapGrid:
@@ -606,7 +631,7 @@ def _shared_rows_grid() -> SecrecyMapGrid:
     a, b = (0.5, -0.0, 1.0, 0.25), (1.0, 0.0, 0.5, 5e-324)
     values = MapValues((a, b, a, tuple(b), a, (0.5, -0.0, 1.0, 0.25)))
     return SecrecyMapGrid(xs=(-3.0, -1.0, 1.0, 3.0), ys=(-2.5, -1.5, -0.5, 0.5, 1.5, 2.5),
-                          resolution_m=1.0, values=values, metadata={})
+                          values=values, metadata={})
 
 
 def _shipped_map(name, resolution, room=None) -> SecrecyMapGrid:
@@ -646,7 +671,7 @@ class TestWritersAgainstPerPointOracles:
     def test_a_shared_row_is_range_checked(self):
         good, bad = (0.5, 1.0), (0.5, math.nan)
         with pytest.raises(ValueError, match="security levels"):
-            SecrecyMapGrid(xs=(0.0, 1.0), ys=(0.0, 1.0, 2.0), resolution_m=1.0,
+            SecrecyMapGrid(xs=(0.0, 1.0), ys=(0.0, 1.0, 2.0),
                            values=MapValues((good, bad, bad)), metadata={})
 
 
@@ -654,8 +679,7 @@ class TestSerialization:
     @pytest.mark.parametrize("value, text", [
         (0.1, "0.1"), (np.float64(1 / 3), "0.333333333"), (None, ""), (True, "true"),
         (2**60 + 1, "1152921504606846977"), (np.int64(-7), "-7"),
-        (np.uint8(255), "255"), (np.float32(0.1), "0.100000001"), ("R", "R"),
-        (np.bool_(True), "true"), (np.bool_(False), "false")])
+        (np.uint8(255), "255"), (np.float32(0.1), "0.100000001"), ("R", "R")])
     def test_cell_text(self, value, text):
         assert secmap._cell(value) == text
 
@@ -779,8 +803,7 @@ def test_levels_must_lie_in_unit_interval(bad):
     levels = np.array([0.5, bad])
     axis = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="security levels"):
-        SecrecyMapGrid(xs=axis, ys=axis[:1], resolution_m=1.0, values=levels[None, :],
-                       metadata={})
+        SecrecyMapGrid(xs=axis, ys=axis[:1], values=levels[None, :], metadata={})
     with pytest.raises(ValueError, match="security levels"):
         RadialProfile(radii_m=axis, deltas=levels)
 
@@ -789,15 +812,14 @@ def test_levels_must_lie_in_unit_interval(bad):
 def test_grid_values_must_match_the_axes(shape):
     axis = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="do not match 1 y and 2 x"):
-        SecrecyMapGrid(xs=axis, ys=axis[:1], resolution_m=1.0, values=np.zeros(shape),
-                       metadata={})
+        SecrecyMapGrid(xs=axis, ys=axis[:1], values=np.zeros(shape), metadata={})
 
 
 def test_grid_values_must_match_the_axes_in_every_row():
     axis = (0.0, 1.0)
     ragged = ((0.5, 0.5), (0.5,))  # two rows, of two levels and of one
     with pytest.raises(ValueError, match="do not match 2 y and 2 x"):
-        SecrecyMapGrid(xs=axis, ys=axis, resolution_m=1.0, values=ragged, metadata={})
+        SecrecyMapGrid(xs=axis, ys=axis, values=ragged, metadata={})
 
 
 def test_infinite_resolution_is_refused():
