@@ -35,7 +35,6 @@ from .linkmodel import (
     link_budget,
     link_from_capacity_bits,
     link_from_snr,
-    noise_power,
     ratio_to_db,
     watts_to_dbm,
 )

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__, planner
 from .antenna import KRAUS_BEAM_CONSTANT_DEG2, Antenna, beamwidth_from_gain
 from .bounds import MAX_BLOCKLENGTH, blocklength_text
-from .errors import ConfigError, InfeasiblePlanError, ProfileError
+from .errors import ConfigError, InfeasiblePlanError
 from .geometry import CELL, DIRECTED, VARIANTS, ScenarioConfig
 from .linkmodel import RadioEnvironment, db_to_ratio, link_budget, ratio_to_db, watts_to_dbm
 from .planner import PlanResult, require_feasible
@@ -135,8 +135,9 @@ class _Key:
     scale: float | None = None  # factor from the config unit to the internal one
 
 
+_GAIN = {"gain_dbi": _Key(_decibels(_nonnegative))}
 _ANTENNA = {
-    "gain_dbi": _Key(_decibels(_nonnegative)),
+    **_GAIN,
     "kappa_deg2": _Key(_positive, KRAUS_BEAM_CONSTANT_DEG2),
     "min_relative_gain_db": _Key(_decibels(_number), None),
     "beamwidth_override_deg": _Key(_positive, None),
@@ -151,7 +152,8 @@ SCHEMA = {
         "temperature_k": _Key(_positive),
         "noise_figure_db": _Key(_decibels(_nonnegative)),
     },
-    "antennas": {"alice": _ANTENNA, "bob": _ANTENNA, "eve": _ANTENNA},
+    # Bob and Eve face Alice, so only their boresight gain enters a link
+    "antennas": {"alice": _ANTENNA, "bob": _GAIN, "eve": _GAIN},
     "scenario": {
         "variant": _Key(_variant),
         "room_extent_m": _Key(_extent, (60.0, 60.0)),
@@ -265,7 +267,7 @@ def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,
 
 def _out_dir(rc: RunConfig, args) -> Path:
     # called only once the command has results, so a rejected run creates nothing
-    out = Path(args.out) if args.out else Path(rc.output_dir)
+    out = Path(args.out if args.out is not None else rc.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -397,6 +399,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _directory_name(text: str) -> str:
+    if not text:  # as output.dir: Path("") would be the working directory
+        raise argparse.ArgumentTypeError("expected a non-empty directory name")
+    return text
+
+
 def _float_list(text: str) -> list[float]:
     values = [_finite_float(item) for item in text.split(",") if item.strip()]
     if not values:
@@ -418,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
+        p.add_argument("--out", type=_directory_name, default=None,
+                       help="output directory (overrides output.dir)")
 
     p = sub.add_parser("plan", help="resolve the randomness rate for the reliability target")
     common(p)
@@ -477,10 +486,10 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         rc = load_config(args.config)
         return _COMMANDS[args.command](rc, args)
-    except (ValueError, ProfileError) as exc:
-        # ConfigError and GeometryError are ValueErrors, as are the parser's
-        # errors and the library's own argument checks (resolution, delta,
-        # steps, swept values)
+    except ValueError as exc:
+        # ConfigError, GeometryError and ProfileError are ValueErrors, as are
+        # the parser's errors and the library's own argument checks
+        # (resolution, delta, steps, swept values)
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except InfeasiblePlanError as exc:

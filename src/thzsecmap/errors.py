@@ -13,5 +13,5 @@ class InfeasiblePlanError(RuntimeError):
     """No secrecy-code parameters can meet the reliability target (CLI exit code 3)."""
 
 
-class ProfileError(RuntimeError):
+class ProfileError(ValueError):
     """The security level never falls below a threshold target (CLI exit code 2)."""

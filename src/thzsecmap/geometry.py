@@ -31,7 +31,8 @@ class ScenarioConfig:
     Room extent is the floor rectangle in meters.  For the cell variant the
     room is centered on the transmitter's floor projection; for the directed
     variant the transmitter wall is at x = 0 and the room extends toward
-    positive x, centered in y.
+    positive x, centered in y.  Bob and Eve are aimed straight back at
+    Alice, so only their antennas' gain is read, never their pattern.
     """
 
     variant: str

@@ -70,7 +70,9 @@ class RadioEnvironment:
 
     @cached_property
     def noise_power_w(self) -> float:
-        return noise_power(self)
+        """Thermal noise power k*T*B scaled by the linear noise factor, in watts."""
+        return (BOLTZMANN_J_K * self.temperature_k * self.bandwidth_hz
+                * db_to_ratio(self.noise_figure_db))
 
 
 class _LinkFields(NamedTuple):
@@ -131,11 +133,6 @@ def fspl_gain(carrier_frequency_hz: float, distance_m: float) -> float:
         raise ValueError(f"distance must be positive, got {distance_m}")
     amp = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * carrier_frequency_hz * distance_m)
     return amp * amp
-
-
-def noise_power(env: RadioEnvironment) -> float:
-    """Thermal noise power k*T*B scaled by the linear noise factor, in watts."""
-    return BOLTZMANN_J_K * env.temperature_k * env.bandwidth_hz * db_to_ratio(env.noise_figure_db)
 
 
 def _link_from_powers(received_w: float, noise_w: float) -> LinkState:

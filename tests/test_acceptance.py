@@ -25,7 +25,6 @@ from thzsecmap import (
     link_from_snr,
     min_reliability,
     min_security,
-    noise_power,
     plan_cell,
     radial_profile,
     threshold_radius,
@@ -53,7 +52,7 @@ def anchor_config(env):
 
 
 def test_criterion_1_noise_floor(env):
-    dbm = watts_to_dbm(noise_power(env))
+    dbm = watts_to_dbm(env.noise_power_w)
     ok = abs(dbm - (-74.97)) <= 0.05
     report(1, ok, f"noise floor {dbm:.4f} dBm vs -74.97 dBm (tol 0.05 dB)")
 

@@ -71,15 +71,22 @@ class TestConfigLoading:
         assert run(["plan", "--config", str(path)]) == 2
         assert "code.n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key", [("code", "blocklen"),
-                                              ("scenario", "transmitter_setback_m")],
-                             ids=["code.blocklen", "scenario.transmitter_setback_m"])
-    def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
+    # Bob's and Eve's antennas take only a gain: the three shape keys are Alice's alone
+    @pytest.mark.parametrize("key", ["code.blocklen", "scenario.transmitter_setback_m",
+                                     *[f"antennas.{who}.{key}" for who in ("bob", "eve")
+                                       for key in ("kappa_deg2", "min_relative_gain_db",
+                                                   "beamwidth_override_deg")]])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
         doc = base_config(str(tmp_path / "out"))
-        doc[section][key] = 100
+        *sections, name = key.split(".")
+        section = doc
+        for part in sections:
+            section = section[part]
+        section[name] = 100
         path = write_config(tmp_path, doc)
         assert run(["plan", "--config", str(path)]) == 2
-        assert f"unknown key {section}.{key}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"invalid input: unknown key {key}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -334,8 +341,8 @@ def _set_temperature_inf(doc):
     doc["environment"]["temperature_k"] = math.inf
 
 
-def _set_eve_floor_minus_inf(doc):
-    doc["antennas"]["eve"]["min_relative_gain_db"] = -math.inf
+def _set_alice_floor_minus_inf(doc):
+    doc["antennas"]["alice"]["min_relative_gain_db"] = -math.inf
 
 
 def _set_room_below_footprint(doc):
@@ -390,7 +397,7 @@ def _set_blocklength_5001_digits(doc):
     pytest.param(["plan"], _set_alice_gain_zero, id="plan alice gain 0 dBi"),
     pytest.param(["plan"], _set_transmit_nan, id="plan transmit_mw NaN"),
     pytest.param(["plan"], _set_temperature_inf, id="plan temperature_k Infinity"),
-    pytest.param(["plan"], _set_eve_floor_minus_inf, id="plan eve floor -Infinity"),
+    pytest.param(["plan"], _set_alice_floor_minus_inf, id="plan alice floor -Infinity"),
     pytest.param(["plan"], _set_room_below_footprint, id="plan cell room 10 m"),
     pytest.param(["plan"], _set_directed_beyond_room, id="plan directed receiver beyond room"),
     pytest.param(["sweep", "--variable", "d_AB", "--values", "70"], _set_directed,
@@ -451,6 +458,17 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
     assert len(err.splitlines()) == 1
     assert err.startswith("invalid input: ") and option in err
     assert not out.exists()
+
+
+def test_empty_out_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    # the shipped config's output.dir is "out", which an ignored --out "" would create
+    monkeypatch.chdir(tmp_path)
+    assert run(["plan", "--config", str(SHIPPED_CONFIGS[0]), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid input: argument --out: expected a non-empty "
+                            "directory name\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unresolvable_profile_exits_2(tmp_path, capsys):

@@ -110,15 +110,22 @@ def test_documents_from_the_table_keep_the_error_contract(doc, command):
 
 
 def _documented_keys() -> dict:
-    """Section heading -> the keys in its table, read from docs/config.md."""
-    sections, keys = {}, None
+    """Section heading -> the keys in its table, read from docs/config.md.
+
+    A table with an ``antennas`` column lists its key once for every antenna
+    named there, as ``antenna.key``.
+    """
+    sections, keys, per_antenna = {}, None, False
     for line in DOCS.read_text().splitlines():
         heading = re.match(r"### (\w+)", line)
-        row = re.match(r"\| `(\w+)` \|", line)
+        row = re.match(r"\| `(\w+)` \| ([^|]*) \|", line)
         if heading:
             keys = sections.setdefault(heading.group(1), set())
+        elif line.startswith("| key |"):
+            per_antenna = line.startswith("| key | antennas |")
         elif row and keys is not None:
-            keys.add(row.group(1))
+            key, antennas = row.groups()
+            keys |= {f"{who}.{key}" for who in antennas.split(", ")} if per_antenna else {key}
     return sections
 
 
@@ -127,5 +134,5 @@ def test_docs_list_every_key_of_the_table():
     for section, row in SCHEMA.items():
         keys = expected[section] = set()
         for key, sub in (row.items() if isinstance(row, dict) else ()):
-            keys |= set(sub) if isinstance(sub, dict) else {key}  # antennas share one table
+            keys |= {f"{key}.{name}" for name in sub} if isinstance(sub, dict) else {key}
     assert _documented_keys() == expected

@@ -13,7 +13,6 @@ from thzsecmap import (
     link_budget,
     link_from_capacity_bits,
     link_from_snr,
-    noise_power,
     ratio_to_db,
     watts_to_dbm,
 )
@@ -46,22 +45,22 @@ class TestFsplGain:
 class TestNoisePower:
     def test_paper_operating_point(self, paper_env):
         # frozen: k_B * 290 * 1e9 * 10^0.9
-        value = noise_power(paper_env)
+        value = paper_env.noise_power_w
         assert value == pytest.approx(3.1803966005e-11, rel=1e-9)
         assert watts_to_dbm(value) == pytest.approx(-74.9751871942, abs=1e-6)
 
     def test_unit_noise_factor(self):
         env = RadioEnvironment(300e9, 1e9, 290.0, 0.0)
-        assert noise_power(env) == pytest.approx(1.380649e-23 * 290.0 * 1e9, rel=1e-12)
+        assert env.noise_power_w == pytest.approx(1.380649e-23 * 290.0 * 1e9, rel=1e-12)
 
     def test_one_hertz_band(self):
         env = RadioEnvironment(300e9, 1.0, 290.0, 0.0)
-        assert noise_power(env) == pytest.approx(4.0038821e-21, rel=1e-9)
+        assert env.noise_power_w == pytest.approx(4.0038821e-21, rel=1e-9)
 
     def test_cached_on_the_environment(self, paper_env):
-        assert paper_env.noise_power_w == noise_power(paper_env)
+        assert "noise_power_w" in vars(paper_env)  # computed once, by __post_init__'s check
         colder = replace(paper_env, temperature_k=145.0)
-        assert colder.noise_power_w == noise_power(colder) != paper_env.noise_power_w
+        assert colder.noise_power_w == paper_env.noise_power_w / 2.0  # halving is exact
 
     def test_environment_validation(self):
         with pytest.raises(ValueError):
