@@ -6,7 +6,7 @@ eavesdropper aimed straight back.  The transmitter sits over y = 0 with no
 y-component in its boresight (cell: on the z axis), so x and y enter only as
 squares, sums and products with 0: the link depends, bit for bit, only on
 (|x|, |y|) unordered (cell) or on (x, |y|) (directed).  Only a map
-deduplicates by that class, building one link per class; profiles,
+deduplicates by that class, building at most one link per class; profiles,
 threshold radii and sweeps build the link at each position they probe.
 
 The level depends on the link only through Eve's SNR and does not fall as
@@ -16,17 +16,17 @@ memoized on the SNR, with a bracket for each level asked about, the largest
 SNR known at or below it and the smallest known above it.  Maps, profiles,
 threshold radii and both sweep kinds ask it for their links and levels.
 
-A map builds each distinct |y| row once, over the row's distinct classes,
-and mirrored rows are one tuple.  On the classes sorted by SNR the exact
-zeros form a prefix and the exact ones a suffix; two bisections find them,
-so only the classes between cost a bound minimization.  Maps run in one
-process.  The map exports format each distinct value once: every axis
-coordinate, every distinct delta and each of the 256 grey levels, and each
-row object once.
+Eve's SNR does not rise as |y| grows along a grid column, so neither does
+the level.  A map walks each column, a distinct |x| (cell) or x
+(directed), outward over the distinct |y| and stops at its first exact
+zero: only the classes with a level above zero and each column's first
+zero cost a link.  Mirrored rows are one tuple.  Maps run in one process.
+The map exports format each distinct value once: every axis coordinate,
+every distinct delta and each of the 256 grey levels, and each row object
+once.
 
-A directed sweep row builds no map.  Eve's SNR does not rise as |y| grows
-along a grid column, so the row bisects each column on |y|: about
-nx * log2(ny) links per row instead of one per class, and a bound
+A directed sweep row builds no map.  It bisects each column on |y| instead:
+about nx * log2(ny) links per row instead of one per class, and a bound
 minimization only for an SNR that the curve's bracket at ``INSECURE_LEVEL``
 does not yet decide.
 """
@@ -130,8 +130,8 @@ class SecurityCurve:
     """Eve's link and security level under one plan in its scenario.
 
     ``link_at`` builds the link to an eavesdropper at a position, afresh on
-    every call: only a map, which knows the symmetry classes, builds one link
-    per class.  ``min_security`` reads a link only through its rho and
+    every call: only a map, which knows the symmetry classes, builds at most
+    one link per class.  ``min_security`` reads a link only through its rho and
     capacity, and a link budget derives both from the SNR alone, so the level
     is a function of the link's SNR and is memoized on it: each SNR costs one
     bound minimization however many positions share it.  The level does not
@@ -209,11 +209,12 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
                  resolution_m: float) -> SecrecyMapGrid:
     """Security level at every grid point of the room at receiver height.
 
-    Rows of equal |y| are one tuple.  Each row is evaluated over the distinct
-    |x| (cell) or x (directed) and expanded to the grid's x axis.  Only the
-    classes whose SNR lies strictly between the exact zeros and the exact
-    ones of the SNR-sorted classes, which two bisections find, cost a bound
-    minimization.
+    Each column, a distinct |x| (cell) or x (directed), is walked over the
+    distinct |y| in ascending order, with one link and level per symmetry
+    class, until its first level of exactly 0.0; every level further out is
+    0.0 too, since Eve's SNR does not rise along a column
+    (``test_eve_snr_does_not_rise_along_a_column``).  Rows of equal |y| are
+    one tuple.
 
     Parameters
     ----------
@@ -226,29 +227,22 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     curve = SecurityCurve(plan, config)
     xs, ys = grid_axes(config, resolution_m)
     cell = config.variant == CELL
-    columns = tuple(dict.fromkeys(map(abs, xs))) if cell else xs  # a row's x classes
-    position = {a: k for k, a in enumerate(columns)}
-    column_of = [position[abs(x)] for x in xs]  # each x's class in its row
-    us = tuple(dict.fromkeys(map(abs, ys)))  # the distinct |y|, one row each
-    snr_of: dict[tuple[float, float], float] = {}  # class key -> Eve's SNR
-    links: dict[float, LinkState] = {}  # SNR -> a link of that SNR
-    row_snrs = []
-    for u in us:
-        snrs = []
-        for a in columns:
+    columns = dict.fromkeys(map(abs, xs)) if cell else xs  # the x classes, one walk each
+    us = sorted(set(map(abs, ys)))  # the distinct |y|, ascending, one row each
+    levels: dict[tuple[float, float], float] = {}  # class key -> level
+    walks = {}  # x class -> its levels along us
+    for a in columns:
+        walk = []
+        for u in us:
             key = (u, a) if cell and u < a else (a, u)  # the class's canonical position
-            snr = snr_of.get(key)
-            if snr is None:
-                link = curve.link_at(*key)
-                snr = snr_of[key] = link.snr
-                links.setdefault(snr, link)
-            snrs.append(snr)
-        row_snrs.append(snrs)
-    levels = _levels_by_snr(curve, links)
-    rows = {}
-    for u, snrs in zip(us, row_snrs):
-        row = [levels[snr] for snr in snrs]
-        rows[u] = tuple([row[k] for k in column_of])
+            level = levels.get(key)
+            if level is None:
+                level = levels[key] = curve.delta(curve.link_at(*key))
+            if level == 0.0:  # and so is every level further out
+                break
+            walk.append(level)
+        walks[a] = walk + [0.0] * (len(us) - len(walk))
+    rows = dict(zip(us, zip(*[walks[abs(x)] for x in xs])))  # |y| -> its row, one tuple
     values = MapValues(rows[abs(y)] for y in ys)
     metadata = {
         "resolution_m": resolution_m,
@@ -258,27 +252,6 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
         "receiver_height_m": config.receiver_height_m,
     }
     return SecrecyMapGrid(xs=xs, ys=ys, values=values, metadata=metadata)
-
-
-_BELOW_ONE = math.nextafter(1.0, 0.0)  # a level exceeds this only where it is exactly 1
-
-
-def _levels_by_snr(curve: SecurityCurve, links: dict[float, LinkState]) -> dict[float, float]:
-    """The security level at each SNR of ``links``, which maps it to a link of that SNR.
-
-    On the SNRs in ascending order the exact zeros form a prefix and the
-    exact ones a suffix, because the level does not fall as the SNR rises.
-    Two bisections find both; only the SNRs between them need the curve's
-    bound minimizations.
-    """
-    snrs = sorted(links)
-    zeros = bisect.bisect_left(snrs, True, key=lambda s: curve.exceeds(links[s], 0.0))
-    ones = bisect.bisect_left(snrs, True, zeros,
-                              key=lambda s: curve.exceeds(links[s], _BELOW_ONE))
-    levels = dict.fromkeys(snrs[:zeros], 0.0)
-    levels.update((s, curve.delta(links[s])) for s in snrs[zeros:ones])
-    levels.update(dict.fromkeys(snrs[ones:], 1.0))
-    return levels
 
 
 def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
@@ -412,11 +385,14 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     ``area_resolution_m`` whose level exceeds ``INSECURE_LEVEL``, equal bit
     for bit to ``insecure_fraction`` of that map but found by bisecting each
     grid column on |y|, without building the map.  ``delta_0`` must lie in
-    (0, 1), as for ``threshold_radius``, and is checked before the first plan.
+    (0, 1), as for ``threshold_radius``, and ``area_resolution_m`` must give
+    a grid that ``grid_axes`` accepts, in either scenario; both are checked
+    before the first plan.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")
     _check_delta_0(delta_0)
+    grid_axes(config, area_resolution_m)  # no swept variable changes the room
     rows = []
     for value in values:
         cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,

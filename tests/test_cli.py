@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CALIBRATED_BEAMWIDTH_DEG
-from thzsecmap import ConfigError, cli, secmap
+from thzsecmap import ConfigError, cli, planner, secmap
 from thzsecmap.cli import load_config, run
 from thzsecmap.planner import plan
 
@@ -501,6 +501,28 @@ def test_sweep_refuses_the_deltas_that_threshold_refuses(tmp_path, capsys, delta
                                             f"got {float(delta)}\n"
     assert not out.exists()
 
+
+
+# a cell row reads no grid, yet a cell sweep refuses these, as map and a directed
+# sweep do, and before its first plan
+@pytest.mark.parametrize("resolution", ["-1", "0", "1e-9"])
+def test_sweep_refuses_the_area_resolutions_that_map_refuses(tmp_path, capsys, monkeypatch,
+                                                             resolution):
+    cell = str(SHIPPED_CONFIGS[0])  # scenario1_cell.json
+    out = tmp_path / "out"
+    assert run(["map", "--config", cell, "--resolution", resolution, "--out", str(out)]) == 2
+    map_err = capsys.readouterr().err
+    plans = []
+    monkeypatch.setattr(planner, "plan", lambda *args: plans.append(args))
+    assert run(["sweep", "--config", cell, "--variable", "n", "--values", "500",
+                "--area-resolution", resolution, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == map_err
+    [line] = captured.err.splitlines()
+    assert line.startswith("invalid input: ")
+    assert plans == []
+    assert not out.exists()
 
 def _files(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))

@@ -12,6 +12,8 @@ from thzsecmap import (
     ConfigError,
     InfeasiblePlanError,
     Scene,
+    beamwidth_from_gain,
+    cone_radius,
     evaluate_map,
     insecure_fraction,
     link_budget,
@@ -162,27 +164,50 @@ class TestEvaluateMap:
         grid = evaluate_map(map_plan, config, resolution)
         assert np.asarray(grid.values).tobytes() == _brute_force(map_plan, config, grid).tobytes()
 
-    # One link per symmetry class, and a bound minimization only for the SNRs
-    # between the exact zeros and the exact ones, the two bisections' probes
-    # included, where one per class would be 136, 7381, 128 and 29161.
-    BOUNDS = {("scenario1_cell.json", 2.0): 111, ("scenario1_cell.json", 0.25): 4843,
-              ("scenario2_directed.json", 4.0): 24, ("scenario2_directed.json", 0.25): 4781}
+    # Each column walks outward over |y| and stops at its first exact zero, so
+    # a map builds a link for each class with delta > 0 and for each column's
+    # first zero, and a bound minimization for each distinct SNR among them:
+    # (links, bound minimizations) per map.  The cell maps hold no zero.
+    WORK = {("scenario1_cell.json", 2.0): (136, 120),
+            ("scenario1_cell.json", 0.25): (7381, 5251),
+            ("scenario2_directed.json", 4.0): (39, 39),
+            ("scenario2_directed.json", 0.25): (5986, 5986)}
 
-    @pytest.mark.parametrize("name, resolution, points, links", [
+    @pytest.mark.parametrize("name, resolution, points, classes", [
         ("scenario1_cell.json", 2.0, 961, 136),  # 16 |x| values, unordered pairs
         ("scenario1_cell.json", 0.25, 58081, 7381),  # 121 |x| values
         ("scenario2_directed.json", 4.0, 256, 128),  # 16 x values times 8 |y| values
         ("scenario2_directed.json", 0.25, 58081, 29161),  # 241 x values times 121 |y|
     ])
     def test_each_symmetry_class_evaluated_once(self, monkeypatch, name, resolution, points,
-                                                links):
+                                                classes):
         config, map_plan = shipped(name)
         calls = count_calls(monkeypatch)
         grid = evaluate_map(map_plan, config, resolution)
         assert grid.values.size == points
+        links, bounds = self.WORK[name, resolution]
         counts = {layer: len(args) for layer, args in calls.items()}
-        assert counts == {"min_security": self.BOUNDS[name, resolution], "pattern_gain": links,
+        assert counts == {"min_security": bounds, "pattern_gain": links,
                           "link_budget": links, "offset_angle": links}
+        cell = config.variant == geometry.CELL
+
+        def key(x, y):  # the class's canonical position, as the map builds it
+            a, u = abs(x) if cell else x, abs(y)
+            return (u, a) if cell and u < a else (a, u)
+
+        # from the grid: the classes with delta > 0, plus each column's first
+        # zero, one per column that holds a zero (a cell class (a, u) lies in
+        # columns a and u, so two cell columns may share their first zero)
+        positive, zeros = set(), {}  # classes with delta > 0; x class -> |y| of its zeros
+        for y, row in zip(grid.ys, grid.values):
+            for x, v in zip(grid.xs, row):
+                if v > 0.0:
+                    positive.add(key(x, y))
+                else:
+                    zeros.setdefault(abs(x), []).append(abs(y))
+        first_zeros = {key(a, min(us)) for a, us in zeros.items()}
+        assert links == len(positive) + len(first_zeros)
+        assert len(positive | {key(a, u) for a, us in zeros.items() for u in us}) == classes
 
     def test_mirrored_rows_are_one_tuple(self):
         config, map_plan = shipped("scenario1_cell.json")
@@ -390,8 +415,10 @@ class TestThresholdRadius:
         for k in range(1, len(radii)):
             assert snrs[k] <= snrs[k - 1], (radii[k - 1], radii[k])
 
-    # The directed sweep bisects each grid column on |y|, so Eve's SNR must not
-    # rise as |y| grows at a fixed x either, for every pattern, height and d_AB.
+    # A map walks each grid column outward over |y| and the directed sweep
+    # bisects it, so Eve's SNR must not rise as |y| grows at a fixed x either,
+    # for every pattern, height and d_AB, on a cell column as on a directed one.
+    @pytest.mark.parametrize("name", ["scenario1_cell.json", "scenario2_directed.json"])
     @seed(20261023)
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.floats(0.0, 40.0), st.one_of(st.none(), st.floats(0.5, 180.0)),
@@ -400,21 +427,29 @@ class TestThresholdRadius:
            st.one_of(st.floats(0.0, 60.0, exclude_min=True), st.just(60.0)),  # the room's depth
            st.lists(st.floats(0.0, 60.0), max_size=3),
            st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
-    def test_eve_snr_does_not_rise_along_a_directed_column(self, gain, beamwidth, floor,
-                                                           eve_gain, height, receiver_height,
-                                                           d_ab, drawn_xs, drawn_us):
-        config, plan = shipped("scenario2_directed.json")
+    def test_eve_snr_does_not_rise_along_a_column(self, name, gain, beamwidth, floor, eve_gain,
+                                                  height, receiver_height, d_ab, drawn_xs,
+                                                  drawn_us):
+        config, plan = shipped(name)
         config = replace(
             config,
             alice=replace(config.alice, gain_dbi=gain, beamwidth_override_deg=beamwidth,
                           min_relative_gain_db=floor),
             eve=replace(config.eve, gain_dbi=eve_gain),
-            height_difference_m=height, receiver_height_m=receiver_height,
-            horizontal_distance_m=d_ab)
+            height_difference_m=height, receiver_height_m=receiver_height)
+        width = config.room_extent_m[0]
+        if config.variant == geometry.DIRECTED:
+            config = replace(config, horizontal_distance_m=d_ab)
+            # the transmitter wall, Bob and the far wall
+            columns = [0.0, d_ab, width]
+        else:
+            # the transmitter axis, the cone's edge where it meets the floor, and the side wall
+            columns = [0.0, width / 2.0]
+            if beamwidth_from_gain(config.alice) < 180.0:
+                columns.append(cone_radius(config.alice, height))
         us = sorted({*(k / 4.0 for k in range(121)), *drawn_us,
                      *(math.nextafter(u, math.inf) for u in drawn_us)})
-        # the transmitter wall, Bob, the far wall and drawn columns
-        for x in (0.0, d_ab, config.room_extent_m[0], *drawn_xs):
+        for x in (*columns, *drawn_xs):
             snrs = [oracles.eve_link(plan, config, x, u).snr for u in us]
             for k in range(1, len(us)):
                 assert snrs[k] <= snrs[k - 1], (x, us[k - 1], us[k])
