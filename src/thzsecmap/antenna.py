@@ -1,9 +1,8 @@
 """Antenna gain model: gain-to-beamwidth relation, main-lobe pattern, cone radius.
 
-The main lobe is modeled as a Gaussian roll-off around boresight whose full
-half-power width follows the Kraus-type relation theta_3dB = sqrt(kappa / G).
-Both the constant kappa and the beamwidth itself are configurable so measured
-or published beamwidths can be pinned exactly.
+The main lobe is modeled as a Gaussian roll-off around boresight.  Its full
+half-power width follows the Kraus relation theta_3dB = sqrt(41253 / G), or
+is pinned, so that a measured or published beamwidth is reproduced exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .errors import GeometryError
 from .linkmodel import db_to_ratio
 
 KRAUS_BEAM_CONSTANT_DEG2 = 41253.0
-"""Default kappa: square degrees in a sphere, the classic directivity approximation."""
+"""Kappa: square degrees in a sphere, the classic directivity approximation."""
 
 # narrowest beamwidth for which the pattern exponent 4 (theta/theta_3dB)**2 is finite up to pi
 MIN_BEAMWIDTH_RAD = 4.0 * math.pi / math.sqrt(sys.float_info.max)
@@ -31,15 +30,12 @@ class Antenna:
     ----------
     gain_dbi : float
         Boresight gain relative to an isotropic radiator.
-    kappa_deg2 : float
-        Constant of the gain-to-beamwidth relation theta_3dB = sqrt(kappa / G_lin),
-        in squared degrees.
     min_relative_gain_db : float or None
         Optional sidelobe floor relative to boresight (e.g. -30.0).  None means
         pure Gaussian roll-off with no floor.
     beamwidth_override_deg : float or None
-        When set, pins the full half-power beamwidth to this value and the
-        kappa relation is ignored.
+        When set, pins the full half-power beamwidth to this value instead
+        of the Kraus relation.
 
     ``gain_linear``, ``beamwidth_rad`` and ``relative_gain_floor`` are
     computed from these fields once per instance, on first use, so a
@@ -47,7 +43,6 @@ class Antenna:
     """
 
     gain_dbi: float
-    kappa_deg2: float = KRAUS_BEAM_CONSTANT_DEG2
     min_relative_gain_db: float | None = None
     beamwidth_override_deg: float | None = None
 
@@ -55,14 +50,12 @@ class Antenna:
         # each message starts with the field name; the config loader prefixes the section
         if self.gain_dbi < 0.0:
             raise ValueError(f"gain_dbi must be >= 0, got {self.gain_dbi}")
-        if self.kappa_deg2 <= 0.0:
-            raise ValueError(f"kappa_deg2 must be positive, got {self.kappa_deg2}")
         override = self.beamwidth_override_deg
         if override is not None and not 0.0 < override <= 180.0:
             raise ValueError(f"beamwidth_override_deg must lie in (0, 180], got {override}")
         width = beamwidth_from_gain(self)
         if math.radians(width) < MIN_BEAMWIDTH_RAD:
-            key = "kappa_deg2" if override is None else "beamwidth_override_deg"
+            key = "gain_dbi" if override is None else "beamwidth_override_deg"
             raise ValueError(f"{key} gives a half-power beamwidth of {width:g} deg, "
                              "too narrow to evaluate the antenna pattern")
 
@@ -89,12 +82,12 @@ class Antenna:
 def beamwidth_from_gain(antenna: Antenna) -> float:
     """Full half-power beamwidth in degrees.
 
-    The override wins when present; otherwise sqrt(kappa / G_lin), clamped
-    to at most 180 degrees.
+    The override wins when present; otherwise the Kraus relation
+    sqrt(KRAUS_BEAM_CONSTANT_DEG2 / G_lin), clamped to at most 180 degrees.
     """
     if antenna.beamwidth_override_deg is not None:
         return antenna.beamwidth_override_deg
-    return min(180.0, math.sqrt(antenna.kappa_deg2 / antenna.gain_linear))
+    return min(180.0, math.sqrt(KRAUS_BEAM_CONSTANT_DEG2 / antenna.gain_linear))
 
 
 def pattern_gain(antenna: Antenna, offset_angle_rad: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, planner
-from .antenna import KRAUS_BEAM_CONSTANT_DEG2, Antenna, beamwidth_from_gain
+from .antenna import Antenna, beamwidth_from_gain
 from .bounds import MAX_BLOCKLENGTH, blocklength_text
 from .errors import ConfigError, InfeasiblePlanError
 from .geometry import CELL, DIRECTED, VARIANTS, ScenarioConfig
@@ -138,7 +138,6 @@ class _Key:
 _GAIN = {"gain_dbi": _Key(_decibels(_nonnegative))}
 _ANTENNA = {
     **_GAIN,
-    "kappa_deg2": _Key(_positive, KRAUS_BEAM_CONSTANT_DEG2),
     "min_relative_gain_db": _Key(_decibels(_number), None),
     "beamwidth_override_deg": _Key(_positive, None),
 }

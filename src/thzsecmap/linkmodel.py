@@ -8,9 +8,9 @@ appear only at the conversion helpers.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 """Speed of light in vacuum (CODATA, exact)."""
@@ -75,16 +75,8 @@ class RadioEnvironment:
                 * db_to_ratio(self.noise_figure_db))
 
 
-class _LinkFields(NamedTuple):
-    received_power_w: float
-    noise_power_w: float
-    snr: float
-    capacity_bits: float
-    capacity_nats: float
-    rho: float
-
-
-class LinkState(_LinkFields):
+class LinkState(namedtuple("LinkState", "received_power_w noise_power_w snr capacity_bits "
+                                        "capacity_nats rho")):
     """Resolved quantities of one line-of-sight link, an immutable named tuple.
 
     Every way of building one checks the noise power, the SNR and rho,

@@ -37,7 +37,6 @@ import bisect
 import functools
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -392,7 +391,10 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")
     _check_delta_0(delta_0)
-    grid_axes(config, area_resolution_m)  # no swept variable changes the room
+    try:
+        grid_axes(config, area_resolution_m)  # no swept variable changes the room
+    except ValueError as exc:
+        raise ValueError(f"area resolution: {exc}") from None
     rows = []
     for value in values:
         cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
@@ -419,16 +421,15 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
 
 
 def _cell(v) -> str:
-    """One CSV cell: floats to 9 significant digits, None empty, bools lowercase."""
-    if isinstance(v, float):  # np.float64 too, and by far the most common cell
+    """One CSV cell: a float to 9 significant digits, None empty, a bool lowercase,
+    an int or a str as is."""
+    if isinstance(v, float):  # by far the most common cell
         return format(v, ".9g")
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, numbers.Integral):  # int and numpy's integers
-        return str(int(v))
-    return v if isinstance(v, str) else format(float(v), ".9g")  # np.float32 and other reals
+    return str(v)
 
 
 def _write_lines(path, lines) -> None:

@@ -1,0 +1,102 @@
+"""The output manifest: a SHA-256 digest of every output of a fixed list of commands.
+
+Each command runs in-process through ``thzsecmap.cli.run`` on a shipped
+config, into its own output directory.  The manifest holds one line per
+output, ``<sha256>  <command>/<output>``, sorted by name:
+
+- ``stdout``, the command's standard output with its output directory
+  written as ``<out>``;
+- each data file (CSV, PGM), as written;
+- each ``*_metadata.json``, without the line that records ``output.dir``.
+
+``test_output_manifest.py`` regenerates the manifest and compares it with
+the committed ``output_manifest.txt``.  A change that alters outputs on
+purpose rewrites that file with this script and lists each changed entry:
+
+    PYTHONPATH=src python tests/output_manifest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from thzsecmap.cli import run
+
+HERE = Path(__file__).resolve().parent
+MANIFEST = HERE / "output_manifest.txt"
+CONFIGS = HERE.parent / "src" / "thzsecmap" / "configs"
+CELL = CONFIGS / "scenario1_cell.json"
+DIRECTED = CONFIGS / "scenario2_directed.json"
+
+
+def _commands() -> dict:
+    """Command name -> (config, argv without --config and --out)."""
+    commands = {}
+    for name, config in (("cell", CELL), ("directed", DIRECTED)):
+        for resolution in ("0.25", "0.5", "1.0", "2.0"):
+            commands[f"{name}-map-{resolution}"] = config, ["map", "--resolution", resolution]
+        commands[f"{name}-plan"] = config, ["plan"]
+        commands[f"{name}-link"] = config, ["link"]
+    commands["cell-radial"] = CELL, ["radial"]
+    for delta in ("1e-3", "0.5"):
+        commands[f"cell-threshold-{delta}"] = CELL, ["threshold", "--delta", delta]
+    for variable, values in (("n", "500,2000,8000"), ("G_E", "5,10,25"), ("G_A", "8,10,12")):
+        commands[f"cell-sweep-{variable}"] = CELL, ["sweep", "--variable", variable,
+                                                    "--values", values]
+    for resolution in ("4.0", "0.25"):
+        commands[f"directed-sweep-d_AB-{resolution}"] = DIRECTED, [
+            "sweep", "--variable", "d_AB", "--values", "5,30",
+            "--area-resolution", resolution]
+    commands["directed-sweep-G_A"] = DIRECTED, ["sweep", "--variable", "G_A",
+                                                "--values", "15,20,25"]
+    return commands
+
+
+COMMANDS = _commands()
+
+
+def _outputs(name: str, config: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
+    """Output name -> the bytes that the manifest digests, for one command."""
+    out = workdir / name
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run([*argv, "--config", str(config), "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{name} exited {code}: {stderr.getvalue().strip()}")
+    outputs = {"stdout": stdout.getvalue().replace(str(out), "<out>").encode()}
+    dir_line = f'"dir": {json.dumps(str(out))}'
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name.endswith("_metadata.json"):
+            lines = data.decode().splitlines(keepends=True)
+            kept = [line for line in lines if line.strip() != dir_line]
+            if len(kept) != len(lines) - 1:
+                raise RuntimeError(f"{name}/{path.name} records output.dir other than "
+                                   f"as one line {dir_line}")
+            data = "".join(kept).encode()
+        outputs[path.name] = data
+    return outputs
+
+
+def manifest_text() -> str:
+    """The manifest of the outputs of ``COMMANDS``, run in a temporary directory."""
+    entries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (config, argv) in COMMANDS.items():
+            for output, data in _outputs(name, config, argv, Path(tmp)).items():
+                entries[f"{name}/{output}"] = hashlib.sha256(data).hexdigest()
+    return "".join(f"{digest}  {entry}\n" for entry, digest in sorted(entries.items()))
+
+
+def main() -> None:
+    MANIFEST.write_text(manifest_text())
+    print(f"wrote {MANIFEST} ({len(MANIFEST.read_text().splitlines())} outputs)",
+          file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -30,13 +30,13 @@ class TestBeamwidthFromGain:
         with pytest.raises(ValueError):
             Antenna(-1.0)
         with pytest.raises(ValueError):
-            Antenna(10.0, kappa_deg2=0.0)
+            Antenna(10.0, beamwidth_override_deg=0.0)
         with pytest.raises(ValueError):
             Antenna(10.0, beamwidth_override_deg=190.0)
 
     @pytest.mark.parametrize("kwargs, key", [
         ({"beamwidth_override_deg": 1e-300}, "beamwidth_override_deg"),
-        ({"kappa_deg2": 1e-300, "gain_dbi": 60.0}, "kappa_deg2"),
+        ({"gain_dbi": 3075.0}, "gain_dbi"),  # the Kraus relation gives 3.6e-152 deg
     ])
     def test_too_narrow_to_evaluate(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key} gives .* too narrow"):

@@ -71,8 +71,10 @@ class TestConfigLoading:
         assert run(["plan", "--config", str(path)]) == 2
         assert "code.n" in capsys.readouterr().err
 
-    # Bob's and Eve's antennas take only a gain: the three shape keys are Alice's alone
+    # Bob's and Eve's antennas take only a gain, and Alice's beamwidth follows her gain
+    # unless it is pinned: no antenna takes a gain-to-beamwidth constant
     @pytest.mark.parametrize("key", ["code.blocklen", "scenario.transmitter_setback_m",
+                                     "antennas.alice.kappa_deg2",
                                      *[f"antennas.{who}.{key}" for who in ("bob", "eve")
                                        for key in ("kappa_deg2", "min_relative_gain_db",
                                                    "beamwidth_override_deg")]])
@@ -358,12 +360,6 @@ def _set_directed_beyond_room(doc):
     doc["scenario"]["horizontal_distance_m"] = 70.0
 
 
-def _set_directed_small_kappa(doc):
-    _set_directed(doc)
-    # 20 dBi gives a 1e-151 deg beamwidth, which loads; the swept 60 dBi gives 1e-153 deg
-    doc["antennas"]["alice"]["kappa_deg2"] = 1e-300
-
-
 def _set_blocklength_huge(doc):
     doc["code"]["n"] = 10 ** 400  # json writes and reads every digit
 
@@ -402,8 +398,9 @@ def _set_blocklength_5001_digits(doc):
     pytest.param(["plan"], _set_directed_beyond_room, id="plan directed receiver beyond room"),
     pytest.param(["sweep", "--variable", "d_AB", "--values", "70"], _set_directed,
                  id="sweep directed d_AB 70"),
-    pytest.param(["sweep", "--variable", "G_A", "--values", "60"], _set_directed_small_kappa,
-                 id="sweep directed G_A 60 on kappa 1e-300"),
+    # 3075 dBi overflows no ratio, but its Kraus beamwidth, 3.6e-152 deg, is too narrow
+    pytest.param(["sweep", "--variable", "G_A", "--values", "3075"], _set_directed,
+                 id="sweep directed G_A 3075"),
     pytest.param(["plan"], _set_blocklength_huge, id="plan code.n 10**400"),
     pytest.param(["plan"], _set_blocklength_5001_digits, id="plan code.n of 5001 digits"),
 ])
@@ -504,7 +501,7 @@ def test_sweep_refuses_the_deltas_that_threshold_refuses(tmp_path, capsys, delta
 
 
 # a cell row reads no grid, yet a cell sweep refuses these, as map and a directed
-# sweep do, and before its first plan
+# sweep do, and before its first plan, in a line that names the area resolution
 @pytest.mark.parametrize("resolution", ["-1", "0", "1e-9"])
 def test_sweep_refuses_the_area_resolutions_that_map_refuses(tmp_path, capsys, monkeypatch,
                                                              resolution):
@@ -518,9 +515,8 @@ def test_sweep_refuses_the_area_resolutions_that_map_refuses(tmp_path, capsys, m
                 "--area-resolution", resolution, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == map_err
-    [line] = captured.err.splitlines()
-    assert line.startswith("invalid input: ")
+    assert captured.err == map_err.replace("invalid input: ", "invalid input: area resolution: ")
+    assert len(captured.err.splitlines()) == 1
     assert plans == []
     assert not out.exists()
 

@@ -98,7 +98,7 @@ def test_damaged_config_keeps_the_error_contract(doc, command):
     ("scenario1_cell", ["plan"], "code.n", 10 ** 400),
     ("scenario1_cell", ["map", "--resolution", "10"], "antennas.alice.beamwidth_override_deg",
      1e-300),
-    ("scenario2_directed", ["map", "--resolution", "10"], "antennas.alice.kappa_deg2", 5e-324),
+    ("scenario2_directed", ["map", "--resolution", "10"], "antennas.alice.gain_dbi", 3075.0),
 ])
 def test_overflowing_value_exits_2_naming_the_key(tmp_path, name, command, key, value):
     doc = copy.deepcopy(SHIPPED[name])

@@ -683,6 +683,11 @@ WRITER_GRIDS = {
     # |y| values that do not pair up, so some rows have no mirror
     "unpaired rows": lambda: _shipped_map("scenario1_cell.json", 0.7, (60.0, 40.0)),
     "directed map": lambda: _shipped_map("scenario2_directed.json", 1.0),  # exact zeros
+    # each of the 256 grey levels once: the shipped maps hold fewer than half of them
+    "every grey level": lambda: SecrecyMapGrid(
+        xs=tuple(map(float, range(16))), ys=tuple(map(float, range(16))),
+        values=MapValues(tuple(k / 255.0 for k in range(j, j + 16)) for j in range(0, 256, 16)),
+        metadata={}),
 }
 
 
@@ -714,7 +719,7 @@ class TestSerialization:
     @pytest.mark.parametrize("value, text", [
         (0.1, "0.1"), (np.float64(1 / 3), "0.333333333"), (None, ""), (True, "true"),
         (2**60 + 1, "1152921504606846977"), (np.int64(-7), "-7"),
-        (np.uint8(255), "255"), (np.float32(0.1), "0.100000001"), ("R", "R")])
+        (np.uint8(255), "255"), (np.float32(0.1), "0.1"), ("R", "R")])
     def test_cell_text(self, value, text):
         assert secmap._cell(value) == text
 
