@@ -23,7 +23,6 @@ from .geometry import (
     grid_axes,
     offset_angle,
     receiver_x,
-    transmitter,
 )
 from .linkmodel import (
     BOLTZMANN_J_K,

@@ -50,6 +50,10 @@ class Antenna:
         # each message starts with the field name; the config loader prefixes the section
         if self.gain_dbi < 0.0:
             raise ValueError(f"gain_dbi must be >= 0, got {self.gain_dbi}")
+        try:
+            db_to_ratio(self.gain_dbi)  # a pinned beamwidth never reads the gain
+        except ValueError as exc:
+            raise ValueError(f"gain_dbi: {exc}") from None
         override = self.beamwidth_override_deg
         if override is not None and not 0.0 < override <= 180.0:
             raise ValueError(f"beamwidth_override_deg must lie in (0, 180], got {override}")

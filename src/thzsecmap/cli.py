@@ -158,7 +158,6 @@ SCHEMA = {
         "room_extent_m": _Key(_extent, (60.0, 60.0)),
         "height_difference_m": _Key(_positive),
         "horizontal_distance_m": _Key(_positive, None),  # required by the directed variant
-        "receiver_height_m": _Key(_nonnegative, 1.0),
     },
     "code": {
         "n": _Key(_blocklength),

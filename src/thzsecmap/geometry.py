@@ -1,11 +1,12 @@
 """Scenario geometry: the transmitter, the receiver position, paths, grid axes.
 
-Coordinates are right-handed with z vertical.  The receiver plane sits at
-z = receiver_height.  In the ceiling-cell scenario the transmitter hangs on
-the vertical axis through the room center and points straight down; in the
-directed scenario it sits on the x = 0 wall and is aimed at the receiver.
-Either way a link to a point on the receiver plane is fixed by two scalars,
-its length and its angle off the transmitter's boresight (``Scene.path``).
+Coordinates are right-handed with z vertical.  The receiver plane is z = 0,
+and the transmitter sits at height ``height_difference_m`` above it.  In the
+ceiling-cell scenario the transmitter hangs on the vertical axis through the
+room center and points straight down; in the directed scenario it sits on the
+x = 0 wall and is aimed at the receiver.  Either way a link to a point on the
+receiver plane is fixed by two scalars, its length and its angle off the
+transmitter's boresight (``Scene.path``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ScenarioConfig:
     height_difference_m: float
     horizontal_distance_m: float | None = None
     room_extent_m: tuple[float, float] = (60.0, 60.0)
-    receiver_height_m: float = 1.0
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -53,13 +53,10 @@ class ScenarioConfig:
             raise ValueError(f"transmit power must be positive, got {self.transmit_power_w}")
         if self.height_difference_m <= 0.0:
             raise ValueError(f"height difference must be positive, got {self.height_difference_m}")
-        if self.receiver_height_m < 0.0:
-            raise ValueError(f"receiver height must be >= 0, got {self.receiver_height_m}")
         ex, ey = self.room_extent_m
         if ex <= 0.0 or ey <= 0.0:
             raise ValueError(f"room extent must be positive, got {self.room_extent_m}")
-        longest = max(self.height_difference_m, self.receiver_height_m, ex, ey,
-                      self.horizontal_distance_m or 0.0)
+        longest = max(self.height_difference_m, ex, ey, self.horizontal_distance_m or 0.0)
         if longest > MAX_LENGTH_M:
             raise ValueError(f"lengths must be at most {MAX_LENGTH_M:g} m, got {longest}")
         if self.variant == DIRECTED:
@@ -90,45 +87,36 @@ def receiver_x(config: ScenarioConfig) -> float:
     return d
 
 
-def transmitter(config: ScenarioConfig) -> tuple[tuple[float, float, float],
-                                                 tuple[float, float, float]]:
-    """The transmitter's position and unit boresight.
-
-    Cell variant: straight down.  Directed variant: aimed at the receiver.
-    """
-    z_rx = config.receiver_height_m
-    z_tx = z_rx + config.height_difference_m
-    if config.variant == CELL:
-        return (0.0, 0.0, z_tx), (0.0, 0.0, -1.0)
-    d = receiver_x(config)
-    dz = z_rx - z_tx
-    norm = math.sqrt(d * d + dz * dz)
-    return (0.0, 0.0, z_tx), (d / norm, 0.0, dz / norm)
-
-
 class Scene:
-    """The transmitter pose and the receiver plane of one scenario, built once.
+    """The transmitter pose of one scenario, built once.
 
-    Every link from the transmitter to the receiver plane goes through
-    ``path``: the planner's link to the receiver and each eavesdropper
-    position of a map or profile.
+    The transmitter sits at (0, 0, h), h = ``height_difference_m``.  Cell
+    variant: it points straight down.  Directed variant: it is aimed at the
+    receiver.  Every link from the transmitter to the receiver plane goes
+    through ``path``: the planner's link to the receiver and each
+    eavesdropper position of a map or profile.
     """
 
-    __slots__ = ("origin", "boresight", "receiver_height_m")
+    __slots__ = ("origin", "boresight")
 
     def __init__(self, config: ScenarioConfig):
-        self.origin, self.boresight = transmitter(config)
-        self.receiver_height_m = config.receiver_height_m
+        h = config.height_difference_m
+        self.origin = (0.0, 0.0, h)
+        if config.variant == CELL:
+            self.boresight = (0.0, 0.0, -1.0)
+        else:
+            d = receiver_x(config)
+            norm = math.sqrt(d * d + h * h)
+            self.boresight = (d / norm, 0.0, -h / norm)
 
     def path(self, x: float, y: float) -> tuple[float, float]:
         """Length and angle off the transmitter's boresight of the path to (x, y).
 
         (x, y) is a point on the receiver plane; the angle is in radians.
         """
-        ax, ay, az = origin = self.origin
-        z = self.receiver_height_m
-        distance = math.sqrt((x - ax) ** 2 + (y - ay) ** 2 + (z - az) ** 2)
-        return distance, offset_angle(self.boresight, origin, (x, y, z))
+        origin = self.origin
+        distance = math.sqrt(x ** 2 + y ** 2 + origin[2] ** 2)
+        return distance, offset_angle(self.boresight, origin, (x, y, 0.0))
 
 
 def offset_angle(boresight, from_position, to_position) -> float:

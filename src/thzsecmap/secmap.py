@@ -248,7 +248,6 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
         "nx": len(xs),
         "ny": len(ys),
         "origin_m": [xs[0], ys[0]],
-        "receiver_height_m": config.receiver_height_m,
     }
     return SecrecyMapGrid(xs=xs, ys=ys, values=values, metadata=metadata)
 
@@ -365,8 +364,6 @@ def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
                       bob=replace(config.bob, gain_dbi=float(value)))
         return cfg, n, rate_bits, phi_target
     if variable == "d_AB":
-        if config.variant != DIRECTED:
-            raise ConfigError("d_AB can only be swept in the directed scenario")
         return replace(config, horizontal_distance_m=float(value)), n, rate_bits, phi_target
     # l_AB, the last of SWEEP_VARIABLES: sweep refuses any other name before it plans
     return replace(config, height_difference_m=float(value)), n, rate_bits, phi_target
@@ -386,7 +383,8 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     grid column on |y|, without building the map.  ``delta_0`` must lie in
     (0, 1), as for ``threshold_radius``, and ``area_resolution_m`` must give
     a grid that ``grid_axes`` accepts, in either scenario; both are checked
-    before the first plan.
+    before the first plan.  A value refused while its scenario is built is
+    reported as ``<variable> = <value>: <reason>``.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")
@@ -395,10 +393,15 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
         grid_axes(config, area_resolution_m)  # no swept variable changes the room
     except ValueError as exc:
         raise ValueError(f"area resolution: {exc}") from None
+    if variable == "d_AB" and config.variant != DIRECTED:
+        raise ConfigError("d_AB can only be swept in the directed scenario")
     rows = []
     for value in values:
-        cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
-                                                  variable, value)
+        try:
+            cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
+                                                      variable, value)
+        except ValueError as exc:  # the blocklength's, an antenna's or the scenario's check
+            raise ConfigError(f"{variable} = {value:g}: {exc}") from None
         plan = planner.plan(cfg, n_v, r_v, phi_v)
         row = dict.fromkeys(SWEEP_COLUMNS)  # None: the column does not apply to this row
         row.update(variable=variable, value=value, feasible=plan.feasible,

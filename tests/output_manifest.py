@@ -53,6 +53,12 @@ def _commands() -> dict:
             "--area-resolution", resolution]
     commands["directed-sweep-G_A"] = DIRECTED, ["sweep", "--variable", "G_A",
                                                 "--values", "15,20,25"]
+    # heights other than the shipped ones: a rounding error in the height frame shows here
+    commands["cell-sweep-l_AB"] = CELL, ["sweep", "--variable", "l_AB",
+                                         "--values", "1.7,3.5,6.9"]
+    commands["directed-sweep-l_AB"] = DIRECTED, ["sweep", "--variable", "l_AB",
+                                                 "--values", "0.3,8.5,13.1",
+                                                 "--area-resolution", "4.0"]
     return commands
 
 

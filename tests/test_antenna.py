@@ -42,6 +42,12 @@ class TestBeamwidthFromGain:
         with pytest.raises(ValueError, match=f"^{key} gives .* too narrow"):
             Antenna(**{"gain_dbi": 10.0, **kwargs})
 
+    # a pinned beamwidth reads no gain, yet the overflow is refused at once
+    @pytest.mark.parametrize("override", [None, 10.0])
+    def test_overflowing_gain_names_the_field(self, override):
+        with pytest.raises(ValueError, match=r"^gain_dbi: 3100 dB overflows a linear ratio$"):
+            Antenna(3100.0, beamwidth_override_deg=override)
+
 
 @pytest.mark.parametrize("antenna", [
     Antenna(gain_dbi=10.0),

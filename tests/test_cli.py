@@ -72,9 +72,10 @@ class TestConfigLoading:
         assert "code.n" in capsys.readouterr().err
 
     # Bob's and Eve's antennas take only a gain, and Alice's beamwidth follows her gain
-    # unless it is pinned: no antenna takes a gain-to-beamwidth constant
+    # unless it is pinned: no antenna takes a gain-to-beamwidth constant.  The receiver
+    # plane is z = 0, so no height but the height difference is settable.
     @pytest.mark.parametrize("key", ["code.blocklen", "scenario.transmitter_setback_m",
-                                     "antennas.alice.kappa_deg2",
+                                     "scenario.receiver_height_m", "antennas.alice.kappa_deg2",
                                      *[f"antennas.{who}.{key}" for who in ("bob", "eve")
                                        for key in ("kappa_deg2", "min_relative_gain_db",
                                                    "beamwidth_override_deg")]])
@@ -185,7 +186,7 @@ class TestMapCommand:
         assert meta["antennas"]["eve"]["gain_dbi"] == rc.scenario.eve.gain_dbi
         assert meta["scenario"]["variant"] == "cell"
         assert meta["run"]["map"] == {"resolution_m": 4.0, "nx": 6, "ny": 6,
-                                      "origin_m": [-10.0, -10.0], "receiver_height_m": 1.0}
+                                      "origin_m": [-10.0, -10.0]}
 
     def test_metadata_round_trip(self, tmp_path, capsys):
         out1 = tmp_path / "r1"
@@ -454,6 +455,28 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("invalid input: ") and option in err
+    assert not out.exists()
+
+
+# a refused swept value names the variable, then the antenna's field or the
+# scenario's quantity, in one line
+@pytest.mark.parametrize("config, argv, want", [
+    ("scenario2_directed", ["--variable", "G_A", "--values", "3100"],
+     "G_A = 3100: gain_dbi: 3100 dB overflows a linear ratio"),
+    ("scenario1_cell", ["--variable", "G_E", "--values", "3100"],
+     "G_E = 3100: gain_dbi: 3100 dB overflows a linear ratio"),
+    ("scenario1_cell", ["--variable", "G_E", "--values", "10,-5"],
+     "G_E = -5: gain_dbi must be >= 0, got -5.0"),
+    ("scenario2_directed", ["--variable", "l_AB", "--values", "0"],
+     "l_AB = 0: height difference must be positive, got 0.0"),
+], ids=["directed G_A 3100", "cell G_E 3100", "cell G_E -5", "directed l_AB 0"])
+def test_sweep_names_the_variable_and_the_field(tmp_path, capsys, config, argv, want):
+    out = tmp_path / "out"
+    path = SHIPPED_CONFIGS[0].parent / f"{config}.json"
+    assert run(["sweep", *argv, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {want}\n"
     assert not out.exists()
 
 

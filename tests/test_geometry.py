@@ -17,7 +17,6 @@ from thzsecmap import (
     offset_angle,
     pattern_gain,
     receiver_x,
-    transmitter,
 )
 from thzsecmap.geometry import MAX_GRID_POINTS
 
@@ -33,10 +32,10 @@ def directed_path_oracle(config, x, y):
 
 class TestBuildScenarioCell:
     def test_nadir_placement(self, cell_config):
-        origin, boresight = transmitter(cell_config)
-        assert origin == (0.0, 0.0, 4.5)
-        assert boresight == (0.0, 0.0, -1.0)
-        assert Scene(cell_config).path(0.0, 0.0) == (3.5, 0.0)
+        scene = Scene(cell_config)
+        assert scene.origin == (0.0, 0.0, 3.5)
+        assert scene.boresight == (0.0, 0.0, -1.0)
+        assert scene.path(0.0, 0.0) == (3.5, 0.0)
 
     def test_cone_edge_offset_angle(self, cell_config):
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
@@ -70,12 +69,11 @@ class TestBuildScenarioDirected:
             17.2409396496, abs=1e-9)
 
     def test_boresight_hits_bob(self, directed_config):
-        origin, boresight = transmitter(directed_config)
-        assert origin == (0.0, 0.0, 9.5)
-        assert math.hypot(*boresight) == pytest.approx(1.0, rel=1e-15)
-        assert boresight[1] == 0.0
-        bob = receiver_x(directed_config)
-        assert Scene(directed_config).path(bob, 0.0)[1] == pytest.approx(0.0)
+        scene = Scene(directed_config)
+        assert scene.origin == (0.0, 0.0, 8.5)
+        assert math.hypot(*scene.boresight) == pytest.approx(1.0, rel=1e-15)
+        assert scene.boresight[1] == 0.0
+        assert scene.path(receiver_x(directed_config), 0.0)[1] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("x, y", [(0.0, 0.0), (3.0, 4.0), (15.0, -6.0), (40.0, 0.0),
                                       (59.0, 29.0)])

@@ -259,8 +259,7 @@ class TestEvaluateMap:
         # the plan and the scenario are recorded by the CLI's metadata writer
         grid = evaluate_map(cell_plan, small_cell, 4.0)
         assert grid.metadata == {"resolution_m": 4.0, "nx": 7, "ny": 7,
-                                 "origin_m": [-12.0, -12.0],
-                                 "receiver_height_m": small_cell.receiver_height_m}
+                                 "origin_m": [-12.0, -12.0]}
 
 
 class TestSecurityCurve:
@@ -398,17 +397,16 @@ class TestThresholdRadius:
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.floats(0.0, 40.0), st.one_of(st.none(), st.floats(0.5, 180.0)),
            st.one_of(st.none(), st.floats(-80.0, -1.0)), st.floats(0.0, 40.0),
-           st.floats(0.05, 50.0), st.floats(0.0, 5.0),
-           st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
+           st.floats(0.05, 50.0), st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
     def test_eve_snr_does_not_rise_with_the_radius(self, gain, beamwidth, floor, eve_gain,
-                                                   height, receiver_height, drawn):
+                                                   height, drawn):
         config, plan = shipped("scenario1_cell.json")
         config = replace(
             config,
             alice=replace(config.alice, gain_dbi=gain, beamwidth_override_deg=beamwidth,
                           min_relative_gain_db=floor),
             eve=replace(config.eve, gain_dbi=eve_gain),
-            height_difference_m=height, receiver_height_m=receiver_height)
+            height_difference_m=height)
         radii = sorted({*(k / 4.0 for k in range(401)), *drawn,
                         *(math.nextafter(r, math.inf) for r in drawn)})
         snrs = [oracles.eve_link(plan, config, r, 0.0).snr for r in radii]
@@ -423,20 +421,19 @@ class TestThresholdRadius:
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.floats(0.0, 40.0), st.one_of(st.none(), st.floats(0.5, 180.0)),
            st.one_of(st.none(), st.floats(-80.0, -1.0)), st.floats(0.0, 40.0),
-           st.floats(0.05, 50.0), st.floats(0.0, 5.0),
+           st.floats(0.05, 50.0),
            st.one_of(st.floats(0.0, 60.0, exclude_min=True), st.just(60.0)),  # the room's depth
            st.lists(st.floats(0.0, 60.0), max_size=3),
            st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
     def test_eve_snr_does_not_rise_along_a_column(self, name, gain, beamwidth, floor, eve_gain,
-                                                  height, receiver_height, d_ab, drawn_xs,
-                                                  drawn_us):
+                                                  height, d_ab, drawn_xs, drawn_us):
         config, plan = shipped(name)
         config = replace(
             config,
             alice=replace(config.alice, gain_dbi=gain, beamwidth_override_deg=beamwidth,
                           min_relative_gain_db=floor),
             eve=replace(config.eve, gain_dbi=eve_gain),
-            height_difference_m=height, receiver_height_m=receiver_height)
+            height_difference_m=height)
         width = config.room_extent_m[0]
         if config.variant == geometry.DIRECTED:
             config = replace(config, horizontal_distance_m=d_ab)
@@ -548,7 +545,6 @@ def directed_cases(draw):
         alice=replace(config.alice, gain_dbi=gain), bob=replace(config.bob, gain_dbi=gain),
         eve=replace(config.eve, gain_dbi=draw(st.floats(5.0, 30.0))),
         height_difference_m=draw(st.floats(1.0, 10.0)),
-        receiver_height_m=draw(st.floats(0.0, 3.0)),
         horizontal_distance_m=draw(st.floats(1.0, 60.0)))
     code = (draw(st.integers(200, 8000)), draw(st.floats(0.05, 1.0)),
             10.0 ** draw(st.floats(-6.0, -1.0)))
