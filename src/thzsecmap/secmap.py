@@ -206,7 +206,7 @@ def _column_insecure_fraction(curve: SecurityCurve, resolution_m: float) -> floa
 
 def evaluate_map(plan: PlanResult, config: ScenarioConfig,
                  resolution_m: float) -> SecrecyMapGrid:
-    """Security level at every grid point of the room at receiver height.
+    """Security level at every grid point of the room on the receiver plane.
 
     Each column, a distinct |x| (cell) or x (directed), is walked over the
     distinct |y| in ascending order, with one link and level per symmetry
@@ -383,7 +383,7 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
     grid column on |y|, without building the map.  ``delta_0`` must lie in
     (0, 1), as for ``threshold_radius``, and ``area_resolution_m`` must give
     a grid that ``grid_axes`` accepts, in either scenario; both are checked
-    before the first plan.  A value refused while its scenario is built is
+    before the first plan.  A value that its scenario or its plan refuses is
     reported as ``<variable> = <value>: <reason>``.
     """
     if variable not in SWEEP_VARIABLES:
@@ -400,9 +400,9 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
         try:
             cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
                                                       variable, value)
-        except ValueError as exc:  # the blocklength's, an antenna's or the scenario's check
+            plan = planner.plan(cfg, n_v, r_v, phi_v)
+        except ValueError as exc:  # an antenna's, the scenario's or the code's check
             raise ConfigError(f"{variable} = {value:g}: {exc}") from None
-        plan = planner.plan(cfg, n_v, r_v, phi_v)
         row = dict.fromkeys(SWEEP_COLUMNS)  # None: the column does not apply to this row
         row.update(variable=variable, value=value, feasible=plan.feasible,
                    c_ab_bits=plan.c_ab_bits)
