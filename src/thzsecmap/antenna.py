@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import GeometryError
-from .linkmodel import db_to_ratio
+from .linkmodel import Record, db_to_ratio
 
 KRAUS_BEAM_CONSTANT_DEG2 = 41253.0
 """Kappa: square degrees in a sphere, the classic directivity approximation."""
@@ -22,8 +22,8 @@ KRAUS_BEAM_CONSTANT_DEG2 = 41253.0
 MIN_BEAMWIDTH_RAD = 4.0 * math.pi / math.sqrt(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class Antenna:
+class Antenna(Record, namedtuple("Antenna", "gain_dbi min_relative_gain_db "
+                                  "beamwidth_override_deg")):
     """Directional antenna described by boresight gain and main-lobe shape.
 
     Attributes
@@ -31,37 +31,42 @@ class Antenna:
     gain_dbi : float
         Boresight gain relative to an isotropic radiator.
     min_relative_gain_db : float or None
-        Optional sidelobe floor relative to boresight (e.g. -30.0).  None means
-        pure Gaussian roll-off with no floor.
+        Optional sidelobe floor relative to boresight (e.g. -30.0), at most
+        the half-power level, a relative gain of 1/2.  None means pure
+        Gaussian roll-off with no floor.
     beamwidth_override_deg : float or None
         When set, pins the full half-power beamwidth to this value instead
         of the Kraus relation.
 
     ``gain_linear``, ``beamwidth_rad`` and ``relative_gain_floor`` are
     computed from these fields once per instance, on first use, so a
-    ``dataclasses.replace`` copy computes its own.
+    ``_replace`` copy computes its own.
     """
 
-    gain_dbi: float
-    min_relative_gain_db: float | None = None
-    beamwidth_override_deg: float | None = None
-
-    def __post_init__(self) -> None:
+    def __new__(cls, gain_dbi: float, min_relative_gain_db: float | None = None,
+                beamwidth_override_deg: float | None = None) -> Antenna:
         # each message starts with the field name; the config loader prefixes the section
-        if self.gain_dbi < 0.0:
-            raise ValueError(f"gain_dbi must be >= 0, got {self.gain_dbi}")
+        if gain_dbi < 0.0:
+            raise ValueError(f"gain_dbi must be >= 0, got {gain_dbi}")
         try:
-            db_to_ratio(self.gain_dbi)  # a pinned beamwidth never reads the gain
+            db_to_ratio(gain_dbi)  # a pinned beamwidth never reads the gain
         except ValueError as exc:
             raise ValueError(f"gain_dbi: {exc}") from None
-        override = self.beamwidth_override_deg
+        floor = min_relative_gain_db
+        # the cone edge has half the boresight gain; the negated form also rejects NaN
+        if floor is not None and not (floor <= 0.0 and db_to_ratio(floor) <= 0.5):
+            raise ValueError(f"min_relative_gain_db must be at most the half-power level "
+                             f"(a ratio of 1/2, about -3.0103 dB), got {floor}")
+        override = beamwidth_override_deg
         if override is not None and not 0.0 < override <= 180.0:
             raise ValueError(f"beamwidth_override_deg must lie in (0, 180], got {override}")
+        self = tuple.__new__(cls, (gain_dbi, min_relative_gain_db, beamwidth_override_deg))
         width = beamwidth_from_gain(self)
         if math.radians(width) < MIN_BEAMWIDTH_RAD:
             key = "gain_dbi" if override is None else "beamwidth_override_deg"
             raise ValueError(f"{key} gives a half-power beamwidth of {width:g} deg, "
                              "too narrow to evaluate the antenna pattern")
+        return self
 
     @cached_property
     def gain_linear(self) -> float:

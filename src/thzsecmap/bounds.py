@@ -48,9 +48,9 @@ right: each tangent of a concave function lies above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .linkmodel import LN2, LinkState
+from .linkmodel import LN2, LinkState, Record
 
 _ALPHA_GUARD = 1e-9
 _T_FLOOR = 2.0 ** -52  # the smallest t with 1 - t != 1 and 1 + t != 1
@@ -72,8 +72,7 @@ def blocklength_text(n) -> str:
     return repr(n)
 
 
-@dataclass(frozen=True)
-class SecrecyCode:
+class SecrecyCode(Record, namedtuple("SecrecyCode", "blocklength rate_bits randomness_bits")):
     """Wiretap code parameters.
 
     Attributes
@@ -87,16 +86,14 @@ class SecrecyCode:
         the eavesdropper.
     """
 
-    blocklength: int
-    rate_bits: float
-    randomness_bits: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.blocklength
+    def __new__(cls, blocklength: int, rate_bits: float, randomness_bits: float) -> SecrecyCode:
+        n = blocklength
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BLOCKLENGTH:
             raise ValueError(f"blocklength must be an integer in [1, 2**53], "
                              f"got {blocklength_text(n)}")
-        rate, randomness = self.rate_bits, self.randomness_bits
+        rate, randomness = rate_bits, randomness_bits
         # negated forms, so that NaN, which fails every comparison, is rejected too
         if not (-math.inf < rate < math.inf and -math.inf < randomness < math.inf):
             raise ValueError(f"code rates must be finite, got R = {rate}, L = {randomness}")
@@ -104,10 +101,10 @@ class SecrecyCode:
             raise ValueError(f"secrecy rate must be positive, got {rate}")
         if randomness < 0.0:
             raise ValueError(f"randomness rate must be >= 0, got {randomness}")
+        return tuple.__new__(cls, (blocklength, rate_bits, randomness_bits))
 
 
-@dataclass(frozen=True)
-class BoundFreeParams:
+class BoundFreeParams(Record, namedtuple("BoundFreeParams", "alpha lambda_nats")):
     """Free parameters of one bound evaluation.
 
     ``alpha`` is the Renyi order (in (0,1) for the reliability bound, above 1
@@ -115,14 +112,14 @@ class BoundFreeParams:
     slack.  The higher-order epsilon term is negligible and omitted.
     """
 
-    alpha: float
-    lambda_nats: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0 or self.alpha == 1.0:
-            raise ValueError(f"alpha must be positive and != 1, got {self.alpha}")
-        if self.lambda_nats <= 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lambda_nats}")
+    def __new__(cls, alpha: float, lambda_nats: float) -> BoundFreeParams:
+        if alpha <= 0.0 or alpha == 1.0:
+            raise ValueError(f"alpha must be positive and != 1, got {alpha}")
+        if lambda_nats <= 0.0:
+            raise ValueError(f"lambda must be positive, got {lambda_nats}")
+        return tuple.__new__(cls, (alpha, lambda_nats))
 
 
 def _clamp_prob(log_value: float) -> float:

@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__, planner
@@ -46,16 +46,15 @@ MAX_INT_DIGITS = 4300  # Python's default limit on converting text to int
 DEFAULT_TX_POWER_MW = {CELL: 9.0, DIRECTED: 0.5}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run configuration in internal units."""
-
-    scenario: ScenarioConfig
-    n: int
-    rate_bits: float
-    phi_target: float
-    output_dir: str
-    raw: dict  # validated document in config units, re-emitted as metadata
+# Resolved run configuration in internal units.
+RunConfig = namedtuple("RunConfig", [
+    "scenario",  # ScenarioConfig
+    "n",
+    "rate_bits",
+    "phi_target",
+    "output_dir",
+    "raw",  # validated document in config units, re-emitted as metadata
+])
 
 
 def _number(value, path: str) -> float:
@@ -125,14 +124,13 @@ def _directory(value, path: str) -> str:
 REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class _Key:
-    """One config key: its check, its default, and how it maps to internal units."""
-
-    check: object  # (value, path) -> the validated value in config units
-    default: object = REQUIRED
-    field: str | None = None  # keyword of the internal object, when not the key
-    scale: float | None = None  # factor from the config unit to the internal one
+# One config key: its check, its default, and how it maps to internal units.
+_Key = namedtuple("_Key", [
+    "check",  # (value, path) -> the validated value in config units
+    "default",
+    "field",  # keyword of the internal object, when not the key
+    "scale",  # factor from the config unit to the internal one
+], defaults=(REQUIRED, None, None))
 
 
 _GAIN = {"gain_dbi": _Key(_decibels(_nonnegative))}
@@ -278,7 +276,7 @@ def _cmd_plan(rc: RunConfig, args) -> int:
     plan = _feasible_plan(rc)
     print(f"C_AB: {plan.c_ab_bits:.6g} bit/use (SNR {ratio_to_db(plan.bob_link.snr):.4g} dB)")
     print(f"resolved L: {plan.code.randomness_bits:.6g} bit/use")
-    print(f"achieved phi: {plan.achieved_phi:.6g} (target {plan.phi_target:g})")
+    print(f"achieved phi: {plan.achieved_phi:.6g} (target {plan.phi_target!r})")
     _write_metadata(rc, _out_dir(rc, args), "plan", {"plan": plan.to_dict()}, [])
     return 0
 
@@ -346,7 +344,7 @@ def _cmd_radial(rc: RunConfig, args) -> int:
 def _cmd_threshold(rc: RunConfig, args) -> int:
     plan = _feasible_plan(rc)
     radius = threshold_radius(plan, rc.scenario, args.delta)
-    print(f"r_E0: {radius:.4f} m (delta = {args.delta:g})")
+    print(f"r_E0: {radius:.4f} m (delta = {args.delta!r})")
     _write_metadata(rc, _out_dir(rc, args), "threshold",
                     {"plan": plan.to_dict(),
                      "threshold": {"delta": args.delta, "r_e0_m": radius}},

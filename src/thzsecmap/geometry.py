@@ -12,21 +12,23 @@ transmitter's boresight (``Scene.path``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .antenna import Antenna, cone_radius
 from .errors import GeometryError
-from .linkmodel import RadioEnvironment
+from .linkmodel import RadioEnvironment, Record
 
 CELL = "cell"
 DIRECTED = "directed"
 VARIANTS = (CELL, DIRECTED)
 MAX_GRID_POINTS = 4_000_000  # about 0.03 m spacing on a 60 m x 60 m room
 MAX_LENGTH_M = 1e150  # squared path lengths and their sums stay finite
+MIN_LENGTH_M = 1e-150  # a squared height stays nonzero
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment alice bob eve "
+                                        "transmit_power_w height_difference_m "
+                                        "horizontal_distance_m room_extent_m")):
     """Full description of one indoor scenario.
 
     Room extent is the floor rectangle in meters.  For the cell variant the
@@ -36,36 +38,34 @@ class ScenarioConfig:
     Alice, so only their antennas' gain is read, never their pattern.
     """
 
-    variant: str
-    environment: RadioEnvironment
-    alice: Antenna
-    bob: Antenna
-    eve: Antenna
-    transmit_power_w: float
-    height_difference_m: float
-    horizontal_distance_m: float | None = None
-    room_extent_m: tuple[float, float] = (60.0, 60.0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.transmit_power_w <= 0.0:
-            raise ValueError(f"transmit power must be positive, got {self.transmit_power_w}")
-        if self.height_difference_m <= 0.0:
-            raise ValueError(f"height difference must be positive, got {self.height_difference_m}")
-        ex, ey = self.room_extent_m
+    def __new__(cls, variant: str, environment: RadioEnvironment, alice: Antenna, bob: Antenna,
+                eve: Antenna, transmit_power_w: float, height_difference_m: float,
+                horizontal_distance_m: float | None = None,
+                room_extent_m: tuple[float, float] = (60.0, 60.0)) -> ScenarioConfig:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        if transmit_power_w <= 0.0:
+            raise ValueError(f"transmit power must be positive, got {transmit_power_w}")
+        if height_difference_m <= 0.0:
+            raise ValueError(f"height difference must be positive, got {height_difference_m}")
+        if height_difference_m < MIN_LENGTH_M:
+            raise ValueError(f"height difference must be at least {MIN_LENGTH_M:g} m, "
+                             f"got {height_difference_m}")
+        ex, ey = room_extent_m
         if ex <= 0.0 or ey <= 0.0:
-            raise ValueError(f"room extent must be positive, got {self.room_extent_m}")
-        longest = max(self.height_difference_m, ex, ey, self.horizontal_distance_m or 0.0)
+            raise ValueError(f"room extent must be positive, got {room_extent_m}")
+        longest = max(height_difference_m, ex, ey, horizontal_distance_m or 0.0)
         if longest > MAX_LENGTH_M:
             raise ValueError(f"lengths must be at most {MAX_LENGTH_M:g} m, got {longest}")
-        if self.variant == DIRECTED:
-            if self.horizontal_distance_m is None:
+        if variant == DIRECTED:
+            if horizontal_distance_m is None:
                 raise ValueError("directed scenario requires horizontal_distance_m")
-            if self.horizontal_distance_m <= 0.0:
-                raise ValueError(
-                    f"horizontal distance must be positive, got {self.horizontal_distance_m}"
-                )
+            if horizontal_distance_m <= 0.0:
+                raise ValueError(f"horizontal distance must be positive, got {horizontal_distance_m}")
+        return tuple.__new__(cls, (variant, environment, alice, bob, eve, transmit_power_w,
+                                   height_difference_m, horizontal_distance_m, room_extent_m))
 
 
 def receiver_x(config: ScenarioConfig) -> float:

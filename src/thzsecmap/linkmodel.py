@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -42,31 +41,47 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
 
 
-@dataclass(frozen=True)
-class RadioEnvironment:
+class Record(tuple):
+    """Base of the package's records: immutable named tuples, checked when built.
+
+    A record's ``__new__`` checks its fields and builds with ``tuple.__new__``;
+    ``_make``, and so ``_replace``, builds through that constructor, so every
+    way of building one runs the same checks.  Records compare and hash as
+    tuples.  A record with a ``cached_property`` declares no ``__slots__``:
+    the property caches its value in the instance's ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class RadioEnvironment(Record, namedtuple("RadioEnvironment", "carrier_frequency_hz "
+                                          "bandwidth_hz temperature_k noise_figure_db")):
     """Carrier, bandwidth, temperature, and receiver noise figure.
 
     Together with the Boltzmann constant these determine the thermal noise
     floor shared by every receiver in a scenario, ``noise_power_w``: computed
-    once per instance, so a ``dataclasses.replace`` copy computes its own.
+    once per instance, so a ``_replace`` copy computes its own.
     """
 
-    carrier_frequency_hz: float
-    bandwidth_hz: float
-    temperature_k: float
-    noise_figure_db: float
-
-    def __post_init__(self) -> None:
-        if self.carrier_frequency_hz <= 0.0:
-            raise ValueError(f"carrier frequency must be positive, got {self.carrier_frequency_hz}")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if self.temperature_k <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature_k}")
-        if self.noise_figure_db < 0.0:
-            raise ValueError(f"noise figure must be >= 0 dB, got {self.noise_figure_db}")
+    def __new__(cls, carrier_frequency_hz: float, bandwidth_hz: float, temperature_k: float,
+                noise_figure_db: float) -> RadioEnvironment:
+        if carrier_frequency_hz <= 0.0:
+            raise ValueError(f"carrier frequency must be positive, got {carrier_frequency_hz}")
+        if bandwidth_hz <= 0.0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
+        if temperature_k <= 0.0:
+            raise ValueError(f"temperature must be positive, got {temperature_k}")
+        if noise_figure_db < 0.0:
+            raise ValueError(f"noise figure must be >= 0 dB, got {noise_figure_db}")
+        self = tuple.__new__(cls, (carrier_frequency_hz, bandwidth_hz, temperature_k,
+                                   noise_figure_db))
         if self.noise_power_w == 0.0:
             raise ValueError("noise power k*T*B*F underflows to 0 W")
+        return self
 
     @cached_property
     def noise_power_w(self) -> float:
@@ -75,8 +90,8 @@ class RadioEnvironment:
                 * db_to_ratio(self.noise_figure_db))
 
 
-class LinkState(namedtuple("LinkState", "received_power_w noise_power_w snr capacity_bits "
-                                        "capacity_nats rho")):
+class LinkState(Record, namedtuple("LinkState", "received_power_w noise_power_w snr "
+                                                "capacity_bits capacity_nats rho")):
     """Resolved quantities of one line-of-sight link, an immutable named tuple.
 
     Every way of building one checks the noise power, the SNR and rho,
@@ -107,10 +122,6 @@ class LinkState(namedtuple("LinkState", "received_power_w noise_power_w snr capa
             raise ValueError(f"rho must lie in [0, 1), got {rho}")
         return tuple.__new__(cls, (received_power_w, noise_power_w, snr, capacity_bits,
                                    capacity_nats, rho))
-
-    @classmethod
-    def _make(cls, iterable) -> LinkState:
-        return cls(*iterable)
 
 
 def fspl_gain(carrier_frequency_hz: float, distance_m: float) -> float:

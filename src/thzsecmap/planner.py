@@ -18,7 +18,7 @@ three bound minimizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .antenna import pattern_gain
 from .bounds import SecrecyCode, max_randomness, min_reliability
@@ -29,8 +29,8 @@ from .linkmodel import LinkState, link_budget
 _STEPS_DOWN_MAX = 64  # from the solved L; 54 doublings of its ulp reach L = 0
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(namedtuple("PlanResult", "feasible code transmit_power_w bob_link achieved_phi "
+                                          "phi_target c_ab_bits")):
     """Outcome of resolving (P_A, L) for one scenario.
 
     ``feasible`` is False when even L = 0 misses the reliability target, in
@@ -40,13 +40,7 @@ class PlanResult:
     [0, code.randomness_bits].
     """
 
-    feasible: bool
-    code: SecrecyCode | None
-    transmit_power_w: float
-    bob_link: LinkState
-    achieved_phi: float
-    phi_target: float
-    c_ab_bits: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -151,7 +145,7 @@ def require_feasible(plan: PlanResult) -> PlanResult:
     """Raise InfeasiblePlanError unless the plan met its reliability target."""
     if not plan.feasible:
         raise InfeasiblePlanError(
-            f"no randomness rate meets phi <= {plan.phi_target:g} "
+            f"no randomness rate meets phi <= {plan.phi_target!r} "
             f"(C_AB = {plan.c_ab_bits:.4f} bit/use at the worst-case receiver)")
     return plan
 

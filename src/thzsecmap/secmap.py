@@ -37,15 +37,14 @@ import bisect
 import functools
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 
 from . import geometry, planner
 from .antenna import cone_radius, pattern_gain
 from .bounds import MAX_BLOCKLENGTH, min_security
 from .errors import ConfigError, ProfileError
 from .geometry import CELL, DIRECTED, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioConfig, grid_axes
-from .linkmodel import LinkState, link_budget
+from .linkmodel import LinkState, Record, link_budget
 from .planner import PlanResult, require_feasible
 
 THRESHOLD_RADIUS_TOL_M = 0.01
@@ -72,8 +71,7 @@ def _distinct_rows(rows) -> dict:
     return {id(row): row for row in rows}
 
 
-@dataclass(frozen=True, eq=False)
-class SecrecyMapGrid:
+class SecrecyMapGrid(Record, namedtuple("SecrecyMapGrid", "xs ys values metadata")):
     """Security levels on a rectangular grid of eavesdropper positions.
 
     ``xs`` and ``ys`` are sequences of floats, tuples from ``evaluate_map``.
@@ -84,45 +82,42 @@ class SecrecyMapGrid:
     the plan and scenario are recorded by the caller.
     """
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    values: MapValues
-    metadata: dict
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ny, nx = len(self.ys), len(self.xs)
-        if len(self.values) != ny or any(len(row) != nx for row in self.values):
+    def __new__(cls, xs: tuple[float, ...], ys: tuple[float, ...], values: MapValues,
+                metadata: dict) -> SecrecyMapGrid:
+        ny, nx = len(ys), len(xs)
+        if len(values) != ny or any(len(row) != nx for row in values):
             raise ValueError(f"values do not match {ny} y and {nx} x coordinates: "
                              f"need {ny} rows of {nx}")
         # once per row object, as evaluate_map shares mirrored rows; the
         # negated form also rejects NaN, which fails every comparison
-        rows = _distinct_rows(self.values).values()
+        rows = _distinct_rows(values).values()
         if not all(0.0 <= v <= 1.0 for row in rows for v in row):
             raise ValueError("security levels must lie in [0, 1]")
+        return tuple.__new__(cls, (xs, ys, values, metadata))
 
 
-@dataclass(frozen=True, eq=False)
-class RadialProfile:
+class RadialProfile(Record, namedtuple("RadialProfile", "radii_m deltas")):
     """Security level versus horizontal distance from the transmitter.
 
     ``radii_m`` and ``deltas`` are tuples of floats of one length; the radii
     are finite and strictly increasing and every level lies in [0, 1].
     """
 
-    radii_m: tuple[float, ...]
-    deltas: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        radii = self.radii_m
-        if len(radii) != len(self.deltas):
-            raise ValueError(f"{len(radii)} radii but {len(self.deltas)} security levels")
+    def __new__(cls, radii_m: tuple[float, ...], deltas: tuple[float, ...]) -> RadialProfile:
+        if len(radii_m) != len(deltas):
+            raise ValueError(f"{len(radii_m)} radii but {len(deltas)} security levels")
         # negated forms, so that NaN, which fails every comparison, is rejected too
-        if not all(-math.inf < r < math.inf for r in radii):
+        if not all(-math.inf < r < math.inf for r in radii_m):
             raise ValueError("radii must be finite")
-        if not all(a < b for a, b in zip(radii, radii[1:])):
+        if not all(a < b for a, b in zip(radii_m, radii_m[1:])):
             raise ValueError("radii must be strictly increasing")
-        if not all(0.0 <= d <= 1.0 for d in self.deltas):
+        if not all(0.0 <= d <= 1.0 for d in deltas):
             raise ValueError("security levels must lie in [0, 1]")
+        return tuple.__new__(cls, (radii_m, deltas))
 
 
 class SecurityCurve:
@@ -269,7 +264,7 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
     radii = _linspace(float(r_min_m), float(r_max_m), steps)
     # a step below the spacing of floats repeats radii; refused before any evaluation
     if not all(a < b for a, b in zip(radii, radii[1:])):
-        raise ValueError(f"r_min {r_min_m:g} m to r_max {r_max_m:g} m in {steps} steps gives "
+        raise ValueError(f"r_min {r_min_m!r} m to r_max {r_max_m!r} m in {steps} steps gives "
                          "radii that are not strictly increasing; widen the range or use "
                          "fewer steps")
     curve = SecurityCurve(plan, config)
@@ -326,7 +321,7 @@ def _crossing_radius(curve: SecurityCurve, delta_0: float) -> float:
         lo = hi
         hi *= 2.0
         if hi > 1e6:
-            raise ProfileError(f"security level never fell below {delta_0:g} out to 1e6 m")
+            raise ProfileError(f"security level never fell below {delta_0!r} out to 1e6 m")
     while hi - lo > THRESHOLD_RADIUS_TOL_M:
         mid = 0.5 * (lo + hi)
         if delta_at(mid) >= delta_0:
@@ -355,18 +350,17 @@ def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
     if variable == "R":
         return config, n, float(value), phi_target
     if variable == "G_E":
-        cfg = replace(config, eve=replace(config.eve, gain_dbi=float(value)))
+        cfg = config._replace(eve=config.eve._replace(gain_dbi=float(value)))
         return cfg, n, rate_bits, phi_target
     if variable == "G_A":
         # transmitter and legitimate receiver share the same gain by convention
-        cfg = replace(config,
-                      alice=replace(config.alice, gain_dbi=float(value)),
-                      bob=replace(config.bob, gain_dbi=float(value)))
+        cfg = config._replace(alice=config.alice._replace(gain_dbi=float(value)),
+                              bob=config.bob._replace(gain_dbi=float(value)))
         return cfg, n, rate_bits, phi_target
     if variable == "d_AB":
-        return replace(config, horizontal_distance_m=float(value)), n, rate_bits, phi_target
+        return config._replace(horizontal_distance_m=float(value)), n, rate_bits, phi_target
     # l_AB, the last of SWEEP_VARIABLES: sweep refuses any other name before it plans
-    return replace(config, height_difference_m=float(value)), n, rate_bits, phi_target
+    return config._replace(height_difference_m=float(value)), n, rate_bits, phi_target
 
 
 def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
@@ -402,7 +396,7 @@ def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
                                                       variable, value)
             plan = planner.plan(cfg, n_v, r_v, phi_v)
         except ValueError as exc:  # an antenna's, the scenario's or the code's check
-            raise ConfigError(f"{variable} = {value:g}: {exc}") from None
+            raise ConfigError(f"{variable} = {value!r}: {exc}") from None
         row = dict.fromkeys(SWEEP_COLUMNS)  # None: the column does not apply to this row
         row.update(variable=variable, value=value, feasible=plan.feasible,
                    c_ab_bits=plan.c_ab_bits)

@@ -6,8 +6,6 @@ lines as they complete.
 
 import math
 import time
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -176,14 +174,14 @@ def test_criterion_7_figure_shapes(env, anchor_config):
         lo = threshold_radius(plan, cfg, 0.01)
         return hi, lo - hi
 
-    cfg9 = replace(anchor_config, transmit_power_w=9e-3)
+    cfg9 = anchor_config._replace(transmit_power_w=9e-3)
     widths, starts = [], []
     for n in (500, 2000, 8000):
         hi, width = transition(cfg9, n)
         starts.append(hi)
         widths.append(width)
     fig6_sharpen = widths[0] > widths[1] > widths[2]
-    cfg9_ge20 = replace(cfg9, eve=replace(cfg9.eve, gain_dbi=20.0))
+    cfg9_ge20 = cfg9._replace(eve=cfg9.eve._replace(gain_dbi=20.0))
     hi20, _ = transition(cfg9_ge20, 2000)
     fig6_outward = hi20 > starts[1]
 
@@ -193,7 +191,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
 
     r_by_rate = [r_e0(cfg9, 2000, r, 1e-3) for r in (0.1, 0.2, 0.4)]
     fig7_rate = r_by_rate[0] <= r_by_rate[1] <= r_by_rate[2]
-    r_ge = [r_e0(replace(cfg9, eve=replace(cfg9.eve, gain_dbi=g)), 2000, 0.2, 1e-3)
+    r_ge = [r_e0(cfg9._replace(eve=cfg9.eve._replace(gain_dbi=g)), 2000, 0.2, 1e-3)
             for g in (10.0, 20.0)]
     fig7_gain = r_ge[0] <= r_ge[1]
     r_by_phi = [r_e0(cfg9, 2000, 0.2, phi) for phi in (1e-6, 1e-4, 1e-2)]

@@ -1,6 +1,4 @@
 import math
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +31,12 @@ class TestBeamwidthFromGain:
             Antenna(10.0, beamwidth_override_deg=0.0)
         with pytest.raises(ValueError):
             Antenna(10.0, beamwidth_override_deg=190.0)
+        # a sidelobe floor above the half-power level would lift the cone edge's gain
+        for floor in (5.0, 0.0, -3.0, math.nan):
+            with pytest.raises(ValueError, match="^min_relative_gain_db must be at most "
+                                                 "the half-power level"):
+                Antenna(10.0, min_relative_gain_db=floor)
+        assert Antenna(10.0, min_relative_gain_db=-3.02).relative_gain_floor < 0.5
 
     @pytest.mark.parametrize("kwargs, key", [
         ({"beamwidth_override_deg": 1e-300}, "beamwidth_override_deg"),
@@ -65,7 +69,7 @@ def test_cached_constants_follow_the_fields(antenna):
         return (ant.gain_linear, ant.beamwidth_rad, ant.relative_gain_floor)
 
     assert cached(antenna) == formulas(antenna)
-    other = replace(antenna, gain_dbi=antenna.gain_dbi + 3.0, min_relative_gain_db=-20.0)
+    other = antenna._replace(gain_dbi=antenna.gain_dbi + 3.0, min_relative_gain_db=-20.0)
     assert cached(other) == formulas(other)
     assert other.gain_linear != antenna.gain_linear
     assert other.relative_gain_floor != antenna.relative_gain_floor

@@ -250,8 +250,6 @@ class TestOtherCommands:
         assert 5.0 < radius < 30.0
 
     def test_threshold_equals_library_call(self, tmp_path, capsys, cell_config):
-        from dataclasses import replace
-
         from thzsecmap import plan_cell, threshold_radius
 
         out = tmp_path / "out"
@@ -259,7 +257,7 @@ class TestOtherCommands:
         path = write_config(tmp_path, doc)
         assert run(["threshold", "--config", str(path), "--delta", "1e-3"]) == 0
         meta = json.loads((out / "threshold_metadata.json").read_text())
-        cfg = replace(cell_config, room_extent_m=(20.0, 20.0))
+        cfg = cell_config._replace(room_extent_m=(20.0, 20.0))
         plan = plan_cell(cfg, 2000, 0.2, 1e-3)
         expected = threshold_radius(plan, cfg, 1e-3)
         assert meta["run"]["threshold"]["r_e0_m"] == pytest.approx(expected, abs=1e-12)
@@ -348,6 +346,14 @@ def _set_alice_floor_minus_inf(doc):
     doc["antennas"]["alice"]["min_relative_gain_db"] = -math.inf
 
 
+def _set_alice_floor_above_half_power(doc):
+    doc["antennas"]["alice"]["min_relative_gain_db"] = 5.0
+
+
+def _set_height_underflowing(doc):
+    doc["scenario"]["height_difference_m"] = 1e-300  # its square underflows to 0
+
+
 def _set_room_below_footprint(doc):
     doc["scenario"]["room_extent_m"] = [10.0, 10.0]  # the cone footprint radius is 7.2 m
 
@@ -386,6 +392,8 @@ def _set_blocklength_5001_digits(doc):
         ["sweep", "--variable", "R", "--values", "-1"],
         ["sweep", "--variable", "G_E", "--values", "-5"],
         ["sweep", "--variable", "l_AB", "--values", "0"],
+        ["sweep", "--variable", "l_AB", "--values", "1e-300"],
+        ["sweep", "--variable", "l_AB", "--values", "1e-160"],
         ["sweep", "--variable", "G_A", "--values", "1e308"],
         ["sweep", "--variable", "n", "--values", "1e300"],
         ["map", "--resolution", "0.01"],
@@ -395,6 +403,9 @@ def _set_blocklength_5001_digits(doc):
     pytest.param(["plan"], _set_transmit_nan, id="plan transmit_mw NaN"),
     pytest.param(["plan"], _set_temperature_inf, id="plan temperature_k Infinity"),
     pytest.param(["plan"], _set_alice_floor_minus_inf, id="plan alice floor -Infinity"),
+    pytest.param(["plan"], _set_alice_floor_above_half_power, id="plan alice floor 5 dB"),
+    pytest.param(["link"], _set_alice_floor_above_half_power, id="link alice floor 5 dB"),
+    pytest.param(["plan"], _set_height_underflowing, id="plan height 1e-300 m"),
     pytest.param(["plan"], _set_room_below_footprint, id="plan cell room 10 m"),
     pytest.param(["plan"], _set_directed_beyond_room, id="plan directed receiver beyond room"),
     pytest.param(["sweep", "--variable", "d_AB", "--values", "70"], _set_directed,
@@ -448,12 +459,19 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
         (["sweep", "--variable", "X", "--values", "1"], "--variable"),
         # a swept value that its scenario or its plan refuses: the variable, then the reason
         (["sweep", "--variable", "G_A", "--values", "3100"],
-         "G_A = 3100: gain_dbi: 3100 dB overflows a linear ratio"),
+         "G_A = 3100.0: gain_dbi: 3100 dB overflows a linear ratio"),
         (["sweep", "--variable", "G_E", "--values", "3100"],
-         "G_E = 3100: gain_dbi: 3100 dB overflows a linear ratio"),
+         "G_E = 3100.0: gain_dbi: 3100 dB overflows a linear ratio"),
         (["sweep", "--variable", "G_E", "--values", "10,-5"],
-         "G_E = -5: gain_dbi must be >= 0"),
-        (["sweep", "--variable", "l_AB", "--values", "0"], "l_AB = 0: height difference"),
+         "G_E = -5.0: gain_dbi must be >= 0"),
+        (["sweep", "--variable", "l_AB", "--values", "0"], "l_AB = 0.0: height difference"),
+        (["sweep", "--variable", "l_AB", "--values", "1e-160"],
+         "l_AB = 1e-160: height difference must be at least 1e-150 m, got 1e-160"),
+        # the echoed values are exact, not rounded to six digits
+        (["sweep", "--variable", "n", "--values", "2000.0000001"],
+         "n = 2000.0000001: swept blocklength must be an integer"),
+        (["radial", "--r-min", "29.999999999999996", "--r-max", "30", "--steps", "100"],
+         "r_min 29.999999999999996 m to r_max 30.0 m in 100 steps"),
     )
 ])
 def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
@@ -464,6 +482,45 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
     assert len(err.splitlines()) == 1
     assert err.startswith("invalid input: ") and option in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_set_alice_floor_above_half_power,
+                 "antennas.alice.min_relative_gain_db must be at most the half-power level "
+                 "(a ratio of 1/2, about -3.0103 dB), got 5.0", id="alice floor 5 dB"),
+    pytest.param(_set_height_underflowing,
+                 "scenario: height difference must be at least 1e-150 m, got 1e-300",
+                 id="height 1e-300 m"),
+])
+def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
+    doc = base_config(str(tmp_path / "out"))
+    edit(doc)
+    assert run(["plan", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_the_smallest_height_still_plans(tmp_path, capsys, config):
+    doc = json.loads(config.read_text())
+    doc["scenario"]["height_difference_m"] = 1e-150
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert run(["plan", "--config", str(path), "--out", out]) == 0
+    assert run(["sweep", "--config", str(config), "--variable", "l_AB", "--values", "1e-150",
+                "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_echoed_inputs_print_their_exact_value(tmp_path, capsys):
+    doc = json.loads(SHIPPED_CONFIGS[0].read_text())  # scenario1_cell.json
+    doc["code"]["phi_target"] = 0.0012345678
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert run(["plan", "--config", str(path), "--out", out]) == 0
+    assert "(target 0.0012345678)\n" in capsys.readouterr().out
+    assert run(["threshold", "--config", str(path), "--delta", "0.999999999", "--out", out]) == 0
+    assert capsys.readouterr().out.endswith(" m (delta = 0.999999999)\n")
 
 
 def test_empty_out_exits_2_naming_it(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,4 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -18,7 +16,7 @@ from thzsecmap import (
     pattern_gain,
     receiver_x,
 )
-from thzsecmap.geometry import MAX_GRID_POINTS
+from thzsecmap.geometry import MAX_GRID_POINTS, MIN_LENGTH_M
 
 
 def directed_path_oracle(config, x, y):
@@ -50,7 +48,7 @@ class TestBuildScenarioCell:
 
     def test_cone_edge_outside_room_rejected(self, cell_config):
         # the 7.2 m footprint radius does not fit in a 10 m room
-        small = replace(cell_config, room_extent_m=(10.0, 10.0))
+        small = cell_config._replace(room_extent_m=(10.0, 10.0))
         with pytest.raises(GeometryError, match=r"receiver offset \(7\.2.*, 0\.0\) lies outside"):
             receiver_x(small)
 
@@ -84,7 +82,7 @@ class TestBuildScenarioDirected:
         assert theta == pytest.approx(want_theta, abs=1e-7)
 
     def test_outside_room_rejected(self, directed_config):
-        bad = replace(directed_config, horizontal_distance_m=100.0)
+        bad = directed_config._replace(horizontal_distance_m=100.0)
         with pytest.raises(GeometryError, match="receiver distance 100.0 m lies outside the room"):
             receiver_x(bad)
         with pytest.raises(GeometryError):
@@ -95,6 +93,20 @@ class TestBuildScenarioDirected:
         with pytest.raises(ValueError):
             ScenarioConfig(variant="directed", environment=paper_env, alice=a, bob=a, eve=a,
                            transmit_power_w=1e-3, height_difference_m=8.5)
+
+
+# a smaller height's square underflows, and the link to the receiver below is undefined
+@pytest.mark.parametrize("height, message", [
+    (0.0, "height difference must be positive, got 0.0"),
+    (9.99e-151, "height difference must be at least 1e-150 m, got 9.99e-151"),
+    (1e-300, "height difference must be at least 1e-150 m, got 1e-300"),
+])
+def test_height_too_small_is_refused_by_name(cell_config, height, message):
+    with pytest.raises(ValueError) as refused:
+        cell_config._replace(height_difference_m=height)
+    assert str(refused.value) == message
+    lowest = cell_config._replace(height_difference_m=MIN_LENGTH_M)
+    assert Scene(lowest).path(receiver_x(lowest), 0.0)[0] > 0.0
 
 
 class TestOffsetAngle:
@@ -155,7 +167,7 @@ class TestEveGrid:
     ])
     def test_point_cap(self, cell_config, extent, resolution, points):
         assert MAX_GRID_POINTS == 2000 * 2000
-        cfg = replace(cell_config, room_extent_m=extent)
+        cfg = cell_config._replace(room_extent_m=extent)
         if points <= MAX_GRID_POINTS:
             xs, ys = grid_axes(cfg, resolution)
             assert len(xs) * len(ys) == points

@@ -1,13 +1,17 @@
 import math
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from thzsecmap import (
+    Antenna,
+    BoundFreeParams,
     LinkState,
+    RadialProfile,
     RadioEnvironment,
+    ScenarioConfig,
+    SecrecyCode,
+    SecrecyMapGrid,
     db_to_ratio,
     fspl_gain,
     link_budget,
@@ -58,8 +62,8 @@ class TestNoisePower:
         assert env.noise_power_w == pytest.approx(4.0038821e-21, rel=1e-9)
 
     def test_cached_on_the_environment(self, paper_env):
-        assert "noise_power_w" in vars(paper_env)  # computed once, by __post_init__'s check
-        colder = replace(paper_env, temperature_k=145.0)
+        assert "noise_power_w" in vars(paper_env)  # computed once, by the constructor's check
+        colder = paper_env._replace(temperature_k=145.0)
         assert colder.noise_power_w == paper_env.noise_power_w / 2.0  # halving is exact
 
     def test_environment_validation(self):
@@ -116,19 +120,57 @@ class TestLinkBudget:
         with pytest.raises(ValueError, match="rho must lie in"):  # rho = inf / inf is NaN
             link_from_snr(math.inf)
 
-    def test_link_state_checked_and_immutable(self):
-        link = link_from_snr(1.0)
-        assert type(link) is LinkState
-        assert link._replace(snr=3.0).snr == 3.0
-        for field, value in (("noise_power_w", 0.0), ("snr", -1.0), ("rho", 1.0)):
-            with pytest.raises(ValueError, match=field.split("_")[0]):
-                link._replace(**{field: value})
-        with pytest.raises(AttributeError):
-            link.snr = 2.0
-
     def test_link_from_capacity_round_trip(self):
         link = link_from_capacity_bits(1.2)
         assert link.capacity_bits == pytest.approx(1.2, rel=1e-12)
+
+
+_ENV = RadioEnvironment(300e9, 1e9, 290.0, 9.0)
+_ANTENNA = Antenna(10.0)
+
+
+# (record, field, a value its checks accept, values they refuse, the refusal's message)
+@pytest.mark.parametrize("record, field, good, bad, message", [
+    pytest.param(link_from_snr(1.0), "snr", 3.0, {"noise_power_w": 0.0, "snr": -1.0, "rho": 1.0},
+                 "^(noise power|snr|rho) ", id="LinkState"),
+    pytest.param(_ENV, "temperature_k", 145.0, {"bandwidth_hz": 0.0, "noise_figure_db": -0.1},
+                 "^(bandwidth|noise figure) ", id="RadioEnvironment"),
+    pytest.param(_ANTENNA, "gain_dbi", 20.0,
+                 {"min_relative_gain_db": 5.0, "beamwidth_override_deg": 190.0},
+                 "^(min_relative_gain_db|beamwidth_override_deg) ", id="Antenna"),
+    pytest.param(ScenarioConfig("cell", _ENV, _ANTENNA, _ANTENNA, _ANTENNA, 1e-3, 3.5),
+                 "height_difference_m", 8.5, {"height_difference_m": 1e-300, "variant": "x"},
+                 "^(height difference must be at least 1e-150 m|variant must)",
+                 id="ScenarioConfig"),
+    pytest.param(SecrecyCode(2000, 0.2, 0.5), "randomness_bits", 0.0,
+                 {"blocklength": 0, "rate_bits": -1.0}, "^(blocklength|secrecy rate) ",
+                 id="SecrecyCode"),
+    pytest.param(BoundFreeParams(0.5, 0.1), "alpha", 2.0, {"alpha": 1.0, "lambda_nats": 0.0},
+                 "^(alpha|lambda) ", id="BoundFreeParams"),
+    pytest.param(SecrecyMapGrid((0.0,), (0.0,), ((0.5,),), {}), "values", ((0.25,),),
+                 {"values": ((1.5,),), "xs": (0.0, 1.0)}, "^(security levels|values) ",
+                 id="SecrecyMapGrid"),
+    pytest.param(RadialProfile((0.0, 1.0), (1.0, 0.5)), "deltas", (0.5, 0.25),
+                 {"radii_m": (1.0, 0.0), "deltas": (1.0,)}, "^(radii|2 radii) ",
+                 id="RadialProfile"),
+])
+def test_record_checked_and_immutable(record, field, good, bad, message):
+    """Every way of building a checked record runs its constructor's checks."""
+    # a value computed once per instance: a copy must compute its own
+    cached = {Antenna: "gain_linear", RadioEnvironment: "noise_power_w"}.get(type(record))
+    before = getattr(record, cached) if cached else None
+    copy = record._replace(**{field: good})
+    assert type(copy) is type(record) and getattr(copy, field) == good
+    if cached:
+        assert getattr(copy, cached) == getattr(type(record)(*copy), cached) != before
+    for name, value in bad.items():
+        with pytest.raises(ValueError, match=message) as built:
+            type(record)(**{**record._asdict(), name: value})
+        with pytest.raises(ValueError) as replaced:
+            record._replace(**{name: value})
+        assert str(replaced.value) == str(built.value)
+    with pytest.raises(AttributeError):
+        setattr(record, field, good)
 
 
 @given(st.floats(min_value=-150.0, max_value=150.0))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +73,7 @@ class TestPlanCell:
         assert abs(plan.code.randomness_bits - scan) <= 2e-4
 
     def test_l_monotone_in_power_and_rate(self, cell_config):
-        by_power = [replace(cell_config, transmit_power_w=p) for p in (2e-3, 4e-3, 9e-3)]
+        by_power = [cell_config._replace(transmit_power_w=p) for p in (2e-3, 4e-3, 9e-3)]
         ls_power = [plan_cell(cfg, 2000, 0.2, 1e-3).code.randomness_bits for cfg in by_power]
         assert all(b >= a for a, b in zip(ls_power, ls_power[1:]))
         ls_rate = [plan_cell(by_power[-1], 2000, r, 1e-3).code.randomness_bits
@@ -118,12 +117,12 @@ class TestPlanDirected:
         assert plan.achieved_phi <= 1e-3
 
     def test_shorter_distance_larger_randomness(self, directed_config):
-        configs = [replace(directed_config, horizontal_distance_m=d) for d in (25.0, 15.0, 5.0)]
+        configs = [directed_config._replace(horizontal_distance_m=d) for d in (25.0, 15.0, 5.0)]
         ls = [plan_directed(cfg, 2000, 0.2, 1e-3).code.randomness_bits for cfg in configs]
         assert ls[0] < ls[1] < ls[2]
 
     def test_infeasible_when_power_too_small(self, directed_config):
-        plan = plan_directed(replace(directed_config, transmit_power_w=1e-9), 2000, 0.2, 1e-3)
+        plan = plan_directed(directed_config._replace(transmit_power_w=1e-9), 2000, 0.2, 1e-3)
         assert not plan.feasible
 
     def test_matches_scan_oracle(self, directed_config):
@@ -145,7 +144,7 @@ class TestPlanDirected:
         # would fall short of the boresight gain in the last bits
         from thzsecmap.planner import bob_link
 
-        config = replace(directed_config, horizontal_distance_m=5.0)
+        config = directed_config._replace(horizontal_distance_m=5.0)
         link, distance, g_tx = bob_link(config)
         assert g_tx == config.alice.gain_linear
         assert distance == pytest.approx(math.hypot(5.0, 8.5), rel=1e-15)
@@ -182,7 +181,7 @@ def test_plan_result_dict_round_trip(cell_config):
 
 
 def test_power_comes_from_the_scenario(cell_config):
-    plan = plan_cell(replace(cell_config, transmit_power_w=9e-3), 2000, 0.2, 1e-3)
+    plan = plan_cell(cell_config._replace(transmit_power_w=9e-3), 2000, 0.2, 1e-3)
     base = plan_cell(cell_config, 2000, 0.2, 1e-3)
     assert plan.transmit_power_w == 9e-3
     assert plan.bob_link.snr == pytest.approx(base.bob_link.snr * 9e-3 / CALIBRATED_TX_POWER_W,
@@ -209,7 +208,7 @@ def _cell_config_at_rho(rho: float) -> ScenarioConfig:
                          alice=Antenna(10.0), bob=Antenna(10.0), eve=Antenna(10.0),
                          transmit_power_w=1.0, height_difference_m=3.5)
     snr_per_watt = planner.bob_link(cfg)[0].snr
-    return replace(cfg, transmit_power_w=rho * rho / (1.0 - rho * rho) / snr_per_watt)
+    return cfg._replace(transmit_power_w=rho * rho / (1.0 - rho * rho) / snr_per_watt)
 
 
 def count_plan_calls(monkeypatch) -> list:
@@ -300,7 +299,7 @@ class TestPlanWork:
         if variable == "n":
             n = value
         else:
-            scenario = replace(scenario, horizontal_distance_m=value)
+            scenario = scenario._replace(horizontal_distance_m=value)
         recorded = count_plan_calls(monkeypatch)
         plan = planner.plan(scenario, n, rc.rate_bits, rc.phi_target)
         # L = 0 first, then the solved L and each step down from it

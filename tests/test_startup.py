@@ -2,8 +2,9 @@
 
 The package needs only the standard library: grid axes, profiles and map
 values are plain floats, and importing numpy would be about half of a fresh
-CLI process's start-up.  Each test runs a fresh interpreter, since this test
-session has loaded numpy long ago.
+CLI process's start-up.  Its records are named tuples, so neither does it
+import ``dataclasses``, which would bring in ``inspect``.  Each test runs a
+fresh interpreter, since this test session has loaded all three long ago.
 """
 
 import json
@@ -70,6 +71,15 @@ def _run_all(mode: str, cwd: Path) -> tuple[dict, dict]:
 def test_import_leaves_numpy_unloaded():
     proc = _python("-c", "import sys, thzsecmap.cli; print(sorted(m for m in sys.modules "
                          "if m.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_and_load_leave_dataclasses_and_inspect_unloaded():
+    # -S: no site module, whose .pth files may import either one themselves
+    proc = _python("-S", "-c", "import sys, thzsecmap, thzsecmap.cli; "
+                   f"thzsecmap.cli.load_config({CELL!r}); "
+                   "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
