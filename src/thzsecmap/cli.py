@@ -30,7 +30,6 @@ from .geometry import CELL, DIRECTED, VARIANTS, ScenarioConfig
 from .linkmodel import RadioEnvironment, db_to_ratio, link_budget, ratio_to_db, watts_to_dbm
 from .planner import PlanResult, require_feasible
 from .secmap import (
-    SWEEP_VARIABLES,
     evaluate_map,
     radial_profile,
     sweep,
@@ -168,6 +167,22 @@ SCHEMA = {
     "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
 }
 
+# sweep --variable's short names, each for one numeric key of SCHEMA; G_A is Alice's gain alone
+SWEEP_ALIASES = {"n": "code.n", "phi_target": "code.phi_target", "R": "code.rate_bits",
+                 "G_E": "antennas.eve.gain_dbi", "G_A": "antennas.alice.gain_dbi",
+                 "d_AB": "scenario.horizontal_distance_m", "l_AB": "scenario.height_difference_m"}
+
+
+def _numeric_paths(table: dict = SCHEMA, prefix: str = "") -> list[str]:
+    """The dotted path of every numeric key in the table's sections, in table order."""
+    paths = []
+    for key, row in table.items():
+        if isinstance(row, dict):
+            paths += _numeric_paths(row, f"{prefix}{key}.")
+        elif prefix and row.check not in (_variant, _extent, _directory):  # run is no section
+            paths.append(prefix + key)
+    return paths
+
 
 def _required(row) -> bool:
     if isinstance(row, dict):
@@ -228,6 +243,11 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("missing required key scenario.horizontal_distance_m (directed variant)")
     if raw["power"]["transmit_mw"] is None:
         raw["power"]["transmit_mw"] = DEFAULT_TX_POWER_MW[sc["variant"]]
+    return _build(raw)
+
+
+def _build(raw: dict) -> RunConfig:
+    """The records of a validated document, which is left as it is."""
     environment = RadioEnvironment(**_fields(SCHEMA["environment"], raw["environment"]))
     antennas = {}
     for name, section in raw["antennas"].items():
@@ -237,12 +257,35 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"antennas.{name}.{exc}") from exc
     try:
         scenario = ScenarioConfig(environment=environment, **antennas,
-                                  **_fields(SCHEMA["scenario"], sc),
+                                  **_fields(SCHEMA["scenario"], raw["scenario"]),
                                   **_fields(SCHEMA["power"], raw["power"]))
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
     return RunConfig(scenario=scenario, raw=raw, **_fields(SCHEMA["code"], raw["code"]),
                      **_fields(SCHEMA["output"], raw["output"]))
+
+
+def _replaced(doc: dict, keys: list[str], value) -> dict:
+    """A copy of the nested ``doc`` with the key at ``keys`` set to value; it shares the rest."""
+    head, *rest = keys
+    return {**doc, head: _replaced(doc[head], rest, value) if rest else value}
+
+
+def sweep_row(rc: RunConfig, path: str):
+    """``secmap.sweep``'s row function for the numeric key at ``path``: a value -> the
+    scenario, n, rate_bits and phi_target of ``rc`` with that key set to the JSON number
+    the value spells (an integral float as an int), checked and built as ``parse_config``
+    does, so that every refusal is the config's own and names the key.
+    """
+    keys = path.split(".")
+    check = functools.reduce(dict.__getitem__, keys, SCHEMA).check
+
+    def row(value):
+        number = int(value) if isinstance(value, float) and value.is_integer() else value
+        built = _build(_replaced(rc.raw, keys, check(number, path)))
+        return built.scenario, built.n, built.rate_bits, built.phi_target
+
+    return row
 
 
 def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,
@@ -353,8 +396,10 @@ def _cmd_threshold(rc: RunConfig, args) -> int:
 
 
 def _cmd_sweep(rc: RunConfig, args) -> int:
-    rows = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, args.variable, args.values,
-                 delta_0=args.delta, area_resolution_m=args.area_resolution)
+    path = SWEEP_ALIASES.get(args.variable, args.variable)
+    rows = sweep(rc.scenario, args.variable, args.values, sweep_row(rc, path),
+                 delta_0=args.delta, area_resolution_m=args.area_resolution,
+                 variant=DIRECTED if path == "scenario.horizontal_distance_m" else None)
     out = _out_dir(rc, args)
     csv_path = out / "sweep.csv"
     write_sweep_csv(rows, csv_path)
@@ -450,9 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--delta", type=_finite_float, default=1e-3)
 
-    p = sub.add_parser("sweep", help="re-plan along one swept variable and tabulate")
+    p = sub.add_parser("sweep", help="re-plan along one swept config key and tabulate")
     common(p)
-    p.add_argument("--variable", required=True, choices=SWEEP_VARIABLES)
+    aliases = ", ".join(f"{name} = {path}" for name, path in SWEEP_ALIASES.items())
+    p.add_argument("--variable", required=True, choices=[*SWEEP_ALIASES, *_numeric_paths()],
+                   metavar="KEY", help="a numeric config key by its dotted path, e.g. "
+                   f"power.transmit_mw, or a short name for one: {aliases}; G_A moves "
+                   "Alice's gain only")
     p.add_argument("--values", type=_float_list, required=True,
                    help="comma-separated values")
     p.add_argument("--delta", type=_finite_float, default=1e-3,

@@ -148,13 +148,3 @@ def require_feasible(plan: PlanResult) -> PlanResult:
             f"no randomness rate meets phi <= {plan.phi_target!r} "
             f"(C_AB = {plan.c_ab_bits:.4f} bit/use at the worst-case receiver)")
     return plan
-
-
-__all__ = [
-    "PlanResult",
-    "bob_link",
-    "plan",
-    "plan_cell",
-    "plan_directed",
-    "require_feasible",
-]

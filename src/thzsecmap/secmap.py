@@ -41,15 +41,14 @@ from collections import Counter, namedtuple
 
 from . import geometry, planner
 from .antenna import cone_radius, pattern_gain
-from .bounds import MAX_BLOCKLENGTH, min_security
+from .bounds import min_security
 from .errors import ConfigError, ProfileError
-from .geometry import CELL, DIRECTED, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioConfig, grid_axes
+from .geometry import CELL, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioConfig, grid_axes
 from .linkmodel import LinkState, Record, link_budget
 from .planner import PlanResult, require_feasible
 
 THRESHOLD_RADIUS_TOL_M = 0.01
 INSECURE_LEVEL = 0.5  # a map cell counts as insecure where delta exceeds this
-SWEEP_VARIABLES = ("n", "phi_target", "R", "G_E", "G_A", "d_AB", "l_AB")
 SWEEP_COLUMNS = ["variable", "value", "feasible", "r_b_m", "c_ab_bits", "l_bits",
                  "achieved_phi", "r_e0_m", "r_delta_hi_m", "r_delta_lo_m",
                  "transition_width_m", "insecure_fraction"]
@@ -337,65 +336,39 @@ def insecure_fraction(grid: SecrecyMapGrid) -> float:
     return insecure / (len(grid.xs) * len(grid.ys))
 
 
-def _apply_sweep_value(config: ScenarioConfig, n: int, rate_bits: float,
-                       phi_target: float, variable: str, value: float):
-    if variable == "n":
-        # SecrecyCode checks the same range; here the message shows the float, not int(1e300).
-        # The range comes first: int() raises on inf and NaN, which fail it.
-        if not 1 <= value <= MAX_BLOCKLENGTH or value != int(value):
-            raise ConfigError(f"swept blocklength must be an integer in [1, 2**53], got {value}")
-        return config, int(value), rate_bits, phi_target
-    if variable == "phi_target":
-        return config, n, rate_bits, float(value)
-    if variable == "R":
-        return config, n, float(value), phi_target
-    if variable == "G_E":
-        cfg = config._replace(eve=config.eve._replace(gain_dbi=float(value)))
-        return cfg, n, rate_bits, phi_target
-    if variable == "G_A":
-        # transmitter and legitimate receiver share the same gain by convention
-        cfg = config._replace(alice=config.alice._replace(gain_dbi=float(value)),
-                              bob=config.bob._replace(gain_dbi=float(value)))
-        return cfg, n, rate_bits, phi_target
-    if variable == "d_AB":
-        return config._replace(horizontal_distance_m=float(value)), n, rate_bits, phi_target
-    # l_AB, the last of SWEEP_VARIABLES: sweep refuses any other name before it plans
-    return config._replace(height_difference_m=float(value)), n, rate_bits, phi_target
-
-
-def sweep(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float,
-          variable: str, values, *, delta_0: float = 1e-3,
-          area_resolution_m: float = 2.0) -> list[dict]:
+def sweep(config: ScenarioConfig, variable: str, values, row_config, *,
+          delta_0: float = 1e-3, area_resolution_m: float = 2.0,
+          variant: str | None = None) -> list[dict]:
     """Re-plan and summarize the secrecy geometry along one swept variable.
 
+    ``row_config(value)`` gives each row's (ScenarioConfig, n, rate_bits,
+    phi_target); every row shares the room of ``config``, the unswept scenario.
     Produces one long-format row per swept value with the cone footprint
     radius, worst-case capacity, resolved randomness rate, and (cell
     scenario) the radii where the security level crosses 0.99, ``delta_0``
     and 0.01.  Directed rows carry instead the fraction of the grid at
     ``area_resolution_m`` whose level exceeds ``INSECURE_LEVEL``, equal bit
     for bit to ``insecure_fraction`` of that map but found by bisecting each
-    grid column on |y|, without building the map.  ``delta_0`` must lie in
-    (0, 1), as for ``threshold_radius``, and ``area_resolution_m`` must give
-    a grid that ``grid_axes`` accepts, in either scenario; both are checked
-    before the first plan.  A value that its scenario or its plan refuses is
-    reported as ``<variable> = <value>: <reason>``.
+    grid column on |y|, without building the map.  Before the first plan,
+    ``delta_0`` must lie in (0, 1), as for ``threshold_radius``,
+    ``area_resolution_m`` must give a grid that ``grid_axes`` accepts, and
+    ``config`` must be of ``variant``, the one variant that reads the swept
+    variable, when given.  A value that its row function, its scenario or
+    its plan refuses is reported as ``<variable> = <value>: <reason>``.
     """
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"unknown sweep variable {variable!r}; choose from {SWEEP_VARIABLES}")
     _check_delta_0(delta_0)
     try:
-        grid_axes(config, area_resolution_m)  # no swept variable changes the room
+        grid_axes(config, area_resolution_m)
     except ValueError as exc:
         raise ValueError(f"area resolution: {exc}") from None
-    if variable == "d_AB" and config.variant != DIRECTED:
-        raise ConfigError("d_AB can only be swept in the directed scenario")
+    if variant not in (None, config.variant):
+        raise ConfigError(f"{variable} can only be swept in the {variant} scenario")
     rows = []
     for value in values:
         try:
-            cfg, n_v, r_v, phi_v = _apply_sweep_value(config, n, rate_bits, phi_target,
-                                                      variable, value)
-            plan = planner.plan(cfg, n_v, r_v, phi_v)
-        except ValueError as exc:  # an antenna's, the scenario's or the code's check
+            cfg, n, rate_bits, phi_target = row_config(value)
+            plan = planner.plan(cfg, n, rate_bits, phi_target)
+        except ValueError as exc:  # a config check, an antenna's, the scenario's or the code's
             raise ConfigError(f"{variable} = {value!r}: {exc}") from None
         row = dict.fromkeys(SWEEP_COLUMNS)  # None: the column does not apply to this row
         row.update(variable=variable, value=value, feasible=plan.feasible,
@@ -495,24 +468,3 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
 
 def write_sweep_csv(rows: list[dict], path) -> None:
     _write_table(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
-
-
-__all__ = [
-    "MapValues",
-    "SecrecyMapGrid",
-    "RadialProfile",
-    "SecurityCurve",
-    "evaluate_map",
-    "radial_profile",
-    "threshold_radius",
-    "insecure_fraction",
-    "sweep",
-    "SWEEP_VARIABLES",
-    "SWEEP_COLUMNS",
-    "write_map_csv",
-    "write_map_pgm",
-    "write_profile_csv",
-    "write_sweep_csv",
-    "THRESHOLD_RADIUS_TOL_M",
-    "INSECURE_LEVEL",
-]

@@ -53,6 +53,9 @@ def _commands() -> dict:
             "--area-resolution", resolution]
     commands["directed-sweep-G_A"] = DIRECTED, ["sweep", "--variable", "G_A",
                                                 "--values", "15,20,25"]
+    # docs/calibration.md's table
+    commands["cell-sweep-power.transmit_mw"] = CELL, ["sweep", "--variable", "power.transmit_mw",
+                                                      "--values", "1.5,2,2.5,3,4,9"]
     # heights other than the shipped ones: a rounding error in the height frame shows here
     commands["cell-sweep-l_AB"] = CELL, ["sweep", "--variable", "l_AB",
                                          "--values", "1.7,3.5,6.9"]

@@ -4,8 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import csv
 import math
+import re
 import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,16 +23,24 @@ from thzsecmap import (
     SecrecyCode,
     cone_radius,
     evaluate_map,
+    insecure_fraction,
     link_budget,
     link_from_snr,
     min_reliability,
     min_security,
     plan_cell,
     radial_profile,
+    sweep,
     threshold_radius,
     watts_to_dbm,
 )
+from thzsecmap import cli, planner
 from thzsecmap.secmap import write_map_csv
+
+ROOT = Path(__file__).parent.parent
+CELL_CONFIG = ROOT / "src" / "thzsecmap" / "configs" / "scenario1_cell.json"
+DIRECTED_CONFIG = ROOT / "src" / "thzsecmap" / "configs" / "scenario2_directed.json"
+BEAMWIDTHS_DEG = [30.0, 60.0, 90.0, 128.15, 150.0]
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -235,3 +247,67 @@ def test_criterion_9_determinism_and_runtime(anchor_config, tmp_path):
     ok = identical and elapsed < 60.0
     report(9, ok, f"0.5 m 60x60 map: {elapsed:.1f} s in one process (limit 60 s); "
                   f"two runs' CSVs byte-identical: {identical}")
+
+
+def _key_sweep(config, path, values, **kwargs):
+    """``sweep --variable path`` of a config, in-process: its rows, as floats."""
+    rc = cli.load_config(config)
+    return sweep(rc.scenario, path, values, cli.sweep_row(rc, path), **kwargs)
+
+
+def _strictly_rising(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+# The abstract: "weakly directed antennas ... result in large insecure regions".
+def test_criterion_10_wider_beams_leave_more_insecure_area():
+    rc = cli.load_config(CELL_CONFIG)  # 10 dBi, every width pinned by the override
+    row = cli.sweep_row(rc, "antennas.alice.beamwidth_override_deg")
+    fractions = []
+    for width in BEAMWIDTHS_DEG:
+        config, n, rate_bits, phi_target = row(width)
+        map_plan = planner.plan(config, n, rate_bits, phi_target)
+        fractions.append(insecure_fraction(evaluate_map(map_plan, config, 1.0)))
+    report(10, _strictly_rising(fractions),
+           f"cell 1.0 m map insecure fraction at beamwidths {BEAMWIDTHS_DEG} deg: "
+           f"{['%.4f' % f for f in fractions]}, strictly rising")
+
+
+# The abstract: directed insecure regions "cover a large volume of the indoor
+# environment only if the distance between Alice and Bob is large".
+def test_criterion_11_farther_receivers_leave_more_insecure_area():
+    distances = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 50.0]
+    rows = _key_sweep(DIRECTED_CONFIG, "scenario.horizontal_distance_m", distances,
+                      area_resolution_m=0.5)
+    fractions = [row["insecure_fraction"] for row in rows]
+    report(11, _strictly_rising(fractions),
+           f"directed 0.5 m insecure fraction at d_AB {distances} m: "
+           f"{['%.4f' % f for f in fractions]}, strictly rising")
+
+
+# The abstract: "a stringent trade-off between the targeted semantic security
+# level and the number of reliably and securely accessible legitimate receivers":
+# a beam that serves a wider disk also exposes a wider one.
+def test_criterion_12_serving_more_receivers_exposes_more_area():
+    rows = _key_sweep(CELL_CONFIG, "antennas.alice.beamwidth_override_deg", BEAMWIDTHS_DEG)
+    r_b = [row["r_b_m"] for row in rows]
+    r_e0 = [row["r_e0_m"] for row in rows]
+    report(12, _strictly_rising(r_b) and _strictly_rising(r_e0),
+           f"at beamwidths {BEAMWIDTHS_DEG} deg: r_B {['%.2f' % r for r in r_b]} m and "
+           f"r_E0 {['%.2f' % r for r in r_e0]} m, both strictly rising")
+
+
+def test_calibration_table_is_one_power_sweep(tmp_path, capsys):
+    """Every cell of docs/calibration.md's table, from the sweep the doc names."""
+    text = (ROOT / "docs" / "calibration.md").read_text()
+    command = re.search(r"thzsecmap sweep --config (\S+) \\\n\s+(.*)\n", text)
+    assert command, "docs/calibration.md names no sweep command"
+    assert cli.run(["sweep", "--config", str(ROOT / command.group(1)),
+                    *command.group(2).split(), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    expected = [f"| {float(row['value']):.1f} | {float(row['c_ab_bits']):.3f} | "
+                f"{float(row['l_bits']):.3f} | {float(row['r_delta_hi_m']):.1f} | "
+                f"{float(row['r_e0_m']):.1f} |" for row in rows]
+    table = [line for line in text.splitlines() if re.match(r"\| \d", line)]
+    assert table == expected

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -457,19 +458,37 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
         (["sweep", "--variable", "R", "--values", ","], "--values"),
         (["sweep", "--variable", "R"], "--values"),
         (["sweep", "--variable", "X", "--values", "1"], "--variable"),
-        # a swept value that its scenario or its plan refuses: the variable, then the reason
+        # a swept value that its key, its scenario or its plan refuses: the name as
+        # given, then the reason that a config file with that value gets
         (["sweep", "--variable", "G_A", "--values", "3100"],
-         "G_A = 3100.0: gain_dbi: 3100 dB overflows a linear ratio"),
+         "G_A = 3100.0: antennas.alice.gain_dbi: 3100 dB overflows a linear ratio"),
         (["sweep", "--variable", "G_E", "--values", "3100"],
-         "G_E = 3100.0: gain_dbi: 3100 dB overflows a linear ratio"),
+         "G_E = 3100.0: antennas.eve.gain_dbi: 3100 dB overflows a linear ratio"),
         (["sweep", "--variable", "G_E", "--values", "10,-5"],
-         "G_E = -5.0: gain_dbi must be >= 0"),
-        (["sweep", "--variable", "l_AB", "--values", "0"], "l_AB = 0.0: height difference"),
+         "G_E = -5.0: antennas.eve.gain_dbi must be >= 0, got -5.0"),
+        (["sweep", "--variable", "l_AB", "--values", "0"],
+         "l_AB = 0.0: scenario.height_difference_m must be positive, got 0.0"),
         (["sweep", "--variable", "l_AB", "--values", "1e-160"],
-         "l_AB = 1e-160: height difference must be at least 1e-150 m, got 1e-160"),
+         "l_AB = 1e-160: scenario: height difference must be at least 1e-150 m, got 1e-160"),
         # the echoed values are exact, not rounded to six digits
         (["sweep", "--variable", "n", "--values", "2000.0000001"],
-         "n = 2000.0000001: swept blocklength must be an integer"),
+         "n = 2000.0000001: code.n must be an integer, got 2000.0000001"),
+        (["sweep", "--variable", "code.n", "--values", "2.5"],
+         "code.n = 2.5: code.n must be an integer, got 2.5"),
+        (["sweep", "--variable", "power.transmit_mw", "--values", "1,0"],
+         "power.transmit_mw = 0.0: power.transmit_mw must be positive, got 0.0"),
+        (["sweep", "--variable", "antennas.alice.beamwidth_override_deg", "--values", "200"],
+         "antennas.alice.beamwidth_override_deg = 200.0: antennas.alice.beamwidth_override_deg "
+         "must lie in (0, 180], got 200.0"),
+        (["sweep", "--variable", "antennas.alice.min_relative_gain_db", "--values", "-1"],
+         "antennas.alice.min_relative_gain_db = -1.0: antennas.alice.min_relative_gain_db "
+         "must be at most the half-power level"),
+        (["sweep", "--variable", "environment.temperature_k", "--values", "1e-320"],
+         "environment.temperature_k = 1e-320: noise power k*T*B*F underflows to 0 W"),
+        (["sweep", "--variable", "scenario.horizontal_distance_m", "--values", "5"],
+         "scenario.horizontal_distance_m can only be swept in the directed scenario"),
+        (["sweep", "--variable", "d_AB", "--values", "5"],
+         "d_AB can only be swept in the directed scenario"),
         (["radial", "--r-min", "29.999999999999996", "--r-max", "30", "--steps", "100"],
          "r_min 29.999999999999996 m to r_max 30.0 m in 100 steps"),
     )
@@ -626,3 +645,96 @@ def test_one_parser_serves_every_run_in_a_process(tmp_path, capsys, monkeypatch)
     assert sorted(files) == ["out/plan/plan_metadata.json", "out/sweep/sweep.csv",
                              "out/sweep/sweep_metadata.json"]
     assert files == _files(tmp_path / "fresh")
+
+
+def _bob_at_5_dbi(tmp_path: Path) -> Path:
+    """The shipped cell config with Bob's gain apart from Alice's."""
+    doc = json.loads(SHIPPED_CONFIGS[0].read_text())  # scenario1_cell.json
+    doc["antennas"]["bob"]["gain_dbi"] = 5.0
+    return write_config(tmp_path, doc, "bob_5_dbi.json")
+
+
+SWEEP_CONFIGS = {"cell": lambda tmp_path: SHIPPED_CONFIGS[0],
+                 "directed": lambda tmp_path: SHIPPED_CONFIGS[1],
+                 "cell-bob-5-dBi": _bob_at_5_dbi}
+
+
+def _key(doc: dict, path: str):
+    for key in path.split("."):
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+# every short name and numeric key path that each config sets (Bob's edit sets no new key)
+SWEEP_CASES = [
+    pytest.param(which, name, id=f"{which}-{name}")
+    for which, config in (("cell", SHIPPED_CONFIGS[0]), ("directed", SHIPPED_CONFIGS[1]),
+                          ("cell-bob-5-dBi", SHIPPED_CONFIGS[0]))
+    for rc in [load_config(config)]
+    for name in [*cli.SWEEP_ALIASES, *cli._numeric_paths()]
+    if _key(rc.raw, cli.SWEEP_ALIASES.get(name, name)) is not None]
+
+
+def _swept_rows(monkeypatch, config: Path, out: Path, variable: str, values: list) -> list:
+    """The rows, as floats, that ``sweep`` writes for the values."""
+    rows = []
+    monkeypatch.setattr(cli, "write_sweep_csv", lambda swept, path: rows.extend(swept))
+    assert run(["sweep", "--config", str(config), "--variable", variable,
+                "--values", ",".join(map(repr, values)), "--area-resolution", "4.0",
+                "--out", str(out)]) == 0
+    return rows
+
+
+# A row at the config's own value is that config: every short name and key path
+# gives the direct calls' floats bit for bit.  Bob at 5 dBi shows that G_A moves
+# Alice's gain alone.
+@pytest.mark.parametrize("which, name", SWEEP_CASES)
+def test_a_row_at_the_configs_own_value_is_that_config(tmp_path, monkeypatch, capsys,
+                                                       which, name):
+    config = SWEEP_CONFIGS[which](tmp_path)
+    rc = load_config(config)
+    value = _key(rc.raw, cli.SWEEP_ALIASES.get(name, name))
+    [row] = _swept_rows(monkeypatch, config, tmp_path / "out", name, [value])
+    sc = rc.scenario
+    expected = planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target)
+    got = [row["c_ab_bits"], row["l_bits"], row["achieved_phi"]]
+    want = [expected.c_ab_bits, expected.code.randomness_bits, expected.achieved_phi]
+    if sc.variant == "cell":
+        got += [row[c] for c in ("r_e0_m", "r_delta_hi_m", "r_delta_lo_m")]
+        want += [secmap.threshold_radius(expected, sc, d) for d in (1e-3, 0.99, 0.01)]
+    else:
+        got.append(row["insecure_fraction"])
+        want.append(secmap.insecure_fraction(secmap.evaluate_map(expected, sc, 4.0)))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# A row away from the config's own value is the config with that one key replaced:
+# written as a config, its document gives the row's plan and radius through the CLI.
+@pytest.mark.parametrize("which, name", SWEEP_CASES)
+def test_a_rows_document_reproduces_the_row(tmp_path, monkeypatch, capsys, which, name):
+    config = SWEEP_CONFIGS[which](tmp_path)
+    doc = json.loads(config.read_text())
+    path = cli.SWEEP_ALIASES.get(name, name)
+    own = _key(load_config(config).raw, path)
+    value = round(own * 1.1) if path == "code.n" else own * 1.1
+    [row] = _swept_rows(monkeypatch, config, tmp_path / "sweep", name, [float(value)])
+    *sections, key = path.split(".")
+    section = doc
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[key] = value
+    command = "threshold" if doc["scenario"]["variant"] == "cell" else "plan"
+    assert run([command, "--config", str(write_config(tmp_path, doc, "row.json")),
+                "--out", str(tmp_path / "row")]) == 0
+    meta = json.loads((tmp_path / "row" / f"{command}_metadata.json").read_text())["run"]
+    assert (row["c_ab_bits"], row["l_bits"], row["achieved_phi"]) == (
+        meta["plan"]["c_ab_bits"], meta["plan"]["randomness_bits"],
+        meta["plan"]["achieved_phi"])
+    if command == "threshold":
+        assert row["r_e0_m"] == meta["threshold"]["r_e0_m"]
+
+
+def test_readme_lists_each_sweep_alias_with_its_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = dict(re.findall(r"^\| `(\w+)` \| `([\w.]+)`", readme, re.MULTILINE))
+    assert listed == cli.SWEEP_ALIASES

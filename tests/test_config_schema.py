@@ -3,9 +3,9 @@
 The property test builds whole config documents from ``cli.SCHEMA``.  Each
 key gets a valid value, or, for up to three keys or sections, an extreme
 value, a value of the wrong type, null or nothing.  Every document, run
-through any command, must end in exit 0, 2 or 3 with at most one line on
-stderr and never a traceback.  The docs test holds ``docs/config.md`` to the
-same table.
+through any command, a sweep of any short name or numeric key path among
+them, must end in exit 0, 2 or 3 with at most one line on stderr and never
+a traceback.  The docs test holds ``docs/config.md`` to the same table.
 """
 
 import copy
@@ -17,8 +17,7 @@ from pathlib import Path
 from hypothesis import given, seed, settings, strategies as st
 
 from test_error_contract import EXTREMES, SHIPPED, WRONG_TYPES, run_quietly
-from thzsecmap.cli import REQUIRED, SCHEMA
-from thzsecmap.secmap import SWEEP_VARIABLES
+from thzsecmap.cli import REQUIRED, SCHEMA, _numeric_paths
 
 DOCS = Path(__file__).parent.parent / "docs" / "config.md"
 ABSENT = object()
@@ -75,9 +74,14 @@ def documents(draw):
     return _build(draw, SCHEMA, (), damaged)
 
 
+# each sweep name's values, a key path's from the table's valid values; every
+# name also draws the extremes below
 SWEPT = {"n": ("500", "2000", "2.5"), "phi_target": ("1e-3", "0.5", "1"),
          "R": ("0.1", "0.5"), "G_E": ("5", "25"), "G_A": ("10", "20"),
          "d_AB": ("10", "20", "70"), "l_AB": ("3.5", "8.5")}
+SWEPT.update({path: tuple(repr(v) for v in VALID[tuple(path.split("."))]
+                          if isinstance(v, (int, float)))
+              for path in _numeric_paths()})
 SWEPT_EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e-12", "1e12", "1e300", "1e308",
                   "9007199254740992", "9007199254740994")
 
@@ -89,7 +93,7 @@ def commands(draw):
         return ["map", "--resolution", "10"]
     if command != "sweep":
         return [command]
-    variable = draw(st.sampled_from(SWEEP_VARIABLES))
+    variable = draw(st.sampled_from(list(SWEPT)))
     value = st.one_of(st.sampled_from(SWEPT[variable]), st.sampled_from(SWEPT_EXTREMES))
     values = draw(st.lists(value, min_size=1, max_size=2))
     return ["sweep", "--variable", variable, "--values", ",".join(values),

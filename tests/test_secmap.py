@@ -27,7 +27,8 @@ from thzsecmap import (
     threshold_radius,
 )
 from thzsecmap import geometry, planner, secmap
-from thzsecmap.cli import load_config
+from thzsecmap.cli import SWEEP_ALIASES, load_config, run, sweep_row
+from thzsecmap.geometry import DIRECTED
 from thzsecmap.secmap import (
     SWEEP_COLUMNS,
     MapValues,
@@ -57,6 +58,14 @@ def shipped(name):
     rc = load_config(CONFIGS / name)
     sc = rc.scenario
     return sc, planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target)
+
+
+def shipped_sweep(name, variable, values, **kwargs):
+    """``sweep --variable variable`` of a shipped config, in-process: rows of the config
+    with the key that ``variable`` names, a short name or a key path, replaced."""
+    rc = load_config(CONFIGS / name)
+    return sweep(rc.scenario, variable, values,
+                 sweep_row(rc, SWEEP_ALIASES.get(variable, variable)), **kwargs)
 
 
 # The per-point layers that perfbench traces.  Its tracer, like these counters,
@@ -454,12 +463,14 @@ class TestSweep:
     def test_gain_sweep_reproduces_footprint_shrink(self, paper_env, cell_config):
         cfg = cell_config._replace(alice=cell_config.alice._replace(beamwidth_override_deg=None),
                                    transmit_power_w=9e-3)
-        rows = sweep(cfg, 2000, 0.2, 1e-3, "G_A", [10.0, 15.0, 20.0, 25.0])
+        rows = sweep(cfg, "G_A", [10.0, 15.0, 20.0, 25.0],
+                     lambda g: (cfg._replace(alice=cfg.alice._replace(gain_dbi=g)),
+                                2000, 0.2, 1e-3))
         radii = [row["r_b_m"] for row in rows]
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_blocklength_sweep_sharpens_transition(self, cell_config):
-        rows = sweep(cell_config, 2000, 0.2, 1e-3, "n", [500, 2000, 8000])
+        rows = sweep(cell_config, "n", [500, 2000, 8000], lambda n: (cell_config, n, 0.2, 1e-3))
         widths = [row["transition_width_m"] for row in rows]
         r_e0 = [row["r_e0_m"] for row in rows]
         assert widths[0] > widths[1] > widths[2]
@@ -467,28 +478,41 @@ class TestSweep:
 
     def test_rate_sweep_grows_threshold(self, cell_config):
         cfg9 = cell_config._replace(transmit_power_w=9e-3)
-        rows = sweep(cfg9, 2000, 0.2, 1e-3, "R", [0.1, 0.2, 0.4])
+        rows = sweep(cfg9, "R", [0.1, 0.2, 0.4], lambda r: (cfg9, 2000, r, 1e-3))
         r_e0 = [row["r_e0_m"] for row in rows]
         assert r_e0[0] <= r_e0[1] <= r_e0[2]
 
     def test_directed_distance_sweep_grows_area(self, directed_config):
-        rows = sweep(directed_config, 2000, 0.2, 1e-3, "d_AB", [5.0, 15.0, 25.0],
+        rows = sweep(directed_config, "d_AB", [5.0, 15.0, 25.0],
+                     lambda d: (directed_config._replace(horizontal_distance_m=d),
+                                2000, 0.2, 1e-3),
                      area_resolution_m=3.0)
         fracs = [row["insecure_fraction"] for row in rows]
         assert fracs[0] <= fracs[1] <= fracs[2]
         assert all(row["r_e0_m"] is None for row in rows)
 
-    def test_unknown_variable_rejected(self, cell_config):
-        with pytest.raises(ConfigError):
-            sweep(cell_config, 2000, 0.2, 1e-3, "bogus", [1.0])
+    # sweep knows no names: the command line refuses every name but the short
+    # names and the numeric key paths, in one line that names --variable
+    def test_unknown_variable_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for variable in ("bogus", "scenario.variant", "scenario.room_extent_m", "output.dir",
+                         "run", "code", "G_B"):
+            assert run(["sweep", "--config", str(CONFIGS / "scenario1_cell.json"),
+                        "--variable", variable, "--values", "1", "--out", str(out)]) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("invalid input: argument --variable: invalid choice"), variable
+        assert not out.exists()
 
-    def test_d_ab_requires_directed(self, cell_config):
-        with pytest.raises(ConfigError):
-            sweep(cell_config, 2000, 0.2, 1e-3, "d_AB", [5.0])
+    def test_d_ab_requires_directed(self, cell_config, monkeypatch):
+        plans = count_calls(monkeypatch, ((planner, "plan"),))["plan"]
+        with pytest.raises(ConfigError, match="^d_AB can only be swept in the directed scenario$"):
+            sweep(cell_config, "d_AB", [5.0], lambda d: pytest.fail("a row was built"),
+                  variant=DIRECTED)
+        assert plans == []  # refused before the first plan
 
     def test_crossings_share_evaluations(self, cell_config, monkeypatch):
         calls = count_calls(monkeypatch)["min_security"]
-        [row] = sweep(cell_config, 2000, 0.2, 1e-3, "n", [2000])
+        [row] = sweep(cell_config, "n", [2000], lambda n: (cell_config, n, 0.2, 1e-3))
         in_sweep = len(calls)
         calls.clear()
         row_plan = planner.plan(cell_config, 2000, 0.2, 1e-3)
@@ -500,31 +524,48 @@ class TestSweep:
     # probe builds its link again but costs no second bound minimization.
     @pytest.mark.parametrize("n, bounds", [(500, 29), (2000, 25), (8000, 24)])
     def test_cell_row_link_and_bound_counts(self, monkeypatch, n, bounds):
-        rc = load_config(CONFIGS / "scenario1_cell.json")
-        counts = count_probes(monkeypatch, lambda: sweep(rc.scenario, rc.n, rc.rate_bits,
-                                                          rc.phi_target, "n", [n]))
+        counts = count_probes(monkeypatch,
+                              lambda: shipped_sweep("scenario1_cell.json", "n", [float(n)]))
         assert counts == (39, bounds)
+
+    # README quotes these: a directed row, d_AB 5 to 30 m on the shipped config,
+    # builds 19-52 links and runs 3-13 bound minimizations at 4.0 m, 409-1612 and
+    # 18-57 at 0.25 m
+    @pytest.mark.parametrize("resolution, links, bounds", [(4.0, (19, 52), (3, 13)),
+                                                           (0.25, (409, 1612), (18, 57))])
+    def test_directed_row_counts_quoted_in_readme(self, monkeypatch, resolution, links,
+                                                  bounds):
+        counts = [count_probes(monkeypatch, lambda: shipped_sweep(
+                      "scenario2_directed.json", "d_AB", [d_ab], area_resolution_m=resolution))
+                  for d_ab in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)]
+        row_links, row_bounds = zip(*counts)
+        assert (min(row_links), max(row_links)) == links
+        assert (min(row_bounds), max(row_bounds)) == bounds
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        assert all(f"{lo}–{hi}" in readme for lo, hi in (links, bounds))
 
     @pytest.mark.parametrize("delta_0", [1.5, 1.0, 0.0, -1.0])
     def test_delta_outside_the_unit_interval_rejected(self, cell_config, monkeypatch, delta_0):
         plans = count_calls(monkeypatch, ((planner, "plan"),))["plan"]
         with pytest.raises(ValueError, match=r"delta_0 must lie in \(0, 1\)"):
-            sweep(cell_config, 2000, 0.2, 1e-3, "n", [2000], delta_0=delta_0)
+            sweep(cell_config, "n", [2000], lambda n: (cell_config, n, 0.2, 1e-3),
+                  delta_0=delta_0)
         assert plans == []  # refused before the first plan
 
     def test_infeasible_rows_marked(self, cell_config):
-        rows = sweep(cell_config, 2000, 0.2, 1e-3, "R", [0.2, 2.5])
+        rows = sweep(cell_config, "R", [0.2, 2.5], lambda r: (cell_config, 2000, r, 1e-3))
         assert rows[0]["feasible"] and not rows[1]["feasible"]
         assert rows[1]["l_bits"] is None
 
-    def test_non_finite_rate_rejected(self, directed_config):
-        with pytest.raises(ValueError, match="finite"):
-            sweep(directed_config, 2000, 0.2, 1e-3, "R", [math.nan])
+    def test_non_finite_rate_rejected(self):
+        with pytest.raises(ConfigError, match="^R = nan: code.rate_bits must be finite, got nan$"):
+            shipped_sweep("scenario2_directed.json", "R", [math.nan])
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
-    def test_non_finite_blocklength_rejected(self, cell_config, value):
-        with pytest.raises(ConfigError, match="swept blocklength"):
-            sweep(cell_config, 2000, 0.2, 1e-3, "n", [value])
+    def test_non_finite_blocklength_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"^n = {value!r}: code.n must be an integer, "
+                                              f"got {value!r}$"):
+            shipped_sweep("scenario1_cell.json", "n", [value])
 
 
 def _map_fraction(config, n, rate_bits, phi_target, resolution_m):
@@ -557,8 +598,8 @@ class TestDirectedInsecureFraction:
     def test_equals_the_map_count_on_the_shipped_config(self, resolution):
         rc = load_config(CONFIGS / "scenario2_directed.json")
         distances = [15.0] if resolution == 0.25 else [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-        rows = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", distances,
-                     area_resolution_m=resolution)
+        rows = shipped_sweep("scenario2_directed.json", "d_AB", distances,
+                             area_resolution_m=resolution)
         for row, d_ab in zip(rows, distances):
             config = rc.scenario._replace(horizontal_distance_m=d_ab)
             expected = _map_fraction(config, rc.n, rc.rate_bits, rc.phi_target, resolution)
@@ -572,14 +613,13 @@ class TestDirectedInsecureFraction:
     ])
     def test_equals_the_map_count_on_edge_grids(self, variable, value, resolution):
         rc = load_config(CONFIGS / "scenario2_directed.json")
-        [row] = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, variable, [value],
-                      area_resolution_m=resolution)
+        [row] = shipped_sweep("scenario2_directed.json", variable, [value],
+                              area_resolution_m=resolution)
         config = rc.scenario
         if variable == "d_AB":
             config = config._replace(horizontal_distance_m=value)
-        else:
-            config = config._replace(alice=config.alice._replace(gain_dbi=value),
-                                     bob=config.bob._replace(gain_dbi=value))
+        else:  # Alice's gain alone
+            config = config._replace(alice=config.alice._replace(gain_dbi=value))
         expected = _map_fraction(config, rc.n, rc.rate_bits, rc.phi_target, resolution)
         assert row["insecure_fraction"].hex() == expected.hex()
 
@@ -589,7 +629,9 @@ class TestDirectedInsecureFraction:
     def test_equals_the_map_count_on_random_configs(self, case):
         config, (n, rate_bits, phi_target), resolution = case
         d_ab = config.horizontal_distance_m
-        [row] = sweep(config, n, rate_bits, phi_target, "d_AB", [d_ab],
+        [row] = sweep(config, "d_AB", [d_ab],
+                      lambda d: (config._replace(horizontal_distance_m=d), n, rate_bits,
+                                 phi_target),
                       area_resolution_m=resolution)
         if not row["feasible"]:
             assert row["insecure_fraction"] is None
@@ -609,8 +651,8 @@ class TestDirectedInsecureFraction:
             return (0.0 if link.snr < low else 0.5 if link.snr < high else 1.0), None
 
         monkeypatch.setattr(secmap, "min_security", steps)
-        [row] = sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB",
-                      [rc.scenario.horizontal_distance_m], area_resolution_m=4.0)
+        [row] = shipped_sweep("scenario2_directed.json", "d_AB",
+                              [rc.scenario.horizontal_distance_m], area_resolution_m=4.0)
         grid = evaluate_map(row_plan, rc.scenario, 4.0)
         values = np.asarray(grid.values)
         assert np.count_nonzero(values == 0.5) > 0
@@ -627,8 +669,7 @@ class TestDirectedInsecureFraction:
         depths = len({abs(y) for y in ys})  # the classes of one column
         distances = [5.0, 15.0, 30.0]
         calls = count_calls(monkeypatch)
-        sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", distances,
-              area_resolution_m=resolution)
+        shipped_sweep("scenario2_directed.json", "d_AB", distances, area_resolution_m=resolution)
         rows = len(distances)
         assert len(calls["link_budget"]) == len(calls["pattern_gain"]) == links
         assert len(calls["offset_angle"]) == links + rows  # and the plans' links
@@ -763,7 +804,7 @@ class TestSerialization:
         assert len(lines) == 6
 
     def test_sweep_csv_columns(self, cell_config, tmp_path):
-        rows = sweep(cell_config, 2000, 0.2, 1e-3, "G_E", [10.0])
+        rows = sweep(cell_config, "G_E", [10.0], lambda g: (cell_config, 2000, 0.2, 1e-3))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -811,7 +852,8 @@ class TestSerialization:
         assert path.read_text() == _table("r_m,delta", zip(profile.radii_m, profile.deltas))
 
     def test_sweep_text_is_exact(self, cell_config, tmp_path):
-        feasible, infeasible = sweep(cell_config, 2000, 0.2, 1e-3, "R", [0.2, 3.0])
+        feasible, infeasible = sweep(cell_config, "R", [0.2, 3.0],
+                                     lambda r: (cell_config, 2000, r, 1e-3))
         path = tmp_path / "sweep.csv"
         write_sweep_csv([feasible, infeasible], path)
         numbers = [format(feasible[c], ".9g") for c in SWEEP_COLUMNS[3:11]]
@@ -863,5 +905,4 @@ def test_infinite_resolution_is_refused():
     with pytest.raises(ValueError, match=message):
         evaluate_map(map_plan, rc.scenario, math.inf)
     with pytest.raises(ValueError, match=message):
-        sweep(rc.scenario, rc.n, rc.rate_bits, rc.phi_target, "d_AB", [15.0],
-              area_resolution_m=math.inf)
+        shipped_sweep("scenario2_directed.json", "d_AB", [15.0], area_resolution_m=math.inf)
