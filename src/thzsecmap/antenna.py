@@ -45,18 +45,19 @@ class Antenna(Record, namedtuple("Antenna", "gain_dbi min_relative_gain_db "
 
     def __new__(cls, gain_dbi: float, min_relative_gain_db: float | None = None,
                 beamwidth_override_deg: float | None = None) -> Antenna:
-        # each message starts with the field name; the config loader prefixes the section
-        if gain_dbi < 0.0:
-            raise ValueError(f"gain_dbi must be >= 0, got {gain_dbi}")
+        # each message starts with the field name, which the config loader turns into the
+        # key's path; the negated forms also reject NaN
+        if not 0.0 <= gain_dbi < math.inf:
+            raise ValueError(f"gain_dbi must be >= 0 and finite, got {gain_dbi}")
         try:
             db_to_ratio(gain_dbi)  # a pinned beamwidth never reads the gain
         except ValueError as exc:
             raise ValueError(f"gain_dbi: {exc}") from None
         floor = min_relative_gain_db
-        # the cone edge has half the boresight gain; the negated form also rejects NaN
-        if floor is not None and not (floor <= 0.0 and db_to_ratio(floor) <= 0.5):
-            raise ValueError(f"min_relative_gain_db must be at most the half-power level "
-                             f"(a ratio of 1/2, about -3.0103 dB), got {floor}")
+        # the cone edge has half the boresight gain
+        if floor is not None and not (-math.inf < floor <= 0.0 and db_to_ratio(floor) <= 0.5):
+            raise ValueError("min_relative_gain_db must be finite and at most the half-power "
+                             f"level (a ratio of 1/2, about -3.0103 dB), got {floor}")
         override = beamwidth_override_deg
         if override is not None and not 0.0 < override <= 180.0:
             raise ValueError(f"beamwidth_override_deg must lie in (0, 180], got {override}")

@@ -27,7 +27,7 @@ from .antenna import Antenna, beamwidth_from_gain
 from .bounds import MAX_BLOCKLENGTH, blocklength_text
 from .errors import ConfigError, InfeasiblePlanError
 from .geometry import CELL, DIRECTED, VARIANTS, ScenarioConfig
-from .linkmodel import RadioEnvironment, db_to_ratio, link_budget, ratio_to_db, watts_to_dbm
+from .linkmodel import RadioEnvironment, link_budget, ratio_to_db, watts_to_dbm
 from .planner import PlanResult, require_feasible
 from .secmap import (
     evaluate_map,
@@ -78,22 +78,6 @@ def _bounded(holds, requirement: str):
     return check
 
 
-_positive = _bounded(lambda v: v > 0.0, "be positive")
-_nonnegative = _bounded(lambda v: v >= 0.0, "be >= 0")
-
-
-def _decibels(check):
-    """``check``, then refuse a decibel value whose linear ratio overflows."""
-    def decibel_check(value, path: str) -> float:
-        v = check(value, path)
-        try:
-            db_to_ratio(v)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        return v
-    return decibel_check
-
-
 def _blocklength(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
@@ -111,7 +95,7 @@ def _variant(value, path: str) -> str:
 def _extent(value, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path} must be a [x, y] pair of meters")
-    return _positive(value[0], f"{path}[0]"), _positive(value[1], f"{path}[1]")
+    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
 
 
 def _directory(value, path: str) -> str:
@@ -132,37 +116,39 @@ _Key = namedtuple("_Key", [
 ], defaults=(REQUIRED, None, None))
 
 
-_GAIN = {"gain_dbi": _Key(_decibels(_nonnegative))}
+_GAIN = {"gain_dbi": _Key(_number)}
 _ANTENNA = {
     **_GAIN,
-    "min_relative_gain_db": _Key(_decibels(_number), None),
-    "beamwidth_override_deg": _Key(_positive, None),
+    "min_relative_gain_db": _Key(_number, None),
+    "beamwidth_override_deg": _Key(_number, None),
 }
 
 # Every config key, once.  A nested dict is a section, required when any key
-# in it is; null means absent.  docs/config.md documents the same keys.
+# in it is; null means absent.  docs/config.md documents the same keys.  The
+# records that _build makes check the ranges of the environment, antennas,
+# scenario and power keys, so their rows check only the JSON shape.
 SCHEMA = {
     "environment": {
-        "carrier_frequency_ghz": _Key(_positive, field="carrier_frequency_hz", scale=1e9),
-        "bandwidth_ghz": _Key(_positive, field="bandwidth_hz", scale=1e9),
-        "temperature_k": _Key(_positive),
-        "noise_figure_db": _Key(_decibels(_nonnegative)),
+        "carrier_frequency_ghz": _Key(_number, field="carrier_frequency_hz", scale=1e9),
+        "bandwidth_ghz": _Key(_number, field="bandwidth_hz", scale=1e9),
+        "temperature_k": _Key(_number),
+        "noise_figure_db": _Key(_number),
     },
     # Bob and Eve face Alice, so only their boresight gain enters a link
     "antennas": {"alice": _ANTENNA, "bob": _GAIN, "eve": _GAIN},
     "scenario": {
         "variant": _Key(_variant),
         "room_extent_m": _Key(_extent, (60.0, 60.0)),
-        "height_difference_m": _Key(_positive),
-        "horizontal_distance_m": _Key(_positive, None),  # required by the directed variant
+        "height_difference_m": _Key(_number),
+        "horizontal_distance_m": _Key(_number, None),  # set in the directed variant alone
     },
     "code": {
         "n": _Key(_blocklength),
-        "rate_bits": _Key(_positive),
+        "rate_bits": _Key(_bounded(lambda v: v > 0.0, "be positive")),
         "phi_target": _Key(_bounded(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
     },
     # the default depends on the variant: DEFAULT_TX_POWER_MW
-    "power": {"transmit_mw": _Key(_positive, None, field="transmit_power_w", scale=1e-3)},
+    "power": {"transmit_mw": _Key(_number, None, field="transmit_power_w", scale=1e-3)},
     "output": {"dir": _Key(_directory, "out", field="output_dir")},
     "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
 }
@@ -238,29 +224,45 @@ def load_config(path) -> RunConfig:
 
 def parse_config(doc: dict) -> RunConfig:
     raw = _walk(SCHEMA, doc, "config")
-    sc = raw["scenario"]
-    if sc["variant"] == DIRECTED and sc["horizontal_distance_m"] is None:
-        raise ConfigError("missing required key scenario.horizontal_distance_m (directed variant)")
     if raw["power"]["transmit_mw"] is None:
-        raw["power"]["transmit_mw"] = DEFAULT_TX_POWER_MW[sc["variant"]]
+        raw["power"]["transmit_mw"] = DEFAULT_TX_POWER_MW[raw["scenario"]["variant"]]
     return _build(raw)
 
 
+def _key_paths(*sections: str) -> dict:
+    """Each field of the record built from the sections -> what replaces its name at the start
+    of a refusal: its key's dotted path, then the field's name if its units differ."""
+    paths = {}
+    for section in sections:
+        for key, row in functools.reduce(dict.__getitem__, section.split("."), SCHEMA).items():
+            paths[row.field or key] = f"{section}.{key}" + (f": {row.field}" if row.field else "")
+    return paths
+
+
+_KEY_PATHS = {"environment": _key_paths("environment"),
+              "scenario": _key_paths("scenario", "power"),
+              **{f"antennas.{who}": _key_paths(f"antennas.{who}") for who in SCHEMA["antennas"]}}
+
+
 def _build(raw: dict) -> RunConfig:
-    """The records of a validated document, which is left as it is."""
-    environment = RadioEnvironment(**_fields(SCHEMA["environment"], raw["environment"]))
-    antennas = {}
-    for name, section in raw["antennas"].items():
-        try:
-            antennas[name] = Antenna(**section)
-        except ValueError as exc:  # its messages start with the field name
-            raise ConfigError(f"antennas.{name}.{exc}") from exc
+    """The records of a validated document, which is left as it is; a refusal names the key."""
+    section = "environment"
     try:
+        environment = RadioEnvironment(**_fields(SCHEMA["environment"], raw["environment"]))
+        antennas = {}
+        for name, fields in raw["antennas"].items():
+            section = "antennas." + name
+            antennas[name] = Antenna(**fields)
+        section = "scenario"
         scenario = ScenarioConfig(environment=environment, **antennas,
                                   **_fields(SCHEMA["scenario"], raw["scenario"]),
                                   **_fields(SCHEMA["power"], raw["power"]))
     except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+        message = str(exc)
+        for field, path in _KEY_PATHS[section].items():
+            if message.startswith(field):
+                raise ConfigError(path + message[len(field):]) from exc
+        raise ConfigError(f"{section}: {message}") from exc  # a joint refusal
     return RunConfig(scenario=scenario, raw=raw, **_fields(SCHEMA["code"], raw["code"]),
                      **_fields(SCHEMA["output"], raw["output"]))
 
@@ -398,8 +400,7 @@ def _cmd_threshold(rc: RunConfig, args) -> int:
 def _cmd_sweep(rc: RunConfig, args) -> int:
     path = SWEEP_ALIASES.get(args.variable, args.variable)
     rows = sweep(rc.scenario, args.variable, args.values, sweep_row(rc, path),
-                 delta_0=args.delta, area_resolution_m=args.area_resolution,
-                 variant=DIRECTED if path == "scenario.horizontal_distance_m" else None)
+                 delta_0=args.delta, area_resolution_m=args.area_resolution)
     out = _out_dir(rc, args)
     csv_path = out / "sweep.csv"
     write_sweep_csv(rows, csv_path)

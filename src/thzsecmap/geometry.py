@@ -44,26 +44,25 @@ class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment a
                 eve: Antenna, transmit_power_w: float, height_difference_m: float,
                 horizontal_distance_m: float | None = None,
                 room_extent_m: tuple[float, float] = (60.0, 60.0)) -> ScenarioConfig:
+        # each message starts with the field name; the negated forms also reject NaN
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if transmit_power_w <= 0.0:
-            raise ValueError(f"transmit power must be positive, got {transmit_power_w}")
-        if height_difference_m <= 0.0:
-            raise ValueError(f"height difference must be positive, got {height_difference_m}")
-        if height_difference_m < MIN_LENGTH_M:
-            raise ValueError(f"height difference must be at least {MIN_LENGTH_M:g} m, "
-                             f"got {height_difference_m}")
+        if not 0.0 < transmit_power_w < math.inf:
+            raise ValueError("transmit_power_w must be positive and finite, "
+                             f"got {transmit_power_w}")
+        if not MIN_LENGTH_M <= height_difference_m <= MAX_LENGTH_M:
+            raise ValueError(f"height_difference_m must lie in [{MIN_LENGTH_M:g}, "
+                             f"{MAX_LENGTH_M:g}] m, got {height_difference_m}")
         ex, ey = room_extent_m
-        if ex <= 0.0 or ey <= 0.0:
-            raise ValueError(f"room extent must be positive, got {room_extent_m}")
-        longest = max(height_difference_m, ex, ey, horizontal_distance_m or 0.0)
-        if longest > MAX_LENGTH_M:
-            raise ValueError(f"lengths must be at most {MAX_LENGTH_M:g} m, got {longest}")
-        if variant == DIRECTED:
-            if horizontal_distance_m is None:
-                raise ValueError("directed scenario requires horizontal_distance_m")
-            if horizontal_distance_m <= 0.0:
-                raise ValueError(f"horizontal distance must be positive, got {horizontal_distance_m}")
+        if not (0.0 < ex <= MAX_LENGTH_M and 0.0 < ey <= MAX_LENGTH_M):
+            raise ValueError(f"room_extent_m must lie in (0, {MAX_LENGTH_M:g}] m, "
+                             f"got {room_extent_m}")
+        if (variant == CELL) != (horizontal_distance_m is None):
+            raise ValueError("horizontal_distance_m must be set in the directed variant and "
+                             f"only there, got {horizontal_distance_m} in the {variant} variant")
+        if variant == DIRECTED and not 0.0 < horizontal_distance_m <= ex + 1e-9:  # in the room
+            raise ValueError(f"horizontal_distance_m must lie in (0, {ex}] m, up to "
+                             f"room_extent_m[0], got {horizontal_distance_m}")
         return tuple.__new__(cls, (variant, environment, alice, bob, eve, transmit_power_w,
                                    height_difference_m, horizontal_distance_m, room_extent_m))
 
@@ -71,20 +70,16 @@ class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment a
 def receiver_x(config: ScenarioConfig) -> float:
     """The legitimate receiver's x on the receiver plane; it sits at y = 0.
 
-    Cell variant: the worst-case position on the half-power cone edge.
-    Directed variant: ``horizontal_distance_m`` from the transmitter wall.
-    Raises GeometryError when that position lies outside the room.
+    Cell variant: the worst-case position on the half-power cone edge, or a
+    GeometryError when that lies outside the room.  Directed variant:
+    ``horizontal_distance_m`` from the transmitter wall, which is in the room.
     """
-    ex = config.room_extent_m[0]
     if config.variant == CELL:
         r_b = cone_radius(config.alice, config.height_difference_m)
-        if r_b > ex / 2.0 + 1e-9:
+        if r_b > config.room_extent_m[0] / 2.0 + 1e-9:
             raise GeometryError(f"receiver offset ({r_b}, 0.0) lies outside the room")
         return r_b
-    d = config.horizontal_distance_m
-    if not 0.0 <= d <= ex + 1e-9:
-        raise GeometryError(f"receiver distance {d} m lies outside the room (0 to {ex} m)")
-    return d
+    return config.horizontal_distance_m
 
 
 class Scene:

@@ -69,18 +69,25 @@ class RadioEnvironment(Record, namedtuple("RadioEnvironment", "carrier_frequency
 
     def __new__(cls, carrier_frequency_hz: float, bandwidth_hz: float, temperature_k: float,
                 noise_figure_db: float) -> RadioEnvironment:
-        if carrier_frequency_hz <= 0.0:
-            raise ValueError(f"carrier frequency must be positive, got {carrier_frequency_hz}")
-        if bandwidth_hz <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
-        if temperature_k <= 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature_k}")
-        if noise_figure_db < 0.0:
-            raise ValueError(f"noise figure must be >= 0 dB, got {noise_figure_db}")
+        # each message but the joint one starts with the field name; negated forms reject NaN
+        if not 0.0 < carrier_frequency_hz < math.inf:
+            raise ValueError("carrier_frequency_hz must be positive and finite, "
+                             f"got {carrier_frequency_hz}")
+        if not 0.0 < bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth_hz must be positive and finite, got {bandwidth_hz}")
+        if not 0.0 < temperature_k < math.inf:
+            raise ValueError(f"temperature_k must be positive and finite, got {temperature_k}")
+        if not 0.0 <= noise_figure_db < math.inf:
+            raise ValueError(f"noise_figure_db must be >= 0 and finite, got {noise_figure_db}")
         self = tuple.__new__(cls, (carrier_frequency_hz, bandwidth_hz, temperature_k,
                                    noise_figure_db))
-        if self.noise_power_w == 0.0:
-            raise ValueError("noise power k*T*B*F underflows to 0 W")
+        try:
+            noise = self.noise_power_w
+        except ValueError as exc:
+            raise ValueError(f"noise_figure_db: {exc}") from None
+        if not 0.0 < noise < math.inf:
+            raise ValueError("noise power k*T*B*F of temperature_k, bandwidth_hz and "
+                             f"noise_figure_db must be positive and finite, got {noise} W")
         return self
 
     @cached_property

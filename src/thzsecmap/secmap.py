@@ -337,8 +337,7 @@ def insecure_fraction(grid: SecrecyMapGrid) -> float:
 
 
 def sweep(config: ScenarioConfig, variable: str, values, row_config, *,
-          delta_0: float = 1e-3, area_resolution_m: float = 2.0,
-          variant: str | None = None) -> list[dict]:
+          delta_0: float = 1e-3, area_resolution_m: float = 2.0) -> list[dict]:
     """Re-plan and summarize the secrecy geometry along one swept variable.
 
     ``row_config(value)`` gives each row's (ScenarioConfig, n, rate_bits,
@@ -350,19 +349,16 @@ def sweep(config: ScenarioConfig, variable: str, values, row_config, *,
     ``area_resolution_m`` whose level exceeds ``INSECURE_LEVEL``, equal bit
     for bit to ``insecure_fraction`` of that map but found by bisecting each
     grid column on |y|, without building the map.  Before the first plan,
-    ``delta_0`` must lie in (0, 1), as for ``threshold_radius``,
-    ``area_resolution_m`` must give a grid that ``grid_axes`` accepts, and
-    ``config`` must be of ``variant``, the one variant that reads the swept
-    variable, when given.  A value that its row function, its scenario or
-    its plan refuses is reported as ``<variable> = <value>: <reason>``.
+    ``delta_0`` must lie in (0, 1), as for ``threshold_radius``, and
+    ``area_resolution_m`` must give a grid that ``grid_axes`` accepts.  A
+    value that its row function, its scenario or its plan refuses is
+    reported as ``<variable> = <value>: <reason>``.
     """
     _check_delta_0(delta_0)
     try:
         grid_axes(config, area_resolution_m)
     except ValueError as exc:
         raise ValueError(f"area resolution: {exc}") from None
-    if variant not in (None, config.variant):
-        raise ConfigError(f"{variable} can only be swept in the {variant} scenario")
     rows = []
     for value in values:
         try:

@@ -32,9 +32,9 @@ class TestBeamwidthFromGain:
         with pytest.raises(ValueError):
             Antenna(10.0, beamwidth_override_deg=190.0)
         # a sidelobe floor above the half-power level would lift the cone edge's gain
-        for floor in (5.0, 0.0, -3.0, math.nan):
-            with pytest.raises(ValueError, match="^min_relative_gain_db must be at most "
-                                                 "the half-power level"):
+        for floor in (5.0, 0.0, -3.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="^min_relative_gain_db must be finite and at "
+                                                 "most the half-power level"):
                 Antenna(10.0, min_relative_gain_db=floor)
         assert Antenna(10.0, min_relative_gain_db=-3.02).relative_gain_floor < 0.5
 

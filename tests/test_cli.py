@@ -116,7 +116,9 @@ class TestConfigLoading:
         del doc["scenario"]["horizontal_distance_m"]
         path = write_config(tmp_path, doc)
         assert run(["plan", "--config", str(path)]) == 2
-        assert "horizontal_distance_m" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "invalid input: scenario.horizontal_distance_m must be set in the directed variant "
+            "and only there, got None in the directed variant\n")
 
     def test_power_defaults_per_variant(self, tmp_path):
         doc = base_config(str(tmp_path / "out"))
@@ -343,6 +345,14 @@ def _set_temperature_inf(doc):
     doc["environment"]["temperature_k"] = math.inf
 
 
+def _set_temperature_underflowing(doc):
+    doc["environment"]["temperature_k"] = 1e-320  # k*T*B*F underflows to 0 W
+
+
+def _set_carrier_overflowing(doc):
+    doc["environment"]["carrier_frequency_ghz"] = 1e300  # inf in hertz
+
+
 def _set_alice_floor_minus_inf(doc):
     doc["antennas"]["alice"]["min_relative_gain_db"] = -math.inf
 
@@ -409,6 +419,8 @@ def _set_blocklength_5001_digits(doc):
     pytest.param(["plan"], _set_height_underflowing, id="plan height 1e-300 m"),
     pytest.param(["plan"], _set_room_below_footprint, id="plan cell room 10 m"),
     pytest.param(["plan"], _set_directed_beyond_room, id="plan directed receiver beyond room"),
+    pytest.param(["link", "--distance", "10"], _set_directed_beyond_room,
+                 id="link directed receiver beyond room"),
     pytest.param(["sweep", "--variable", "d_AB", "--values", "70"], _set_directed,
                  id="sweep directed d_AB 70"),
     # 3075 dBi overflows no ratio, but its Kraus beamwidth, 3.6e-152 deg, is too narrow
@@ -465,30 +477,35 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
         (["sweep", "--variable", "G_E", "--values", "3100"],
          "G_E = 3100.0: antennas.eve.gain_dbi: 3100 dB overflows a linear ratio"),
         (["sweep", "--variable", "G_E", "--values", "10,-5"],
-         "G_E = -5.0: antennas.eve.gain_dbi must be >= 0, got -5.0"),
+         "G_E = -5.0: antennas.eve.gain_dbi must be >= 0 and finite, got -5.0"),
         (["sweep", "--variable", "l_AB", "--values", "0"],
-         "l_AB = 0.0: scenario.height_difference_m must be positive, got 0.0"),
+         "l_AB = 0.0: scenario.height_difference_m must lie in [1e-150, 1e+150] m, got 0.0"),
         (["sweep", "--variable", "l_AB", "--values", "1e-160"],
-         "l_AB = 1e-160: scenario: height difference must be at least 1e-150 m, got 1e-160"),
+         "l_AB = 1e-160: scenario.height_difference_m must lie in [1e-150, 1e+150] m, "
+         "got 1e-160"),
         # the echoed values are exact, not rounded to six digits
         (["sweep", "--variable", "n", "--values", "2000.0000001"],
          "n = 2000.0000001: code.n must be an integer, got 2000.0000001"),
         (["sweep", "--variable", "code.n", "--values", "2.5"],
          "code.n = 2.5: code.n must be an integer, got 2.5"),
         (["sweep", "--variable", "power.transmit_mw", "--values", "1,0"],
-         "power.transmit_mw = 0.0: power.transmit_mw must be positive, got 0.0"),
+         "power.transmit_mw = 0.0: power.transmit_mw: transmit_power_w must be positive and "
+         "finite, got 0.0"),
         (["sweep", "--variable", "antennas.alice.beamwidth_override_deg", "--values", "200"],
          "antennas.alice.beamwidth_override_deg = 200.0: antennas.alice.beamwidth_override_deg "
          "must lie in (0, 180], got 200.0"),
         (["sweep", "--variable", "antennas.alice.min_relative_gain_db", "--values", "-1"],
          "antennas.alice.min_relative_gain_db = -1.0: antennas.alice.min_relative_gain_db "
-         "must be at most the half-power level"),
+         "must be finite and at most the half-power level"),
         (["sweep", "--variable", "environment.temperature_k", "--values", "1e-320"],
-         "environment.temperature_k = 1e-320: noise power k*T*B*F underflows to 0 W"),
+         "environment.temperature_k = 1e-320: environment: noise power k*T*B*F of "
+         "temperature_k, bandwidth_hz and noise_figure_db must be positive and finite, got 0.0 W"),
+        # the cell config refuses the directed receiver's distance, before the first plan
         (["sweep", "--variable", "scenario.horizontal_distance_m", "--values", "5"],
-         "scenario.horizontal_distance_m can only be swept in the directed scenario"),
+         "scenario.horizontal_distance_m = 5.0: scenario.horizontal_distance_m must be set in "
+         "the directed variant and only there, got 5.0 in the cell variant"),
         (["sweep", "--variable", "d_AB", "--values", "5"],
-         "d_AB can only be swept in the directed scenario"),
+         "d_AB = 5.0: scenario.horizontal_distance_m must be set in the directed variant"),
         (["radial", "--r-min", "29.999999999999996", "--r-max", "30", "--steps", "100"],
          "r_min 29.999999999999996 m to r_max 30.0 m in 100 steps"),
     )
@@ -505,11 +522,21 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(_set_alice_floor_above_half_power,
-                 "antennas.alice.min_relative_gain_db must be at most the half-power level "
-                 "(a ratio of 1/2, about -3.0103 dB), got 5.0", id="alice floor 5 dB"),
+                 "antennas.alice.min_relative_gain_db must be finite and at most the half-power "
+                 "level (a ratio of 1/2, about -3.0103 dB), got 5.0", id="alice floor 5 dB"),
     pytest.param(_set_height_underflowing,
-                 "scenario: height difference must be at least 1e-150 m, got 1e-300",
+                 "scenario.height_difference_m must lie in [1e-150, 1e+150] m, got 1e-300",
                  id="height 1e-300 m"),
+    pytest.param(_set_directed_beyond_room,
+                 "scenario.horizontal_distance_m must lie in (0, 20.0] m, up to "
+                 "room_extent_m[0], got 70.0", id="directed receiver beyond room"),
+    pytest.param(_set_temperature_underflowing,
+                 "environment: noise power k*T*B*F of temperature_k, bandwidth_hz and "
+                 "noise_figure_db must be positive and finite, got 0.0 W",
+                 id="temperature 1e-320 K"),
+    pytest.param(_set_carrier_overflowing,
+                 "environment.carrier_frequency_ghz: carrier_frequency_hz must be positive and "
+                 "finite, got inf", id="carrier 1e300 GHz"),
 ])
 def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
     doc = base_config(str(tmp_path / "out"))

@@ -10,13 +10,15 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from thzsecmap.cli import run
+from thzsecmap.cli import SCHEMA, _numeric_paths, parse_config, run
+from thzsecmap.errors import ConfigError
 
 CONFIGS = Path(__file__).parent.parent / "src" / "thzsecmap" / "configs"
 SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
@@ -99,6 +101,8 @@ def test_damaged_config_keeps_the_error_contract(doc, command):
     ("scenario1_cell", ["map", "--resolution", "10"], "antennas.alice.beamwidth_override_deg",
      1e-300),
     ("scenario2_directed", ["map", "--resolution", "10"], "antennas.alice.gain_dbi", 3075.0),
+    # finite in GHz, infinite in hertz: it had planned with C_AB = 0 and exit 3
+    ("scenario1_cell", ["plan"], "environment.carrier_frequency_ghz", 1e300),
 ])
 def test_overflowing_value_exits_2_naming_the_key(tmp_path, name, command, key, value):
     doc = copy.deepcopy(SHIPPED[name])
@@ -111,3 +115,38 @@ def test_overflowing_value_exits_2_naming_the_key(tmp_path, name, command, key, 
     assert len(err.splitlines()) == 1
     assert err.startswith(f"invalid input: {key}")
     assert not (tmp_path / "out").exists()
+
+
+# the 14 keys whose values cli._build turns into records, which check their ranges
+RECORD_KEYS = ["scenario.variant", "scenario.room_extent_m",
+               *(path for path in _numeric_paths() if not path.startswith("code."))]
+
+
+def _numbers(record):
+    """Every number in a record's fields and in the records and pairs it holds."""
+    for value in record:
+        if isinstance(value, tuple):
+            yield from _numbers(value)
+        elif isinstance(value, (int, float)):
+            yield value
+
+
+@pytest.mark.parametrize("key", RECORD_KEYS)
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_record_value_is_refused_naming_the_key_or_built_finite(name, key):
+    """A refusal starts with the key's path, or, for a check that spans more keys, with
+    the section's path or another key of it, and names the key's record field."""
+    assert len(RECORD_KEYS) == 14
+    *parents, leaf = key.split(".")
+    field = _at(SCHEMA, key.split(".")).field or leaf  # its name in the record
+    for value in EXTREMES:
+        doc = copy.deepcopy(SHIPPED[name])
+        _at(doc, parents)[leaf] = [value, value] if leaf == "room_extent_m" else value
+        try:
+            rc = parse_config(doc)
+        except ConfigError as exc:
+            message = str(exc)
+            if not message.startswith(key):
+                assert message.startswith(parents[0]) and field in message, (value, message)
+        else:
+            assert all(math.isfinite(v) for v in _numbers(rc.scenario)), (value, rc.scenario)

@@ -129,29 +129,46 @@ _ENV = RadioEnvironment(300e9, 1e9, 290.0, 9.0)
 _ANTENNA = Antenna(10.0)
 
 
-# (record, field, a value its checks accept, values they refuse, the refusal's message)
+def _nonfinite(*fields) -> list:
+    """NaN, +inf and -inf for each field, as (field, value) pairs."""
+    return [(field, value) for field in fields for value in (math.nan, math.inf, -math.inf)]
+
+
+# (record, field, a value its checks accept, (field, value) pairs they refuse, the
+# refusal's message); a config value's record names the field first, so that the
+# config loader can name its key
 @pytest.mark.parametrize("record, field, good, bad, message", [
-    pytest.param(link_from_snr(1.0), "snr", 3.0, {"noise_power_w": 0.0, "snr": -1.0, "rho": 1.0},
+    pytest.param(link_from_snr(1.0), "snr", 3.0,
+                 [("noise_power_w", 0.0), ("snr", -1.0), ("rho", 1.0)],
                  "^(noise power|snr|rho) ", id="LinkState"),
-    pytest.param(_ENV, "temperature_k", 145.0, {"bandwidth_hz": 0.0, "noise_figure_db": -0.1},
-                 "^(bandwidth|noise figure) ", id="RadioEnvironment"),
+    pytest.param(_ENV, "temperature_k", 145.0,
+                 [("bandwidth_hz", 0.0), ("noise_figure_db", -0.1), ("noise_figure_db", 3100.0),
+                  *_nonfinite(*RadioEnvironment._fields)],
+                 "^(carrier_frequency_hz|bandwidth_hz|temperature_k|noise_figure_db)[ :]",
+                 id="RadioEnvironment"),
     pytest.param(_ANTENNA, "gain_dbi", 20.0,
-                 {"min_relative_gain_db": 5.0, "beamwidth_override_deg": 190.0},
-                 "^(min_relative_gain_db|beamwidth_override_deg) ", id="Antenna"),
-    pytest.param(ScenarioConfig("cell", _ENV, _ANTENNA, _ANTENNA, _ANTENNA, 1e-3, 3.5),
-                 "height_difference_m", 8.5, {"height_difference_m": 1e-300, "variant": "x"},
-                 "^(height difference must be at least 1e-150 m|variant must)",
-                 id="ScenarioConfig"),
+                 [("min_relative_gain_db", 5.0), ("beamwidth_override_deg", 190.0),
+                  *_nonfinite(*Antenna._fields)],
+                 "^(gain_dbi|min_relative_gain_db|beamwidth_override_deg) ", id="Antenna"),
+    pytest.param(ScenarioConfig("directed", _ENV, _ANTENNA, _ANTENNA, _ANTENNA, 1e-3, 3.5, 15.0),
+                 "height_difference_m", 8.5,
+                 [("height_difference_m", 1e-300), ("variant", "x"), ("variant", "cell"),
+                  ("horizontal_distance_m", 61.0), ("horizontal_distance_m", None),
+                  *_nonfinite("transmit_power_w", "height_difference_m", "horizontal_distance_m"),
+                  *[("room_extent_m", extent) for value in (math.nan, math.inf, -math.inf)
+                    for extent in ((value, 60.0), (60.0, value))]],
+                 "^(variant|transmit_power_w|height_difference_m|horizontal_distance_m|"
+                 "room_extent_m) ", id="ScenarioConfig"),
     pytest.param(SecrecyCode(2000, 0.2, 0.5), "randomness_bits", 0.0,
-                 {"blocklength": 0, "rate_bits": -1.0}, "^(blocklength|secrecy rate) ",
+                 [("blocklength", 0), ("rate_bits", -1.0)], "^(blocklength|secrecy rate) ",
                  id="SecrecyCode"),
-    pytest.param(BoundFreeParams(0.5, 0.1), "alpha", 2.0, {"alpha": 1.0, "lambda_nats": 0.0},
+    pytest.param(BoundFreeParams(0.5, 0.1), "alpha", 2.0, [("alpha", 1.0), ("lambda_nats", 0.0)],
                  "^(alpha|lambda) ", id="BoundFreeParams"),
     pytest.param(SecrecyMapGrid((0.0,), (0.0,), ((0.5,),), {}), "values", ((0.25,),),
-                 {"values": ((1.5,),), "xs": (0.0, 1.0)}, "^(security levels|values) ",
+                 [("values", ((1.5,),)), ("xs", (0.0, 1.0))], "^(security levels|values) ",
                  id="SecrecyMapGrid"),
     pytest.param(RadialProfile((0.0, 1.0), (1.0, 0.5)), "deltas", (0.5, 0.25),
-                 {"radii_m": (1.0, 0.0), "deltas": (1.0,)}, "^(radii|2 radii) ",
+                 [("radii_m", (1.0, 0.0)), ("deltas", (1.0,))], "^(radii|2 radii) ",
                  id="RadialProfile"),
 ])
 def test_record_checked_and_immutable(record, field, good, bad, message):
@@ -163,7 +180,7 @@ def test_record_checked_and_immutable(record, field, good, bad, message):
     assert type(copy) is type(record) and getattr(copy, field) == good
     if cached:
         assert getattr(copy, cached) == getattr(type(record)(*copy), cached) != before
-    for name, value in bad.items():
+    for name, value in bad:
         with pytest.raises(ValueError, match=message) as built:
             type(record)(**{**record._asdict(), name: value})
         with pytest.raises(ValueError) as replaced:

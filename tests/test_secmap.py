@@ -28,7 +28,6 @@ from thzsecmap import (
 )
 from thzsecmap import geometry, planner, secmap
 from thzsecmap.cli import SWEEP_ALIASES, load_config, run, sweep_row
-from thzsecmap.geometry import DIRECTED
 from thzsecmap.secmap import (
     SWEEP_COLUMNS,
     MapValues,
@@ -503,11 +502,13 @@ class TestSweep:
             assert line.startswith("invalid input: argument --variable: invalid choice"), variable
         assert not out.exists()
 
-    def test_d_ab_requires_directed(self, cell_config, monkeypatch):
+    # the cell config refuses the directed receiver's distance in the first row
+    def test_d_ab_requires_directed(self, monkeypatch):
         plans = count_calls(monkeypatch, ((planner, "plan"),))["plan"]
-        with pytest.raises(ConfigError, match="^d_AB can only be swept in the directed scenario$"):
-            sweep(cell_config, "d_AB", [5.0], lambda d: pytest.fail("a row was built"),
-                  variant=DIRECTED)
+        with pytest.raises(ConfigError, match=r"^d_AB = 5\.0: scenario\.horizontal_distance_m "
+                                              r"must be set in the directed variant and only "
+                                              r"there, got 5\.0 in the cell variant$"):
+            shipped_sweep("scenario1_cell.json", "d_AB", [5.0, 10.0])
         assert plans == []  # refused before the first plan
 
     def test_crossings_share_evaluations(self, cell_config, monkeypatch):
