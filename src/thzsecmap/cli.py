@@ -26,7 +26,7 @@ from . import __version__, planner
 from .antenna import Antenna, beamwidth_from_gain
 from .bounds import MAX_BLOCKLENGTH, blocklength_text
 from .errors import ConfigError, InfeasiblePlanError
-from .geometry import CELL, DIRECTED, VARIANTS, ScenarioConfig
+from .geometry import CELL, DIRECTED, ScenarioConfig
 from .linkmodel import RadioEnvironment, link_budget, ratio_to_db, watts_to_dbm
 from .planner import PlanResult, require_feasible
 from .secmap import (
@@ -86,21 +86,15 @@ def _blocklength(value, path: str) -> int:
     return value
 
 
-def _variant(value, path: str) -> str:
-    if value not in VARIANTS:
-        raise ConfigError(f"{path} must be 'cell' or 'directed', got {value!r}")
-    return value
-
-
 def _extent(value, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path} must be a [x, y] pair of meters")
     return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
 
 
-def _directory(value, path: str) -> str:
+def _string(value, path: str) -> str:
     if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path} must be a non-empty string")
+        raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
     return value
 
 
@@ -137,7 +131,7 @@ SCHEMA = {
     # Bob and Eve face Alice, so only their boresight gain enters a link
     "antennas": {"alice": _ANTENNA, "bob": _GAIN, "eve": _GAIN},
     "scenario": {
-        "variant": _Key(_variant),
+        "variant": _Key(_string),
         "room_extent_m": _Key(_extent, (60.0, 60.0)),
         "height_difference_m": _Key(_number),
         "horizontal_distance_m": _Key(_number, None),  # set in the directed variant alone
@@ -149,7 +143,7 @@ SCHEMA = {
     },
     # the default depends on the variant: DEFAULT_TX_POWER_MW
     "power": {"transmit_mw": _Key(_number, None, field="transmit_power_w", scale=1e-3)},
-    "output": {"dir": _Key(_directory, "out", field="output_dir")},
+    "output": {"dir": _Key(_string, "out", field="output_dir")},
     "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
 }
 
@@ -165,7 +159,7 @@ def _numeric_paths(table: dict = SCHEMA, prefix: str = "") -> list[str]:
     for key, row in table.items():
         if isinstance(row, dict):
             paths += _numeric_paths(row, f"{prefix}{key}.")
-        elif prefix and row.check not in (_variant, _extent, _directory):  # run is no section
+        elif prefix and row.check not in (_string, _extent):  # run is no section
             paths.append(prefix + key)
     return paths
 
@@ -225,17 +219,18 @@ def load_config(path) -> RunConfig:
 def parse_config(doc: dict) -> RunConfig:
     raw = _walk(SCHEMA, doc, "config")
     if raw["power"]["transmit_mw"] is None:
-        raw["power"]["transmit_mw"] = DEFAULT_TX_POWER_MW[raw["scenario"]["variant"]]
+        # NaN for an unknown variant, which ScenarioConfig refuses before the power
+        variant = raw["scenario"]["variant"]
+        raw["power"]["transmit_mw"] = DEFAULT_TX_POWER_MW.get(variant, math.nan)
     return _build(raw)
 
 
 def _key_paths(*sections: str) -> dict:
-    """Each field of the record built from the sections -> what replaces its name at the start
-    of a refusal: its key's dotted path, then the field's name if its units differ."""
+    """Each field of the record built from the sections -> its key's dotted path."""
     paths = {}
     for section in sections:
         for key, row in functools.reduce(dict.__getitem__, section.split("."), SCHEMA).items():
-            paths[row.field or key] = f"{section}.{key}" + (f": {row.field}" if row.field else "")
+            paths[row.field or key] = f"{section}.{key}"
     return paths
 
 
@@ -259,10 +254,14 @@ def _build(raw: dict) -> RunConfig:
                                   **_fields(SCHEMA["power"], raw["power"]))
     except ValueError as exc:
         message = str(exc)
-        for field, path in _KEY_PATHS[section].items():
-            if message.startswith(field):
-                raise ConfigError(path + message[len(field):]) from exc
-        raise ConfigError(f"{section}: {message}") from exc  # a joint refusal
+        paths = _KEY_PATHS[section]
+        for field, path in paths.items():
+            if message.startswith(field):  # the key, then the field if its units differ
+                key = path if path.endswith("." + field) else f"{path}: {field}"
+                raise ConfigError(key + message[len(field):]) from exc
+        for field, path in paths.items():  # a joint refusal: the section, each key by name
+            message = message.replace(field, path.rpartition(".")[2])
+        raise ConfigError(f"{section}: {message}") from exc
     return RunConfig(scenario=scenario, raw=raw, **_fields(SCHEMA["code"], raw["code"]),
                      **_fields(SCHEMA["output"], raw["output"]))
 

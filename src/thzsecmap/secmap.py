@@ -129,9 +129,9 @@ class SecurityCurve:
     is a function of the link's SNR and is memoized on it: each SNR costs one
     bound minimization however many positions share it.  The level does not
     fall as the SNR rises (``test_security_level_non_decreasing_in_snr``), so
-    for each level that ``exceeds`` is asked about, the curve also keeps the
-    largest SNR known at or below that level and the smallest SNR known above
-    it; an SNR outside that bracket is decided without a bound minimization.
+    for ``exceeds`` the curve also keeps the largest SNR known at or below
+    ``INSECURE_LEVEL`` and the smallest SNR known above it; an SNR outside
+    that bracket is decided without a bound minimization.
     """
 
     def __init__(self, plan: PlanResult, config: ScenarioConfig):
@@ -140,7 +140,7 @@ class SecurityCurve:
         self.config = config
         self.scene = geometry.Scene(config)
         self._deltas: dict[float, float] = {}  # SNR -> level
-        self._brackets: dict[float, list[float]] = {}  # level -> [known at or below, known above]
+        self._bracket = [-math.inf, math.inf]  # SNRs known at or below, known above the level
 
     def link_at(self, x: float, y: float) -> LinkState:
         """The link to an eavesdropper at (x, y), aimed straight back at the transmitter."""
@@ -157,17 +157,15 @@ class SecurityCurve:
             delta = self._deltas[snr] = min_security(self.plan.code, link)[0]
         return delta
 
-    def exceeds(self, link: LinkState, level: float) -> bool:
-        """Whether the security level at the link's SNR exceeds ``level``."""
-        bracket = self._brackets.get(level)
-        if bracket is None:
-            bracket = self._brackets[level] = [-math.inf, math.inf]
+    def exceeds(self, link: LinkState) -> bool:
+        """Whether the security level at the link's SNR exceeds ``INSECURE_LEVEL``."""
+        bracket = self._bracket
         snr = link.snr
         if snr <= bracket[0]:
             return False
         if snr >= bracket[1]:
             return True
-        if self.delta(link) > level:
+        if self.delta(link) > INSECURE_LEVEL:
             bracket[1] = snr
             return True
         bracket[0] = snr
@@ -188,7 +186,7 @@ def _column_insecure_fraction(curve: SecurityCurve, resolution_m: float) -> floa
     below = [0, *itertools.accumulate(points[u] for u in us)]  # points under each us[k]
 
     def secure(x: float, u: float) -> bool:
-        return not curve.exceeds(curve.link_at(x, u), INSECURE_LEVEL)
+        return not curve.exceeds(curve.link_at(x, u))
 
     insecure = 0
     for x in xs:
@@ -273,13 +271,10 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
 
 def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
     """``num`` >= 2 evenly spaced floats from start to stop, bit for bit as
-    ``numpy.linspace`` computes them: k * step + start, and stop itself last."""
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0.0:  # a subnormal step underflows; numpy then scales k / div instead
-        return (*(k / div * delta + start for k in range(div)), stop)
-    return (*(k * step + start for k in range(div)), stop)
+    ``numpy.linspace`` computes them: k * step + start, and stop itself last.
+    A step that underflows to 0 repeats start, which ``radial_profile`` refuses."""
+    step = (stop - start) / (num - 1)
+    return (*(k * step + start for k in range(num - 1)), stop)
 
 
 def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -> float:

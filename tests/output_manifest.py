@@ -1,8 +1,12 @@
-"""The output manifest: a SHA-256 digest of every output of a fixed list of commands.
+"""The output manifest: a SHA-256 digest of every output of the end-to-end commands.
 
-Each command runs in-process through ``thzsecmap.cli.run`` on a shipped
-config, into its own output directory.  The manifest holds one line per
-output, ``<sha256>  <command>/<output>``, sorted by name:
+``COMMANDS`` is the one fixed list of end-to-end commands.  Each runs
+in-process through ``thzsecmap.cli.run`` on a shipped config, into its own
+output directory, and then again with the same argv from its own
+``*_metadata.json`` as the config; every output of the rerun must equal the
+first run's, or ``manifest_text`` raises naming the command and the output.
+The manifest holds one line per output of the first run,
+``<sha256>  <command>/<output>``, sorted by name:
 
 - ``stdout``, the command's standard output with its output directory
   written as ``<out>``;
@@ -10,8 +14,11 @@ output, ``<sha256>  <command>/<output>``, sorted by name:
 - each ``*_metadata.json``, without the line that records ``output.dir``.
 
 ``test_output_manifest.py`` regenerates the manifest and compares it with
-the committed ``output_manifest.txt``.  A change that alters outputs on
-purpose rewrites that file with this script and lists each changed entry:
+the committed ``output_manifest.txt``; ``test_startup.py`` does the same in
+an interpreter that cannot import numpy, and CI runs this script against
+the installed package and checks that the committed file is unchanged.  A
+change that alters outputs on purpose rewrites that file with this script
+and lists each changed entry:
 
     PYTHONPATH=src python tests/output_manifest.py
 """
@@ -24,6 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import thzsecmap
 from thzsecmap.cli import run
 
 HERE = Path(__file__).resolve().parent
@@ -68,9 +76,8 @@ def _commands() -> dict:
 COMMANDS = _commands()
 
 
-def _outputs(name: str, config: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
-    """Output name -> the bytes that the manifest digests, for one command."""
-    out = workdir / name
+def _run(name: str, config: Path, argv: list[str], out: Path) -> dict[str, bytes]:
+    """Output name -> the bytes that the manifest digests, for one run into ``out``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = run([*argv, "--config", str(config), "--out", str(out)])
@@ -91,6 +98,18 @@ def _outputs(name: str, config: Path, argv: list[str], workdir: Path) -> dict[st
     return outputs
 
 
+def _outputs(name: str, config: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
+    """The outputs of one command, once its rerun from its own metadata has matched them."""
+    outputs = _run(name, config, argv, workdir / "first" / name)
+    metadata = workdir / "first" / name / f"{argv[0]}_metadata.json"
+    replayed = _run(name, metadata, argv, workdir / "replay" / name)
+    for output in sorted(outputs.keys() | replayed.keys()):
+        if outputs.get(output) != replayed.get(output):
+            raise RuntimeError(f"{name}/{output} differs when {name} reruns with "
+                               f"--config {metadata.name}")
+    return outputs
+
+
 def manifest_text() -> str:
     """The manifest of the outputs of ``COMMANDS``, run in a temporary directory."""
     entries = {}
@@ -103,8 +122,8 @@ def manifest_text() -> str:
 
 def main() -> None:
     MANIFEST.write_text(manifest_text())
-    print(f"wrote {MANIFEST} ({len(MANIFEST.read_text().splitlines())} outputs)",
-          file=sys.stderr)
+    print(f"wrote {MANIFEST} ({len(MANIFEST.read_text().splitlines())} outputs of the "
+          f"package at {Path(thzsecmap.__file__).parent})", file=sys.stderr)
 
 
 if __name__ == "__main__":

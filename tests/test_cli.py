@@ -203,35 +203,6 @@ class TestMapCommand:
         assert (out1 / "map.csv").read_bytes() == (out2 / "map.csv").read_bytes()
 
 
-ROUND_TRIP_COMMANDS = (
-    ["plan"], ["link"], ["map", "--resolution", "4"], ["radial"], ["threshold"],
-    ["sweep", "--variable", "R", "--values", "0.1,0.2", "--area-resolution", "10"],
-)
-
-
-def _round_trip_cases():
-    for config in SHIPPED_CONFIGS:
-        cell = json.loads(config.read_text())["scenario"]["variant"] == "cell"
-        for argv in ROUND_TRIP_COMMANDS:
-            if cell or argv[0] not in ("radial", "threshold"):  # both need the cell variant
-                yield pytest.param(config, argv, id=f"{config.stem} {argv[0]}")
-
-
-@pytest.mark.parametrize("config, argv", _round_trip_cases())
-def test_metadata_reproduces_every_command(tmp_path, capsys, config, argv):
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert run([*argv, "--config", str(config), "--out", str(first)]) == 0
-    stdout = capsys.readouterr().out
-    meta = first / f"{argv[0]}_metadata.json"
-    assert run([*argv, "--config", str(meta), "--out", str(second)]) == 0
-    assert capsys.readouterr().out == stdout.replace(str(first), str(second))
-    names = sorted(p.name for p in first.iterdir())
-    assert sorted(p.name for p in second.iterdir()) == names
-    for name in names:  # only output.dir differs
-        expected = (first / name).read_bytes().replace(bytes(first), bytes(second))
-        assert (second / name).read_bytes() == expected
-
-
 class TestOtherCommands:
     def test_radial(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -499,7 +470,8 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
          "must be finite and at most the half-power level"),
         (["sweep", "--variable", "environment.temperature_k", "--values", "1e-320"],
          "environment.temperature_k = 1e-320: environment: noise power k*T*B*F of "
-         "temperature_k, bandwidth_hz and noise_figure_db must be positive and finite, got 0.0 W"),
+         "temperature_k, bandwidth_ghz and noise_figure_db must be positive and finite, "
+         "got 0.0 W"),
         # the cell config refuses the directed receiver's distance, before the first plan
         (["sweep", "--variable", "scenario.horizontal_distance_m", "--values", "5"],
          "scenario.horizontal_distance_m = 5.0: scenario.horizontal_distance_m must be set in "
@@ -531,7 +503,7 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
                  "scenario.horizontal_distance_m must lie in (0, 20.0] m, up to "
                  "room_extent_m[0], got 70.0", id="directed receiver beyond room"),
     pytest.param(_set_temperature_underflowing,
-                 "environment: noise power k*T*B*F of temperature_k, bandwidth_hz and "
+                 "environment: noise power k*T*B*F of temperature_k, bandwidth_ghz and "
                  "noise_figure_db must be positive and finite, got 0.0 W",
                  id="temperature 1e-320 K"),
     pytest.param(_set_carrier_overflowing,
@@ -544,6 +516,31 @@ def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
     assert run(["plan", "--config", str(write_config(tmp_path, doc))]) == 2
     assert capsys.readouterr().err == f"invalid input: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# without power.transmit_mw, whose default the loader picks by the variant
+@pytest.mark.parametrize("variant", ["ring", ["cell"], 5, {}], ids=json.dumps)
+def test_a_bad_variant_exits_2_naming_it(tmp_path, capsys, variant):
+    doc = base_config(str(tmp_path / "out"))
+    doc["scenario"]["variant"] = variant
+    del doc["power"]
+    assert run(["plan", "--config", str(write_config(tmp_path, doc))]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("invalid input: scenario.variant ")
+    assert not (tmp_path / "out").exists()
+
+
+# k*T*B*F underflows to 0 W; the refusal names config keys, and bandwidth_hz is none
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_a_noise_power_refusal_names_no_field_in_hertz(tmp_path, capsys, config):
+    doc = json.loads(config.read_text())
+    doc["environment"]["bandwidth_ghz"] = 5e-324
+    out = tmp_path / "out"
+    assert run(["plan", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("invalid input: environment: ") and "bandwidth_ghz" in line
+    assert "_hz" not in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)

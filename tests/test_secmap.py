@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -283,15 +284,15 @@ class TestSecurityCurve:
         assert (again.rho.hex(), again.capacity_nats.hex()) == \
             (link.rho.hex(), link.capacity_nats.hex())
 
-    @pytest.mark.parametrize("level", [0.0, 1e-3, 0.5, math.nextafter(1.0, 0.0)])
-    def test_exceeds_agrees_with_the_bound(self, monkeypatch, level):
+    def test_exceeds_agrees_with_the_bound(self, monkeypatch):
         config, map_plan = shipped("scenario2_directed.json")
         xs, ys = geometry.grid_axes(config, 4.0)
         links = [oracles.eve_link(map_plan, config, x, abs(y)) for x in xs for y in ys]
-        expected = [min_security(map_plan.code, link)[0] > level for link in links]
+        assert secmap.INSECURE_LEVEL == 0.5
+        expected = [min_security(map_plan.code, link)[0] > 0.5 for link in links]
         curve = SecurityCurve(map_plan, config)
         calls = count_calls(monkeypatch, ((secmap, "min_security"),))["min_security"]
-        assert [curve.exceeds(link, level) for link in links] == expected
+        assert [curve.exceeds(link) for link in links] == expected
         # each SNR at most once, and none that the bracket already decides
         assert len(calls) == len({args[1].snr for args in calls}) < len(links)
 
@@ -346,12 +347,18 @@ class TestRadialProfile:
         assert profile.radii_m == (0.0, 2.5, 5.0, 7.5, 10.0)
         assert all(type(v) is float for v in profile.radii_m + profile.deltas)
 
-    # the last case has a step that underflows to 0, which numpy scales differently
     @pytest.mark.parametrize("start, stop, num", [(0.0, 30.0, 121), (0.0, 30.0, 1001),
                                                   (2.5, 17.3, 77), (0.1, 0.7, 3),
-                                                  (1e-300, 1e150, 4097), (0.0, 2e-323, 10)])
+                                                  (1e-300, 1e150, 4097)])
     def test_radii_equal_numpy_linspace(self, start, stop, num):
         assert secmap._linspace(start, stop, num) == tuple(np.linspace(start, stop, num).tolist())
+
+    def test_a_step_that_underflows_is_refused(self, cell_plan, small_cell):
+        # 2e-323 / 9 rounds to 0; numpy would scale k / 9 instead and still repeat radii
+        with pytest.raises(ValueError, match=re.escape(
+                "r_min 0.0 m to r_max 2e-323 m in 10 steps gives radii that are not strictly "
+                "increasing; widen the range or use fewer steps")):
+            radial_profile(cell_plan, small_cell, 0.0, 2e-323, 10)
 
     @pytest.mark.parametrize("radii, deltas, message", [
         ((0.0, math.nan, 2.0), (1.0, 0.5, 0.0), "finite"),
