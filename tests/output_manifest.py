@@ -13,10 +13,11 @@ The manifest holds one line per output of the first run,
 - each data file (CSV, PGM), as written;
 - each ``*_metadata.json``, without the line that records ``output.dir``.
 
-``test_output_manifest.py`` regenerates the manifest and compares it with
-the committed ``output_manifest.txt``; ``test_startup.py`` does the same in
-an interpreter that cannot import numpy, and CI runs this script against
-the installed package and checks that the committed file is unchanged.  A
+``test_output_manifest.py`` runs each command and compares its lines with
+those of the committed ``output_manifest.txt``; ``test_startup.py``
+regenerates the whole manifest in an interpreter that cannot import numpy
+and compares it with that file, and CI runs this script against the
+installed package and checks that the committed file is unchanged.  A
 change that alters outputs on purpose rewrites that file with this script
 and lists each changed entry:
 
@@ -110,14 +111,18 @@ def _outputs(name: str, config: Path, argv: list[str], workdir: Path) -> dict[st
     return outputs
 
 
+def command_lines(name: str, workdir: Path) -> list[str]:
+    """The manifest lines of one command of ``COMMANDS``, run under ``workdir``."""
+    config, argv = COMMANDS[name]
+    return [f"{hashlib.sha256(data).hexdigest()}  {name}/{output}\n"
+            for output, data in sorted(_outputs(name, config, argv, workdir).items())]
+
+
 def manifest_text() -> str:
     """The manifest of the outputs of ``COMMANDS``, run in a temporary directory."""
-    entries = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (config, argv) in COMMANDS.items():
-            for output, data in _outputs(name, config, argv, Path(tmp)).items():
-                entries[f"{name}/{output}"] = hashlib.sha256(data).hexdigest()
-    return "".join(f"{digest}  {entry}\n" for entry, digest in sorted(entries.items()))
+        lines = [line for name in COMMANDS for line in command_lines(name, Path(tmp))]
+    return "".join(sorted(lines, key=lambda line: line.split("  ", 1)[1]))
 
 
 def main() -> None:
