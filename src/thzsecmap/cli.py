@@ -45,14 +45,13 @@ MAX_INT_DIGITS = 4300  # Python's default limit on converting text to int
 DEFAULT_TX_POWER_MW = {CELL: 9.0, DIRECTED: 0.5}
 
 
-# Resolved run configuration in internal units.
+# Resolved run configuration.
 RunConfig = namedtuple("RunConfig", [
     "scenario",  # ScenarioConfig
     "n",
     "rate_bits",
     "phi_target",
-    "output_dir",
-    "raw",  # validated document in config units, re-emitted as metadata
+    "raw",  # validated document, re-emitted as metadata
 ])
 
 
@@ -63,8 +62,8 @@ def _number(value, path: str) -> float:
         v = float(value)
     except OverflowError:  # json integers have no size limit
         v = math.inf
-    if not math.isfinite(v):  # json parses NaN and Infinity
-        raise ConfigError(f"{path} must be finite, got {value}")
+    if not math.isfinite(v):  # json parses NaN and Infinity; an integer prints by its digits
+        raise ConfigError(f"{path} must be finite, got {blocklength_text(value)}")
     return v
 
 
@@ -94,20 +93,19 @@ def _extent(value, path: str) -> tuple[float, float]:
 
 def _string(value, path: str) -> str:
     if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
+        raise ConfigError(f"{path} must be a non-empty string, got {blocklength_text(value)}")
     return value
 
 
 REQUIRED = object()
 
 
-# One config key: its check, its default, and how it maps to internal units.
+# One config key: its check and its default.  A key of a section that _build
+# turns into a record is that record's field, in the same units.
 _Key = namedtuple("_Key", [
-    "check",  # (value, path) -> the validated value in config units
+    "check",  # (value, path) -> the validated value
     "default",
-    "field",  # keyword of the internal object, when not the key
-    "scale",  # factor from the config unit to the internal one
-], defaults=(REQUIRED, None, None))
+], defaults=(REQUIRED,))
 
 
 _GAIN = {"gain_dbi": _Key(_number)}
@@ -123,8 +121,8 @@ _ANTENNA = {
 # scenario and power keys, so their rows check only the JSON shape.
 SCHEMA = {
     "environment": {
-        "carrier_frequency_ghz": _Key(_number, field="carrier_frequency_hz", scale=1e9),
-        "bandwidth_ghz": _Key(_number, field="bandwidth_hz", scale=1e9),
+        "carrier_frequency_ghz": _Key(_number),
+        "bandwidth_ghz": _Key(_number),
         "temperature_k": _Key(_number),
         "noise_figure_db": _Key(_number),
     },
@@ -142,8 +140,8 @@ SCHEMA = {
         "phi_target": _Key(_bounded(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
     },
     # the default depends on the variant: DEFAULT_TX_POWER_MW
-    "power": {"transmit_mw": _Key(_number, None, field="transmit_power_w", scale=1e-3)},
-    "output": {"dir": _Key(_string, "out", field="output_dir")},
+    "power": {"transmit_mw": _Key(_number, None)},
+    "output": {"dir": _Key(_string, "out")},
     "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
 }
 
@@ -190,12 +188,6 @@ def _walk(table: dict, section, path: str) -> dict:
     return out
 
 
-def _fields(table: dict, section: dict) -> dict:
-    """A validated section as keyword arguments in internal units."""
-    return {row.field or key: section[key] if row.scale is None else section[key] * row.scale
-            for key, row in table.items()}
-
-
 def load_config(path) -> RunConfig:
     """Load and strictly validate a run configuration JSON file."""
     def parse_int(text: str) -> int:
@@ -225,45 +217,35 @@ def parse_config(doc: dict) -> RunConfig:
     return _build(raw)
 
 
-def _key_paths(*sections: str) -> dict:
-    """Each field of the record built from the sections -> its key's dotted path."""
-    paths = {}
-    for section in sections:
-        for key, row in functools.reduce(dict.__getitem__, section.split("."), SCHEMA).items():
-            paths[row.field or key] = f"{section}.{key}"
-    return paths
-
-
-_KEY_PATHS = {"environment": _key_paths("environment"),
-              "scenario": _key_paths("scenario", "power"),
-              **{f"antennas.{who}": _key_paths(f"antennas.{who}") for who in SCHEMA["antennas"]}}
+def _row(path: str):
+    """The SCHEMA row or section at a dotted path."""
+    return functools.reduce(dict.__getitem__, path.split("."), SCHEMA)
 
 
 def _build(raw: dict) -> RunConfig:
-    """The records of a validated document, which is left as it is; a refusal names the key."""
-    section = "environment"
+    """The records of a validated document, which is left as it is; a refusal names the key.
+
+    Each record takes its sections' keys as its fields.  A refusal that starts with
+    one of them gets that key's section prefixed; any other gets its record's section.
+    """
+    sections = ["environment"]
     try:
-        environment = RadioEnvironment(**_fields(SCHEMA["environment"], raw["environment"]))
+        environment = RadioEnvironment(**raw["environment"])
         antennas = {}
         for name, fields in raw["antennas"].items():
-            section = "antennas." + name
+            sections = ["antennas." + name]
             antennas[name] = Antenna(**fields)
-        section = "scenario"
-        scenario = ScenarioConfig(environment=environment, **antennas,
-                                  **_fields(SCHEMA["scenario"], raw["scenario"]),
-                                  **_fields(SCHEMA["power"], raw["power"]))
+        sections = ["scenario", "power"]
+        scenario = ScenarioConfig(environment=environment, **antennas, **raw["scenario"],
+                                  **raw["power"])
     except ValueError as exc:
         message = str(exc)
-        paths = _KEY_PATHS[section]
-        for field, path in paths.items():
-            if message.startswith(field):  # the key, then the field if its units differ
-                key = path if path.endswith("." + field) else f"{path}: {field}"
-                raise ConfigError(key + message[len(field):]) from exc
-        for field, path in paths.items():  # a joint refusal: the section, each key by name
-            message = message.replace(field, path.rpartition(".")[2])
-        raise ConfigError(f"{section}: {message}") from exc
-    return RunConfig(scenario=scenario, raw=raw, **_fields(SCHEMA["code"], raw["code"]),
-                     **_fields(SCHEMA["output"], raw["output"]))
+        first = message.split(" ", 1)[0].rstrip(":")
+        for section in sections:
+            if first in _row(section):
+                raise ConfigError(f"{section}.{message}") from exc
+        raise ConfigError(f"{sections[0]}: {message}") from exc
+    return RunConfig(scenario=scenario, raw=raw, **raw["code"])
 
 
 def _replaced(doc: dict, keys: list[str], value) -> dict:
@@ -279,7 +261,7 @@ def sweep_row(rc: RunConfig, path: str):
     does, so that every refusal is the config's own and names the key.
     """
     keys = path.split(".")
-    check = functools.reduce(dict.__getitem__, keys, SCHEMA).check
+    check = _row(path).check
 
     def row(value):
         number = int(value) if isinstance(value, float) and value.is_integer() else value
@@ -307,7 +289,7 @@ def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,
 
 def _out_dir(rc: RunConfig, args) -> Path:
     # called only once the command has results, so a rejected run creates nothing
-    out = Path(args.out if args.out is not None else rc.output_dir)
+    out = Path(args.out if args.out is not None else rc.raw["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 

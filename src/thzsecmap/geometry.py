@@ -27,29 +27,32 @@ MIN_LENGTH_M = 1e-150  # a squared height stays nonzero
 
 
 class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment alice bob eve "
-                                        "transmit_power_w height_difference_m "
+                                        "transmit_mw height_difference_m "
                                         "horizontal_distance_m room_extent_m")):
     """Full description of one indoor scenario.
 
-    Room extent is the floor rectangle in meters.  For the cell variant the
-    room is centered on the transmitter's floor projection; for the directed
-    variant the transmitter wall is at x = 0 and the room extends toward
-    positive x, centered in y.  Bob and Eve are aimed straight back at
-    Alice, so only their antennas' gain is read, never their pattern.
+    The transmit power is in mW, as a config gives it; ``transmit_power_w``
+    is the same power in watts.  Room extent is the floor rectangle in
+    meters.  For the cell variant the room is centered on the transmitter's
+    floor projection; for the directed variant the transmitter wall is at
+    x = 0 and the room extends toward positive x, centered in y.  Bob and
+    Eve are aimed straight back at Alice, so only their antennas' gain is
+    read, never their pattern.
     """
 
     __slots__ = ()
 
     def __new__(cls, variant: str, environment: RadioEnvironment, alice: Antenna, bob: Antenna,
-                eve: Antenna, transmit_power_w: float, height_difference_m: float,
+                eve: Antenna, transmit_mw: float, height_difference_m: float,
                 horizontal_distance_m: float | None = None,
                 room_extent_m: tuple[float, float] = (60.0, 60.0)) -> ScenarioConfig:
         # each message starts with the field name; the negated forms also reject NaN
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if not 0.0 < transmit_power_w < math.inf:
-            raise ValueError("transmit_power_w must be positive and finite, "
-                             f"got {transmit_power_w}")
+        if not 0.0 < transmit_mw < math.inf:
+            raise ValueError(f"transmit_mw must be positive and finite, got {transmit_mw}")
+        if transmit_mw * 1e-3 == 0.0:
+            raise ValueError(f"transmit_mw of {transmit_mw} underflows to 0 W")
         if not MIN_LENGTH_M <= height_difference_m <= MAX_LENGTH_M:
             raise ValueError(f"height_difference_m must lie in [{MIN_LENGTH_M:g}, "
                              f"{MAX_LENGTH_M:g}] m, got {height_difference_m}")
@@ -63,8 +66,12 @@ class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment a
         if variant == DIRECTED and not 0.0 < horizontal_distance_m <= ex + 1e-9:  # in the room
             raise ValueError(f"horizontal_distance_m must lie in (0, {ex}] m, up to "
                              f"room_extent_m[0], got {horizontal_distance_m}")
-        return tuple.__new__(cls, (variant, environment, alice, bob, eve, transmit_power_w,
+        return tuple.__new__(cls, (variant, environment, alice, bob, eve, transmit_mw,
                                    height_difference_m, horizontal_distance_m, room_extent_m))
+
+    @property
+    def transmit_power_w(self) -> float:
+        return self.transmit_mw * 1e-3
 
 
 def receiver_x(config: ScenarioConfig) -> float:

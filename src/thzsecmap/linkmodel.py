@@ -1,7 +1,9 @@
 """Free-space link budget: path loss, thermal noise, SNR, and channel capacity.
 
 All internal quantities are SI (watts, meters, hertz, kelvin) and information
-is carried in both bits and nats on the resulting link state.  Decibel values
+is carried in both bits and nats on the resulting link state.  A
+``RadioEnvironment`` takes its carrier and bandwidth in GHz, as a config
+gives them, and derives the hertz values itself.  Decibel values
 appear only at the conversion helpers.
 """
 
@@ -58,42 +60,48 @@ class Record(tuple):
         return cls(*iterable)
 
 
-class RadioEnvironment(Record, namedtuple("RadioEnvironment", "carrier_frequency_hz "
-                                          "bandwidth_hz temperature_k noise_figure_db")):
-    """Carrier, bandwidth, temperature, and receiver noise figure.
+class RadioEnvironment(Record, namedtuple("RadioEnvironment", "carrier_frequency_ghz "
+                                          "bandwidth_ghz temperature_k noise_figure_db")):
+    """Carrier and bandwidth in GHz, temperature, and receiver noise figure.
 
     Together with the Boltzmann constant these determine the thermal noise
-    floor shared by every receiver in a scenario, ``noise_power_w``: computed
-    once per instance, so a ``_replace`` copy computes its own.
+    floor shared by every receiver in a scenario, ``noise_power_w``.  It and
+    the carrier in hertz, ``carrier_frequency_hz``, are computed once per
+    instance, so a ``_replace`` copy computes its own.
     """
 
-    def __new__(cls, carrier_frequency_hz: float, bandwidth_hz: float, temperature_k: float,
+    def __new__(cls, carrier_frequency_ghz: float, bandwidth_ghz: float, temperature_k: float,
                 noise_figure_db: float) -> RadioEnvironment:
         # each message but the joint one starts with the field name; negated forms reject NaN
-        if not 0.0 < carrier_frequency_hz < math.inf:
-            raise ValueError("carrier_frequency_hz must be positive and finite, "
-                             f"got {carrier_frequency_hz}")
-        if not 0.0 < bandwidth_hz < math.inf:
-            raise ValueError(f"bandwidth_hz must be positive and finite, got {bandwidth_hz}")
+        for name, ghz in (("carrier_frequency_ghz", carrier_frequency_ghz),
+                          ("bandwidth_ghz", bandwidth_ghz)):
+            if not 0.0 < ghz < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {ghz}")
+            if ghz * 1e9 == math.inf:
+                raise ValueError(f"{name} of {ghz} overflows to inf Hz")
         if not 0.0 < temperature_k < math.inf:
             raise ValueError(f"temperature_k must be positive and finite, got {temperature_k}")
         if not 0.0 <= noise_figure_db < math.inf:
             raise ValueError(f"noise_figure_db must be >= 0 and finite, got {noise_figure_db}")
-        self = tuple.__new__(cls, (carrier_frequency_hz, bandwidth_hz, temperature_k,
+        self = tuple.__new__(cls, (carrier_frequency_ghz, bandwidth_ghz, temperature_k,
                                    noise_figure_db))
         try:
             noise = self.noise_power_w
         except ValueError as exc:
             raise ValueError(f"noise_figure_db: {exc}") from None
         if not 0.0 < noise < math.inf:
-            raise ValueError("noise power k*T*B*F of temperature_k, bandwidth_hz and "
+            raise ValueError("noise power k*T*B*F of temperature_k, bandwidth_ghz and "
                              f"noise_figure_db must be positive and finite, got {noise} W")
         return self
 
     @cached_property
+    def carrier_frequency_hz(self) -> float:
+        return self.carrier_frequency_ghz * 1e9
+
+    @cached_property
     def noise_power_w(self) -> float:
         """Thermal noise power k*T*B scaled by the linear noise factor, in watts."""
-        return (BOLTZMANN_J_K * self.temperature_k * self.bandwidth_hz
+        return (BOLTZMANN_J_K * self.temperature_k * (self.bandwidth_ghz * 1e9)
                 * db_to_ratio(self.noise_figure_db))
 
 

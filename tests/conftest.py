@@ -6,7 +6,7 @@ from thzsecmap import Antenna, RadioEnvironment, ScenarioConfig
 
 # Transmit power for reproducing the published ceiling-cell map, chosen
 # jointly with the randomness rate during calibration (docs/calibration.md).
-CALIBRATED_TX_POWER_W = 2.5e-3
+CALIBRATED_TX_POWER_MW = 2.5
 
 # Pins the half-power footprint radius to the published 7.2 m at 3.5 m height.
 CALIBRATED_BEAMWIDTH_DEG = math.degrees(2.0 * math.atan(7.2 / 3.5))
@@ -15,7 +15,7 @@ CALIBRATED_BEAMWIDTH_DEG = math.degrees(2.0 * math.atan(7.2 / 3.5))
 @pytest.fixture
 def paper_env() -> RadioEnvironment:
     return RadioEnvironment(
-        carrier_frequency_hz=300e9, bandwidth_hz=1e9, temperature_k=290.0, noise_figure_db=9.0)
+        carrier_frequency_ghz=300.0, bandwidth_ghz=1.0, temperature_k=290.0, noise_figure_db=9.0)
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ def cell_config(paper_env, calibrated_alice) -> ScenarioConfig:
         alice=calibrated_alice,
         bob=plain,
         eve=plain,
-        transmit_power_w=CALIBRATED_TX_POWER_W,
+        transmit_mw=CALIBRATED_TX_POWER_MW,
         height_difference_m=3.5,
     )
 
@@ -46,7 +46,7 @@ def directed_config(paper_env) -> ScenarioConfig:
         alice=a20,
         bob=a20,
         eve=Antenna(gain_dbi=25.0),
-        transmit_power_w=0.5e-3,
+        transmit_mw=0.5,
         height_difference_m=8.5,
         horizontal_distance_m=15.0,
     )

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from oracles import channel_divergence
-from conftest import CALIBRATED_BEAMWIDTH_DEG, CALIBRATED_TX_POWER_W
+from conftest import CALIBRATED_BEAMWIDTH_DEG, CALIBRATED_TX_POWER_MW
 from thzsecmap import (
     Antenna,
     RadioEnvironment,
@@ -50,7 +50,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def env():
-    return RadioEnvironment(300e9, 1e9, 290.0, 9.0)
+    return RadioEnvironment(300.0, 1.0, 290.0, 9.0)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def anchor_config(env):
     alice = Antenna(10.0, beamwidth_override_deg=CALIBRATED_BEAMWIDTH_DEG)
     plain = Antenna(10.0)
     return ScenarioConfig(variant="cell", environment=env, alice=alice, bob=plain, eve=plain,
-                          transmit_power_w=CALIBRATED_TX_POWER_W, height_difference_m=3.5)
+                          transmit_mw=CALIBRATED_TX_POWER_MW, height_difference_m=3.5)
 
 
 def test_criterion_1_noise_floor(env):
@@ -137,13 +137,13 @@ def test_criterion_5_planner_maximality(env):
     checked = 0
     while checked < 20:
         gain = float(rng.uniform(8.0, 25.0))
-        power = float(np.exp(rng.uniform(np.log(5e-4), np.log(2e-2))))
+        power_mw = float(np.exp(rng.uniform(np.log(5e-4), np.log(2e-2)))) * 1e3
         n = int(rng.integers(300, 5001))
         rate = float(rng.uniform(0.05, 0.6))
         phi_target = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e-2))))
         ant = Antenna(gain)
         cfg = ScenarioConfig(variant="cell", environment=env, alice=ant, bob=ant, eve=ant,
-                             transmit_power_w=power, height_difference_m=3.5)
+                             transmit_mw=power_mw, height_difference_m=3.5)
         plan = plan_cell(cfg, n, rate, phi_target)
         if not plan.feasible:
             continue
@@ -186,7 +186,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
         lo = threshold_radius(plan, cfg, 0.01)
         return hi, lo - hi
 
-    cfg9 = anchor_config._replace(transmit_power_w=9e-3)
+    cfg9 = anchor_config._replace(transmit_mw=9.0)
     widths, starts = [], []
     for n in (500, 2000, 8000):
         hi, width = transition(cfg9, n)
@@ -232,7 +232,7 @@ def test_criterion_8_calibrated_anchor(anchor_config):
     report(8, ok,
            f"calibrated footprint r_B {r_b:.3f} m; insecure-disk boundary {boundary:.2f} m "
            f"and r_E0 {r_e0:.2f} m vs published 21.1 m (factor-2 band, "
-           f"calibration: {CALIBRATED_TX_POWER_W * 1e3:.1f} mW, see docs/calibration.md)")
+           f"calibration: {CALIBRATED_TX_POWER_MW:.1f} mW, see docs/calibration.md)")
 
 
 def test_criterion_9_determinism_and_runtime(anchor_config, tmp_path):

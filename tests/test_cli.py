@@ -324,6 +324,14 @@ def _set_carrier_overflowing(doc):
     doc["environment"]["carrier_frequency_ghz"] = 1e300  # inf in hertz
 
 
+def _set_bandwidth_negative(doc):
+    doc["environment"]["bandwidth_ghz"] = -2
+
+
+def _set_transmit_negative(doc):
+    doc["power"]["transmit_mw"] = -1
+
+
 def _set_alice_floor_minus_inf(doc):
     doc["antennas"]["alice"]["min_relative_gain_db"] = -math.inf
 
@@ -460,8 +468,7 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
         (["sweep", "--variable", "code.n", "--values", "2.5"],
          "code.n = 2.5: code.n must be an integer, got 2.5"),
         (["sweep", "--variable", "power.transmit_mw", "--values", "1,0"],
-         "power.transmit_mw = 0.0: power.transmit_mw: transmit_power_w must be positive and "
-         "finite, got 0.0"),
+         "power.transmit_mw = 0.0: power.transmit_mw must be positive and finite, got 0.0"),
         (["sweep", "--variable", "antennas.alice.beamwidth_override_deg", "--values", "200"],
          "antennas.alice.beamwidth_override_deg = 200.0: antennas.alice.beamwidth_override_deg "
          "must lie in (0, 180], got 200.0"),
@@ -506,9 +513,15 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
                  "environment: noise power k*T*B*F of temperature_k, bandwidth_ghz and "
                  "noise_figure_db must be positive and finite, got 0.0 W",
                  id="temperature 1e-320 K"),
+    # each value prints in its key's units, as the config gives it
     pytest.param(_set_carrier_overflowing,
-                 "environment.carrier_frequency_ghz: carrier_frequency_hz must be positive and "
-                 "finite, got inf", id="carrier 1e300 GHz"),
+                 "environment.carrier_frequency_ghz of 1e+300 overflows to inf Hz",
+                 id="carrier 1e300 GHz"),
+    pytest.param(_set_bandwidth_negative,
+                 "environment.bandwidth_ghz must be positive and finite, got -2.0",
+                 id="bandwidth -2 GHz"),
+    pytest.param(_set_transmit_negative,
+                 "power.transmit_mw must be positive and finite, got -1.0", id="transmit -1 mW"),
 ])
 def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
     doc = base_config(str(tmp_path / "out"))
@@ -530,7 +543,7 @@ def test_a_bad_variant_exits_2_naming_it(tmp_path, capsys, variant):
     assert not (tmp_path / "out").exists()
 
 
-# k*T*B*F underflows to 0 W; the refusal names config keys, and bandwidth_hz is none
+# k*T*B*F underflows to 0 W; the refusal names config keys, and none is in hertz
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda path: path.stem)
 def test_a_noise_power_refusal_names_no_field_in_hertz(tmp_path, capsys, config):
     doc = json.loads(config.read_text())

@@ -16,8 +16,9 @@ from pathlib import Path
 
 from hypothesis import given, seed, settings, strategies as st
 
-from test_error_contract import EXTREMES, SHIPPED, WRONG_TYPES, run_quietly
-from thzsecmap.cli import REQUIRED, SCHEMA, _numeric_paths
+from test_error_contract import EXTREMES, SHIPPED, WRONG_TYPES, _at, run_quietly
+from thzsecmap.cli import REQUIRED, SCHEMA, _numeric_paths, _row, parse_config
+from thzsecmap.linkmodel import Record
 
 DOCS = Path(__file__).parent.parent / "docs" / "config.md"
 ABSENT = object()
@@ -140,3 +141,25 @@ def test_docs_list_every_key_of_the_table():
         for key, sub in (row.items() if isinstance(row, dict) else ()):
             keys |= {f"{key}.{name}" for name in sub} if isinstance(sub, dict) else {key}
     assert _documented_keys() == expected
+
+
+def test_records_take_the_keys_of_their_sections_as_fields():
+    """Each record the loader builds has its sections' keys as its fields, in the config's
+    units, so that a refusal that starts with a field starts with a key; a rename on either
+    side fails here."""
+    for doc in SHIPPED.values():
+        rc = parse_config(copy.deepcopy(doc))
+        scenario = rc.scenario
+        built = {("environment",): scenario.environment, ("scenario", "power"): scenario,
+                 **{(f"antennas.{who}",): getattr(scenario, who) for who in SCHEMA["antennas"]}}
+        for sections, record in built.items():
+            fields = {field: value for field, value in record._asdict().items()
+                      if not isinstance(value, Record)}
+            given = {key: value for section in sections
+                     for key, value in _at(rc.raw, section.split(".")).items()}
+            assert {key: fields[key] for key in given} == given, sections
+            if sections[0] in ("antennas.bob", "antennas.eve"):  # they take the gain alone
+                assert set(given) == {"gain_dbi"}
+            else:
+                assert set(fields) == set(given) == {key for section in sections
+                                                     for key in _row(section)}, sections

@@ -94,7 +94,7 @@ class TestBuildScenarioDirected:
         a = Antenna(20.0)
         with pytest.raises(ValueError):
             ScenarioConfig(variant="directed", environment=paper_env, alice=a, bob=a, eve=a,
-                           transmit_power_w=1e-3, height_difference_m=8.5)
+                           transmit_mw=1.0, height_difference_m=8.5)
 
 
 # a smaller height's square underflows, and the link to the receiver below is undefined
@@ -133,7 +133,7 @@ class TestEveGrid:
     def test_fencepost_count(self, paper_env):
         a = Antenna(10.0, beamwidth_override_deg=128.15)
         cfg = ScenarioConfig(variant="cell", environment=paper_env, alice=a, bob=a, eve=a,
-                             transmit_power_w=1e-3, height_difference_m=3.5,
+                             transmit_mw=1.0, height_difference_m=3.5,
                              room_extent_m=(10.0, 10.0))
         xs, ys = grid_axes(cfg, 5.0)
         assert (len(xs), len(ys)) == (3, 3)
@@ -182,10 +182,10 @@ class TestEveGrid:
 def test_axes_equal_numpy_arange_bit_for_bit(variant, ex, ey, resolution):
     assume(max(ex, ey) / resolution < 1000.0)
     a = Antenna(gain_dbi=10.0)
-    env = RadioEnvironment(carrier_frequency_hz=300e9, bandwidth_hz=1e9, temperature_k=290.0,
+    env = RadioEnvironment(carrier_frequency_ghz=300.0, bandwidth_ghz=1.0, temperature_k=290.0,
                            noise_figure_db=9.0)
     cfg = ScenarioConfig(variant=variant, environment=env, alice=a, bob=a, eve=a,
-                         transmit_power_w=1e-3, height_difference_m=3.5,
+                         transmit_mw=1.0, height_difference_m=3.5,
                          horizontal_distance_m=ex if variant == "directed" else None,
                          room_extent_m=(ex, ey))
     xs, ys = grid_axes(cfg, resolution)

@@ -54,25 +54,27 @@ class TestNoisePower:
         assert watts_to_dbm(value) == pytest.approx(-74.9751871942, abs=1e-6)
 
     def test_unit_noise_factor(self):
-        env = RadioEnvironment(300e9, 1e9, 290.0, 0.0)
+        env = RadioEnvironment(300.0, 1.0, 290.0, 0.0)
         assert env.noise_power_w == pytest.approx(1.380649e-23 * 290.0 * 1e9, rel=1e-12)
 
     def test_one_hertz_band(self):
-        env = RadioEnvironment(300e9, 1.0, 290.0, 0.0)
+        env = RadioEnvironment(300.0, 1e-9, 290.0, 0.0)
         assert env.noise_power_w == pytest.approx(4.0038821e-21, rel=1e-9)
 
     def test_cached_on_the_environment(self, paper_env):
         assert "noise_power_w" in vars(paper_env)  # computed once, by the constructor's check
+        assert paper_env.carrier_frequency_hz == 300e9
+        assert "carrier_frequency_hz" in vars(paper_env)  # each later link budget reads it
         colder = paper_env._replace(temperature_k=145.0)
         assert colder.noise_power_w == paper_env.noise_power_w / 2.0  # halving is exact
 
     def test_environment_validation(self):
         with pytest.raises(ValueError):
-            RadioEnvironment(300e9, 0.0, 290.0, 9.0)
+            RadioEnvironment(300.0, 0.0, 290.0, 9.0)
         with pytest.raises(ValueError):
-            RadioEnvironment(300e9, 1e9, -1.0, 9.0)
+            RadioEnvironment(300.0, 1.0, -1.0, 9.0)
         with pytest.raises(ValueError):
-            RadioEnvironment(300e9, 1e9, 290.0, -0.1)
+            RadioEnvironment(300.0, 1.0, 290.0, -0.1)
 
 
 class TestLinkBudget:
@@ -125,7 +127,7 @@ class TestLinkBudget:
         assert link.capacity_bits == pytest.approx(1.2, rel=1e-12)
 
 
-_ENV = RadioEnvironment(300e9, 1e9, 290.0, 9.0)
+_ENV = RadioEnvironment(300.0, 1.0, 290.0, 9.0)
 _ANTENNA = Antenna(10.0)
 
 
@@ -142,22 +144,24 @@ def _nonfinite(*fields) -> list:
                  [("noise_power_w", 0.0), ("snr", -1.0), ("rho", 1.0)],
                  "^(noise power|snr|rho) ", id="LinkState"),
     pytest.param(_ENV, "temperature_k", 145.0,
-                 [("bandwidth_hz", 0.0), ("noise_figure_db", -0.1), ("noise_figure_db", 3100.0),
+                 [("bandwidth_ghz", 0.0), ("carrier_frequency_ghz", 1e300),
+                  ("bandwidth_ghz", 1e300), ("noise_figure_db", -0.1), ("noise_figure_db", 3100.0),
                   *_nonfinite(*RadioEnvironment._fields)],
-                 "^(carrier_frequency_hz|bandwidth_hz|temperature_k|noise_figure_db)[ :]",
+                 "^(carrier_frequency_ghz|bandwidth_ghz|temperature_k|noise_figure_db)[ :]",
                  id="RadioEnvironment"),
     pytest.param(_ANTENNA, "gain_dbi", 20.0,
                  [("min_relative_gain_db", 5.0), ("beamwidth_override_deg", 190.0),
                   *_nonfinite(*Antenna._fields)],
                  "^(gain_dbi|min_relative_gain_db|beamwidth_override_deg) ", id="Antenna"),
-    pytest.param(ScenarioConfig("directed", _ENV, _ANTENNA, _ANTENNA, _ANTENNA, 1e-3, 3.5, 15.0),
+    pytest.param(ScenarioConfig("directed", _ENV, _ANTENNA, _ANTENNA, _ANTENNA, 1.0, 3.5, 15.0),
                  "height_difference_m", 8.5,
                  [("height_difference_m", 1e-300), ("variant", "x"), ("variant", "cell"),
                   ("horizontal_distance_m", 61.0), ("horizontal_distance_m", None),
-                  *_nonfinite("transmit_power_w", "height_difference_m", "horizontal_distance_m"),
+                  ("transmit_mw", -1.0), ("transmit_mw", 5e-324),
+                  *_nonfinite("transmit_mw", "height_difference_m", "horizontal_distance_m"),
                   *[("room_extent_m", extent) for value in (math.nan, math.inf, -math.inf)
                     for extent in ((value, 60.0), (60.0, value))]],
-                 "^(variant|transmit_power_w|height_difference_m|horizontal_distance_m|"
+                 "^(variant|transmit_mw|height_difference_m|horizontal_distance_m|"
                  "room_extent_m) ", id="ScenarioConfig"),
     pytest.param(SecrecyCode(2000, 0.2, 0.5), "randomness_bits", 0.0,
                  [("blocklength", 0), ("rate_bits", -1.0)], "^(blocklength|secrecy rate) ",

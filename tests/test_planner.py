@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 import oracles
-from conftest import CALIBRATED_TX_POWER_W
+from conftest import CALIBRATED_TX_POWER_MW
 from thzsecmap import (
     CELL,
     DIRECTED,
@@ -44,7 +44,7 @@ class TestPlanCell:
         slant = math.hypot(cell_config.height_difference_m, r_b)
         from thzsecmap import link_budget
 
-        expected = link_budget(CALIBRATED_TX_POWER_W, cell_config.alice.gain_linear / 2.0,
+        expected = link_budget(cell_config.transmit_power_w, cell_config.alice.gain_linear / 2.0,
                                cell_config.bob.gain_linear, slant, cell_config.environment)
         assert plan.bob_link.snr == pytest.approx(expected.snr, rel=1e-12)
 
@@ -73,7 +73,7 @@ class TestPlanCell:
         assert abs(plan.code.randomness_bits - scan) <= 2e-4
 
     def test_l_monotone_in_power_and_rate(self, cell_config):
-        by_power = [cell_config._replace(transmit_power_w=p) for p in (2e-3, 4e-3, 9e-3)]
+        by_power = [cell_config._replace(transmit_mw=p) for p in (2.0, 4.0, 9.0)]
         ls_power = [plan_cell(cfg, 2000, 0.2, 1e-3).code.randomness_bits for cfg in by_power]
         assert all(b >= a for a, b in zip(ls_power, ls_power[1:]))
         ls_rate = [plan_cell(by_power[-1], 2000, r, 1e-3).code.randomness_bits
@@ -87,7 +87,8 @@ class TestPlanCell:
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
         for frac in (0.0, 0.3, 0.6, 0.9):
             d, theta = Scene(cell_config).path(frac * r_b, 0.0)
-            link = link_budget(CALIBRATED_TX_POWER_W, pattern_gain(cell_config.alice, theta),
+            link = link_budget(cell_config.transmit_power_w,
+                               pattern_gain(cell_config.alice, theta),
                                cell_config.bob.gain_linear, d, cell_config.environment)
             assert min_reliability(plan.code, link)[0] <= plan.achieved_phi * (1 + 1e-9)
 
@@ -122,7 +123,7 @@ class TestPlanDirected:
         assert ls[0] < ls[1] < ls[2]
 
     def test_infeasible_when_power_too_small(self, directed_config):
-        plan = plan_directed(directed_config._replace(transmit_power_w=1e-9), 2000, 0.2, 1e-3)
+        plan = plan_directed(directed_config._replace(transmit_mw=1e-6), 2000, 0.2, 1e-3)
         assert not plan.feasible
 
     def test_matches_scan_oracle(self, directed_config):
@@ -156,13 +157,13 @@ class TestRandomizedMaximality:
         checked = 0
         while checked < 20:
             gain = float(rng.uniform(8.0, 25.0))
-            power = float(np.exp(rng.uniform(np.log(5e-4), np.log(2e-2))))
+            power_mw = float(np.exp(rng.uniform(np.log(5e-4), np.log(2e-2)))) * 1e3
             n = int(rng.integers(300, 5001))
             rate = float(rng.uniform(0.05, 0.6))
             phi_target = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e-2))))
             ant = Antenna(gain)
             cfg = ScenarioConfig(variant="cell", environment=paper_env, alice=ant, bob=ant,
-                                 eve=ant, transmit_power_w=power, height_difference_m=3.5)
+                                 eve=ant, transmit_mw=power_mw, height_difference_m=3.5)
             plan = plan_cell(cfg, n, rate, phi_target)
             if not plan.feasible:
                 continue
@@ -181,10 +182,10 @@ def test_plan_result_dict_round_trip(cell_config):
 
 
 def test_power_comes_from_the_scenario(cell_config):
-    plan = plan_cell(cell_config._replace(transmit_power_w=9e-3), 2000, 0.2, 1e-3)
+    plan = plan_cell(cell_config._replace(transmit_mw=9.0), 2000, 0.2, 1e-3)
     base = plan_cell(cell_config, 2000, 0.2, 1e-3)
-    assert plan.transmit_power_w == 9e-3
-    assert plan.bob_link.snr == pytest.approx(base.bob_link.snr * 9e-3 / CALIBRATED_TX_POWER_W,
+    assert plan.transmit_power_w == 9.0 * 1e-3
+    assert plan.bob_link.snr == pytest.approx(base.bob_link.snr * 9.0 / CALIBRATED_TX_POWER_MW,
                                               rel=1e-12)
 
 
@@ -193,7 +194,7 @@ def _random_plan_inputs(rng, env, variant):
     ant = Antenna(float(rng.uniform(10.0 if variant == CELL else 0.0, 40.0)))
     cfg = ScenarioConfig(
         variant=variant, environment=env, alice=ant, bob=ant, eve=ant,
-        transmit_power_w=float(np.exp(rng.uniform(np.log(1e-5), 0.0))),
+        transmit_mw=float(np.exp(rng.uniform(np.log(1e-5), 0.0))) * 1e3,
         height_difference_m=float(rng.uniform(0.5, 20.0)),
         horizontal_distance_m=float(rng.uniform(1.0, 30.0)) if variant == DIRECTED else None)
     n = int(np.exp(rng.uniform(0.0, np.log(1e6))))
@@ -204,11 +205,11 @@ def _random_plan_inputs(rng, env, variant):
 
 def _cell_config_at_rho(rho: float) -> ScenarioConfig:
     """A cell scenario whose transmit power puts the given rho at Bob's position."""
-    cfg = ScenarioConfig(variant=CELL, environment=RadioEnvironment(300e9, 1e9, 290.0, 9.0),
+    cfg = ScenarioConfig(variant=CELL, environment=RadioEnvironment(300.0, 1.0, 290.0, 9.0),
                          alice=Antenna(10.0), bob=Antenna(10.0), eve=Antenna(10.0),
-                         transmit_power_w=1.0, height_difference_m=3.5)
-    snr_per_watt = planner.bob_link(cfg)[0].snr
-    return cfg._replace(transmit_power_w=rho * rho / (1.0 - rho * rho) / snr_per_watt)
+                         transmit_mw=1.0, height_difference_m=3.5)
+    snr_per_mw = planner.bob_link(cfg)[0].snr
+    return cfg._replace(transmit_mw=rho * rho / (1.0 - rho * rho) / snr_per_mw)
 
 
 def count_plan_calls(monkeypatch) -> list:
@@ -268,10 +269,16 @@ class TestSolvedMaximum:
         (0.7781019546664518, 129, 0.49812933140140836, 1.1067570591308664e-05),
         (0.9608500137836076, 24, 0.13392226421852566, 1.813216112954386e-07),
     ])
-    def test_steps_down_past_ulps_that_the_rate_sum_absorbs(self, rho, n, rate, phi_target):
+    def test_steps_down_past_ulps_that_the_rate_sum_absorbs(self, monkeypatch, rho, n, rate,
+                                                            phi_target):
         # L is far below R, so R + L changes only every few dozen ulps of L: the
-        # solved L needed 89 and 659 single-ulp steps down to meet the target
+        # solved L misses the target, and the plan steps down 7 and 10 times,
+        # doubling its step from one ulp, before it meets it
+        recorded = count_plan_calls(monkeypatch)
         plan = plan_cell(_cell_config_at_rho(rho), n, rate, phi_target)
+        # L = 0, the solved L, then each step down
+        assert len(recorded) == {129: 9, 24: 12}[n]
+        assert recorded[-1] == plan.code.randomness_bits
         link = plan.bob_link
         oracle = oracles.bisect_max_randomness(
             lambda l_bits: min_reliability(SecrecyCode(n, rate, l_bits), link)[0],

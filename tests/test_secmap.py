@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 import oracles
-from conftest import CALIBRATED_TX_POWER_W
+from conftest import CALIBRATED_TX_POWER_MW
 from thzsecmap import (
     ConfigError,
     InfeasiblePlanError,
@@ -133,7 +133,7 @@ class TestEvaluateMap:
         iy, ix = 1, 2  # off-center point in the transition region of this room
         d, theta = Scene(small_cell).path(float(grid.xs[ix]), float(grid.ys[iy]))
         g_tx = pattern_gain(small_cell.alice, theta)
-        link = link_budget(CALIBRATED_TX_POWER_W, g_tx, small_cell.eve.gain_linear, d,
+        link = link_budget(CALIBRATED_TX_POWER_MW * 1e-3, g_tx, small_cell.eve.gain_linear, d,
                            small_cell.environment)
         assert min_security(cell_plan.code, link)[0] == np.asarray(grid.values)[iy, ix]
 
@@ -240,7 +240,7 @@ class TestEvaluateMap:
         config = config._replace(
             room_extent_m=(ex, ey),
             eve=config.eve._replace(gain_dbi=data.draw(st.floats(0.0, 30.0))),
-            transmit_power_w=config.transmit_power_w * 10.0 ** data.draw(st.floats(-2.0, 1.0)))
+            transmit_mw=config.transmit_mw * 10.0 ** data.draw(st.floats(-2.0, 1.0)))
         resolution = max(ex, ey) / data.draw(st.integers(8, 30))
         n = round(10.0 ** data.draw(st.floats(2.0, 4.7)))
         map_plan = planner.plan(config, n, rc.rate_bits, rc.phi_target)
@@ -468,7 +468,7 @@ class TestThresholdRadius:
 class TestSweep:
     def test_gain_sweep_reproduces_footprint_shrink(self, paper_env, cell_config):
         cfg = cell_config._replace(alice=cell_config.alice._replace(beamwidth_override_deg=None),
-                                   transmit_power_w=9e-3)
+                                   transmit_mw=9.0)
         rows = sweep(cfg, "G_A", [10.0, 15.0, 20.0, 25.0],
                      lambda g: (cfg._replace(alice=cfg.alice._replace(gain_dbi=g)),
                                 2000, 0.2, 1e-3))
@@ -483,7 +483,7 @@ class TestSweep:
         assert r_e0[0] > r_e0[1] > r_e0[2]
 
     def test_rate_sweep_grows_threshold(self, cell_config):
-        cfg9 = cell_config._replace(transmit_power_w=9e-3)
+        cfg9 = cell_config._replace(transmit_mw=9.0)
         rows = sweep(cfg9, "R", [0.1, 0.2, 0.4], lambda r: (cfg9, 2000, r, 1e-3))
         r_e0 = [row["r_e0_m"] for row in rows]
         assert r_e0[0] <= r_e0[1] <= r_e0[2]
