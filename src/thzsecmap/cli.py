@@ -6,10 +6,15 @@ its data files; that metadata is itself a valid config and reproduces the
 same outputs when fed back through ``--config``.  There is no randomness
 anywhere, so outputs are deterministic for a given config.
 
+A command only computes: it returns its text, its metadata sections and its
+data files by name, each with its writer.  ``run`` alone then creates the
+output directory, writes the files and the metadata that lists them, and
+prints last.  So a rejected run leaves nothing behind, and a run that fails
+to write prints nothing on stdout.
+
 Exit codes: 0 success, 1 I/O failure, 2 invalid input (config, command
 arguments, or a security level that never falls below the threshold target
-out to 1e6 m), 3 infeasible plan.  A command creates its output directory
-only once it has results to write, so a rejected run leaves nothing behind.
+out to 1e6 m), 3 infeasible plan.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -55,15 +61,22 @@ RunConfig = namedtuple("RunConfig", [
 ])
 
 
+def _got(value) -> str:
+    """A refused value for a message: a non-empty string, array or object, which may be
+    of any length, by its JSON type; anything else as ``blocklength_text`` prints it."""
+    kind = {str: "a string", list: "an array", dict: "an object"}.get(type(value))
+    return kind if kind and value else blocklength_text(value)
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
+        raise ConfigError(f"{path} must be a number, got {_got(value)}")
     try:
         v = float(value)
     except OverflowError:  # json integers have no size limit
         v = math.inf
     if not math.isfinite(v):  # json parses NaN and Infinity; an integer prints by its digits
-        raise ConfigError(f"{path} must be finite, got {blocklength_text(value)}")
+        raise ConfigError(f"{path} must be finite, got {_got(value)}")
     return v
 
 
@@ -79,9 +92,9 @@ def _bounded(holds, requirement: str):
 
 def _blocklength(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
+        raise ConfigError(f"{path} must be an integer, got {_got(value)}")
     if not 1 <= value <= MAX_BLOCKLENGTH:
-        raise ConfigError(f"{path} must lie in [1, 2**53], got {blocklength_text(value)}")
+        raise ConfigError(f"{path} must lie in [1, 2**53], got {_got(value)}")
     return value
 
 
@@ -93,7 +106,7 @@ def _extent(value, path: str) -> tuple[float, float]:
 
 def _string(value, path: str) -> str:
     if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path} must be a non-empty string, got {blocklength_text(value)}")
+        raise ConfigError(f"{path} must be a non-empty string, got {_got(value)}")
     return value
 
 
@@ -271,43 +284,19 @@ def sweep_row(rc: RunConfig, path: str):
     return row
 
 
-def _write_metadata(rc: RunConfig, out_dir: Path, command: str, extra: dict,
-                    outputs: list[str]) -> Path:
-    doc = dict(rc.raw)
-    doc["output"] = {"dir": str(out_dir)}
-    doc["run"] = {
-        "command": command,
-        "version": __version__,
-        "outputs": outputs,
-        **extra,
-    }
-    path = out_dir / f"{command}_metadata.json"
-    with open(path, "w") as f:
-        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _out_dir(rc: RunConfig, args) -> Path:
-    # called only once the command has results, so a rejected run creates nothing
-    out = Path(args.out if args.out is not None else rc.raw["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _feasible_plan(rc: RunConfig) -> PlanResult:
     return require_feasible(planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target))
 
 
-def _cmd_plan(rc: RunConfig, args) -> int:
+def _cmd_plan(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
-    print(f"C_AB: {plan.c_ab_bits:.6g} bit/use (SNR {ratio_to_db(plan.bob_link.snr):.4g} dB)")
-    print(f"resolved L: {plan.code.randomness_bits:.6g} bit/use")
-    print(f"achieved phi: {plan.achieved_phi:.6g} (target {plan.phi_target!r})")
-    _write_metadata(rc, _out_dir(rc, args), "plan", {"plan": plan.to_dict()}, [])
-    return 0
+    return (f"C_AB: {plan.c_ab_bits:.6g} bit/use (SNR {ratio_to_db(plan.bob_link.snr):.4g} dB)\n"
+            f"resolved L: {plan.code.randomness_bits:.6g} bit/use\n"
+            f"achieved phi: {plan.achieved_phi:.6g} (target {plan.phi_target!r})",
+            {"plan": plan.to_dict()}, {})
 
 
-def _cmd_link(rc: RunConfig, args) -> int:
+def _cmd_link(rc: RunConfig, args) -> tuple[str, dict, dict]:
     sc = rc.scenario
     if args.distance is not None:
         distance = args.distance
@@ -318,85 +307,70 @@ def _cmd_link(rc: RunConfig, args) -> int:
         link, distance, g_tx = planner.bob_link(sc)
     if link.received_power_w == 0.0:
         raise ValueError(f"received power underflows to 0 W at {distance} m")
-    # one print of text formatted in full, so a value that cannot be shown prints nothing
-    print(f"distance: {distance:.6g} m\n"
-          f"tx gain (effective): {ratio_to_db(g_tx):.6g} dBi, "
-          f"beamwidth {beamwidth_from_gain(sc.alice):.6g} deg\n"
-          f"received power: {watts_to_dbm(link.received_power_w):.6g} dBm\n"
-          f"noise power: {watts_to_dbm(link.noise_power_w):.6g} dBm\n"
-          f"SNR: {ratio_to_db(link.snr):.6g} dB\n"
-          f"capacity: {link.capacity_bits:.6g} bit/use, rho {link.rho:.6g}")
-    _write_metadata(rc, _out_dir(rc, args), "link", {
-        "link": {
-            "distance_m": distance,
-            "received_power_w": link.received_power_w,
-            "noise_power_w": link.noise_power_w,
-            "snr": link.snr,
-            "capacity_bits": link.capacity_bits,
-            "rho": link.rho,
-        }}, [])
-    return 0
+    text = (f"distance: {distance:.6g} m\n"
+            f"tx gain (effective): {ratio_to_db(g_tx):.6g} dBi, "
+            f"beamwidth {beamwidth_from_gain(sc.alice):.6g} deg\n"
+            f"received power: {watts_to_dbm(link.received_power_w):.6g} dBm\n"
+            f"noise power: {watts_to_dbm(link.noise_power_w):.6g} dBm\n"
+            f"SNR: {ratio_to_db(link.snr):.6g} dB\n"
+            f"capacity: {link.capacity_bits:.6g} bit/use, rho {link.rho:.6g}")
+    return text, {"link": {
+        "distance_m": distance,
+        "received_power_w": link.received_power_w,
+        "noise_power_w": link.noise_power_w,
+        "snr": link.snr,
+        "capacity_bits": link.capacity_bits,
+        "rho": link.rho,
+    }}, {}
 
 
-def _cmd_map(rc: RunConfig, args) -> int:
+def _cmd_map(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
     grid = evaluate_map(plan, rc.scenario, args.resolution)
-    out = _out_dir(rc, args)
-    csv_path = out / "map.csv"
-    pgm_path = out / "map.pgm"
-    write_map_csv(grid, csv_path)
-    write_map_pgm(grid, pgm_path)
-    _write_metadata(rc, out, "map", {"plan": plan.to_dict(), "map": grid.metadata},
-                    ["map.csv", "map.pgm"])
-    print(f"wrote {csv_path} and {pgm_path} ({grid.metadata['nx']}x{grid.metadata['ny']} points)")
-    return 0
+    nx, ny = len(grid.xs), len(grid.ys)
+    return (f"{nx}x{ny} points",
+            {"plan": plan.to_dict(),
+             "map": {"resolution_m": args.resolution, "nx": nx, "ny": ny,
+                     "origin_m": [grid.xs[0], grid.ys[0]]}},
+            {"map.csv": functools.partial(write_map_csv, grid),
+             "map.pgm": functools.partial(write_map_pgm, grid)})
 
 
-def _cmd_radial(rc: RunConfig, args) -> int:
+def _cmd_radial(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
     profile = radial_profile(plan, rc.scenario, args.r_min, args.r_max, args.steps)
-    out = _out_dir(rc, args)
-    csv_path = out / "radial.csv"
-    write_profile_csv(profile, csv_path)
-    _write_metadata(rc, out, "radial",
-                    {"plan": plan.to_dict(),
-                     "radial": {"r_min_m": args.r_min, "r_max_m": args.r_max,
-                                "steps": args.steps}},
-                    ["radial.csv"])
-    print(f"wrote {csv_path} ({args.steps} radii)")
-    return 0
+    return (f"{args.steps} radii",
+            {"plan": plan.to_dict(),
+             "radial": {"r_min_m": args.r_min, "r_max_m": args.r_max, "steps": args.steps}},
+            {"radial.csv": functools.partial(write_profile_csv, profile)})
 
 
-def _cmd_threshold(rc: RunConfig, args) -> int:
+def _cmd_threshold(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
     radius = threshold_radius(plan, rc.scenario, args.delta)
-    print(f"r_E0: {radius:.4f} m (delta = {args.delta!r})")
-    _write_metadata(rc, _out_dir(rc, args), "threshold",
-                    {"plan": plan.to_dict(),
-                     "threshold": {"delta": args.delta, "r_e0_m": radius}},
-                    [])
-    return 0
+    return (f"r_E0: {radius:.4f} m (delta = {args.delta!r})",
+            {"plan": plan.to_dict(), "threshold": {"delta": args.delta, "r_e0_m": radius}}, {})
 
 
-def _cmd_sweep(rc: RunConfig, args) -> int:
+def _cmd_sweep(rc: RunConfig, args) -> tuple[str, dict, dict]:
     path = SWEEP_ALIASES.get(args.variable, args.variable)
     rows = sweep(rc.scenario, args.variable, args.values, sweep_row(rc, path),
                  delta_0=args.delta, area_resolution_m=args.area_resolution)
-    out = _out_dir(rc, args)
-    csv_path = out / "sweep.csv"
-    write_sweep_csv(rows, csv_path)
-    _write_metadata(rc, out, "sweep",
-                    {"sweep": {"variable": args.variable, "values": args.values,
-                               "delta": args.delta,
-                               "area_resolution_m": args.area_resolution}},
-                    ["sweep.csv"])
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    return 0
+    return (f"{len(rows)} rows",
+            {"sweep": {"variable": args.variable, "values": args.values, "delta": args.delta,
+                       "area_resolution_m": args.area_resolution}},
+            {"sweep.csv": functools.partial(write_sweep_csv, rows)})
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises a bad command line as a ValueError, so ``run`` reports it in one
-    line with exit 2 instead of argparse's usage block."""
+    line with exit 2 instead of argparse's usage block.  Any argument that starts
+    with a minus and a digit or a point is a value, not an option: argparse
+    itself takes only ``-30`` and ``-.5`` forms, not ``-30,-20`` or ``-1e1``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message: str):
         raise ValueError(message)
@@ -494,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command returns its text, its sections of the metadata's ``run`` and its
+# outputs: file name -> a writer of that file, called with its path.
 _COMMANDS = {
     "plan": _cmd_plan,
     "link": _cmd_link,
@@ -507,12 +483,27 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` when None) and return its exit code.
 
+    Only once the command has its results does this create the output directory,
+    write each output and the metadata that lists them, and then print.
     Every run in a process shares the parser that ``build_parser`` built first.
     """
     try:
         args = build_parser().parse_args(argv)
         rc = load_config(args.config)
-        return _COMMANDS[args.command](rc, args)
+        text, sections, outputs = _COMMANDS[args.command](rc, args)
+        out = Path(args.out if args.out is not None else rc.raw["output"]["dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            write(out / name)
+        doc = {**rc.raw, "output": {"dir": str(out)}, "run": {
+            "command": args.command, "version": __version__, "outputs": list(outputs),
+            **sections}}
+        with open(out / f"{args.command}_metadata.json", "w") as f:
+            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        if outputs:
+            text = f"wrote {' and '.join(str(out / name) for name in outputs)} ({text})"
+        print(text)
+        return 0
     except ValueError as exc:
         # ConfigError, GeometryError and ProfileError are ValueErrors, as are
         # the parser's errors and the library's own argument checks

@@ -70,21 +70,19 @@ def _distinct_rows(rows) -> dict:
     return {id(row): row for row in rows}
 
 
-class SecrecyMapGrid(Record, namedtuple("SecrecyMapGrid", "xs ys values metadata")):
+class SecrecyMapGrid(Record, namedtuple("SecrecyMapGrid", "xs ys values")):
     """Security levels on a rectangular grid of eavesdropper positions.
 
     ``xs`` and ``ys`` are sequences of floats, tuples from ``evaluate_map``.
     ``values`` holds len(ys) rows of len(xs) levels, row-major over (y, x)
     like the CSV export, a ``MapValues`` from ``evaluate_map``, and every
     level must lie in [0, 1].
-    ``metadata`` describes the grid (resolution, size, origin, plane height);
-    the plan and scenario are recorded by the caller.
     """
 
     __slots__ = ()
 
-    def __new__(cls, xs: tuple[float, ...], ys: tuple[float, ...], values: MapValues,
-                metadata: dict) -> SecrecyMapGrid:
+    def __new__(cls, xs: tuple[float, ...], ys: tuple[float, ...],
+                values: MapValues) -> SecrecyMapGrid:
         ny, nx = len(ys), len(xs)
         if len(values) != ny or any(len(row) != nx for row in values):
             raise ValueError(f"values do not match {ny} y and {nx} x coordinates: "
@@ -94,7 +92,7 @@ class SecrecyMapGrid(Record, namedtuple("SecrecyMapGrid", "xs ys values metadata
         rows = _distinct_rows(values).values()
         if not all(0.0 <= v <= 1.0 for row in rows for v in row):
             raise ValueError("security levels must lie in [0, 1]")
-        return tuple.__new__(cls, (xs, ys, values, metadata))
+        return tuple.__new__(cls, (xs, ys, values))
 
 
 class RadialProfile(Record, namedtuple("RadialProfile", "radii_m deltas")):
@@ -234,14 +232,7 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
             walk.append(level)
         walks[a] = walk + [0.0] * (len(us) - len(walk))
     rows = dict(zip(us, zip(*[walks[abs(x)] for x in xs])))  # |y| -> its row, one tuple
-    values = MapValues(rows[abs(y)] for y in ys)
-    metadata = {
-        "resolution_m": resolution_m,
-        "nx": len(xs),
-        "ny": len(ys),
-        "origin_m": [xs[0], ys[0]],
-    }
-    return SecrecyMapGrid(xs=xs, ys=ys, values=values, metadata=metadata)
+    return SecrecyMapGrid(xs=xs, ys=ys, values=MapValues(rows[abs(y)] for y in ys))
 
 
 def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,

@@ -11,6 +11,7 @@ import pytest
 from conftest import CALIBRATED_BEAMWIDTH_DEG
 from thzsecmap import ConfigError, cli, planner, secmap
 from thzsecmap.cli import load_config, run
+from thzsecmap.geometry import grid_axes
 from thzsecmap.planner import plan
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "src" / "thzsecmap" / "configs")
@@ -153,17 +154,58 @@ class TestPlanCommand:
             assert not out.exists()
 
 
+# each command with quick arguments -> the data files it writes
+OUTPUTS = {
+    ("plan",): [],
+    ("link",): [],
+    ("threshold",): [],
+    ("map", "--resolution", "4.0", "--threads", "1"): ["map.csv", "map.pgm"],
+    ("radial", "--r-max", "12", "--steps", "13"): ["radial.csv"],
+    # every valid floor is negative, and argparse alone would take -30,-20 for an option
+    ("sweep", "--variable", "antennas.alice.min_relative_gain_db", "--values", "-30,-20"):
+        ["sweep.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUTS, ids=lambda argv: argv[0])
+def test_writes_expected_files_only(tmp_path, capsys, argv):
+    """A run writes its data files and the metadata that lists them, in its output
+    directory alone.  One that cannot make that directory exits 1 with one line, having
+    printed nothing on stdout and made nothing."""
+    command = argv[0]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(str(out)))
+    assert run([*argv, "--config", str(path)]) == 0
+    meta = json.loads((out / f"{command}_metadata.json").read_text())
+    assert meta["run"]["outputs"] == OUTPUTS[argv]
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*OUTPUTS[argv], f"{command}_metadata.json"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+    assert capsys.readouterr().err == ""
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    before = sorted(tmp_path.rglob("*"))
+    assert run([*argv, "--config", str(path), "--out", str(blocker)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("i/o error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "a file, not a directory"
+
+
 class TestMapCommand:
-    def test_writes_expected_files_only(self, tmp_path, capsys):
+    def test_metadata_describes_the_grid(self, tmp_path, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out)))
-        assert run(["map", "--config", str(path), "--resolution", "4.0",
-                    "--threads", "1"]) == 0
-        names = sorted(p.name for p in out.iterdir())
-        assert names == ["map.csv", "map.pgm", "map_metadata.json"]
-        # nothing written outside the output directory
-        outside = [p.name for p in tmp_path.iterdir() if p.is_file()]
-        assert outside == ["config.json"]
+        doc = base_config(str(out))
+        doc["scenario"]["room_extent_m"] = [24.0, 24.0]
+        path = write_config(tmp_path, doc)
+        assert run(["map", "--config", str(path), "--resolution", "4.0"]) == 0
+        grid = json.loads((out / "map_metadata.json").read_text())["run"]["map"]
+        assert grid == {"resolution_m": 4.0, "nx": 7, "ny": 7, "origin_m": [-12.0, -12.0]}
+        xs, ys = grid_axes(load_config(path).scenario, 4.0)
+        assert [grid["nx"], grid["ny"], grid["origin_m"]] == [len(xs), len(ys), [xs[0], ys[0]]]
 
     def test_thread_count_invisible_in_output(self, tmp_path, capsys):
         out1 = tmp_path / "o1"
@@ -449,6 +491,9 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
         (["sweep", "--variable", "R", "--values", ","], "--values"),
         (["sweep", "--variable", "R"], "--values"),
         (["sweep", "--variable", "X", "--values", "1"], "--variable"),
+        # -h stays an option, so --values gets no value
+        (["sweep", "--variable", "R", "--values", "-h"], "argument --values: expected one "
+         "argument"),
         # a swept value that its key, its scenario or its plan refuses: the name as
         # given, then the reason that a config file with that value gets
         (["sweep", "--variable", "G_A", "--values", "3100"],
@@ -457,6 +502,12 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
          "G_E = 3100.0: antennas.eve.gain_dbi: 3100 dB overflows a linear ratio"),
         (["sweep", "--variable", "G_E", "--values", "10,-5"],
          "G_E = -5.0: antennas.eve.gain_dbi must be >= 0 and finite, got -5.0"),
+        # negative values that argparse alone would take for options
+        (["sweep", "--variable", "G_E", "--values", "-5,10"],
+         "G_E = -5.0: antennas.eve.gain_dbi must be >= 0 and finite, got -5.0"),
+        (["sweep", "--variable", "R", "--values", "-1e1"],
+         "R = -10.0: code.rate_bits must be positive, got -10.0"),
+        (["link", "--distance", "-5e0"], "invalid input: distance must be positive, got -5.0"),
         (["sweep", "--variable", "l_AB", "--values", "0"],
          "l_AB = 0.0: scenario.height_difference_m must lie in [1e-150, 1e+150] m, got 0.0"),
         (["sweep", "--variable", "l_AB", "--values", "1e-160"],

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from thzsecmap.cli import _numeric_paths, parse_config, run
+from thzsecmap.cli import _numeric_paths, _row, _string, parse_config, run
 from thzsecmap.errors import ConfigError
 
 CONFIGS = Path(__file__).parent.parent / "src" / "thzsecmap" / "configs"
@@ -27,6 +27,8 @@ COMMANDS = (["plan"], ["link"], ["map", "--resolution", "10"])
 EXTREMES = (0, -1, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-12, 1e12, 1e308, -1e308,
             2 ** 53, 2 ** 63, 10 ** 400)
 WRONG_TYPES = ("x", "", None, True, False, [], {}, [1.0], [1.0, 2.0, 3.0], {"a": 1})
+# of the wrong type and long, in the value or in a key
+LONG_WRONG_TYPES = ([10 ** 400], "x" * 300, {"k" * 300: 1}, ["x" * 300, {"k" * 300: 1}])
 
 
 def _paths(node, prefix=()):
@@ -138,10 +140,13 @@ def _numbers(record):
 def test_record_value_is_refused_naming_the_key_or_built_finite(name, key):
     """A refusal starts with the key's path, or, for a check that spans more keys, with
     the section's path or another key of it, and names the key.  It is a short line: an
-    integer too large for a float prints by its digit count, not digit by digit."""
+    integer too large for a float prints by its digit count, not digit by digit, and a
+    value of the wrong type by its JSON type, not in full."""
     assert len(RECORD_KEYS) == 14
     *parents, leaf = key.split(".")
-    for value in EXTREMES:
+    for value in EXTREMES + LONG_WRONG_TYPES:
+        if isinstance(value, str) and _row(key).check is _string:
+            continue  # the right type
         doc = copy.deepcopy(SHIPPED[name])
         _at(doc, parents)[leaf] = [value, value] if leaf == "room_extent_m" else value
         try:
@@ -153,3 +158,24 @@ def test_record_value_is_refused_naming_the_key_or_built_finite(name, key):
                 assert message.startswith(parents[0]) and leaf in message, (value, message)
         else:
             assert all(math.isfinite(v) for v in _numbers(rc.scenario)), (value, rc.scenario)
+
+
+@pytest.mark.parametrize("key, value, got", [
+    ("environment.temperature_k", [10 ** 400], "must be a number, got an array"),
+    ("environment.temperature_k", "x" * 300, "must be a number, got a string"),
+    ("environment.temperature_k", True, "must be a number, got True"),
+    ("code.n", "2000", "must be an integer, got a string"),
+    ("code.n", {"k" * 300: 1}, "must be an integer, got an object"),
+    ("scenario.variant", ["cell"], "must be a non-empty string, got an array"),
+    ("output.dir", "", "must be a non-empty string, got ''"),
+    ("output.dir", [], "must be a non-empty string, got []"),
+])
+def test_a_value_of_the_wrong_type_is_named_by_its_json_type(key, value, got):
+    """A string, array or object, which may be of any length, prints as its JSON type;
+    an empty one or a boolean prints as it is."""
+    doc = copy.deepcopy(SHIPPED["scenario1_cell"])
+    *parents, leaf = key.split(".")
+    _at(doc, parents)[leaf] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == f"{key} {got}"

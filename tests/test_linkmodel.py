@@ -168,7 +168,7 @@ def _nonfinite(*fields) -> list:
                  id="SecrecyCode"),
     pytest.param(BoundFreeParams(0.5, 0.1), "alpha", 2.0, [("alpha", 1.0), ("lambda_nats", 0.0)],
                  "^(alpha|lambda) ", id="BoundFreeParams"),
-    pytest.param(SecrecyMapGrid((0.0,), (0.0,), ((0.5,),), {}), "values", ((0.25,),),
+    pytest.param(SecrecyMapGrid((0.0,), (0.0,), ((0.5,),)), "values", ((0.25,),),
                  [("values", ((1.5,),)), ("xs", (0.0, 1.0))], "^(security levels|values) ",
                  id="SecrecyMapGrid"),
     pytest.param(RadialProfile((0.0, 1.0), (1.0, 0.5)), "deltas", (0.5, 0.25),

@@ -263,12 +263,6 @@ class TestEvaluateMap:
         eve = oracles.eve_link(cell_plan, config, receiver_x(config), 0.0)
         assert [v.hex() for v in eve] == [v.hex() for v in planner.bob_link(config)[0]]
 
-    def test_metadata_describes_the_grid(self, cell_plan, small_cell):
-        # the plan and the scenario are recorded by the CLI's metadata writer
-        grid = evaluate_map(cell_plan, small_cell, 4.0)
-        assert grid.metadata == {"resolution_m": 4.0, "nx": 7, "ny": 7,
-                                 "origin_m": [-12.0, -12.0]}
-
 
 class TestSecurityCurve:
     # The curve memoizes on the SNR: min_security reads a link only through
@@ -700,7 +694,7 @@ def _hand_built_grid() -> SecrecyMapGrid:
                         (1.0, 0.0, 0.1 + 0.2, 0.5),
                         (0.25, -0.0, 0.5, 1.0)))
     return SecrecyMapGrid(xs=(-1.5, 0.0, 2.0, 7.25), ys=(-0.5, 1.0 / 3.0, 4.0, 9.0),
-                          values=values, metadata={})
+                          values=values)
 
 
 def _shared_rows_grid() -> SecrecyMapGrid:
@@ -708,7 +702,7 @@ def _shared_rows_grid() -> SecrecyMapGrid:
     a, b = (0.5, -0.0, 1.0, 0.25), (1.0, 0.0, 0.5, 5e-324)
     values = MapValues((a, b, a, tuple(b), a, (0.5, -0.0, 1.0, 0.25)))
     return SecrecyMapGrid(xs=(-3.0, -1.0, 1.0, 3.0), ys=(-2.5, -1.5, -0.5, 0.5, 1.5, 2.5),
-                          values=values, metadata={})
+                          values=values)
 
 
 def _shipped_map(name, resolution, room=None) -> SecrecyMapGrid:
@@ -728,8 +722,7 @@ WRITER_GRIDS = {
     # each of the 256 grey levels once: the shipped maps hold fewer than half of them
     "every grey level": lambda: SecrecyMapGrid(
         xs=tuple(map(float, range(16))), ys=tuple(map(float, range(16))),
-        values=MapValues(tuple(k / 255.0 for k in range(j, j + 16)) for j in range(0, 256, 16)),
-        metadata={}),
+        values=MapValues(tuple(k / 255.0 for k in range(j, j + 16)) for j in range(0, 256, 16))),
 }
 
 
@@ -754,7 +747,7 @@ class TestWritersAgainstPerPointOracles:
         good, bad = (0.5, 1.0), (0.5, math.nan)
         with pytest.raises(ValueError, match="security levels"):
             SecrecyMapGrid(xs=(0.0, 1.0), ys=(0.0, 1.0, 2.0),
-                           values=MapValues((good, bad, bad)), metadata={})
+                           values=MapValues((good, bad, bad)))
 
 
 class TestSerialization:
@@ -886,7 +879,7 @@ def test_levels_must_lie_in_unit_interval(bad):
     levels = np.array([0.5, bad])
     axis = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="security levels"):
-        SecrecyMapGrid(xs=axis, ys=axis[:1], values=levels[None, :], metadata={})
+        SecrecyMapGrid(xs=axis, ys=axis[:1], values=levels[None, :])
     with pytest.raises(ValueError, match="security levels"):
         RadialProfile(radii_m=axis, deltas=levels)
 
@@ -895,14 +888,14 @@ def test_levels_must_lie_in_unit_interval(bad):
 def test_grid_values_must_match_the_axes(shape):
     axis = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="do not match 1 y and 2 x"):
-        SecrecyMapGrid(xs=axis, ys=axis[:1], values=np.zeros(shape), metadata={})
+        SecrecyMapGrid(xs=axis, ys=axis[:1], values=np.zeros(shape))
 
 
 def test_grid_values_must_match_the_axes_in_every_row():
     axis = (0.0, 1.0)
     ragged = ((0.5, 0.5), (0.5,))  # two rows, of two levels and of one
     with pytest.raises(ValueError, match="do not match 2 y and 2 x"):
-        SecrecyMapGrid(xs=axis, ys=axis, values=ragged, metadata={})
+        SecrecyMapGrid(xs=axis, ys=axis, values=ragged)
 
 
 def test_infinite_resolution_is_refused():
