@@ -364,13 +364,13 @@ def _cmd_sweep(rc: RunConfig, args) -> tuple[str, dict, dict]:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises a bad command line as a ValueError, so ``run`` reports it in one
-    line with exit 2 instead of argparse's usage block.  Any argument that starts
-    with a minus and a digit or a point is a value, not an option: argparse
-    itself takes only ``-30`` and ``-.5`` forms, not ``-30,-20`` or ``-1e1``."""
+    line with exit 2 instead of argparse's usage block.  An argument that starts
+    with a minus and a digit, a point, ``inf`` or ``nan`` is a value, not an
+    option: argparse takes only ``-30`` and ``-.5`` forms, not ``-1e1`` or ``-inf``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        self._negative_number_matcher = re.compile(r"^-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):
         raise ValueError(message)

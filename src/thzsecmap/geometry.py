@@ -6,17 +6,18 @@ ceiling-cell scenario the transmitter hangs on the vertical axis through the
 room center and points straight down; in the directed scenario it sits on the
 x = 0 wall and is aimed at the receiver.  Either way a link to a point on the
 receiver plane is fixed by two scalars, its length and its angle off the
-transmitter's boresight (``Scene.path``).
+transmitter's boresight (``Scene.path``); ``Scene.eve_link`` builds Eve's.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import namedtuple
 
-from .antenna import Antenna, cone_radius
+from .antenna import Antenna, cone_radius, pattern_gain
 from .errors import GeometryError
-from .linkmodel import RadioEnvironment, Record
+from .linkmodel import LinkState, RadioEnvironment, Record, link_budget
 
 CELL = "cell"
 DIRECTED = "directed"
@@ -48,7 +49,7 @@ class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment a
                 room_extent_m: tuple[float, float] = (60.0, 60.0)) -> ScenarioConfig:
         # each message starts with the field name; the negated forms also reject NaN
         if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+            raise ValueError(f"variant must be 'cell' or 'directed', got {reprlib.repr(variant)}")
         if not 0.0 < transmit_mw < math.inf:
             raise ValueError(f"transmit_mw must be positive and finite, got {transmit_mw}")
         if transmit_mw * 1e-3 == 0.0:
@@ -90,18 +91,19 @@ def receiver_x(config: ScenarioConfig) -> float:
 
 
 class Scene:
-    """The transmitter pose of one scenario, built once.
+    """The transmitter pose of one scenario, built once, and Eve's links from it.
 
     The transmitter sits at (0, 0, h), h = ``height_difference_m``.  Cell
     variant: it points straight down.  Directed variant: it is aimed at the
-    receiver.  Every link from the transmitter to the receiver plane goes
-    through ``path``: the planner's link to the receiver and each
-    eavesdropper position of a map or profile.
+    receiver.  Every link to the receiver plane goes through ``path``: the
+    planner's (``planner.bob_link``) and Eve's (``eve_link``) at each
+    position of a map, profile, threshold search or sweep.
     """
 
-    __slots__ = ("origin", "boresight")
+    __slots__ = ("config", "origin", "boresight")
 
     def __init__(self, config: ScenarioConfig):
+        self.config = config
         h = config.height_difference_m
         self.origin = (0.0, 0.0, h)
         if config.variant == CELL:
@@ -110,6 +112,13 @@ class Scene:
             d = receiver_x(config)
             norm = math.sqrt(d * d + h * h)
             self.boresight = (d / norm, 0.0, -h / norm)
+
+    def eve_link(self, x: float, y: float) -> LinkState:
+        """The link to an eavesdropper at (x, y), aimed straight back at the transmitter."""
+        cfg = self.config
+        distance, theta = self.path(x, y)
+        return link_budget(cfg.transmit_power_w, pattern_gain(cfg.alice, theta),
+                           cfg.eve.gain_linear, distance, cfg.environment)
 
     def path(self, x: float, y: float) -> tuple[float, float]:
         """Length and angle off the transmitter's boresight of the path to (x, y).

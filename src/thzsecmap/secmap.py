@@ -1,20 +1,20 @@
 """Security-level maps, radial profiles, threshold radii, and parameter sweeps.
 
 Each eavesdropper position is a pure evaluation: the security bound minimized
-on the link from the transmitter (pattern gain at the offset angle) to an
-eavesdropper aimed straight back.  The transmitter sits over y = 0 with no
-y-component in its boresight (cell: on the z axis), so x and y enter only as
-squares, sums and products with 0: the link depends, bit for bit, only on
-(|x|, |y|) unordered (cell) or on (x, |y|) (directed).  Only a map
-deduplicates by that class, building at most one link per class; profiles,
-threshold radii and sweeps build the link at each position they probe.
+on Eve's link, which ``Scene.eve_link`` builds from the scenario alone.  The
+transmitter sits over y = 0 with no y-component in its boresight (cell: on
+the z axis), so x and y enter only as squares, sums and products with 0: the
+link depends, bit for bit, only on (|x|, |y|) unordered (cell) or on (x, |y|)
+(directed).  Only a map deduplicates by that class, building at most one link
+per class; profiles, threshold radii and sweeps build the link at each
+position they probe.
 
-The level depends on the link only through Eve's SNR and does not fall as
-the SNR rises.  ``SecurityCurve`` is the one object per plan: it builds
-Eve's link at a position, and gives the level as a function of the SNR,
-memoized on the SNR, with a bracket for each level asked about, the largest
-SNR known at or below it and the smallest known above it.  Maps, profiles,
-threshold radii and both sweep kinds ask it for their links and levels.
+The level depends on the link only through Eve's SNR and does not fall as the
+SNR rises.  ``SecurityCurve``, one per plan, gives the level as a function of
+the SNR from the plan's code alone, memoized on the SNR, with a bracket for
+each level asked about, the largest SNR known at or below it and the smallest
+known above it.  Maps, profiles, threshold radii and both sweep kinds compose
+the two: ``curve.delta(scene.eve_link(x, y))``.
 
 Eve's SNR does not rise as |y| grows along a grid column, so neither does
 the level.  A map walks each column, a distinct |x| (cell) or x
@@ -39,12 +39,12 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from . import geometry, planner
-from .antenna import cone_radius, pattern_gain
+from . import planner
+from .antenna import cone_radius
 from .bounds import min_security
 from .errors import ConfigError, ProfileError
-from .geometry import CELL, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioConfig, grid_axes
-from .linkmodel import LinkState, Record, link_budget
+from .geometry import CELL, MAX_GRID_POINTS, MAX_LENGTH_M, ScenarioConfig, Scene, grid_axes
+from .linkmodel import LinkState, Record
 from .planner import PlanResult, require_feasible
 
 THRESHOLD_RADIUS_TOL_M = 0.01
@@ -118,41 +118,29 @@ class RadialProfile(Record, namedtuple("RadialProfile", "radii_m deltas")):
 
 
 class SecurityCurve:
-    """Eve's link and security level under one plan in its scenario.
+    """The security level of one plan's code as a function of Eve's SNR.
 
-    ``link_at`` builds the link to an eavesdropper at a position, afresh on
-    every call: only a map, which knows the symmetry classes, builds at most
-    one link per class.  ``min_security`` reads a link only through its rho and
-    capacity, and a link budget derives both from the SNR alone, so the level
-    is a function of the link's SNR and is memoized on it: each SNR costs one
-    bound minimization however many positions share it.  The level does not
-    fall as the SNR rises (``test_security_level_non_decreasing_in_snr``), so
-    for ``exceeds`` the curve also keeps the largest SNR known at or below
+    ``min_security`` reads a link only through its rho and capacity, and a
+    link budget derives both from the SNR alone, so the level is a function
+    of the link's SNR and is memoized on it: each SNR costs one bound
+    minimization however many positions share it.  The level does not fall
+    as the SNR rises (``test_security_level_non_decreasing_in_snr``), so for
+    ``exceeds`` the curve also keeps the largest SNR known at or below
     ``INSECURE_LEVEL`` and the smallest SNR known above it; an SNR outside
     that bracket is decided without a bound minimization.
     """
 
-    def __init__(self, plan: PlanResult, config: ScenarioConfig):
-        require_feasible(plan)
-        self.plan = plan
-        self.config = config
-        self.scene = geometry.Scene(config)
+    def __init__(self, plan: PlanResult):
+        self.code = require_feasible(plan).code
         self._deltas: dict[float, float] = {}  # SNR -> level
         self._bracket = [-math.inf, math.inf]  # SNRs known at or below, known above the level
-
-    def link_at(self, x: float, y: float) -> LinkState:
-        """The link to an eavesdropper at (x, y), aimed straight back at the transmitter."""
-        cfg = self.config
-        distance, theta = self.scene.path(x, y)
-        return link_budget(self.plan.transmit_power_w, pattern_gain(cfg.alice, theta),
-                           cfg.eve.gain_linear, distance, cfg.environment)
 
     def delta(self, link: LinkState) -> float:
         """The security level at the link's SNR."""
         snr = link.snr
         delta = self._deltas.get(snr)
         if delta is None:
-            delta = self._deltas[snr] = min_security(self.plan.code, link)[0]
+            delta = self._deltas[snr] = min_security(self.code, link)[0]
         return delta
 
     def exceeds(self, link: LinkState) -> bool:
@@ -170,7 +158,7 @@ class SecurityCurve:
         return False
 
 
-def _column_insecure_fraction(curve: SecurityCurve, resolution_m: float) -> float:
+def _column_insecure_fraction(scene: Scene, curve: SecurityCurve, resolution_m: float) -> float:
     """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
     from a bisection of each grid column on |y| (directed scenario).
 
@@ -178,13 +166,13 @@ def _column_insecure_fraction(curve: SecurityCurve, resolution_m: float) -> floa
     not fall as the SNR rises, so a column's insecure classes are those of
     its smallest |y| values, up to its first secure class.
     """
-    xs, ys = grid_axes(curve.config, resolution_m)
+    xs, ys = grid_axes(scene.config, resolution_m)
     points = Counter(map(abs, ys))  # |y| -> grid points in each column
     us = sorted(points)  # the distinct |y|, ascending
     below = [0, *itertools.accumulate(points[u] for u in us)]  # points under each us[k]
 
     def secure(x: float, u: float) -> bool:
-        return not curve.exceeds(curve.link_at(x, u))
+        return not curve.exceeds(scene.eve_link(x, u))
 
     insecure = 0
     for x in xs:
@@ -213,7 +201,7 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     resolution_m : float
         Grid spacing; grid axes follow geometry.grid_axes.
     """
-    curve = SecurityCurve(plan, config)
+    curve, scene = SecurityCurve(plan), Scene(config)
     xs, ys = grid_axes(config, resolution_m)
     cell = config.variant == CELL
     columns = dict.fromkeys(map(abs, xs)) if cell else xs  # the x classes, one walk each
@@ -226,7 +214,7 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
             key = (u, a) if cell and u < a else (a, u)  # the class's canonical position
             level = levels.get(key)
             if level is None:
-                level = levels[key] = curve.delta(curve.link_at(*key))
+                level = levels[key] = curve.delta(scene.eve_link(*key))
             if level == 0.0:  # and so is every level further out
                 break
             walk.append(level)
@@ -255,9 +243,9 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
         raise ValueError(f"r_min {r_min_m!r} m to r_max {r_max_m!r} m in {steps} steps gives "
                          "radii that are not strictly increasing; widen the range or use "
                          "fewer steps")
-    curve = SecurityCurve(plan, config)
+    curve, scene = SecurityCurve(plan), Scene(config)
     return RadialProfile(radii_m=radii,
-                         deltas=tuple(curve.delta(curve.link_at(r, 0.0)) for r in radii))
+                         deltas=tuple(curve.delta(scene.eve_link(r, 0.0)) for r in radii))
 
 
 def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
@@ -281,7 +269,7 @@ def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -
     if config.variant != CELL:
         raise ConfigError("threshold radius requires the cell scenario")
     _check_delta_0(delta_0)
-    return _crossing_radius(SecurityCurve(plan, config), delta_0)
+    return _crossing_radius(Scene(config), SecurityCurve(plan), delta_0)
 
 
 def _check_delta_0(delta_0: float) -> None:
@@ -289,19 +277,19 @@ def _check_delta_0(delta_0: float) -> None:
         raise ValueError(f"delta_0 must lie in (0, 1), got {delta_0}")
 
 
-def _crossing_radius(curve: SecurityCurve, delta_0: float) -> float:
+def _crossing_radius(scene: Scene, curve: SecurityCurve, delta_0: float) -> float:
     """Bisect the non-increasing level delta(r) at y = 0 for ``delta_0``, to 1 cm.
 
     The bracket doubles from twice the cone radius; a level still at or
     above ``delta_0`` past 1e6 m raises ProfileError.
     """
     def delta_at(r: float) -> float:
-        return curve.delta(curve.link_at(r, 0.0))
+        return curve.delta(scene.eve_link(r, 0.0))
 
     if delta_at(0.0) < delta_0:
         return 0.0
     lo = 0.0
-    hi = max(1.0, 2.0 * cone_radius(curve.config.alice, curve.config.height_difference_m))
+    hi = max(1.0, 2.0 * cone_radius(scene.config.alice, scene.config.height_difference_m))
     while delta_at(hi) >= delta_0:
         lo = hi
         hi *= 2.0
@@ -360,14 +348,15 @@ def sweep(config: ScenarioConfig, variable: str, values, row_config, *,
         if plan.feasible:
             row["l_bits"] = plan.code.randomness_bits
             row["achieved_phi"] = plan.achieved_phi
-            curve = SecurityCurve(plan, cfg)
+            curve, scene = SecurityCurve(plan), Scene(cfg)
             if cfg.variant == CELL:
-                row["r_e0_m"] = _crossing_radius(curve, delta_0)
-                row["r_delta_hi_m"] = _crossing_radius(curve, 0.99)
-                row["r_delta_lo_m"] = _crossing_radius(curve, 0.01)
+                row["r_e0_m"] = _crossing_radius(scene, curve, delta_0)
+                row["r_delta_hi_m"] = _crossing_radius(scene, curve, 0.99)
+                row["r_delta_lo_m"] = _crossing_radius(scene, curve, 0.01)
                 row["transition_width_m"] = row["r_delta_lo_m"] - row["r_delta_hi_m"]
             else:
-                row["insecure_fraction"] = _column_insecure_fraction(curve, area_resolution_m)
+                row["insecure_fraction"] = _column_insecure_fraction(scene, curve,
+                                                                    area_resolution_m)
         rows.append(row)
     return rows
 

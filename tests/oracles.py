@@ -335,9 +335,9 @@ def scan_crossing_radius(delta_of_r, delta_0, r_max, step_m=0.01):
 def eve_link(plan, config, x, y):
     """The link to an eavesdropper at (x, y) under ``plan``, built on its own.
 
-    README's per-point recipe: the scene's path, the transmitter's pattern
-    gain at the offset angle, and the link budget to Eve's gain; no symmetry
-    class and no memo.
+    ``Scene.eve_link``'s recipe, restated rather than called: the scene's
+    path, the transmitter's pattern gain at the offset angle, and the link
+    budget at the plan's power to Eve's gain; no symmetry class and no memo.
     """
     from thzsecmap import Scene, link_budget, pattern_gain
 

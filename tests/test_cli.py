@@ -483,7 +483,13 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
         (["map", "--resolution", "abc"], "--resolution"),
         (["map", "--resolution", "nan"], "--resolution"),
         (["radial", "--r-max", "inf", "--steps", "3"], "--r-max"),
-        (["link", "--distance", "-inf"], "--distance"),
+        # -inf and -nan are values, refused by the value's own check
+        (["link", "--distance", "-inf"],
+         "invalid input: argument --distance: expected a finite number, got '-inf'"),
+        (["link", "--distance", "-nan"],
+         "invalid input: argument --distance: expected a finite number, got '-nan'"),
+        (["sweep", "--variable", "R", "--values", "-inf,10"],
+         "invalid input: argument --values: expected a finite number, got '-inf'"),
         (["map", "--threads", "0"], "--threads"),
         (["map", "--threads", "-3"], "--threads"),
         (["radial", "--steps", "2.5"], "--steps"),

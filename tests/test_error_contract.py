@@ -179,3 +179,17 @@ def test_a_value_of_the_wrong_type_is_named_by_its_json_type(key, value, got):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
     assert str(info.value) == f"{key} {got}"
+
+
+def test_an_unknown_variant_is_cut_short(tmp_path):
+    """A variant of the right type that names no variant prints cut short, so that a
+    300-character name still gives one short line."""
+    doc = copy.deepcopy(SHIPPED["scenario1_cell"])
+    doc["scenario"]["variant"] = "x" * 300
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_quietly(["plan", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("invalid input: scenario.variant") and len(line) < 100, line
+    assert not (tmp_path / "out").exists()

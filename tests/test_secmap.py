@@ -68,9 +68,11 @@ def shipped_sweep(name, variable, values, **kwargs):
                  sweep_row(rc, SWEEP_ALIASES.get(variable, variable)), **kwargs)
 
 
-# The per-point layers that perfbench traces.  Its tracer, like these counters,
-# swaps module attributes, so each layer must be looked up when it is called.
-LINK_PATH = ((secmap, "min_security"), (secmap, "pattern_gain"), (secmap, "link_budget"),
+# The per-point layers that perfbench traces, where Eve's links and levels look
+# them up: the bound in secmap, the link in geometry's Scene.eve_link.  Its tracer,
+# like these counters, swaps module attributes, so each layer must be looked up when
+# it is called; the plan's own link looks up planner's names and is not counted.
+LINK_PATH = ((secmap, "min_security"), (geometry, "pattern_gain"), (geometry, "link_budget"),
              (geometry, "offset_angle"))
 
 
@@ -90,8 +92,8 @@ def count_calls(monkeypatch, targets=LINK_PATH) -> dict[str, list]:
 
 
 def count_probes(monkeypatch, search) -> tuple[int, int]:
-    """The links and the bound minimizations that ``search()`` makes."""
-    calls = count_calls(monkeypatch, ((secmap, "link_budget"), (secmap, "min_security")))
+    """Eve's links and the bound minimizations that ``search()`` makes."""
+    calls = count_calls(monkeypatch, ((geometry, "link_budget"), (secmap, "min_security")))
     search()
     return len(calls["link_budget"]), len(calls["min_security"])
 
@@ -260,8 +262,10 @@ class TestEvaluateMap:
     def test_eve_with_bobs_antenna_sees_bobs_link(self):
         config, cell_plan = shipped("scenario1_cell.json")
         config = config._replace(eve=config.bob)
+        bob = [v.hex() for v in planner.bob_link(config)[0]]
         eve = oracles.eve_link(cell_plan, config, receiver_x(config), 0.0)
-        assert [v.hex() for v in eve] == [v.hex() for v in planner.bob_link(config)[0]]
+        assert [v.hex() for v in eve] == bob
+        assert [v.hex() for v in Scene(config).eve_link(receiver_x(config), 0.0)] == bob
 
 
 class TestSecurityCurve:
@@ -284,7 +288,7 @@ class TestSecurityCurve:
         links = [oracles.eve_link(map_plan, config, x, abs(y)) for x in xs for y in ys]
         assert secmap.INSECURE_LEVEL == 0.5
         expected = [min_security(map_plan.code, link)[0] > 0.5 for link in links]
-        curve = SecurityCurve(map_plan, config)
+        curve = SecurityCurve(map_plan)
         calls = count_calls(monkeypatch, ((secmap, "min_security"),))["min_security"]
         assert [curve.exceeds(link) for link in links] == expected
         # each SNR at most once, and none that the bracket already decides
@@ -292,7 +296,7 @@ class TestSecurityCurve:
 
     def test_delta_is_memoized_on_the_snr(self, monkeypatch):
         config, map_plan = shipped("scenario1_cell.json")
-        curve = SecurityCurve(map_plan, config)
+        curve = SecurityCurve(map_plan)
         calls = count_calls(monkeypatch, ((secmap, "min_security"),))["min_security"]
         levels = [curve.delta(link_from_snr(snr)) for snr in (0.5, 2.0, 0.5, 2.0, 0.5)]
         assert levels == [min_security(map_plan.code, link_from_snr(snr))[0]
@@ -301,7 +305,7 @@ class TestSecurityCurve:
 
     def test_infeasible_plan_rejected(self, small_cell):
         with pytest.raises(InfeasiblePlanError):
-            SecurityCurve(plan_cell(small_cell, 2000, 3.0, 1e-3), small_cell)
+            SecurityCurve(plan_cell(small_cell, 2000, 3.0, 1e-3))
 
 
 class TestRadialProfile:
