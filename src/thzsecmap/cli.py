@@ -1,10 +1,10 @@
 """Command-line front end: config parsing, subcommand dispatch, file output.
 
 Subcommands: ``plan``, ``map``, ``radial``, ``threshold``, ``sweep``, and
-``link`` (single-link diagnostic).  Every run writes a metadata JSON next to
-its data files; that metadata is itself a valid config and reproduces the
-same outputs when fed back through ``--config``.  There is no randomness
-anywhere, so outputs are deterministic for a given config.
+``link`` (single-link diagnostic).  Every run writes a metadata JSON into
+``--out`` (default ``out``), which no output records; that metadata is a
+valid config that reproduces the same outputs through ``--config``.  With
+no randomness anywhere, outputs are deterministic for a given config.
 
 A command only computes: it returns its text, its metadata sections and its
 data files by name, each with its writer.  ``run`` alone then creates the
@@ -154,7 +154,6 @@ SCHEMA = {
     },
     # the default depends on the variant: DEFAULT_TX_POWER_MW
     "power": {"transmit_mw": _Key(_number, None)},
-    "output": {"dir": _Key(_string, "out")},
     "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
 }
 
@@ -212,10 +211,12 @@ def load_config(path) -> RunConfig:
         return int(text)
 
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # JSON text is UTF-8 (RFC 8259)
             doc = json.load(f, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return parse_config(doc)
@@ -396,10 +397,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _directory_name(text: str) -> str:
-    if not text:  # as output.dir: Path("") would be the working directory
+def _directory_name(text: str) -> Path:
+    if not text:  # Path("") would be the working directory
         raise argparse.ArgumentTypeError("expected a non-empty directory name")
-    return text
+    return Path(text)
 
 
 def _float_list(text: str) -> list[float]:
@@ -423,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--out", type=_directory_name, default=None,
-                       help="output directory (overrides output.dir)")
+        p.add_argument("--out", type=_directory_name, default="out",
+                       help="output directory (default %(default)s)")
 
     p = sub.add_parser("plan", help="resolve the randomness rate for the reliability target")
     common(p)
@@ -491,17 +492,16 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         rc = load_config(args.config)
         text, sections, outputs = _COMMANDS[args.command](rc, args)
-        out = Path(args.out if args.out is not None else rc.raw["output"]["dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         for name, write in outputs.items():
-            write(out / name)
-        doc = {**rc.raw, "output": {"dir": str(out)}, "run": {
+            write(args.out / name)
+        doc = {**rc.raw, "run": {
             "command": args.command, "version": __version__, "outputs": list(outputs),
             **sections}}
-        with open(out / f"{args.command}_metadata.json", "w") as f:
-            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        (args.out / f"{args.command}_metadata.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         if outputs:
-            text = f"wrote {' and '.join(str(out / name) for name in outputs)} ({text})"
+            text = f"wrote {' and '.join(str(args.out / name) for name in outputs)} ({text})"
         print(text)
         return 0
     except ValueError as exc:

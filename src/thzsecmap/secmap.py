@@ -375,7 +375,7 @@ def _cell(v) -> str:
 
 def _write_lines(path, lines) -> None:
     """Write the text lines, each ended by a newline."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines))
         f.write("\n")
 
@@ -410,7 +410,7 @@ def write_map_csv(grid: SecrecyMapGrid, path) -> None:
 
     rows = list(grid.values)
     row_pieces = {key: pieces(row) for key, row in _distinct_rows(rows).items()}
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("x_m,y_m,delta\n")
         f.write("".join([(_cell(y) + ",").join(row_pieces[id(row)])
                          for y, row in zip(grid.ys, rows)]))

@@ -10,16 +10,16 @@ The manifest holds one line per output of the first run,
 
 - ``stdout``, the command's standard output with its output directory
   written as ``<out>``;
-- each data file (CSV, PGM), as written;
-- each ``*_metadata.json``, without the line that records ``output.dir``.
+- each data file (CSV, PGM) and each ``*_metadata.json``, as written.
 
 ``test_output_manifest.py`` runs each command and compares its lines with
 those of the committed ``output_manifest.txt``; ``test_startup.py``
 regenerates the whole manifest in an interpreter that cannot import numpy
 and compares it with that file, and CI runs this script against the
-installed package and checks that the committed file is unchanged.  A
-change that alters outputs on purpose rewrites that file with this script
-and lists each changed entry:
+installed package, with a file opened in the platform's default encoding
+as an error, and checks that the committed file is unchanged.  A change
+that alters outputs on purpose rewrites that file with this script and
+lists each changed entry:
 
     PYTHONPATH=src python tests/output_manifest.py
 """
@@ -27,7 +27,6 @@ and lists each changed entry:
 import contextlib
 import hashlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -85,17 +84,7 @@ def _run(name: str, config: Path, argv: list[str], out: Path) -> dict[str, bytes
     if code != 0:
         raise RuntimeError(f"{name} exited {code}: {stderr.getvalue().strip()}")
     outputs = {"stdout": stdout.getvalue().replace(str(out), "<out>").encode()}
-    dir_line = f'"dir": {json.dumps(str(out))}'
-    for path in sorted(out.iterdir()):
-        data = path.read_bytes()
-        if path.name.endswith("_metadata.json"):
-            lines = data.decode().splitlines(keepends=True)
-            kept = [line for line in lines if line.strip() != dir_line]
-            if len(kept) != len(lines) - 1:
-                raise RuntimeError(f"{name}/{path.name} records output.dir other than "
-                                   f"as one line {dir_line}")
-            data = "".join(kept).encode()
-        outputs[path.name] = data
+    outputs.update((path.name, path.read_bytes()) for path in sorted(out.iterdir()))
     return outputs
 
 
@@ -126,9 +115,10 @@ def manifest_text() -> str:
 
 
 def main() -> None:
-    MANIFEST.write_text(manifest_text())
-    print(f"wrote {MANIFEST} ({len(MANIFEST.read_text().splitlines())} outputs of the "
-          f"package at {Path(thzsecmap.__file__).parent})", file=sys.stderr)
+    text = manifest_text()
+    MANIFEST.write_text(text, encoding="utf-8")
+    print(f"wrote {MANIFEST} ({len(text.splitlines())} outputs of the package at "
+          f"{Path(thzsecmap.__file__).parent})", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,14 @@ SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "src" / "thzsecmap" / "
                          .glob("*.json"))
 
 
-def base_config(out_dir: str, variant: str = "cell") -> dict:
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own directory, so the default ``--out``, ``out``, is
+    ``tmp_path / "out"``."""
+    monkeypatch.chdir(tmp_path)
+
+
+def base_config(variant: str = "cell") -> dict:
     doc = {
         "environment": {
             "carrier_frequency_ghz": 300.0,
@@ -38,7 +45,6 @@ def base_config(out_dir: str, variant: str = "cell") -> dict:
         },
         "code": {"n": 2000, "rate_bits": 0.2, "phi_target": 1e-3},
         "power": {"transmit_mw": 2.5},
-        "output": {"dir": out_dir},
     }
     if variant == "directed":
         doc["scenario"]["variant"] = "directed"
@@ -61,13 +67,13 @@ def write_config(tmp_path: Path, doc: dict, name: str = "config.json") -> Path:
 
 class TestConfigLoading:
     def test_valid_config_loads(self, tmp_path):
-        path = write_config(tmp_path, base_config(str(tmp_path / "out")))
+        path = write_config(tmp_path, base_config())
         rc = load_config(path)
         assert rc.n == 2000
         assert rc.scenario.transmit_power_w == pytest.approx(2.5e-3)
 
     def test_missing_code_n_names_key(self, tmp_path, capsys):
-        doc = base_config(str(tmp_path / "out"))
+        doc = base_config()
         del doc["code"]["n"]
         path = write_config(tmp_path, doc)
         assert run(["plan", "--config", str(path)]) == 2
@@ -82,7 +88,7 @@ class TestConfigLoading:
                                        for key in ("kappa_deg2", "min_relative_gain_db",
                                                    "beamwidth_override_deg")]])
     def test_unknown_key_rejected(self, tmp_path, capsys, key):
-        doc = base_config(str(tmp_path / "out"))
+        doc = base_config()
         *sections, name = key.split(".")
         section = doc
         for part in sections:
@@ -91,6 +97,19 @@ class TestConfigLoading:
         path = write_config(tmp_path, doc)
         assert run(["plan", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"invalid input: unknown key {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    # --out alone chooses the output directory, in a config as in older metadata
+    @pytest.mark.parametrize("source", ["config", "metadata"])
+    def test_an_output_section_is_refused(self, tmp_path, capsys, source):
+        doc = base_config()
+        if source == "metadata":
+            assert run(["plan", "--config", str(write_config(tmp_path, doc)),
+                        "--out", "meta"]) == 0
+            doc = json.loads((tmp_path / "meta" / "plan_metadata.json").read_text())
+        doc["output"] = {"dir": "out"}
+        assert run(["plan", "--config", str(write_config(tmp_path, doc, "old.json"))]) == 2
+        assert capsys.readouterr().err == "invalid input: unknown key config.output\n"
         assert not (tmp_path / "out").exists()
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
@@ -106,14 +125,14 @@ class TestConfigLoading:
             load_config(path)
 
     def test_bad_value_rejected(self, tmp_path, capsys):
-        doc = base_config(str(tmp_path / "out"))
+        doc = base_config()
         doc["environment"]["temperature_k"] = -3.0
         path = write_config(tmp_path, doc)
         assert run(["plan", "--config", str(path)]) == 2
         assert "temperature" in capsys.readouterr().err
 
     def test_directed_requires_distance(self, tmp_path, capsys):
-        doc = base_config(str(tmp_path / "out"), variant="directed")
+        doc = base_config(variant="directed")
         del doc["scenario"]["horizontal_distance_m"]
         path = write_config(tmp_path, doc)
         assert run(["plan", "--config", str(path)]) == 2
@@ -122,11 +141,11 @@ class TestConfigLoading:
             "and only there, got None in the directed variant\n")
 
     def test_power_defaults_per_variant(self, tmp_path):
-        doc = base_config(str(tmp_path / "out"))
+        doc = base_config()
         del doc["power"]
         rc = load_config(write_config(tmp_path, doc))
         assert rc.scenario.transmit_power_w == pytest.approx(9e-3)
-        doc2 = base_config(str(tmp_path / "out"), variant="directed")
+        doc2 = base_config(variant="directed")
         del doc2["power"]
         rc2 = load_config(write_config(tmp_path, doc2, "d.json"))
         assert rc2.scenario.transmit_power_w == pytest.approx(0.5e-3)
@@ -135,7 +154,7 @@ class TestConfigLoading:
 class TestPlanCommand:
     def test_prints_resolved_quantities(self, tmp_path, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out)))
+        path = write_config(tmp_path, base_config())
         assert run(["plan", "--config", str(path)]) == 0
         text = capsys.readouterr().out
         assert "resolved L" in text and "achieved phi" in text and "C_AB" in text
@@ -144,7 +163,7 @@ class TestPlanCommand:
         assert meta["run"]["plan"]["feasible"] is True
 
     def test_infeasible_exits_3(self, tmp_path, capsys):
-        doc = base_config(str(tmp_path / "out"))
+        doc = base_config()
         doc["code"]["rate_bits"] = 3.0
         path = write_config(tmp_path, doc)
         out = tmp_path / "X"
@@ -174,7 +193,7 @@ def test_writes_expected_files_only(tmp_path, capsys, argv):
     printed nothing on stdout and made nothing."""
     command = argv[0]
     out = tmp_path / "out"
-    path = write_config(tmp_path, base_config(str(out)))
+    path = write_config(tmp_path, base_config())
     assert run([*argv, "--config", str(path)]) == 0
     meta = json.loads((out / f"{command}_metadata.json").read_text())
     assert meta["run"]["outputs"] == OUTPUTS[argv]
@@ -195,10 +214,21 @@ def test_writes_expected_files_only(tmp_path, capsys, argv):
     assert blocker.read_text() == "a file, not a directory"
 
 
+@pytest.mark.parametrize("argv", OUTPUTS, ids=lambda argv: argv[0])
+def test_metadata_is_the_same_in_any_output_directory(tmp_path, argv):
+    path = write_config(tmp_path, base_config())
+    name = f"{argv[0]}_metadata.json"
+    metadata = []
+    for out in (Path("out"), tmp_path / "a" / "b"):
+        assert run([*argv, "--config", str(path), "--out", str(out)]) == 0
+        metadata.append((out / name).read_bytes())
+    assert metadata[0] == metadata[1]
+
+
 class TestMapCommand:
     def test_metadata_describes_the_grid(self, tmp_path, capsys):
         out = tmp_path / "out"
-        doc = base_config(str(out))
+        doc = base_config()
         doc["scenario"]["room_extent_m"] = [24.0, 24.0]
         path = write_config(tmp_path, doc)
         assert run(["map", "--config", str(path), "--resolution", "4.0"]) == 0
@@ -210,9 +240,9 @@ class TestMapCommand:
     def test_thread_count_invisible_in_output(self, tmp_path, capsys):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
-        path = write_config(tmp_path, base_config(str(out1)))
+        path = write_config(tmp_path, base_config())
         assert run(["map", "--config", str(path), "--resolution", "4.0",
-                    "--threads", "1"]) == 0
+                    "--threads", "1", "--out", str(out1)]) == 0
         assert run(["map", "--config", str(path), "--resolution", "4.0",
                     "--threads", "3", "--out", str(out2)]) == 0
         assert (out1 / "map.csv").read_bytes() == (out2 / "map.csv").read_bytes()
@@ -220,7 +250,7 @@ class TestMapCommand:
 
     def test_metadata_records_plan_and_inputs(self, tmp_path, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out)))
+        path = write_config(tmp_path, base_config())
         assert run(["map", "--config", str(path), "--resolution", "4.0",
                     "--threads", "1"]) == 0
         meta = json.loads((out / "map_metadata.json").read_text())
@@ -234,21 +264,21 @@ class TestMapCommand:
                                       "origin_m": [-10.0, -10.0]}
 
     def test_metadata_round_trip(self, tmp_path, capsys):
-        out1 = tmp_path / "r1"
-        out2 = tmp_path / "r2"
-        path = write_config(tmp_path, base_config(str(out1)))
+        """Metadata fed back as the config, with no --out, writes the same files into out."""
+        first = tmp_path / "first"
+        path = write_config(tmp_path, base_config())
         assert run(["map", "--config", str(path), "--resolution", "4.0",
-                    "--threads", "1"]) == 0
-        meta_path = out1 / "map_metadata.json"
+                    "--threads", "1", "--out", str(first)]) == 0
+        meta_path = first / "map_metadata.json"
         assert run(["map", "--config", str(meta_path), "--resolution", "4.0",
-                    "--threads", "1", "--out", str(out2)]) == 0
-        assert (out1 / "map.csv").read_bytes() == (out2 / "map.csv").read_bytes()
+                    "--threads", "1"]) == 0
+        assert _files(tmp_path / "out") == _files(first)
 
 
 class TestOtherCommands:
     def test_radial(self, tmp_path, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out)))
+        path = write_config(tmp_path, base_config())
         assert run(["radial", "--config", str(path), "--r-min", "0", "--r-max", "12",
                     "--steps", "13"]) == 0
         lines = (out / "radial.csv").read_text().splitlines()
@@ -257,7 +287,7 @@ class TestOtherCommands:
 
     def test_threshold_prints_radius(self, tmp_path, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out)))
+        path = write_config(tmp_path, base_config())
         assert run(["threshold", "--config", str(path), "--delta", "1e-3"]) == 0
         text = capsys.readouterr().out
         assert "r_E0:" in text
@@ -269,7 +299,7 @@ class TestOtherCommands:
         from thzsecmap import plan_cell, threshold_radius
 
         out = tmp_path / "out"
-        doc = base_config(str(out))
+        doc = base_config()
         path = write_config(tmp_path, doc)
         assert run(["threshold", "--config", str(path), "--delta", "1e-3"]) == 0
         meta = json.loads((out / "threshold_metadata.json").read_text())
@@ -280,7 +310,7 @@ class TestOtherCommands:
 
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out)))
+        path = write_config(tmp_path, base_config())
         assert run(["sweep", "--config", str(path), "--variable", "n",
                     "--values", "500,2000"]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
@@ -303,13 +333,12 @@ class TestOtherCommands:
         assert tables[0] != tables[1]  # the grid changes the insecure fractions
 
     def test_sweep_bad_values(self, tmp_path, capsys):
-        path = write_config(tmp_path, base_config(str(tmp_path / "out")))
+        path = write_config(tmp_path, base_config())
         assert run(["sweep", "--config", str(path), "--variable", "n",
                     "--values", "abc"]) == 2
 
     def test_link_diagnostic(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out), variant="directed"))
+        path = write_config(tmp_path, base_config(variant="directed"))
         assert run(["link", "--config", str(path)]) == 0
         text = capsys.readouterr().out
         assert "capacity: 2.11923" in text
@@ -330,7 +359,7 @@ class TestOtherCommands:
     def test_link_distance_with_no_finite_power_prints_nothing(self, tmp_path, capsys,
                                                                distance):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(str(out)))
+        path = write_config(tmp_path, base_config())
         assert run(["link", "--config", str(path), "--distance", distance]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -391,7 +420,7 @@ def _set_room_below_footprint(doc):
 
 
 def _set_directed(doc):
-    doc.update(base_config(doc["output"]["dir"], variant="directed"))
+    doc.update(base_config(variant="directed"))
 
 
 def _set_directed_beyond_room(doc):
@@ -451,7 +480,7 @@ def _set_blocklength_5001_digits(doc):
     pytest.param(["plan"], _set_blocklength_5001_digits, id="plan code.n of 5001 digits"),
 ])
 def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
-    doc = base_config(str(tmp_path / "out"))
+    doc = base_config()
     text = edit(doc) if edit is not None else None  # an edit may return the file's text
     path = write_config(tmp_path, doc)
     if text is not None:
@@ -468,7 +497,7 @@ def test_invalid_input_exits_2_with_one_line(tmp_path, capsys, argv, edit):
 def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(secmap, "min_security", lambda *args: calls.append(args))
-    path = write_config(tmp_path, base_config(str(tmp_path / "out")))
+    path = write_config(tmp_path, base_config())
     # the step, 5e-324 / 2, rounds to 0: the radii would be 0, 0 and 5e-324
     assert run(["radial", "--r-max", "5e-324", "--steps", "3", "--config", str(path)]) == 2
     [line] = capsys.readouterr().err.splitlines()
@@ -547,7 +576,7 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
     )
 ])
 def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
-    path = write_config(tmp_path, base_config(str(tmp_path / "out")))
+    path = write_config(tmp_path, base_config())
     out = tmp_path / "X"
     assert run([*argv, "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -581,7 +610,7 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
                  "power.transmit_mw must be positive and finite, got -1.0", id="transmit -1 mW"),
 ])
 def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
-    doc = base_config(str(tmp_path / "out"))
+    doc = base_config()
     edit(doc)
     assert run(["plan", "--config", str(write_config(tmp_path, doc))]) == 2
     assert capsys.readouterr().err == f"invalid input: {message}\n"
@@ -591,7 +620,7 @@ def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
 # without power.transmit_mw, whose default the loader picks by the variant
 @pytest.mark.parametrize("variant", ["ring", ["cell"], 5, {}], ids=json.dumps)
 def test_a_bad_variant_exits_2_naming_it(tmp_path, capsys, variant):
-    doc = base_config(str(tmp_path / "out"))
+    doc = base_config()
     doc["scenario"]["variant"] = variant
     del doc["power"]
     assert run(["plan", "--config", str(write_config(tmp_path, doc))]) == 2
@@ -636,9 +665,8 @@ def test_echoed_inputs_print_their_exact_value(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(" m (delta = 0.999999999)\n")
 
 
-def test_empty_out_exits_2_naming_it(tmp_path, capsys, monkeypatch):
-    # the shipped config's output.dir is "out", which an ignored --out "" would create
-    monkeypatch.chdir(tmp_path)
+def test_empty_out_exits_2_naming_it(tmp_path, capsys):
+    # an ignored --out "" would create the default, out
     assert run(["plan", "--config", str(SHIPPED_CONFIGS[0]), "--out", ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

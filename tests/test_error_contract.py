@@ -123,7 +123,7 @@ def test_overflowing_value_exits_2_naming_the_key(tmp_path, name, command, key, 
 RECORD_KEYS = ["scenario.variant", "scenario.room_extent_m",
                *(path for path in _numeric_paths() if not path.startswith("code."))]
 # and the rest, which the table alone checks
-TABLE_KEYS = ["code.n", "code.rate_bits", "code.phi_target", "output.dir"]
+TABLE_KEYS = ["code.n", "code.rate_bits", "code.phi_target"]
 
 
 def _numbers(record):
@@ -167,8 +167,8 @@ def test_record_value_is_refused_naming_the_key_or_built_finite(name, key):
     ("code.n", "2000", "must be an integer, got a string"),
     ("code.n", {"k" * 300: 1}, "must be an integer, got an object"),
     ("scenario.variant", ["cell"], "must be a non-empty string, got an array"),
-    ("output.dir", "", "must be a non-empty string, got ''"),
-    ("output.dir", [], "must be a non-empty string, got []"),
+    ("scenario.variant", "", "must be a non-empty string, got ''"),
+    ("scenario.variant", [], "must be a non-empty string, got []"),
 ])
 def test_a_value_of_the_wrong_type_is_named_by_its_json_type(key, value, got):
     """A string, array or object, which may be of any length, prints as its JSON type;
@@ -192,4 +192,20 @@ def test_an_unknown_variant_is_cut_short(tmp_path):
     assert code == 2
     [line] = err.splitlines()
     assert line.startswith("invalid input: scenario.variant") and len(line) < 100, line
+    assert not (tmp_path / "out").exists()
+
+
+# json.load raised a RecursionError traceback on deep nesting, and a UnicodeDecodeError
+# that named no file on bytes that are not UTF-8
+@pytest.mark.parametrize("text", [
+    b'{"environment": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"scenario": {"variant": "\xe9"}}',
+], ids=["nested 100000 deep", "Latin-1"])
+def test_an_unreadable_config_exits_2_naming_the_file(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    code, err = run_quietly(["plan", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith(f"invalid input: {path}: ")
     assert not (tmp_path / "out").exists()
