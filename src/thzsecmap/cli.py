@@ -32,7 +32,7 @@ from . import __version__, planner
 from .antenna import Antenna, beamwidth_from_gain
 from .bounds import MAX_BLOCKLENGTH, blocklength_text
 from .errors import ConfigError, InfeasiblePlanError
-from .geometry import CELL, DIRECTED, ScenarioConfig
+from .geometry import ScenarioConfig
 from .linkmodel import RadioEnvironment, link_budget, ratio_to_db, watts_to_dbm
 from .planner import PlanResult, require_feasible
 from .secmap import (
@@ -48,7 +48,6 @@ from .secmap import (
 
 DEFAULT_RESOLUTION_M = 0.25
 MAX_INT_DIGITS = 4300  # Python's default limit on converting text to int
-DEFAULT_TX_POWER_MW = {CELL: 9.0, DIRECTED: 0.5}
 
 
 # Resolved run configuration.
@@ -152,8 +151,7 @@ SCHEMA = {
         "rate_bits": _Key(_bounded(lambda v: v > 0.0, "be positive")),
         "phi_target": _Key(_bounded(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
     },
-    # the default depends on the variant: DEFAULT_TX_POWER_MW
-    "power": {"transmit_mw": _Key(_number, None)},
+    "power": {"transmit_mw": _Key(_number)},
     "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
 }
 
@@ -223,12 +221,7 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    raw = _walk(SCHEMA, doc, "config")
-    if raw["power"]["transmit_mw"] is None:
-        # NaN for an unknown variant, which ScenarioConfig refuses before the power
-        variant = raw["scenario"]["variant"]
-        raw["power"]["transmit_mw"] = DEFAULT_TX_POWER_MW.get(variant, math.nan)
-    return _build(raw)
+    return _build(_walk(SCHEMA, doc, "config"))
 
 
 def _row(path: str):
@@ -403,8 +396,14 @@ def _directory_name(text: str) -> Path:
     return Path(text)
 
 
-def _float_list(text: str) -> list[float]:
-    values = [_finite_float(item) for item in text.split(",") if item.strip()]
+def _number_list(text: str) -> list:
+    """Finite numbers, each a float but an integer literal in int()'s syntax that no
+    float holds exactly, which stays the int it spells."""
+    values = []
+    for item in filter(str.strip, text.split(",")):
+        value = _finite_float(item)
+        exact = int(item) if re.fullmatch(r"\s*[-+]?\d+(_\d+)*\s*", item) else value
+        values.append(value if exact == value else exact)
     if not values:
         raise argparse.ArgumentTypeError("expected at least one comma-separated value")
     return values
@@ -459,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY", help="a numeric config key by its dotted path, e.g. "
                    f"power.transmit_mw, or a short name for one: {aliases}; G_A moves "
                    "Alice's gain only")
-    p.add_argument("--values", type=_float_list, required=True,
+    p.add_argument("--values", type=_number_list, required=True,
                    help="comma-separated values")
     p.add_argument("--delta", type=_finite_float, default=1e-3,
                    help="threshold level for the r_e0 column")

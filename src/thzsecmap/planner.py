@@ -29,9 +29,9 @@ from .linkmodel import LinkState, link_budget
 _STEPS_DOWN_MAX = 64  # from the solved L; 54 doublings of its ulp reach L = 0
 
 
-class PlanResult(namedtuple("PlanResult", "feasible code transmit_power_w bob_link achieved_phi "
-                                          "phi_target c_ab_bits")):
-    """Outcome of resolving (P_A, L) for one scenario.
+class PlanResult(namedtuple("PlanResult", "feasible code bob_link achieved_phi phi_target "
+                                          "c_ab_bits")):
+    """Outcome of resolving L for one scenario at its transmit power.
 
     ``feasible`` is False when even L = 0 misses the reliability target, in
     which case ``code`` is None.  When feasible, L is the largest rate meeting
@@ -43,19 +43,11 @@ class PlanResult(namedtuple("PlanResult", "feasible code transmit_power_w bob_li
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {
-            "feasible": self.feasible,
-            "transmit_power_w": self.transmit_power_w,
-            "achieved_phi": self.achieved_phi,
-            "phi_target": self.phi_target,
-            "c_ab_bits": self.c_ab_bits,
-            "snr_ab": self.bob_link.snr,
-        }
+        """The values the plan computed; its inputs are the config's."""
+        out = {"achieved_phi": self.achieved_phi, "c_ab_bits": self.c_ab_bits,
+               "snr_ab": self.bob_link.snr}
         if self.code is not None:
-            out["blocklength"] = self.code.blocklength
-            out["rate_bits"] = self.code.rate_bits
             out["randomness_bits"] = self.code.randomness_bits
-            out["l_feasible_interval_bits"] = [0.0, self.code.randomness_bits]
         return out
 
 
@@ -67,9 +59,8 @@ def _max_randomness(config: ScenarioConfig, n: int, rate_bits: float,
     c_bits = link.capacity_bits
     phi = min_reliability(SecrecyCode(n, rate_bits, 0.0), link)[0]
     if c_bits <= rate_bits or phi > phi_target:
-        return PlanResult(
-            feasible=False, code=None, transmit_power_w=config.transmit_power_w, bob_link=link,
-            achieved_phi=phi, phi_target=phi_target, c_ab_bits=c_bits)
+        return PlanResult(feasible=False, code=None, bob_link=link, achieved_phi=phi,
+                          phi_target=phi_target, c_ab_bits=c_bits)
 
     l_bits = max_randomness(n, rate_bits, link, phi_target)
     # rounding may leave the solved L a hair high: step down from one ulp,
@@ -84,9 +75,8 @@ def _max_randomness(config: ScenarioConfig, n: int, rate_bits: float,
     else:
         raise RuntimeError(f"the solved randomness rate misses phi <= {phi_target!r} "
                            f"after {_STEPS_DOWN_MAX} steps down (n={n}, R={rate_bits!r})")
-    return PlanResult(
-        feasible=True, code=code, transmit_power_w=config.transmit_power_w, bob_link=link,
-        achieved_phi=phi, phi_target=phi_target, c_ab_bits=c_bits)
+    return PlanResult(feasible=True, code=code, bob_link=link, achieved_phi=phi,
+                      phi_target=phi_target, c_ab_bits=c_bits)
 
 
 def bob_link(config: ScenarioConfig) -> tuple[LinkState, float, float]:

@@ -332,17 +332,17 @@ def scan_crossing_radius(delta_of_r, delta_0, r_max, step_m=0.01):
 # Eve's link at one position
 # ----------------------------------------------------------------------
 
-def eve_link(plan, config, x, y):
-    """The link to an eavesdropper at (x, y) under ``plan``, built on its own.
+def eve_link(config, x, y):
+    """The link to an eavesdropper at (x, y) in the scenario, built on its own.
 
     ``Scene.eve_link``'s recipe, restated rather than called: the scene's
     path, the transmitter's pattern gain at the offset angle, and the link
-    budget at the plan's power to Eve's gain; no symmetry class and no memo.
+    budget at the scenario's power to Eve's gain; no symmetry class and no memo.
     """
     from thzsecmap import Scene, link_budget, pattern_gain
 
     distance, theta = Scene(config).path(x, y)
-    return link_budget(plan.transmit_power_w, pattern_gain(config.alice, theta),
+    return link_budget(config.transmit_power_w, pattern_gain(config.alice, theta),
                        config.eve.gain_linear, distance, config.environment)
 
 

@@ -140,15 +140,19 @@ class TestConfigLoading:
             "invalid input: scenario.horizontal_distance_m must be set in the directed variant "
             "and only there, got None in the directed variant\n")
 
-    def test_power_defaults_per_variant(self, tmp_path):
-        doc = base_config()
-        del doc["power"]
-        rc = load_config(write_config(tmp_path, doc))
-        assert rc.scenario.transmit_power_w == pytest.approx(9e-3)
-        doc2 = base_config(variant="directed")
-        del doc2["power"]
-        rc2 = load_config(write_config(tmp_path, doc2, "d.json"))
-        assert rc2.scenario.transmit_power_w == pytest.approx(0.5e-3)
+    # the power has no default, in either variant
+    @pytest.mark.parametrize("variant", ["cell", "directed"])
+    @pytest.mark.parametrize("power, key", [(None, "config.power"),
+                                            ({}, "power.transmit_mw")], ids=["absent", "empty"])
+    def test_a_config_without_a_power_is_refused(self, tmp_path, capsys, variant, power, key):
+        doc = base_config(variant)
+        if power is None:
+            del doc["power"]
+        else:
+            doc["power"] = power
+        assert run(["plan", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == f"invalid input: missing required key {key}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestPlanCommand:
@@ -160,7 +164,7 @@ class TestPlanCommand:
         assert "resolved L" in text and "achieved phi" in text and "C_AB" in text
         meta = json.loads((out / "plan_metadata.json").read_text())
         assert meta["run"]["command"] == "plan"
-        assert meta["run"]["plan"]["feasible"] is True
+        assert meta["run"]["plan"]["randomness_bits"] > 0.0
 
     def test_infeasible_exits_3(self, tmp_path, capsys):
         doc = base_config()
@@ -223,6 +227,22 @@ def test_metadata_is_the_same_in_any_output_directory(tmp_path, argv):
         assert run([*argv, "--config", str(path), "--out", str(out)]) == 0
         metadata.append((out / name).read_bytes())
     assert metadata[0] == metadata[1]
+
+
+# run.plan holds only what the plan computed; the config gives its inputs
+@pytest.mark.parametrize("argv", [["plan"], ["map", "--resolution", "4.0"],
+                                  ["radial", "--r-max", "12", "--steps", "13"], ["threshold"]],
+                         ids=lambda argv: argv[0])
+def test_metadata_plan_holds_the_computed_values(tmp_path, capsys, argv):
+    path = write_config(tmp_path, base_config())
+    assert run([*argv, "--config", str(path)]) == 0
+    meta = json.loads((tmp_path / "out" / f"{argv[0]}_metadata.json").read_text())
+    rc = load_config(path)
+    expected = plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
+    want = {"achieved_phi": expected.achieved_phi, "c_ab_bits": expected.c_ab_bits,
+            "snr_ab": expected.bob_link.snr, "randomness_bits": expected.code.randomness_bits}
+    assert {key: value.hex() for key, value in meta["run"]["plan"].items()} == \
+        {key: value.hex() for key, value in want.items()}
 
 
 class TestMapCommand:
@@ -553,6 +573,9 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
          "n = 2000.0000001: code.n must be an integer, got 2000.0000001"),
         (["sweep", "--variable", "code.n", "--values", "2.5"],
          "code.n = 2.5: code.n must be an integer, got 2.5"),
+        # 2**53 + 1, rounded to a float, would be the valid 2**53
+        (["sweep", "--variable", "n", "--values", "2000,9007199254740993"],
+         "n = 9007199254740993: code.n must lie in [1, 2**53], got an integer of 16 digits"),
         (["sweep", "--variable", "power.transmit_mw", "--values", "1,0"],
          "power.transmit_mw = 0.0: power.transmit_mw must be positive and finite, got 0.0"),
         (["sweep", "--variable", "antennas.alice.beamwidth_override_deg", "--values", "200"],
@@ -617,12 +640,10 @@ def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
     assert not (tmp_path / "out").exists()
 
 
-# without power.transmit_mw, whose default the loader picks by the variant
 @pytest.mark.parametrize("variant", ["ring", ["cell"], 5, {}], ids=json.dumps)
 def test_a_bad_variant_exits_2_naming_it(tmp_path, capsys, variant):
     doc = base_config()
     doc["scenario"]["variant"] = variant
-    del doc["power"]
     assert run(["plan", "--config", str(write_config(tmp_path, doc))]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("invalid input: scenario.variant ")

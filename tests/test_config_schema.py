@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, seed, settings, strategies as st
 
 from test_error_contract import EXTREMES, SHIPPED, WRONG_TYPES, _at, run_quietly
-from thzsecmap.cli import REQUIRED, SCHEMA, _numeric_paths, _row, parse_config
+from thzsecmap.cli import REQUIRED, SCHEMA, _numeric_paths, _required, _row, parse_config
 from thzsecmap.linkmodel import Record
 
 DOCS = Path(__file__).parent.parent / "docs" / "config.md"
@@ -141,6 +141,12 @@ def test_docs_list_every_key_of_the_table():
         for key, sub in (row.items() if isinstance(row, dict) else ()):
             keys |= {f"{key}.{name}" for name in sub} if isinstance(sub, dict) else {key}
     assert _documented_keys() == expected
+
+
+def test_docs_mark_each_section_required_as_the_table_does():
+    marks = re.findall(r"^### (\w+) \((required|optional)", DOCS.read_text(), re.MULTILINE)
+    assert dict(marks) == {section: "required" if _required(row) else "optional"
+                           for section, row in SCHEMA.items()}
 
 
 def test_records_take_the_keys_of_their_sections_as_fields():

@@ -175,16 +175,14 @@ class TestRandomizedMaximality:
 
 def test_plan_result_dict_round_trip(cell_config):
     plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
-    d = plan.to_dict()
-    assert d["feasible"] is True
-    assert d["randomness_bits"] == plan.code.randomness_bits
-    assert d["l_feasible_interval_bits"] == [0.0, plan.code.randomness_bits]
+    assert plan.to_dict() == {"achieved_phi": plan.achieved_phi, "c_ab_bits": plan.c_ab_bits,
+                              "snr_ab": plan.bob_link.snr,
+                              "randomness_bits": plan.code.randomness_bits}
 
 
 def test_power_comes_from_the_scenario(cell_config):
     plan = plan_cell(cell_config._replace(transmit_mw=9.0), 2000, 0.2, 1e-3)
     base = plan_cell(cell_config, 2000, 0.2, 1e-3)
-    assert plan.transmit_power_w == 9.0 * 1e-3
     assert plan.bob_link.snr == pytest.approx(base.bob_link.snr * 9.0 / CALIBRATED_TX_POWER_MW,
                                               rel=1e-12)
 

@@ -100,7 +100,7 @@ def count_probes(monkeypatch, search) -> tuple[int, int]:
 
 def _brute_force(map_plan, config, grid) -> np.ndarray:
     """The level at every grid point, from its own link and bound minimization."""
-    return np.array([[min_security(map_plan.code, oracles.eve_link(map_plan, config, x, y))[0]
+    return np.array([[min_security(map_plan.code, oracles.eve_link(config, x, y))[0]
                       for x in grid.xs] for y in grid.ys])
 
 
@@ -260,10 +260,10 @@ class TestEvaluateMap:
         assert counts == {"link_budget": 1, "offset_angle": 1}
 
     def test_eve_with_bobs_antenna_sees_bobs_link(self):
-        config, cell_plan = shipped("scenario1_cell.json")
+        config, _ = shipped("scenario1_cell.json")
         config = config._replace(eve=config.bob)
         bob = [v.hex() for v in planner.bob_link(config)[0]]
-        eve = oracles.eve_link(cell_plan, config, receiver_x(config), 0.0)
+        eve = oracles.eve_link(config, receiver_x(config), 0.0)
         assert [v.hex() for v in eve] == bob
         assert [v.hex() for v in Scene(config).eve_link(receiver_x(config), 0.0)] == bob
 
@@ -285,7 +285,7 @@ class TestSecurityCurve:
     def test_exceeds_agrees_with_the_bound(self, monkeypatch):
         config, map_plan = shipped("scenario2_directed.json")
         xs, ys = geometry.grid_axes(config, 4.0)
-        links = [oracles.eve_link(map_plan, config, x, abs(y)) for x in xs for y in ys]
+        links = [oracles.eve_link(config, x, abs(y)) for x in xs for y in ys]
         assert secmap.INSECURE_LEVEL == 0.5
         expected = [min_security(map_plan.code, link)[0] > 0.5 for link in links]
         curve = SecurityCurve(map_plan)
@@ -376,7 +376,7 @@ class TestThresholdRadius:
         r = threshold_radius(cell_plan, small_cell, 1e-3)
         scan = oracles.scan_crossing_radius(
             lambda r: min_security(cell_plan.code,
-                                   oracles.eve_link(cell_plan, small_cell, r, 0.0))[0], 1e-3,
+                                   oracles.eve_link(small_cell, r, 0.0))[0], 1e-3,
             r_max=40.0)
         assert abs(r - scan) <= 0.02
 
@@ -413,7 +413,7 @@ class TestThresholdRadius:
            st.floats(0.05, 50.0), st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
     def test_eve_snr_does_not_rise_with_the_radius(self, gain, beamwidth, floor, eve_gain,
                                                    height, drawn):
-        config, plan = shipped("scenario1_cell.json")
+        config, _ = shipped("scenario1_cell.json")
         config = config._replace(
             alice=config.alice._replace(gain_dbi=gain, beamwidth_override_deg=beamwidth,
                                         min_relative_gain_db=floor),
@@ -421,7 +421,7 @@ class TestThresholdRadius:
             height_difference_m=height)
         radii = sorted({*(k / 4.0 for k in range(401)), *drawn,
                         *(math.nextafter(r, math.inf) for r in drawn)})
-        snrs = [oracles.eve_link(plan, config, r, 0.0).snr for r in radii]
+        snrs = [oracles.eve_link(config, r, 0.0).snr for r in radii]
         for k in range(1, len(radii)):
             assert snrs[k] <= snrs[k - 1], (radii[k - 1], radii[k])
 
@@ -439,7 +439,7 @@ class TestThresholdRadius:
            st.lists(st.floats(0.0, 500.0), min_size=1, max_size=40))
     def test_eve_snr_does_not_rise_along_a_column(self, name, gain, beamwidth, floor, eve_gain,
                                                   height, d_ab, drawn_xs, drawn_us):
-        config, plan = shipped(name)
+        config, _ = shipped(name)
         config = config._replace(
             alice=config.alice._replace(gain_dbi=gain, beamwidth_override_deg=beamwidth,
                                         min_relative_gain_db=floor),
@@ -458,7 +458,7 @@ class TestThresholdRadius:
         us = sorted({*(k / 4.0 for k in range(121)), *drawn_us,
                      *(math.nextafter(u, math.inf) for u in drawn_us)})
         for x in (*columns, *drawn_xs):
-            snrs = [oracles.eve_link(plan, config, x, u).snr for u in us]
+            snrs = [oracles.eve_link(config, x, u).snr for u in us]
             for k in range(1, len(us)):
                 assert snrs[k] <= snrs[k - 1], (x, us[k - 1], us[k])
 
@@ -649,7 +649,7 @@ class TestDirectedInsecureFraction:
         rc = load_config(CONFIGS / "scenario2_directed.json")
         row_plan = planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
         xs, ys = geometry.grid_axes(rc.scenario, 4.0)
-        snrs = sorted({oracles.eve_link(row_plan, rc.scenario, x, abs(y)).snr
+        snrs = sorted({oracles.eve_link(rc.scenario, x, abs(y)).snr
                        for x in xs for y in ys})
         low, high = snrs[len(snrs) // 3], snrs[2 * len(snrs) // 3]
 
