@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__, planner
 from .antenna import Antenna, beamwidth_from_gain
-from .bounds import MAX_BLOCKLENGTH, blocklength_text
+from .bounds import blocklength_text
 from .errors import ConfigError, InfeasiblePlanError
 from .geometry import ScenarioConfig
 from .linkmodel import RadioEnvironment, link_budget, ratio_to_db, watts_to_dbm
@@ -52,10 +52,7 @@ MAX_INT_DIGITS = 4300  # Python's default limit on converting text to int
 
 # Resolved run configuration.
 RunConfig = namedtuple("RunConfig", [
-    "scenario",  # ScenarioConfig
-    "n",
-    "rate_bits",
-    "phi_target",
+    "scenario",  # ScenarioConfig, the code included
     "raw",  # validated document, re-emitted as metadata
 ])
 
@@ -79,21 +76,9 @@ def _number(value, path: str) -> float:
     return v
 
 
-def _bounded(holds, requirement: str):
-    """A number check that also needs ``holds(v)``: '<path> must <requirement>, got v'."""
-    def check(value, path: str) -> float:
-        v = _number(value, path)
-        if not holds(v):
-            raise ConfigError(f"{path} must {requirement}, got {v}")
-        return v
-    return check
-
-
 def _blocklength(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {_got(value)}")
-    if not 1 <= value <= MAX_BLOCKLENGTH:
-        raise ConfigError(f"{path} must lie in [1, 2**53], got {_got(value)}")
     return value
 
 
@@ -129,8 +114,8 @@ _ANTENNA = {
 
 # Every config key, once.  A nested dict is a section, required when any key
 # in it is; null means absent.  docs/config.md documents the same keys.  The
-# records that _build makes check the ranges of the environment, antennas,
-# scenario and power keys, so their rows check only the JSON shape.
+# records that _build makes check the range of every key, so the rows check
+# only the JSON shape.
 SCHEMA = {
     "environment": {
         "carrier_frequency_ghz": _Key(_number),
@@ -148,8 +133,8 @@ SCHEMA = {
     },
     "code": {
         "n": _Key(_blocklength),
-        "rate_bits": _Key(_bounded(lambda v: v > 0.0, "be positive")),
-        "phi_target": _Key(_bounded(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+        "rate_bits": _Key(_number),
+        "phi_target": _Key(_number),
     },
     "power": {"transmit_mw": _Key(_number)},
     "run": _Key(lambda value, path: None, None),  # written by the CLI, ignored on load
@@ -232,8 +217,9 @@ def _row(path: str):
 def _build(raw: dict) -> RunConfig:
     """The records of a validated document, which is left as it is; a refusal names the key.
 
-    Each record takes its sections' keys as its fields.  A refusal that starts with
-    one of them gets that key's section prefixed; any other gets its record's section.
+    Each record takes its sections' keys as its fields: the scenario record those of
+    ``scenario``, ``power`` and ``code``.  A refusal that starts with one of them gets
+    that key's section prefixed; any other gets its record's section.
     """
     sections = ["environment"]
     try:
@@ -242,9 +228,9 @@ def _build(raw: dict) -> RunConfig:
         for name, fields in raw["antennas"].items():
             sections = ["antennas." + name]
             antennas[name] = Antenna(**fields)
-        sections = ["scenario", "power"]
+        sections = ["scenario", "power", "code"]
         scenario = ScenarioConfig(environment=environment, **antennas, **raw["scenario"],
-                                  **raw["power"])
+                                  **raw["power"], **raw["code"])
     except ValueError as exc:
         message = str(exc)
         first = message.split(" ", 1)[0].rstrip(":")
@@ -252,7 +238,7 @@ def _build(raw: dict) -> RunConfig:
             if first in _row(section):
                 raise ConfigError(f"{section}.{message}") from exc
         raise ConfigError(f"{sections[0]}: {message}") from exc
-    return RunConfig(scenario=scenario, raw=raw, **raw["code"])
+    return RunConfig(scenario=scenario, raw=raw)
 
 
 def _replaced(doc: dict, keys: list[str], value) -> dict:
@@ -263,8 +249,8 @@ def _replaced(doc: dict, keys: list[str], value) -> dict:
 
 def sweep_row(rc: RunConfig, path: str):
     """``secmap.sweep``'s row function for the numeric key at ``path``: a value -> the
-    scenario, n, rate_bits and phi_target of ``rc`` with that key set to the JSON number
-    the value spells (an integral float as an int), checked and built as ``parse_config``
+    scenario of ``rc``, its code included, with that key set to the JSON number the
+    value spells (an integral float as an int), checked and built as ``parse_config``
     does, so that every refusal is the config's own and names the key.
     """
     keys = path.split(".")
@@ -272,14 +258,13 @@ def sweep_row(rc: RunConfig, path: str):
 
     def row(value):
         number = int(value) if isinstance(value, float) and value.is_integer() else value
-        built = _build(_replaced(rc.raw, keys, check(number, path)))
-        return built.scenario, built.n, built.rate_bits, built.phi_target
+        return _build(_replaced(rc.raw, keys, check(number, path))).scenario
 
     return row
 
 
 def _feasible_plan(rc: RunConfig) -> PlanResult:
-    return require_feasible(planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target))
+    return require_feasible(planner.plan(rc.scenario))
 
 
 def _cmd_plan(rc: RunConfig, args) -> tuple[str, dict, dict]:

@@ -16,6 +16,7 @@ import reprlib
 from collections import namedtuple
 
 from .antenna import Antenna, cone_radius, pattern_gain
+from .bounds import MAX_BLOCKLENGTH, blocklength_text
 from .errors import GeometryError
 from .linkmodel import LinkState, RadioEnvironment, Record, link_budget
 
@@ -28,26 +29,33 @@ MIN_LENGTH_M = 1e-150  # a squared height stays nonzero
 
 
 class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment alice bob eve "
-                                        "transmit_mw height_difference_m "
+                                        "transmit_mw height_difference_m n rate_bits phi_target "
                                         "horizontal_distance_m room_extent_m")):
-    """Full description of one indoor scenario.
+    """Full description of one indoor scenario and the secrecy code planned for it.
 
     The transmit power is in mW, as a config gives it; ``transmit_power_w``
-    is the same power in watts.  Room extent is the floor rectangle in
-    meters.  For the cell variant the room is centered on the transmitter's
-    floor projection; for the directed variant the transmitter wall is at
-    x = 0 and the room extends toward positive x, centered in y.  Bob and
-    Eve are aimed straight back at Alice, so only their antennas' gain is
-    read, never their pattern.
+    is the same power in watts.  ``n``, ``rate_bits`` and ``phi_target`` are
+    the code's blocklength, secrecy rate R and reliability target.  Room
+    extent is the floor rectangle in meters.  For the cell variant the room
+    is centered on the transmitter's floor projection; for the directed
+    variant the transmitter wall is at x = 0 and the room extends toward
+    positive x, centered in y.  Bob and Eve are aimed straight back at
+    Alice, so only their antennas' gain is read, never their pattern.
     """
 
     __slots__ = ()
 
     def __new__(cls, variant: str, environment: RadioEnvironment, alice: Antenna, bob: Antenna,
-                eve: Antenna, transmit_mw: float, height_difference_m: float,
-                horizontal_distance_m: float | None = None,
+                eve: Antenna, transmit_mw: float, height_difference_m: float, n: int,
+                rate_bits: float, phi_target: float, horizontal_distance_m: float | None = None,
                 room_extent_m: tuple[float, float] = (60.0, 60.0)) -> ScenarioConfig:
         # each message starts with the field name; the negated forms also reject NaN
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BLOCKLENGTH:
+            raise ValueError(f"n must lie in [1, 2**53], got {blocklength_text(n)}")
+        if not 0.0 < rate_bits < math.inf:
+            raise ValueError(f"rate_bits must be positive, got {rate_bits}")
+        if not 0.0 < phi_target < 1.0:
+            raise ValueError(f"phi_target must lie in (0, 1), got {phi_target}")
         if variant not in VARIANTS:
             raise ValueError(f"variant must be 'cell' or 'directed', got {reprlib.repr(variant)}")
         if not 0.0 < transmit_mw < math.inf:
@@ -68,7 +76,8 @@ class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment a
             raise ValueError(f"horizontal_distance_m must lie in (0, {ex}] m, up to "
                              f"room_extent_m[0], got {horizontal_distance_m}")
         return tuple.__new__(cls, (variant, environment, alice, bob, eve, transmit_mw,
-                                   height_difference_m, horizontal_distance_m, room_extent_m))
+                                   height_difference_m, n, rate_bits, phi_target,
+                                   horizontal_distance_m, room_extent_m))
 
     @property
     def transmit_power_w(self) -> float:

@@ -1,12 +1,13 @@
 """Resolution of the transmit-power / local-randomness trade.
 
 The reliability target pins only a combination of transmit power and
-randomness rate, so the planner takes the power from the scenario, as it
-takes the receiver distance, and returns the largest randomness rate L that
-still meets the target at the worst-case receiver position: the cone edge
-for the ceiling-cell scenario (longest path, half the boresight gain), the
-exact aligned position for the directed scenario.  Maximizing L gives the
-most favorable security level at every eavesdropper position for that power.
+randomness rate.  The planner takes the power, the receiver distance and
+the code (n, R and the target) from the scenario, its one argument, and
+returns the largest randomness rate L that still meets the target at the
+worst-case receiver position: the cone edge for the ceiling-cell scenario
+(longest path, half the boresight gain), the exact aligned position for
+the directed scenario.  Maximizing L gives the most favorable security
+level at every eavesdropper position for that power.
 
 L is solved for, not searched: ``bounds.max_randomness`` maximizes the
 largest L the bound admits over its rate-splitting slack lambda, and one
@@ -51,11 +52,9 @@ class PlanResult(namedtuple("PlanResult", "feasible code bob_link achieved_phi p
         return out
 
 
-def _max_randomness(config: ScenarioConfig, n: int, rate_bits: float,
-                    phi_target: float) -> PlanResult:
+def _max_randomness(config: ScenarioConfig) -> PlanResult:
+    n, rate_bits, phi_target = config.n, config.rate_bits, config.phi_target
     link = bob_link(config)[0]
-    if not 0.0 < phi_target < 1.0:
-        raise ValueError(f"phi target must lie in (0, 1), got {phi_target}")
     c_bits = link.capacity_bits
     phi = min_reliability(SecrecyCode(n, rate_bits, 0.0), link)[0]
     if c_bits <= rate_bits or phi > phi_target:
@@ -97,28 +96,27 @@ def bob_link(config: ScenarioConfig) -> tuple[LinkState, float, float]:
     return link, distance, g_tx
 
 
-def plan(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float) -> PlanResult:
+def plan(config: ScenarioConfig) -> PlanResult:
     """Plan either scenario variant at its configured receiver position."""
     if config.variant == CELL:
-        return plan_cell(config, n, rate_bits, phi_target)
-    return plan_directed(config, n, rate_bits, phi_target)
+        return plan_cell(config)
+    return plan_directed(config)
 
 
-def plan_cell(config: ScenarioConfig, n: int, rate_bits: float, phi_target: float) -> PlanResult:
+def plan_cell(config: ScenarioConfig) -> PlanResult:
     """Plan the ceiling-cell scenario with the receiver on the cone edge.
 
     The worst-case receiver sits on the half-power circle: maximum path
     length and half the boresight transmit gain.  Returns the plan with the
-    largest randomness rate meeting ``phi_target`` there, solved for and
-    checked against the minimized bound, at the scenario's transmit power.
+    largest randomness rate meeting the scenario's ``phi_target`` there,
+    solved for and checked against the minimized bound, at its transmit power.
     """
     if config.variant != CELL:
         raise ValueError(f"plan_cell requires a cell scenario, got {config.variant!r}")
-    return _max_randomness(config, n, rate_bits, phi_target)
+    return _max_randomness(config)
 
 
-def plan_directed(config: ScenarioConfig, n: int, rate_bits: float,
-                  phi_target: float) -> PlanResult:
+def plan_directed(config: ScenarioConfig) -> PlanResult:
     """Plan the directed scenario with the transmitter aligned to the receiver.
 
     Both ends contribute their full boresight gains over the slant path of
@@ -128,7 +126,7 @@ def plan_directed(config: ScenarioConfig, n: int, rate_bits: float,
     """
     if config.variant != DIRECTED:
         raise ValueError(f"plan_directed requires a directed scenario, got {config.variant!r}")
-    return _max_randomness(config, n, rate_bits, phi_target)
+    return _max_randomness(config)
 
 
 def require_feasible(plan: PlanResult) -> PlanResult:

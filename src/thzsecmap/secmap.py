@@ -314,8 +314,8 @@ def sweep(config: ScenarioConfig, variable: str, values, row_config, *,
           delta_0: float = 1e-3, area_resolution_m: float = 2.0) -> list[dict]:
     """Re-plan and summarize the secrecy geometry along one swept variable.
 
-    ``row_config(value)`` gives each row's (ScenarioConfig, n, rate_bits,
-    phi_target); every row shares the room of ``config``, the unswept scenario.
+    ``row_config(value)`` gives each row's ScenarioConfig, its code
+    included; every row shares the room of ``config``, the unswept scenario.
     Produces one long-format row per swept value with the cone footprint
     radius, worst-case capacity, resolved randomness rate, and (cell
     scenario) the radii where the security level crosses 0.99, ``delta_0``
@@ -336,8 +336,8 @@ def sweep(config: ScenarioConfig, variable: str, values, row_config, *,
     rows = []
     for value in values:
         try:
-            cfg, n, rate_bits, phi_target = row_config(value)
-            plan = planner.plan(cfg, n, rate_bits, phi_target)
+            cfg = row_config(value)
+            plan = planner.plan(cfg)
         except ValueError as exc:  # a config check, an antenna's, the scenario's or the code's
             raise ConfigError(f"{variable} = {value!r}: {exc}") from None
         row = dict.fromkeys(SWEEP_COLUMNS)  # None: the column does not apply to this row

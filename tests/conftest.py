@@ -34,6 +34,9 @@ def cell_config(paper_env, calibrated_alice) -> ScenarioConfig:
         eve=plain,
         transmit_mw=CALIBRATED_TX_POWER_MW,
         height_difference_m=3.5,
+        n=2000,
+        rate_bits=0.2,
+        phi_target=1e-3,
     )
 
 
@@ -48,5 +51,8 @@ def directed_config(paper_env) -> ScenarioConfig:
         eve=Antenna(gain_dbi=25.0),
         transmit_mw=0.5,
         height_difference_m=8.5,
+        n=2000,
+        rate_bits=0.2,
+        phi_target=1e-3,
         horizontal_distance_m=15.0,
     )

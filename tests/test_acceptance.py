@@ -58,7 +58,8 @@ def anchor_config(env):
     alice = Antenna(10.0, beamwidth_override_deg=CALIBRATED_BEAMWIDTH_DEG)
     plain = Antenna(10.0)
     return ScenarioConfig(variant="cell", environment=env, alice=alice, bob=plain, eve=plain,
-                          transmit_mw=CALIBRATED_TX_POWER_MW, height_difference_m=3.5)
+                          transmit_mw=CALIBRATED_TX_POWER_MW, height_difference_m=3.5, n=2000,
+                          rate_bits=0.2, phi_target=1e-3)
 
 
 def test_criterion_1_noise_floor(env):
@@ -143,8 +144,9 @@ def test_criterion_5_planner_maximality(env):
         phi_target = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e-2))))
         ant = Antenna(gain)
         cfg = ScenarioConfig(variant="cell", environment=env, alice=ant, bob=ant, eve=ant,
-                             transmit_mw=power_mw, height_difference_m=3.5)
-        plan = plan_cell(cfg, n, rate, phi_target)
+                             transmit_mw=power_mw, height_difference_m=3.5, n=n, rate_bits=rate,
+                             phi_target=phi_target)
+        plan = plan_cell(cfg)
         if not plan.feasible:
             continue
         held = min_reliability(plan.code, plan.bob_link)[0] <= phi_target
@@ -156,7 +158,7 @@ def test_criterion_5_planner_maximality(env):
 
 
 def test_criterion_6_radial_monotonicity_and_symmetry(anchor_config):
-    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
+    plan = plan_cell(anchor_config)
     profile = radial_profile(plan, anchor_config, 0.0, 30.0, 301)
     monotone = bool(np.all(np.diff(profile.deltas) <= 1e-12))
     values = np.asarray(evaluate_map(plan, anchor_config, 2.0).values)
@@ -181,7 +183,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
     # transition width strictly decreasing in blocklength; larger eavesdropper
     # gain shifts the transition outward (checked at the capacity-figure power)
     def transition(cfg, n):
-        plan = plan_cell(cfg, n, 0.2, 1e-3)
+        plan = plan_cell(cfg._replace(n=n))
         hi = threshold_radius(plan, cfg, 0.99)
         lo = threshold_radius(plan, cfg, 0.01)
         return hi, lo - hi
@@ -198,7 +200,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
     fig6_outward = hi20 > starts[1]
 
     def r_e0(cfg, n, rate, phi):
-        plan = plan_cell(cfg, n, rate, phi)
+        plan = plan_cell(cfg._replace(n=n, rate_bits=rate, phi_target=phi))
         return threshold_radius(plan, cfg, 1e-3)
 
     r_by_rate = [r_e0(cfg9, 2000, r, 1e-3) for r in (0.1, 0.2, 0.4)]
@@ -222,7 +224,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
 
 def test_criterion_8_calibrated_anchor(anchor_config):
     r_b = cone_radius(anchor_config.alice, anchor_config.height_difference_m)
-    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
+    plan = plan_cell(anchor_config)
     boundary = threshold_radius(plan, anchor_config, 0.99)
     r_e0 = threshold_radius(plan, anchor_config, 1e-3)
     published = 21.1
@@ -236,7 +238,7 @@ def test_criterion_8_calibrated_anchor(anchor_config):
 
 
 def test_criterion_9_determinism_and_runtime(anchor_config, tmp_path):
-    plan = plan_cell(anchor_config, 2000, 0.2, 1e-3)
+    plan = plan_cell(anchor_config)
     t0 = time.perf_counter()
     one = evaluate_map(plan, anchor_config, 0.5)
     elapsed = time.perf_counter() - t0
@@ -265,8 +267,8 @@ def test_criterion_10_wider_beams_leave_more_insecure_area():
     row = cli.sweep_row(rc, "antennas.alice.beamwidth_override_deg")
     fractions = []
     for width in BEAMWIDTHS_DEG:
-        config, n, rate_bits, phi_target = row(width)
-        map_plan = planner.plan(config, n, rate_bits, phi_target)
+        config = row(width)
+        map_plan = planner.plan(config)
         fractions.append(insecure_fraction(evaluate_map(map_plan, config, 1.0)))
     report(10, _strictly_rising(fractions),
            f"cell 1.0 m map insecure fraction at beamwidths {BEAMWIDTHS_DEG} deg: "

@@ -69,7 +69,7 @@ class TestConfigLoading:
     def test_valid_config_loads(self, tmp_path):
         path = write_config(tmp_path, base_config())
         rc = load_config(path)
-        assert rc.n == 2000
+        assert rc.scenario.n == 2000
         assert rc.scenario.transmit_power_w == pytest.approx(2.5e-3)
 
     def test_missing_code_n_names_key(self, tmp_path, capsys):
@@ -238,7 +238,7 @@ def test_metadata_plan_holds_the_computed_values(tmp_path, capsys, argv):
     assert run([*argv, "--config", str(path)]) == 0
     meta = json.loads((tmp_path / "out" / f"{argv[0]}_metadata.json").read_text())
     rc = load_config(path)
-    expected = plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
+    expected = plan(rc.scenario)
     want = {"achieved_phi": expected.achieved_phi, "c_ab_bits": expected.c_ab_bits,
             "snr_ab": expected.bob_link.snr, "randomness_bits": expected.code.randomness_bits}
     assert {key: value.hex() for key, value in meta["run"]["plan"].items()} == \
@@ -275,7 +275,7 @@ class TestMapCommand:
                     "--threads", "1"]) == 0
         meta = json.loads((out / "map_metadata.json").read_text())
         rc = load_config(path)
-        expected = plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
+        expected = plan(rc.scenario)
         assert meta["run"]["plan"]["randomness_bits"] == expected.code.randomness_bits
         assert meta["power"]["transmit_mw"] == 2.5
         assert meta["antennas"]["eve"]["gain_dbi"] == rc.scenario.eve.gain_dbi
@@ -324,7 +324,7 @@ class TestOtherCommands:
         assert run(["threshold", "--config", str(path), "--delta", "1e-3"]) == 0
         meta = json.loads((out / "threshold_metadata.json").read_text())
         cfg = cell_config._replace(room_extent_m=(20.0, 20.0))
-        plan = plan_cell(cfg, 2000, 0.2, 1e-3)
+        plan = plan_cell(cfg)
         expected = threshold_radius(plan, cfg, 1e-3)
         assert meta["run"]["threshold"]["r_e0_m"] == pytest.approx(expected, abs=1e-12)
 
@@ -839,7 +839,7 @@ def test_a_row_at_the_configs_own_value_is_that_config(tmp_path, monkeypatch, ca
     value = _key(rc.raw, cli.SWEEP_ALIASES.get(name, name))
     [row] = _swept_rows(monkeypatch, config, tmp_path / "out", name, [value])
     sc = rc.scenario
-    expected = planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target)
+    expected = planner.plan(sc)
     got = [row["c_ab_bits"], row["l_bits"], row["achieved_phi"]]
     want = [expected.c_ab_bits, expected.code.randomness_bits, expected.achieved_phi]
     if sc.variant == "cell":
@@ -881,3 +881,15 @@ def test_readme_lists_each_sweep_alias_with_its_key():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     listed = dict(re.findall(r"^\| `(\w+)` \| `([\w.]+)`", readme, re.MULTILINE))
     assert listed == cli.SWEEP_ALIASES
+
+
+def test_readme_library_example_plans_a_feasible_cell():
+    """README's ``## Library`` code blocks, run in order in one namespace."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", library, re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["plan"].feasible

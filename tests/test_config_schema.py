@@ -156,7 +156,7 @@ def test_records_take_the_keys_of_their_sections_as_fields():
     for doc in SHIPPED.values():
         rc = parse_config(copy.deepcopy(doc))
         scenario = rc.scenario
-        built = {("environment",): scenario.environment, ("scenario", "power"): scenario,
+        built = {("environment",): scenario.environment, ("scenario", "power", "code"): scenario,
                  **{(f"antennas.{who}",): getattr(scenario, who) for who in SCHEMA["antennas"]}}
         for sections, record in built.items():
             fields = {field: value for field, value in record._asdict().items()

@@ -119,11 +119,8 @@ def test_overflowing_value_exits_2_naming_the_key(tmp_path, name, command, key, 
     assert not (tmp_path / "out").exists()
 
 
-# the 14 keys whose values cli._build turns into records, which check their ranges
-RECORD_KEYS = ["scenario.variant", "scenario.room_extent_m",
-               *(path for path in _numeric_paths() if not path.startswith("code."))]
-# and the rest, which the table alone checks
-TABLE_KEYS = ["code.n", "code.rate_bits", "code.phi_target"]
+# the 17 keys, each of whose values cli._build turns into a record, which checks its range
+RECORD_KEYS = ["scenario.variant", "scenario.room_extent_m", *_numeric_paths()]
 
 
 def _numbers(record):
@@ -135,14 +132,14 @@ def _numbers(record):
             yield value
 
 
-@pytest.mark.parametrize("key", RECORD_KEYS + TABLE_KEYS)
+@pytest.mark.parametrize("key", RECORD_KEYS)
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_record_value_is_refused_naming_the_key_or_built_finite(name, key):
     """A refusal starts with the key's path, or, for a check that spans more keys, with
     the section's path or another key of it, and names the key.  It is a short line: an
     integer too large for a float prints by its digit count, not digit by digit, and a
     value of the wrong type by its JSON type, not in full."""
-    assert len(RECORD_KEYS) == 14
+    assert len(RECORD_KEYS) == 17
     *parents, leaf = key.split(".")
     for value in EXTREMES + LONG_WRONG_TYPES:
         if isinstance(value, str) and _row(key).check is _string:

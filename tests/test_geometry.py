@@ -94,7 +94,8 @@ class TestBuildScenarioDirected:
         a = Antenna(20.0)
         with pytest.raises(ValueError):
             ScenarioConfig(variant="directed", environment=paper_env, alice=a, bob=a, eve=a,
-                           transmit_mw=1.0, height_difference_m=8.5)
+                           transmit_mw=1.0, height_difference_m=8.5, n=2000, rate_bits=0.2,
+                           phi_target=1e-3)
 
 
 # a smaller height's square underflows, and the link to the receiver below is undefined
@@ -106,6 +107,21 @@ def test_height_too_small_is_refused_by_name(cell_config, height):
                                   f"got {height}")
     lowest = cell_config._replace(height_difference_m=MIN_LENGTH_M)
     assert Scene(lowest).path(receiver_x(lowest), 0.0)[0] > 0.0
+
+
+
+# the code's keys are fields of the scenario record, which checks their ranges
+@pytest.mark.parametrize("field, value", [
+    *(("n", value) for value in (0, 2 ** 53 + 1, 2000.0, True)),
+    *(("rate_bits", value) for value in (0.0, -1.0, math.inf, math.nan)),
+    *(("phi_target", value) for value in (0.0, 1.0, math.nan)),
+])
+def test_bad_code_value_is_refused_by_name(cell_config, field, value):
+    with pytest.raises(ValueError, match=f"^{field} ") as built:
+        ScenarioConfig(**{**cell_config._asdict(), field: value})
+    with pytest.raises(ValueError) as replaced:
+        cell_config._replace(**{field: value})
+    assert str(replaced.value) == str(built.value)
 
 
 class TestOffsetAngle:
@@ -133,8 +149,8 @@ class TestEveGrid:
     def test_fencepost_count(self, paper_env):
         a = Antenna(10.0, beamwidth_override_deg=128.15)
         cfg = ScenarioConfig(variant="cell", environment=paper_env, alice=a, bob=a, eve=a,
-                             transmit_mw=1.0, height_difference_m=3.5,
-                             room_extent_m=(10.0, 10.0))
+                             transmit_mw=1.0, height_difference_m=3.5, n=2000, rate_bits=0.2,
+                             phi_target=1e-3, room_extent_m=(10.0, 10.0))
         xs, ys = grid_axes(cfg, 5.0)
         assert (len(xs), len(ys)) == (3, 3)
 
@@ -185,7 +201,8 @@ def test_axes_equal_numpy_arange_bit_for_bit(variant, ex, ey, resolution):
     env = RadioEnvironment(carrier_frequency_ghz=300.0, bandwidth_ghz=1.0, temperature_k=290.0,
                            noise_figure_db=9.0)
     cfg = ScenarioConfig(variant=variant, environment=env, alice=a, bob=a, eve=a,
-                         transmit_mw=1.0, height_difference_m=3.5,
+                         transmit_mw=1.0, height_difference_m=3.5, n=2000, rate_bits=0.2,
+                         phi_target=1e-3,
                          horizontal_distance_m=ex if variant == "directed" else None,
                          room_extent_m=(ex, ey))
     xs, ys = grid_axes(cfg, resolution)

@@ -153,7 +153,8 @@ def _nonfinite(*fields) -> list:
                  [("min_relative_gain_db", 5.0), ("beamwidth_override_deg", 190.0),
                   *_nonfinite(*Antenna._fields)],
                  "^(gain_dbi|min_relative_gain_db|beamwidth_override_deg) ", id="Antenna"),
-    pytest.param(ScenarioConfig("directed", _ENV, _ANTENNA, _ANTENNA, _ANTENNA, 1.0, 3.5, 15.0),
+    pytest.param(ScenarioConfig("directed", _ENV, _ANTENNA, _ANTENNA, _ANTENNA, 1.0, 3.5, 2000,
+                                0.2, 1e-3, 15.0),
                  "height_difference_m", 8.5,
                  [("height_difference_m", 1e-300), ("variant", "x"), ("variant", "cell"),
                   ("horizontal_distance_m", 61.0), ("horizontal_distance_m", None),

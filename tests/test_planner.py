@@ -33,13 +33,13 @@ MISS_BITS = 1e-9  # raising a planned L by this much must break its target
 class TestPlanCell:
     def test_paper_setting_meets_target(self, cell_config):
         # published operating point: the target error must hold at the cone edge
-        plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
+        plan = plan_cell(cell_config)
         assert plan.feasible
         assert plan.achieved_phi <= 1e-3
         assert plan.code.randomness_bits > 0.0
 
     def test_worst_case_link_uses_half_gain_and_edge_distance(self, cell_config):
-        plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
+        plan = plan_cell(cell_config)
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
         slant = math.hypot(cell_config.height_difference_m, r_b)
         from thzsecmap import link_budget
@@ -49,20 +49,20 @@ class TestPlanCell:
         assert plan.bob_link.snr == pytest.approx(expected.snr, rel=1e-12)
 
     def test_no_rate_budget_is_infeasible(self, cell_config):
-        plan = plan_cell(cell_config, 2000, 3.0, 1e-3)
+        plan = plan_cell(cell_config._replace(rate_bits=3.0))
         assert not plan.feasible
         assert plan.code is None
         with pytest.raises(InfeasiblePlanError):
             require_feasible(plan)
 
     def test_maximality(self, cell_config):
-        plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
+        plan = plan_cell(cell_config)
         l_bits = plan.code.randomness_bits
         bumped = SecrecyCode(2000, 0.2, l_bits + MISS_BITS)
         assert min_reliability(bumped, plan.bob_link)[0] > 1e-3
 
     def test_matches_scan_oracle(self, cell_config):
-        plan = plan_cell(cell_config, 1000, 0.2, 1e-3)
+        plan = plan_cell(cell_config._replace(n=1000))
         link = plan.bob_link
 
         def phi_of_l(l_bits):
@@ -74,16 +74,16 @@ class TestPlanCell:
 
     def test_l_monotone_in_power_and_rate(self, cell_config):
         by_power = [cell_config._replace(transmit_mw=p) for p in (2.0, 4.0, 9.0)]
-        ls_power = [plan_cell(cfg, 2000, 0.2, 1e-3).code.randomness_bits for cfg in by_power]
+        ls_power = [plan_cell(cfg).code.randomness_bits for cfg in by_power]
         assert all(b >= a for a, b in zip(ls_power, ls_power[1:]))
-        ls_rate = [plan_cell(by_power[-1], 2000, r, 1e-3).code.randomness_bits
+        ls_rate = [plan_cell(by_power[-1]._replace(rate_bits=r)).code.randomness_bits
                    for r in (0.1, 0.2, 0.4)]
         assert all(b <= a for a, b in zip(ls_rate, ls_rate[1:]))
 
     def test_worst_case_dominance(self, cell_config):
         from thzsecmap import Scene, link_budget, pattern_gain
 
-        plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
+        plan = plan_cell(cell_config)
         r_b = cone_radius(cell_config.alice, cell_config.height_difference_m)
         for frac in (0.0, 0.3, 0.6, 0.9):
             d, theta = Scene(cell_config).path(frac * r_b, 0.0)
@@ -94,24 +94,24 @@ class TestPlanCell:
 
     def test_invalid_target(self, cell_config):
         with pytest.raises(ValueError):
-            plan_cell(cell_config, 2000, 0.2, 0.0)
+            plan_cell(cell_config._replace(phi_target=0.0))
         with pytest.raises(ValueError):
-            plan_cell(cell_config, 2000, 0.2, 1.0)
+            plan_cell(cell_config._replace(phi_target=1.0))
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rate_rejected(self, cell_config, rate):
-        with pytest.raises(ValueError, match="code rates must be finite"):
-            plan_cell(cell_config, 2000, rate, 1e-3)
+        with pytest.raises(ValueError, match="rate_bits must be positive"):
+            plan_cell(cell_config._replace(rate_bits=rate))
 
     def test_rejects_directed_config(self, directed_config):
         with pytest.raises(ValueError):
-            plan_cell(directed_config, 2000, 0.2, 1e-3)
+            plan_cell(directed_config)
 
 
 class TestPlanDirected:
     def test_paper_setting(self, directed_config):
         # C_AB about 2.12 bit at the aligned 15 m / 8.5 m geometry
-        plan = plan_directed(directed_config, 2000, 0.2, 1e-3)
+        plan = plan_directed(directed_config)
         assert plan.feasible
         assert plan.c_ab_bits == pytest.approx(2.1192280708, abs=1e-6)
         assert plan.code.randomness_bits < plan.c_ab_bits - 0.2
@@ -119,15 +119,15 @@ class TestPlanDirected:
 
     def test_shorter_distance_larger_randomness(self, directed_config):
         configs = [directed_config._replace(horizontal_distance_m=d) for d in (25.0, 15.0, 5.0)]
-        ls = [plan_directed(cfg, 2000, 0.2, 1e-3).code.randomness_bits for cfg in configs]
+        ls = [plan_directed(cfg).code.randomness_bits for cfg in configs]
         assert ls[0] < ls[1] < ls[2]
 
     def test_infeasible_when_power_too_small(self, directed_config):
-        plan = plan_directed(directed_config._replace(transmit_mw=1e-6), 2000, 0.2, 1e-3)
+        plan = plan_directed(directed_config._replace(transmit_mw=1e-6))
         assert not plan.feasible
 
     def test_matches_scan_oracle(self, directed_config):
-        plan = plan_directed(directed_config, 800, 0.2, 1e-3)
+        plan = plan_directed(directed_config._replace(n=800))
         link = plan.bob_link
 
         def phi_of_l(l_bits):
@@ -138,7 +138,7 @@ class TestPlanDirected:
 
     def test_rejects_cell_config(self, cell_config):
         with pytest.raises(ValueError):
-            plan_directed(cell_config, 2000, 0.2, 1e-3)
+            plan_directed(cell_config)
 
     def test_bob_link_has_full_boresight_gain(self, directed_config):
         # the aim leaves a rounding-level angle at 5 m, where the pattern gain
@@ -163,8 +163,9 @@ class TestRandomizedMaximality:
             phi_target = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e-2))))
             ant = Antenna(gain)
             cfg = ScenarioConfig(variant="cell", environment=paper_env, alice=ant, bob=ant,
-                                 eve=ant, transmit_mw=power_mw, height_difference_m=3.5)
-            plan = plan_cell(cfg, n, rate, phi_target)
+                                 eve=ant, transmit_mw=power_mw, height_difference_m=3.5, n=n,
+                                 rate_bits=rate, phi_target=phi_target)
+            plan = plan_cell(cfg)
             if not plan.feasible:
                 continue
             code_up = SecrecyCode(n, rate, plan.code.randomness_bits + MISS_BITS)
@@ -174,15 +175,15 @@ class TestRandomizedMaximality:
 
 
 def test_plan_result_dict_round_trip(cell_config):
-    plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
+    plan = plan_cell(cell_config)
     assert plan.to_dict() == {"achieved_phi": plan.achieved_phi, "c_ab_bits": plan.c_ab_bits,
                               "snr_ab": plan.bob_link.snr,
                               "randomness_bits": plan.code.randomness_bits}
 
 
 def test_power_comes_from_the_scenario(cell_config):
-    plan = plan_cell(cell_config._replace(transmit_mw=9.0), 2000, 0.2, 1e-3)
-    base = plan_cell(cell_config, 2000, 0.2, 1e-3)
+    plan = plan_cell(cell_config._replace(transmit_mw=9.0))
+    base = plan_cell(cell_config)
     assert plan.bob_link.snr == pytest.approx(base.bob_link.snr * 9.0 / CALIBRATED_TX_POWER_MW,
                                               rel=1e-12)
 
@@ -190,22 +191,26 @@ def test_power_comes_from_the_scenario(cell_config):
 def _random_plan_inputs(rng, env, variant):
     """A random scenario and (n, R, phi target) over wide ranges; about 2 in 3 are feasible."""
     ant = Antenna(float(rng.uniform(10.0 if variant == CELL else 0.0, 40.0)))
-    cfg = ScenarioConfig(
-        variant=variant, environment=env, alice=ant, bob=ant, eve=ant,
-        transmit_mw=float(np.exp(rng.uniform(np.log(1e-5), 0.0))) * 1e3,
-        height_difference_m=float(rng.uniform(0.5, 20.0)),
-        horizontal_distance_m=float(rng.uniform(1.0, 30.0)) if variant == DIRECTED else None)
+    transmit_mw = float(np.exp(rng.uniform(np.log(1e-5), 0.0))) * 1e3
+    height_difference_m = float(rng.uniform(0.5, 20.0))
+    horizontal_distance_m = float(rng.uniform(1.0, 30.0)) if variant == DIRECTED else None
     n = int(np.exp(rng.uniform(0.0, np.log(1e6))))
     rate = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.0))))
     phi_target = float(np.exp(rng.uniform(np.log(1e-15), np.log(0.9))))
+    cfg = ScenarioConfig(
+        variant=variant, environment=env, alice=ant, bob=ant, eve=ant, transmit_mw=transmit_mw,
+        height_difference_m=height_difference_m, n=n, rate_bits=rate, phi_target=phi_target,
+        horizontal_distance_m=horizontal_distance_m)
     return cfg, n, rate, phi_target
 
 
-def _cell_config_at_rho(rho: float) -> ScenarioConfig:
+def _cell_config_at_rho(rho: float, n: int, rate_bits: float,
+                        phi_target: float) -> ScenarioConfig:
     """A cell scenario whose transmit power puts the given rho at Bob's position."""
     cfg = ScenarioConfig(variant=CELL, environment=RadioEnvironment(300.0, 1.0, 290.0, 9.0),
                          alice=Antenna(10.0), bob=Antenna(10.0), eve=Antenna(10.0),
-                         transmit_mw=1.0, height_difference_m=3.5)
+                         transmit_mw=1.0, height_difference_m=3.5, n=n, rate_bits=rate_bits,
+                         phi_target=phi_target)
     snr_per_mw = planner.bob_link(cfg)[0].snr
     return cfg._replace(transmit_mw=rho * rho / (1.0 - rho * rho) / snr_per_mw)
 
@@ -230,7 +235,7 @@ class TestSolvedMaximum:
         feasible = 0
         while feasible < 200:
             cfg, n, rate, phi_target = _random_plan_inputs(rng, paper_env, variant)
-            plan = planner.plan(cfg, n, rate, phi_target)
+            plan = planner.plan(cfg)
             link = plan.bob_link
             oracle = oracles.bisect_max_randomness(
                 lambda l_bits: min_reliability(SecrecyCode(n, rate, l_bits), link)[0],
@@ -252,7 +257,7 @@ class TestSolvedMaximum:
            st.floats(min_value=-30.0, max_value=-0.2))
     def test_at_least_the_scanned_maximum(self, n, rho, rate, log_phi):
         phi_target = math.exp(log_phi)
-        plan = plan_cell(_cell_config_at_rho(rho), n, rate, phi_target)
+        plan = plan_cell(_cell_config_at_rho(rho, n, rate, phi_target))
         assume(plan.feasible)
         link = plan.bob_link
         scan, _, h = oracles.scan_max_randomness_nats(n, link.rho, link.capacity_nats,
@@ -273,7 +278,7 @@ class TestSolvedMaximum:
         # solved L misses the target, and the plan steps down 7 and 10 times,
         # doubling its step from one ulp, before it meets it
         recorded = count_plan_calls(monkeypatch)
-        plan = plan_cell(_cell_config_at_rho(rho), n, rate, phi_target)
+        plan = plan_cell(_cell_config_at_rho(rho, n, rate, phi_target))
         # L = 0, the solved L, then each step down
         assert len(recorded) == {129: 9, 24: 12}[n]
         assert recorded[-1] == plan.code.randomness_bits
@@ -299,14 +304,13 @@ class TestPlanWork:
     ])
     def test_min_reliability_calls_on_the_shipped_configs(self, monkeypatch, config, variable,
                                                           value, calls):
-        rc = load_config(CONFIGS / config)
-        scenario, n = rc.scenario, rc.n
+        scenario = load_config(CONFIGS / config).scenario
         if variable == "n":
-            n = value
+            scenario = scenario._replace(n=value)
         else:
             scenario = scenario._replace(horizontal_distance_m=value)
         recorded = count_plan_calls(monkeypatch)
-        plan = planner.plan(scenario, n, rc.rate_bits, rc.phi_target)
+        plan = planner.plan(scenario)
         # L = 0 first, then the solved L and each step down from it
         assert recorded[0] == 0.0 and recorded[-1] == plan.code.randomness_bits
         assert len(recorded) == calls
@@ -317,5 +321,5 @@ class TestPlanWork:
         for i in range(300):
             cfg, n, rate, phi_target = _random_plan_inputs(rng, paper_env, (CELL, DIRECTED)[i % 2])
             del recorded[:]
-            plan = planner.plan(cfg, n, rate, phi_target)
+            plan = planner.plan(cfg)
             assert len(recorded) <= (2 + planner._STEPS_DOWN_MAX if plan.feasible else 1)

@@ -51,13 +51,13 @@ def small_cell(cell_config):
 
 @pytest.fixture
 def cell_plan(small_cell):
-    return plan_cell(small_cell, 2000, 0.2, 1e-3)
+    return plan_cell(small_cell)
 
 
 def shipped(name):
     rc = load_config(CONFIGS / name)
     sc = rc.scenario
-    return sc, planner.plan(sc, rc.n, rc.rate_bits, rc.phi_target)
+    return sc, planner.plan(sc)
 
 
 def shipped_sweep(name, variable, values, **kwargs):
@@ -122,7 +122,7 @@ class TestEvaluateMap:
         assert np.array_equal(values, values.T)
 
     def test_center_insecure_far_corner_secure(self, cell_config, calibrated_alice):
-        plan = plan_cell(cell_config, 2000, 0.2, 1e-3)
+        plan = plan_cell(cell_config)
         grid = evaluate_map(plan, cell_config, 6.0)
         cy = len(grid.ys) // 2
         cx = len(grid.xs) // 2
@@ -148,12 +148,12 @@ class TestEvaluateMap:
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
     def test_infeasible_plan_rejected(self, small_cell):
-        bad = plan_cell(small_cell, 2000, 3.0, 1e-3)
+        bad = plan_cell(small_cell._replace(rate_bits=3.0))
         with pytest.raises(InfeasiblePlanError):
             evaluate_map(bad, small_cell, 2.0)
 
     def test_eve_gain_dominance(self, small_cell):
-        plan = plan_cell(small_cell, 2000, 0.2, 1e-3)
+        plan = plan_cell(small_cell)
         low = evaluate_map(plan, small_cell, 2.0)
         boosted = small_cell._replace(eve=small_cell.eve._replace(gain_dbi=20.0))
         high = evaluate_map(plan, boosted, 2.0)
@@ -245,7 +245,7 @@ class TestEvaluateMap:
             transmit_mw=config.transmit_mw * 10.0 ** data.draw(st.floats(-2.0, 1.0)))
         resolution = max(ex, ey) / data.draw(st.integers(8, 30))
         n = round(10.0 ** data.draw(st.floats(2.0, 4.7)))
-        map_plan = planner.plan(config, n, rc.rate_bits, rc.phi_target)
+        map_plan = planner.plan(config._replace(n=n))
         assume(map_plan.feasible)
         grid = evaluate_map(map_plan, config, resolution)
         brute = _brute_force(map_plan, config, grid)
@@ -305,7 +305,7 @@ class TestSecurityCurve:
 
     def test_infeasible_plan_rejected(self, small_cell):
         with pytest.raises(InfeasiblePlanError):
-            SecurityCurve(plan_cell(small_cell, 2000, 3.0, 1e-3))
+            SecurityCurve(plan_cell(small_cell._replace(rate_bits=3.0)))
 
 
 class TestRadialProfile:
@@ -327,7 +327,7 @@ class TestRadialProfile:
             assert profile.deltas[k] == np.asarray(grid.values)[cy, cx + k], f"radius {r}"
 
     def test_directed_unsupported(self, directed_config):
-        plan = plan_directed(directed_config, 2000, 0.2, 1e-3)
+        plan = plan_directed(directed_config)
         with pytest.raises(ConfigError):
             radial_profile(plan, directed_config, 0.0, 10.0, 5)
 
@@ -382,7 +382,7 @@ class TestThresholdRadius:
 
     def test_zero_when_secure_everywhere(self, small_cell):
         # a weak, distant eavesdropper never reaches the target level, even on axis
-        plan = plan_cell(small_cell, 8000, 0.2, 1e-3)
+        plan = plan_cell(small_cell._replace(n=8000))
         quiet = small_cell._replace(eve=small_cell.eve._replace(gain_dbi=0.0),
                                     height_difference_m=8.5)
         assert threshold_radius(plan, quiet, 0.999999) == 0.0
@@ -394,7 +394,7 @@ class TestThresholdRadius:
             threshold_radius(cell_plan, small_cell, 1.0)
 
     def test_directed_unsupported(self, directed_config):
-        plan = plan_directed(directed_config, 2000, 0.2, 1e-3)
+        plan = plan_directed(directed_config)
         with pytest.raises(ConfigError):
             threshold_radius(plan, directed_config, 1e-3)
 
@@ -468,13 +468,12 @@ class TestSweep:
         cfg = cell_config._replace(alice=cell_config.alice._replace(beamwidth_override_deg=None),
                                    transmit_mw=9.0)
         rows = sweep(cfg, "G_A", [10.0, 15.0, 20.0, 25.0],
-                     lambda g: (cfg._replace(alice=cfg.alice._replace(gain_dbi=g)),
-                                2000, 0.2, 1e-3))
+                     lambda g: cfg._replace(alice=cfg.alice._replace(gain_dbi=g)))
         radii = [row["r_b_m"] for row in rows]
         assert all(a > b for a, b in zip(radii, radii[1:]))
 
     def test_blocklength_sweep_sharpens_transition(self, cell_config):
-        rows = sweep(cell_config, "n", [500, 2000, 8000], lambda n: (cell_config, n, 0.2, 1e-3))
+        rows = sweep(cell_config, "n", [500, 2000, 8000], lambda n: cell_config._replace(n=n))
         widths = [row["transition_width_m"] for row in rows]
         r_e0 = [row["r_e0_m"] for row in rows]
         assert widths[0] > widths[1] > widths[2]
@@ -482,14 +481,13 @@ class TestSweep:
 
     def test_rate_sweep_grows_threshold(self, cell_config):
         cfg9 = cell_config._replace(transmit_mw=9.0)
-        rows = sweep(cfg9, "R", [0.1, 0.2, 0.4], lambda r: (cfg9, 2000, r, 1e-3))
+        rows = sweep(cfg9, "R", [0.1, 0.2, 0.4], lambda r: cfg9._replace(rate_bits=r))
         r_e0 = [row["r_e0_m"] for row in rows]
         assert r_e0[0] <= r_e0[1] <= r_e0[2]
 
     def test_directed_distance_sweep_grows_area(self, directed_config):
         rows = sweep(directed_config, "d_AB", [5.0, 15.0, 25.0],
-                     lambda d: (directed_config._replace(horizontal_distance_m=d),
-                                2000, 0.2, 1e-3),
+                     lambda d: directed_config._replace(horizontal_distance_m=d),
                      area_resolution_m=3.0)
         fracs = [row["insecure_fraction"] for row in rows]
         assert fracs[0] <= fracs[1] <= fracs[2]
@@ -518,10 +516,10 @@ class TestSweep:
 
     def test_crossings_share_evaluations(self, cell_config, monkeypatch):
         calls = count_calls(monkeypatch)["min_security"]
-        [row] = sweep(cell_config, "n", [2000], lambda n: (cell_config, n, 0.2, 1e-3))
+        [row] = sweep(cell_config, "n", [2000], lambda n: cell_config._replace(n=n))
         in_sweep = len(calls)
         calls.clear()
-        row_plan = planner.plan(cell_config, 2000, 0.2, 1e-3)
+        row_plan = planner.plan(cell_config)
         for column, level in (("r_delta_hi_m", 0.99), ("r_e0_m", 1e-3), ("r_delta_lo_m", 0.01)):
             assert row[column] == threshold_radius(row_plan, cell_config, level), column
         assert 0 < in_sweep < len(calls)
@@ -554,12 +552,12 @@ class TestSweep:
     def test_delta_outside_the_unit_interval_rejected(self, cell_config, monkeypatch, delta_0):
         plans = count_calls(monkeypatch, ((planner, "plan"),))["plan"]
         with pytest.raises(ValueError, match=r"delta_0 must lie in \(0, 1\)"):
-            sweep(cell_config, "n", [2000], lambda n: (cell_config, n, 0.2, 1e-3),
+            sweep(cell_config, "n", [2000], lambda n: cell_config._replace(n=n),
                   delta_0=delta_0)
         assert plans == []  # refused before the first plan
 
     def test_infeasible_rows_marked(self, cell_config):
-        rows = sweep(cell_config, "R", [0.2, 2.5], lambda r: (cell_config, 2000, r, 1e-3))
+        rows = sweep(cell_config, "R", [0.2, 2.5], lambda r: cell_config._replace(rate_bits=r))
         assert rows[0]["feasible"] and not rows[1]["feasible"]
         assert rows[1]["l_bits"] is None
 
@@ -574,15 +572,15 @@ class TestSweep:
             shipped_sweep("scenario1_cell.json", "n", [value])
 
 
-def _map_fraction(config, n, rate_bits, phi_target, resolution_m):
+def _map_fraction(config, resolution_m):
     """The directed column's reference: the count over the full map."""
-    map_plan = planner.plan(config, n, rate_bits, phi_target)
+    map_plan = planner.plan(config)
     return insecure_fraction(evaluate_map(map_plan, config, resolution_m))
 
 
 @st.composite
 def directed_cases(draw):
-    """A directed scenario around the shipped one, its code and an area resolution."""
+    """A directed scenario around the shipped one, with its own code, and an area resolution."""
     config = load_config(CONFIGS / "scenario2_directed.json").scenario
     gain = draw(st.floats(10.0, 30.0))
     config = config._replace(
@@ -590,9 +588,9 @@ def directed_cases(draw):
         eve=config.eve._replace(gain_dbi=draw(st.floats(5.0, 30.0))),
         height_difference_m=draw(st.floats(1.0, 10.0)),
         horizontal_distance_m=draw(st.floats(1.0, 60.0)))
-    code = (draw(st.integers(200, 8000)), draw(st.floats(0.05, 1.0)),
-            10.0 ** draw(st.floats(-6.0, -1.0)))
-    return config, code, draw(st.floats(1.5, 6.0))
+    config = config._replace(n=draw(st.integers(200, 8000)), rate_bits=draw(st.floats(0.05, 1.0)),
+                             phi_target=10.0 ** draw(st.floats(-6.0, -1.0)))
+    return config, draw(st.floats(1.5, 6.0))
 
 
 class TestDirectedInsecureFraction:
@@ -608,7 +606,7 @@ class TestDirectedInsecureFraction:
                              area_resolution_m=resolution)
         for row, d_ab in zip(rows, distances):
             config = rc.scenario._replace(horizontal_distance_m=d_ab)
-            expected = _map_fraction(config, rc.n, rc.rate_bits, rc.phi_target, resolution)
+            expected = _map_fraction(config, resolution)
             assert row["insecure_fraction"].hex() == expected.hex(), d_ab
         assert rows[-1]["insecure_fraction"] > 0.0
 
@@ -626,28 +624,26 @@ class TestDirectedInsecureFraction:
             config = config._replace(horizontal_distance_m=value)
         else:  # Alice's gain alone
             config = config._replace(alice=config.alice._replace(gain_dbi=value))
-        expected = _map_fraction(config, rc.n, rc.rate_bits, rc.phi_target, resolution)
+        expected = _map_fraction(config, resolution)
         assert row["insecure_fraction"].hex() == expected.hex()
 
     @seed(20261020)
     @settings(max_examples=60, deadline=None, database=None)
     @given(directed_cases())
     def test_equals_the_map_count_on_random_configs(self, case):
-        config, (n, rate_bits, phi_target), resolution = case
+        config, resolution = case
         d_ab = config.horizontal_distance_m
-        [row] = sweep(config, "d_AB", [d_ab],
-                      lambda d: (config._replace(horizontal_distance_m=d), n, rate_bits,
-                                 phi_target),
+        [row] = sweep(config, "d_AB", [d_ab], lambda d: config._replace(horizontal_distance_m=d),
                       area_resolution_m=resolution)
         if not row["feasible"]:
             assert row["insecure_fraction"] is None
             return
-        expected = _map_fraction(config, n, rate_bits, phi_target, resolution)
+        expected = _map_fraction(config, resolution)
         assert row["insecure_fraction"].hex() == expected.hex()
 
     def test_a_level_of_exactly_one_half_is_not_insecure(self, monkeypatch):
         rc = load_config(CONFIGS / "scenario2_directed.json")
-        row_plan = planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
+        row_plan = planner.plan(rc.scenario)
         xs, ys = geometry.grid_axes(rc.scenario, 4.0)
         snrs = sorted({oracles.eve_link(rc.scenario, x, abs(y)).snr
                        for x in xs for y in ys})
@@ -809,7 +805,7 @@ class TestSerialization:
         assert len(lines) == 6
 
     def test_sweep_csv_columns(self, cell_config, tmp_path):
-        rows = sweep(cell_config, "G_E", [10.0], lambda g: (cell_config, 2000, 0.2, 1e-3))
+        rows = sweep(cell_config, "G_E", [10.0], lambda g: cell_config)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -858,7 +854,7 @@ class TestSerialization:
 
     def test_sweep_text_is_exact(self, cell_config, tmp_path):
         feasible, infeasible = sweep(cell_config, "R", [0.2, 3.0],
-                                     lambda r: (cell_config, 2000, r, 1e-3))
+                                     lambda r: cell_config._replace(rate_bits=r))
         path = tmp_path / "sweep.csv"
         write_sweep_csv([feasible, infeasible], path)
         numbers = [format(feasible[c], ".9g") for c in SWEEP_COLUMNS[3:11]]
@@ -906,7 +902,7 @@ def test_infinite_resolution_is_refused():
     # a directed sweep builds the grid axes of its area column
     rc = load_config(CONFIGS / "scenario2_directed.json")
     message = "resolution must be positive and finite, got inf"
-    map_plan = planner.plan(rc.scenario, rc.n, rc.rate_bits, rc.phi_target)
+    map_plan = planner.plan(rc.scenario)
     with pytest.raises(ValueError, match=message):
         evaluate_map(map_plan, rc.scenario, math.inf)
     with pytest.raises(ValueError, match=message):
