@@ -64,7 +64,9 @@ def _got(value) -> str:
     return kind if kind and value else blocklength_text(value)
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: str) -> float | int:
+    """A finite number as a float, but an integer that no float holds exactly, which
+    stays the int it spells, as in ``_number_list``, so that a refusal prints its digits."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {_got(value)}")
     try:
@@ -73,7 +75,7 @@ def _number(value, path: str) -> float:
         v = math.inf
     if not math.isfinite(v):  # json parses NaN and Infinity; an integer prints by its digits
         raise ConfigError(f"{path} must be finite, got {_got(value)}")
-    return v
+    return v if v == value else value
 
 
 def _blocklength(value, path: str) -> int:
@@ -269,9 +271,10 @@ def _feasible_plan(rc: RunConfig) -> PlanResult:
 
 def _cmd_plan(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
-    return (f"C_AB: {plan.c_ab_bits:.6g} bit/use (SNR {ratio_to_db(plan.bob_link.snr):.4g} dB)\n"
+    link = plan.bob_link
+    return (f"C_AB: {link.capacity_bits:.6g} bit/use (SNR {ratio_to_db(link.snr):.4g} dB)\n"
             f"resolved L: {plan.code.randomness_bits:.6g} bit/use\n"
-            f"achieved phi: {plan.achieved_phi:.6g} (target {plan.phi_target!r})",
+            f"achieved phi: {plan.achieved_phi:.6g} (target {plan.config.phi_target!r})",
             {"plan": plan.to_dict()}, {})
 
 
@@ -305,7 +308,7 @@ def _cmd_link(rc: RunConfig, args) -> tuple[str, dict, dict]:
 
 def _cmd_map(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
-    grid = evaluate_map(plan, rc.scenario, args.resolution)
+    grid = evaluate_map(plan, args.resolution)
     nx, ny = len(grid.xs), len(grid.ys)
     return (f"{nx}x{ny} points",
             {"plan": plan.to_dict(),
@@ -317,7 +320,7 @@ def _cmd_map(rc: RunConfig, args) -> tuple[str, dict, dict]:
 
 def _cmd_radial(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
-    profile = radial_profile(plan, rc.scenario, args.r_min, args.r_max, args.steps)
+    profile = radial_profile(plan, args.r_min, args.r_max, args.steps)
     return (f"{args.steps} radii",
             {"plan": plan.to_dict(),
              "radial": {"r_min_m": args.r_min, "r_max_m": args.r_max, "steps": args.steps}},
@@ -326,7 +329,7 @@ def _cmd_radial(rc: RunConfig, args) -> tuple[str, dict, dict]:
 
 def _cmd_threshold(rc: RunConfig, args) -> tuple[str, dict, dict]:
     plan = _feasible_plan(rc)
-    radius = threshold_radius(plan, rc.scenario, args.delta)
+    radius = threshold_radius(plan, args.delta)
     return (f"r_E0: {radius:.4f} m (delta = {args.delta!r})",
             {"plan": plan.to_dict(), "threshold": {"delta": args.delta, "r_e0_m": radius}}, {})
 

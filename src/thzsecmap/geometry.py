@@ -52,7 +52,9 @@ class ScenarioConfig(Record, namedtuple("ScenarioConfig", "variant environment a
         # each message starts with the field name; the negated forms also reject NaN
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_BLOCKLENGTH:
             raise ValueError(f"n must lie in [1, 2**53], got {blocklength_text(n)}")
-        if not 0.0 < rate_bits < math.inf:
+        if not -math.inf < rate_bits < math.inf:
+            raise ValueError(f"rate_bits must be finite, got {rate_bits}")
+        if rate_bits <= 0.0:
             raise ValueError(f"rate_bits must be positive, got {rate_bits}")
         if not 0.0 < phi_target < 1.0:
             raise ValueError(f"phi_target must lie in (0, 1), got {phi_target}")

@@ -30,22 +30,20 @@ from .linkmodel import LinkState, link_budget
 _STEPS_DOWN_MAX = 64  # from the solved L; 54 doublings of its ulp reach L = 0
 
 
-class PlanResult(namedtuple("PlanResult", "feasible code bob_link achieved_phi phi_target "
-                                          "c_ab_bits")):
-    """Outcome of resolving L for one scenario at its transmit power.
+class PlanResult(namedtuple("PlanResult", "config code bob_link achieved_phi")):
+    """The secrecy code solved for ``config``, its scenario, at its transmit power.
 
-    ``feasible`` is False when even L = 0 misses the reliability target, in
-    which case ``code`` is None.  When feasible, L is the largest rate meeting
-    the target up to rounding: ``achieved_phi`` is the minimized bound at L,
-    and 1e-9 bit more breaks the target.  The feasible interval of L is
-    [0, code.randomness_bits].
+    ``code`` is None when even L = 0 misses the scenario's reliability target.
+    Otherwise L is the largest rate meeting the target up to rounding:
+    ``achieved_phi`` is the minimized bound at L, and 1e-9 bit more breaks
+    the target.  The feasible interval of L is [0, code.randomness_bits].
     """
 
     __slots__ = ()
 
     def to_dict(self) -> dict:
         """The values the plan computed; its inputs are the config's."""
-        out = {"achieved_phi": self.achieved_phi, "c_ab_bits": self.c_ab_bits,
+        out = {"achieved_phi": self.achieved_phi, "c_ab_bits": self.bob_link.capacity_bits,
                "snr_ab": self.bob_link.snr}
         if self.code is not None:
             out["randomness_bits"] = self.code.randomness_bits
@@ -55,11 +53,9 @@ class PlanResult(namedtuple("PlanResult", "feasible code bob_link achieved_phi p
 def _max_randomness(config: ScenarioConfig) -> PlanResult:
     n, rate_bits, phi_target = config.n, config.rate_bits, config.phi_target
     link = bob_link(config)[0]
-    c_bits = link.capacity_bits
     phi = min_reliability(SecrecyCode(n, rate_bits, 0.0), link)[0]
-    if c_bits <= rate_bits or phi > phi_target:
-        return PlanResult(feasible=False, code=None, bob_link=link, achieved_phi=phi,
-                          phi_target=phi_target, c_ab_bits=c_bits)
+    if link.capacity_bits <= rate_bits or phi > phi_target:
+        return PlanResult(config, None, link, phi)
 
     l_bits = max_randomness(n, rate_bits, link, phi_target)
     # rounding may leave the solved L a hair high: step down from one ulp,
@@ -74,8 +70,7 @@ def _max_randomness(config: ScenarioConfig) -> PlanResult:
     else:
         raise RuntimeError(f"the solved randomness rate misses phi <= {phi_target!r} "
                            f"after {_STEPS_DOWN_MAX} steps down (n={n}, R={rate_bits!r})")
-    return PlanResult(feasible=True, code=code, bob_link=link, achieved_phi=phi,
-                      phi_target=phi_target, c_ab_bits=c_bits)
+    return PlanResult(config, code, link, phi)
 
 
 def bob_link(config: ScenarioConfig) -> tuple[LinkState, float, float]:
@@ -131,8 +126,8 @@ def plan_directed(config: ScenarioConfig) -> PlanResult:
 
 def require_feasible(plan: PlanResult) -> PlanResult:
     """Raise InfeasiblePlanError unless the plan met its reliability target."""
-    if not plan.feasible:
+    if plan.code is None:
         raise InfeasiblePlanError(
-            f"no randomness rate meets phi <= {plan.phi_target!r} "
-            f"(C_AB = {plan.c_ab_bits:.4f} bit/use at the worst-case receiver)")
+            f"no randomness rate meets phi <= {plan.config.phi_target!r} "
+            f"(C_AB = {plan.bob_link.capacity_bits:.4f} bit/use at the worst-case receiver)")
     return plan

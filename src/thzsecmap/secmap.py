@@ -14,7 +14,8 @@ SNR rises.  ``SecurityCurve``, one per plan, gives the level as a function of
 the SNR from the plan's code alone, memoized on the SNR, with a bracket for
 each level asked about, the largest SNR known at or below it and the smallest
 known above it.  Maps, profiles, threshold radii and both sweep kinds compose
-the two: ``curve.delta(scene.eve_link(x, y))``.
+the two, ``curve.delta(scene.eve_link(x, y))``, from one plan alone: the scene
+is that of ``plan.config``, the scenario the plan's code was solved for.
 
 Eve's SNR does not rise as |y| grows along a grid column, so neither does
 the level.  A map walks each column, a distinct |x| (cell) or x
@@ -159,7 +160,7 @@ class SecurityCurve:
 
 
 def _column_insecure_fraction(scene: Scene, curve: SecurityCurve, resolution_m: float) -> float:
-    """``insecure_fraction(evaluate_map(plan, config, resolution_m))``, bit for bit,
+    """``insecure_fraction(evaluate_map(plan, resolution_m))``, bit for bit,
     from a bisection of each grid column on |y| (directed scenario).
 
     Eve's SNR does not rise as |y| grows along a column, and the level does
@@ -182,9 +183,8 @@ def _column_insecure_fraction(scene: Scene, curve: SecurityCurve, resolution_m: 
     return insecure / (len(xs) * len(ys))
 
 
-def evaluate_map(plan: PlanResult, config: ScenarioConfig,
-                 resolution_m: float) -> SecrecyMapGrid:
-    """Security level at every grid point of the room on the receiver plane.
+def evaluate_map(plan: PlanResult, resolution_m: float) -> SecrecyMapGrid:
+    """Security level at every grid point of the plan's room on the receiver plane.
 
     Each column, a distinct |x| (cell) or x (directed), is walked over the
     distinct |y| in ascending order, with one link and level per symmetry
@@ -197,10 +197,10 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     ----------
     plan : PlanResult
         A feasible plan; raises InfeasiblePlanError otherwise.
-    config : ScenarioConfig
     resolution_m : float
         Grid spacing; grid axes follow geometry.grid_axes.
     """
+    config = plan.config
     curve, scene = SecurityCurve(plan), Scene(config)
     xs, ys = grid_axes(config, resolution_m)
     cell = config.variant == CELL
@@ -223,13 +223,13 @@ def evaluate_map(plan: PlanResult, config: ScenarioConfig,
     return SecrecyMapGrid(xs=xs, ys=ys, values=MapValues(rows[abs(y)] for y in ys))
 
 
-def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
-                   r_max_m: float, steps: int) -> RadialProfile:
+def radial_profile(plan: PlanResult, r_min_m: float, r_max_m: float,
+                   steps: int) -> RadialProfile:
     """Security level at evenly spaced radii from the transmitter axis.
 
-    Cell scenario only; the directed scenario has no radial symmetry.
+    Cell plans only; the directed scenario has no radial symmetry.
     """
-    if config.variant != CELL:
+    if plan.config.variant != CELL:
         raise ConfigError("radial profile requires the cell scenario (radial symmetry)")
     if not 0.0 <= r_min_m < r_max_m <= MAX_LENGTH_M:
         raise ValueError(f"need 0 <= r_min < r_max <= {MAX_LENGTH_M:g}, got {r_min_m}, {r_max_m}")
@@ -243,7 +243,7 @@ def radial_profile(plan: PlanResult, config: ScenarioConfig, r_min_m: float,
         raise ValueError(f"r_min {r_min_m!r} m to r_max {r_max_m!r} m in {steps} steps gives "
                          "radii that are not strictly increasing; widen the range or use "
                          "fewer steps")
-    curve, scene = SecurityCurve(plan), Scene(config)
+    curve, scene = SecurityCurve(plan), Scene(plan.config)
     return RadialProfile(radii_m=radii,
                          deltas=tuple(curve.delta(scene.eve_link(r, 0.0)) for r in radii))
 
@@ -256,7 +256,7 @@ def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
     return (*(k * step + start for k in range(num - 1)), stop)
 
 
-def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -> float:
+def threshold_radius(plan: PlanResult, delta_0: float) -> float:
     """Smallest radius at which the security level falls to ``delta_0``.
 
     Bisection along the radial profile to 1 cm.  Returns 0.0 when the level
@@ -266,10 +266,10 @@ def threshold_radius(plan: PlanResult, config: ScenarioConfig, delta_0: float) -
     (``test_eve_snr_does_not_rise_with_the_radius``), and the level does not
     fall as her SNR rises (``test_security_level_non_decreasing_in_snr``).
     """
-    if config.variant != CELL:
+    if plan.config.variant != CELL:
         raise ConfigError("threshold radius requires the cell scenario")
     _check_delta_0(delta_0)
-    return _crossing_radius(Scene(config), SecurityCurve(plan), delta_0)
+    return _crossing_radius(Scene(plan.config), SecurityCurve(plan), delta_0)
 
 
 def _check_delta_0(delta_0: float) -> None:
@@ -336,16 +336,16 @@ def sweep(config: ScenarioConfig, variable: str, values, row_config, *,
     rows = []
     for value in values:
         try:
-            cfg = row_config(value)
-            plan = planner.plan(cfg)
+            plan = planner.plan(row_config(value))
         except ValueError as exc:  # a config check, an antenna's, the scenario's or the code's
             raise ConfigError(f"{variable} = {value!r}: {exc}") from None
+        cfg = plan.config
         row = dict.fromkeys(SWEEP_COLUMNS)  # None: the column does not apply to this row
-        row.update(variable=variable, value=value, feasible=plan.feasible,
-                   c_ab_bits=plan.c_ab_bits)
+        row.update(variable=variable, value=value, feasible=plan.code is not None,
+                   c_ab_bits=plan.bob_link.capacity_bits)
         if cfg.variant == CELL:
             row["r_b_m"] = cone_radius(cfg.alice, cfg.height_difference_m)
-        if plan.feasible:
+        if plan.code is not None:
             row["l_bits"] = plan.code.randomness_bits
             row["achieved_phi"] = plan.achieved_phi
             curve, scene = SecurityCurve(plan), Scene(cfg)

@@ -147,7 +147,7 @@ def test_criterion_5_planner_maximality(env):
                              transmit_mw=power_mw, height_difference_m=3.5, n=n, rate_bits=rate,
                              phi_target=phi_target)
         plan = plan_cell(cfg)
-        if not plan.feasible:
+        if plan.code is None:
             continue
         held = min_reliability(plan.code, plan.bob_link)[0] <= phi_target
         bumped = SecrecyCode(n, rate, plan.code.randomness_bits + 1e-9)
@@ -159,9 +159,9 @@ def test_criterion_5_planner_maximality(env):
 
 def test_criterion_6_radial_monotonicity_and_symmetry(anchor_config):
     plan = plan_cell(anchor_config)
-    profile = radial_profile(plan, anchor_config, 0.0, 30.0, 301)
+    profile = radial_profile(plan, 0.0, 30.0, 301)
     monotone = bool(np.all(np.diff(profile.deltas) <= 1e-12))
-    values = np.asarray(evaluate_map(plan, anchor_config, 2.0).values)
+    values = np.asarray(evaluate_map(plan, 2.0).values)
     # mirror and transpose images visit every grid point at equal radius
     worst = max(
         float(np.max(np.abs(values - values[:, ::-1]))),
@@ -184,8 +184,8 @@ def test_criterion_7_figure_shapes(env, anchor_config):
     # gain shifts the transition outward (checked at the capacity-figure power)
     def transition(cfg, n):
         plan = plan_cell(cfg._replace(n=n))
-        hi = threshold_radius(plan, cfg, 0.99)
-        lo = threshold_radius(plan, cfg, 0.01)
+        hi = threshold_radius(plan, 0.99)
+        lo = threshold_radius(plan, 0.01)
         return hi, lo - hi
 
     cfg9 = anchor_config._replace(transmit_mw=9.0)
@@ -201,7 +201,7 @@ def test_criterion_7_figure_shapes(env, anchor_config):
 
     def r_e0(cfg, n, rate, phi):
         plan = plan_cell(cfg._replace(n=n, rate_bits=rate, phi_target=phi))
-        return threshold_radius(plan, cfg, 1e-3)
+        return threshold_radius(plan, 1e-3)
 
     r_by_rate = [r_e0(cfg9, 2000, r, 1e-3) for r in (0.1, 0.2, 0.4)]
     fig7_rate = r_by_rate[0] <= r_by_rate[1] <= r_by_rate[2]
@@ -225,8 +225,8 @@ def test_criterion_7_figure_shapes(env, anchor_config):
 def test_criterion_8_calibrated_anchor(anchor_config):
     r_b = cone_radius(anchor_config.alice, anchor_config.height_difference_m)
     plan = plan_cell(anchor_config)
-    boundary = threshold_radius(plan, anchor_config, 0.99)
-    r_e0 = threshold_radius(plan, anchor_config, 1e-3)
+    boundary = threshold_radius(plan, 0.99)
+    r_e0 = threshold_radius(plan, 1e-3)
     published = 21.1
     ok = (abs(r_b - 7.2) < 1e-6
           and published / 2.0 <= boundary <= published * 2.0
@@ -240,9 +240,9 @@ def test_criterion_8_calibrated_anchor(anchor_config):
 def test_criterion_9_determinism_and_runtime(anchor_config, tmp_path):
     plan = plan_cell(anchor_config)
     t0 = time.perf_counter()
-    one = evaluate_map(plan, anchor_config, 0.5)
+    one = evaluate_map(plan, 0.5)
     elapsed = time.perf_counter() - t0
-    again = evaluate_map(plan, anchor_config, 0.5)
+    again = evaluate_map(plan, 0.5)
     write_map_csv(one, tmp_path / "one.csv")
     write_map_csv(again, tmp_path / "again.csv")
     identical = (tmp_path / "one.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
@@ -269,7 +269,7 @@ def test_criterion_10_wider_beams_leave_more_insecure_area():
     for width in BEAMWIDTHS_DEG:
         config = row(width)
         map_plan = planner.plan(config)
-        fractions.append(insecure_fraction(evaluate_map(map_plan, config, 1.0)))
+        fractions.append(insecure_fraction(evaluate_map(map_plan, 1.0)))
     report(10, _strictly_rising(fractions),
            f"cell 1.0 m map insecure fraction at beamwidths {BEAMWIDTHS_DEG} deg: "
            f"{['%.4f' % f for f in fractions]}, strictly rising")

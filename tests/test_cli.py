@@ -239,8 +239,9 @@ def test_metadata_plan_holds_the_computed_values(tmp_path, capsys, argv):
     meta = json.loads((tmp_path / "out" / f"{argv[0]}_metadata.json").read_text())
     rc = load_config(path)
     expected = plan(rc.scenario)
-    want = {"achieved_phi": expected.achieved_phi, "c_ab_bits": expected.c_ab_bits,
-            "snr_ab": expected.bob_link.snr, "randomness_bits": expected.code.randomness_bits}
+    want = {"achieved_phi": expected.achieved_phi,
+            "c_ab_bits": expected.bob_link.capacity_bits, "snr_ab": expected.bob_link.snr,
+            "randomness_bits": expected.code.randomness_bits}
     assert {key: value.hex() for key, value in meta["run"]["plan"].items()} == \
         {key: value.hex() for key, value in want.items()}
 
@@ -325,7 +326,7 @@ class TestOtherCommands:
         meta = json.loads((out / "threshold_metadata.json").read_text())
         cfg = cell_config._replace(room_extent_m=(20.0, 20.0))
         plan = plan_cell(cfg)
-        expected = threshold_radius(plan, cfg, 1e-3)
+        expected = threshold_radius(plan, 1e-3)
         assert meta["run"]["threshold"]["r_e0_m"] == pytest.approx(expected, abs=1e-12)
 
     def test_sweep(self, tmp_path, capsys):
@@ -421,6 +422,10 @@ def _set_bandwidth_negative(doc):
 
 def _set_transmit_negative(doc):
     doc["power"]["transmit_mw"] = -1
+
+
+def _set_phi_target_past_2_53(doc):
+    doc["code"]["phi_target"] = 2 ** 53 + 1  # a float rounds it to 2**53
 
 
 def _set_alice_floor_minus_inf(doc):
@@ -576,6 +581,9 @@ def test_radii_that_repeat_are_refused_before_any_evaluation(tmp_path, capsys, m
         # 2**53 + 1, rounded to a float, would be the valid 2**53
         (["sweep", "--variable", "n", "--values", "2000,9007199254740993"],
          "n = 9007199254740993: code.n must lie in [1, 2**53], got an integer of 16 digits"),
+        (["sweep", "--variable", "phi_target", "--values", "9007199254740993"],
+         "phi_target = 9007199254740993: code.phi_target must lie in (0, 1), "
+         "got 9007199254740993"),
         (["sweep", "--variable", "power.transmit_mw", "--values", "1,0"],
          "power.transmit_mw = 0.0: power.transmit_mw must be positive and finite, got 0.0"),
         (["sweep", "--variable", "antennas.alice.beamwidth_override_deg", "--values", "200"],
@@ -631,6 +639,9 @@ def test_bad_argument_exits_2_naming_it(tmp_path, capsys, argv, option):
                  id="bandwidth -2 GHz"),
     pytest.param(_set_transmit_negative,
                  "power.transmit_mw must be positive and finite, got -1.0", id="transmit -1 mW"),
+    # an integer that no float holds keeps its digits
+    pytest.param(_set_phi_target_past_2_53,
+                 "code.phi_target must lie in (0, 1), got 9007199254740993", id="phi 2**53 + 1"),
 ])
 def test_config_refusal_names_the_key(tmp_path, capsys, edit, message):
     doc = base_config()
@@ -841,13 +852,14 @@ def test_a_row_at_the_configs_own_value_is_that_config(tmp_path, monkeypatch, ca
     sc = rc.scenario
     expected = planner.plan(sc)
     got = [row["c_ab_bits"], row["l_bits"], row["achieved_phi"]]
-    want = [expected.c_ab_bits, expected.code.randomness_bits, expected.achieved_phi]
+    want = [expected.bob_link.capacity_bits, expected.code.randomness_bits,
+            expected.achieved_phi]
     if sc.variant == "cell":
         got += [row[c] for c in ("r_e0_m", "r_delta_hi_m", "r_delta_lo_m")]
-        want += [secmap.threshold_radius(expected, sc, d) for d in (1e-3, 0.99, 0.01)]
+        want += [secmap.threshold_radius(expected, d) for d in (1e-3, 0.99, 0.01)]
     else:
         got.append(row["insecure_fraction"])
-        want.append(secmap.insecure_fraction(secmap.evaluate_map(expected, sc, 4.0)))
+        want.append(secmap.insecure_fraction(secmap.evaluate_map(expected, 4.0)))
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
@@ -892,4 +904,4 @@ def test_readme_library_example_plans_a_feasible_cell():
     namespace = {}
     for block in blocks:
         exec(block, namespace)
-    assert namespace["plan"].feasible
+    assert namespace["plan"].code is not None

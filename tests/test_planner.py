@@ -12,6 +12,7 @@ from thzsecmap import (
     DIRECTED,
     Antenna,
     InfeasiblePlanError,
+    PlanResult,
     RadioEnvironment,
     ScenarioConfig,
     SecrecyCode,
@@ -34,7 +35,7 @@ class TestPlanCell:
     def test_paper_setting_meets_target(self, cell_config):
         # published operating point: the target error must hold at the cone edge
         plan = plan_cell(cell_config)
-        assert plan.feasible
+        assert plan.code is not None
         assert plan.achieved_phi <= 1e-3
         assert plan.code.randomness_bits > 0.0
 
@@ -50,7 +51,7 @@ class TestPlanCell:
 
     def test_no_rate_budget_is_infeasible(self, cell_config):
         plan = plan_cell(cell_config._replace(rate_bits=3.0))
-        assert not plan.feasible
+        assert plan.code is None
         assert plan.code is None
         with pytest.raises(InfeasiblePlanError):
             require_feasible(plan)
@@ -98,9 +99,9 @@ class TestPlanCell:
         with pytest.raises(ValueError):
             plan_cell(cell_config._replace(phi_target=1.0))
 
-    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, cell_config, rate):
-        with pytest.raises(ValueError, match="rate_bits must be positive"):
+        with pytest.raises(ValueError, match=f"^rate_bits must be finite, got {rate}$"):
             plan_cell(cell_config._replace(rate_bits=rate))
 
     def test_rejects_directed_config(self, directed_config):
@@ -112,9 +113,9 @@ class TestPlanDirected:
     def test_paper_setting(self, directed_config):
         # C_AB about 2.12 bit at the aligned 15 m / 8.5 m geometry
         plan = plan_directed(directed_config)
-        assert plan.feasible
-        assert plan.c_ab_bits == pytest.approx(2.1192280708, abs=1e-6)
-        assert plan.code.randomness_bits < plan.c_ab_bits - 0.2
+        assert plan.code is not None
+        assert plan.bob_link.capacity_bits == pytest.approx(2.1192280708, abs=1e-6)
+        assert plan.code.randomness_bits < plan.bob_link.capacity_bits - 0.2
         assert plan.achieved_phi <= 1e-3
 
     def test_shorter_distance_larger_randomness(self, directed_config):
@@ -124,7 +125,7 @@ class TestPlanDirected:
 
     def test_infeasible_when_power_too_small(self, directed_config):
         plan = plan_directed(directed_config._replace(transmit_mw=1e-6))
-        assert not plan.feasible
+        assert plan.code is None
 
     def test_matches_scan_oracle(self, directed_config):
         plan = plan_directed(directed_config._replace(n=800))
@@ -166,7 +167,7 @@ class TestRandomizedMaximality:
                                  eve=ant, transmit_mw=power_mw, height_difference_m=3.5, n=n,
                                  rate_bits=rate, phi_target=phi_target)
             plan = plan_cell(cfg)
-            if not plan.feasible:
+            if plan.code is None:
                 continue
             code_up = SecrecyCode(n, rate, plan.code.randomness_bits + MISS_BITS)
             assert plan.achieved_phi <= phi_target
@@ -176,9 +177,19 @@ class TestRandomizedMaximality:
 
 def test_plan_result_dict_round_trip(cell_config):
     plan = plan_cell(cell_config)
-    assert plan.to_dict() == {"achieved_phi": plan.achieved_phi, "c_ab_bits": plan.c_ab_bits,
+    assert plan.to_dict() == {"achieved_phi": plan.achieved_phi,
+                              "c_ab_bits": plan.bob_link.capacity_bits,
                               "snr_ab": plan.bob_link.snr,
                               "randomness_bits": plan.code.randomness_bits}
+
+
+# a plan is the handle of its scenario: maps, profiles and threshold radii take the plan
+# alone, so it carries the config it was solved for, and nothing that config already holds
+@pytest.mark.parametrize("name", ["scenario1_cell.json", "scenario2_directed.json"])
+def test_a_plan_carries_its_config(name):
+    scenario = load_config(CONFIGS / name).scenario
+    assert planner.plan(scenario).config is scenario
+    assert PlanResult._fields == ("config", "code", "bob_link", "achieved_phi")
 
 
 def test_power_comes_from_the_scenario(cell_config):
@@ -240,8 +251,8 @@ class TestSolvedMaximum:
             oracle = oracles.bisect_max_randomness(
                 lambda l_bits: min_reliability(SecrecyCode(n, rate, l_bits), link)[0],
                 link.capacity_bits, rate, phi_target)
-            assert plan.feasible == (oracle is not None), (cfg, n, rate, phi_target)
-            if not plan.feasible:
+            assert (plan.code is not None) == (oracle is not None), (cfg, n, rate, phi_target)
+            if plan.code is None:
                 continue
             l_bits = plan.code.randomness_bits
             assert oracle[0] <= l_bits < oracle[0] + 1e-6, (cfg, n, rate, phi_target)
@@ -258,7 +269,7 @@ class TestSolvedMaximum:
     def test_at_least_the_scanned_maximum(self, n, rho, rate, log_phi):
         phi_target = math.exp(log_phi)
         plan = plan_cell(_cell_config_at_rho(rho, n, rate, phi_target))
-        assume(plan.feasible)
+        assume(plan.code is not None)
         link = plan.bob_link
         scan, _, h = oracles.scan_max_randomness_nats(n, link.rho, link.capacity_nats,
                                                       rate * LN2, phi_target)
@@ -322,4 +333,4 @@ class TestPlanWork:
             cfg, n, rate, phi_target = _random_plan_inputs(rng, paper_env, (CELL, DIRECTED)[i % 2])
             del recorded[:]
             plan = planner.plan(cfg)
-            assert len(recorded) <= (2 + planner._STEPS_DOWN_MAX if plan.feasible else 1)
+            assert len(recorded) <= (1 if plan.code is None else 2 + planner._STEPS_DOWN_MAX)

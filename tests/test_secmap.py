@@ -54,9 +54,9 @@ def cell_plan(small_cell):
     return plan_cell(small_cell)
 
 
-def shipped(name):
-    rc = load_config(CONFIGS / name)
-    sc = rc.scenario
+def shipped(name, **changes):
+    """A shipped config's scenario, with the fields in ``changes`` replaced, and its plan."""
+    sc = load_config(CONFIGS / name).scenario._replace(**changes)
     return sc, planner.plan(sc)
 
 
@@ -98,15 +98,15 @@ def count_probes(monkeypatch, search) -> tuple[int, int]:
     return len(calls["link_budget"]), len(calls["min_security"])
 
 
-def _brute_force(map_plan, config, grid) -> np.ndarray:
+def _brute_force(map_plan, grid) -> np.ndarray:
     """The level at every grid point, from its own link and bound minimization."""
-    return np.array([[min_security(map_plan.code, oracles.eve_link(config, x, y))[0]
+    return np.array([[min_security(map_plan.code, oracles.eve_link(map_plan.config, x, y))[0]
                       for x in grid.xs] for y in grid.ys])
 
 
 class TestEvaluateMap:
-    def test_values_in_unit_interval(self, cell_plan, small_cell):
-        grid = evaluate_map(cell_plan, small_cell, 2.0)
+    def test_values_in_unit_interval(self, cell_plan):
+        grid = evaluate_map(cell_plan, 2.0)
         assert type(grid.values) is MapValues
         assert all(type(row) is tuple and all(type(v) is float for v in row)
                    for row in grid.values)
@@ -115,15 +115,15 @@ class TestEvaluateMap:
         assert values.shape == (13, 13)
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
-    def test_radial_symmetry_exact(self, cell_plan, small_cell):
-        values = np.asarray(evaluate_map(cell_plan, small_cell, 2.0).values)
+    def test_radial_symmetry_exact(self, cell_plan):
+        values = np.asarray(evaluate_map(cell_plan, 2.0).values)
         assert np.array_equal(values, values[:, ::-1])
         assert np.array_equal(values, values[::-1, :])
         assert np.array_equal(values, values.T)
 
     def test_center_insecure_far_corner_secure(self, cell_config, calibrated_alice):
         plan = plan_cell(cell_config)
-        grid = evaluate_map(plan, cell_config, 6.0)
+        grid = evaluate_map(plan, 6.0)
         cy = len(grid.ys) // 2
         cx = len(grid.xs) // 2
         values = np.asarray(grid.values)
@@ -131,7 +131,7 @@ class TestEvaluateMap:
         assert values[0, 0] < 1e-6
 
     def test_single_point_equals_direct_call(self, cell_plan, small_cell):
-        grid = evaluate_map(cell_plan, small_cell, 3.0)
+        grid = evaluate_map(cell_plan, 3.0)
         iy, ix = 1, 2  # off-center point in the transition region of this room
         d, theta = Scene(small_cell).path(float(grid.xs[ix]), float(grid.ys[iy]))
         g_tx = pattern_gain(small_cell.alice, theta)
@@ -139,9 +139,9 @@ class TestEvaluateMap:
                            small_cell.environment)
         assert min_security(cell_plan.code, link)[0] == np.asarray(grid.values)[iy, ix]
 
-    def test_repeat_is_identical(self, cell_plan, small_cell, tmp_path):
-        one = evaluate_map(cell_plan, small_cell, 2.0)
-        again = evaluate_map(cell_plan, small_cell, 2.0)
+    def test_repeat_is_identical(self, cell_plan, tmp_path):
+        one = evaluate_map(cell_plan, 2.0)
+        again = evaluate_map(cell_plan, 2.0)
         assert np.array_equal(one.values, again.values)
         write_map_csv(one, tmp_path / "one.csv")
         write_map_csv(again, tmp_path / "again.csv")
@@ -150,13 +150,14 @@ class TestEvaluateMap:
     def test_infeasible_plan_rejected(self, small_cell):
         bad = plan_cell(small_cell._replace(rate_bits=3.0))
         with pytest.raises(InfeasiblePlanError):
-            evaluate_map(bad, small_cell, 2.0)
+            evaluate_map(bad, 2.0)
 
-    def test_eve_gain_dominance(self, small_cell):
-        plan = plan_cell(small_cell)
-        low = evaluate_map(plan, small_cell, 2.0)
-        boosted = small_cell._replace(eve=small_cell.eve._replace(gain_dbi=20.0))
-        high = evaluate_map(plan, boosted, 2.0)
+    def test_eve_gain_dominance(self, cell_plan, small_cell):
+        boosted = plan_cell(small_cell._replace(eve=small_cell.eve._replace(gain_dbi=20.0)))
+        # the planner never reads Eve's gain, so both scenarios get one code
+        assert boosted.code == cell_plan.code
+        low = evaluate_map(cell_plan, 2.0)
+        high = evaluate_map(boosted, 2.0)
         assert np.all(np.asarray(high.values) >= np.asarray(low.values))
 
     # the non-square room pairs x and y values from different axes, whose
@@ -168,11 +169,9 @@ class TestEvaluateMap:
         ("scenario2_directed.json", None, 1.0),
     ])
     def test_memo_equals_brute_force(self, name, room, resolution):
-        config, map_plan = shipped(name)
-        if room is not None:
-            config = config._replace(room_extent_m=room)
-        grid = evaluate_map(map_plan, config, resolution)
-        assert np.asarray(grid.values).tobytes() == _brute_force(map_plan, config, grid).tobytes()
+        _, map_plan = shipped(name, **({} if room is None else {"room_extent_m": room}))
+        grid = evaluate_map(map_plan, resolution)
+        assert np.asarray(grid.values).tobytes() == _brute_force(map_plan, grid).tobytes()
 
     # Each column walks outward over |y| and stops at its first exact zero, so
     # a map builds a link for each class with delta > 0 and for each column's
@@ -193,7 +192,7 @@ class TestEvaluateMap:
                                                 classes):
         config, map_plan = shipped(name)
         calls = count_calls(monkeypatch)
-        grid = evaluate_map(map_plan, config, resolution)
+        grid = evaluate_map(map_plan, resolution)
         assert grid.values.size == points
         links, bounds = self.WORK[name, resolution]
         counts = {layer: len(args) for layer, args in calls.items()}
@@ -220,8 +219,8 @@ class TestEvaluateMap:
         assert len(positive | {key(a, u) for a, us in zeros.items() for u in us}) == classes
 
     def test_mirrored_rows_are_one_tuple(self):
-        config, map_plan = shipped("scenario1_cell.json")
-        grid = evaluate_map(map_plan, config, 2.0)
+        _, map_plan = shipped("scenario1_cell.json")
+        grid = evaluate_map(map_plan, 2.0)
         rows = grid.values
         assert all(rows[k] is rows[-1 - k] for k in range(len(rows)))
         assert len({id(row) for row in rows}) == 16
@@ -246,9 +245,9 @@ class TestEvaluateMap:
         resolution = max(ex, ey) / data.draw(st.integers(8, 30))
         n = round(10.0 ** data.draw(st.floats(2.0, 4.7)))
         map_plan = planner.plan(config._replace(n=n))
-        assume(map_plan.feasible)
-        grid = evaluate_map(map_plan, config, resolution)
-        brute = _brute_force(map_plan, config, grid)
+        assume(map_plan.code is not None)
+        grid = evaluate_map(map_plan, resolution)
+        brute = _brute_force(map_plan, grid)
         assert [v.hex() for row in grid.values for v in row] == [v.hex() for v in brute.flat]
 
     @pytest.mark.parametrize("name", ["scenario1_cell.json", "scenario2_directed.json"])
@@ -309,39 +308,39 @@ class TestSecurityCurve:
 
 
 class TestRadialProfile:
-    def test_non_increasing(self, cell_plan, small_cell):
-        profile = radial_profile(cell_plan, small_cell, 0.0, 25.0, 101)
+    def test_non_increasing(self, cell_plan):
+        profile = radial_profile(cell_plan, 0.0, 25.0, 101)
         assert np.all(np.diff(profile.deltas) <= 1e-12)
 
-    def test_starts_at_one_for_paper_parameters(self, cell_plan, small_cell):
-        profile = radial_profile(cell_plan, small_cell, 0.0, 25.0, 26)
+    def test_starts_at_one_for_paper_parameters(self, cell_plan):
+        profile = radial_profile(cell_plan, 0.0, 25.0, 26)
         assert profile.deltas[0] > 0.999
 
-    def test_matches_map_at_grid_radii(self, cell_plan, small_cell):
-        grid = evaluate_map(cell_plan, small_cell, 2.0)
+    def test_matches_map_at_grid_radii(self, cell_plan):
+        grid = evaluate_map(cell_plan, 2.0)
         cy = len(grid.ys) // 2
         cx = len(grid.xs) // 2
         radii = [float(grid.xs[cx + k]) for k in range(1, 6)]
-        profile = radial_profile(cell_plan, small_cell, radii[0], radii[-1], len(radii))
+        profile = radial_profile(cell_plan, radii[0], radii[-1], len(radii))
         for k, r in enumerate(radii):
             assert profile.deltas[k] == np.asarray(grid.values)[cy, cx + k], f"radius {r}"
 
     def test_directed_unsupported(self, directed_config):
         plan = plan_directed(directed_config)
         with pytest.raises(ConfigError):
-            radial_profile(plan, directed_config, 0.0, 10.0, 5)
+            radial_profile(plan, 0.0, 10.0, 5)
 
     def test_one_link_and_one_bound_per_radius(self, monkeypatch):
-        config, plan = shipped("scenario1_cell.json")
+        _, plan = shipped("scenario1_cell.json")
         assert count_probes(monkeypatch,
-                            lambda: radial_profile(plan, config, 0.0, 30.0, 121)) == (121, 121)
+                            lambda: radial_profile(plan, 0.0, 30.0, 121)) == (121, 121)
 
-    def test_bad_range(self, cell_plan, small_cell):
+    def test_bad_range(self, cell_plan):
         with pytest.raises(ValueError):
-            radial_profile(cell_plan, small_cell, 5.0, 5.0, 10)
+            radial_profile(cell_plan, 5.0, 5.0, 10)
 
-    def test_radii_are_a_tuple_of_floats(self, cell_plan, small_cell):
-        profile = radial_profile(cell_plan, small_cell, 0, 10, 5)
+    def test_radii_are_a_tuple_of_floats(self, cell_plan):
+        profile = radial_profile(cell_plan, 0, 10, 5)
         assert profile.radii_m == (0.0, 2.5, 5.0, 7.5, 10.0)
         assert all(type(v) is float for v in profile.radii_m + profile.deltas)
 
@@ -351,12 +350,12 @@ class TestRadialProfile:
     def test_radii_equal_numpy_linspace(self, start, stop, num):
         assert secmap._linspace(start, stop, num) == tuple(np.linspace(start, stop, num).tolist())
 
-    def test_a_step_that_underflows_is_refused(self, cell_plan, small_cell):
+    def test_a_step_that_underflows_is_refused(self, cell_plan):
         # 2e-323 / 9 rounds to 0; numpy would scale k / 9 instead and still repeat radii
         with pytest.raises(ValueError, match=re.escape(
                 "r_min 0.0 m to r_max 2e-323 m in 10 steps gives radii that are not strictly "
                 "increasing; widen the range or use fewer steps")):
-            radial_profile(cell_plan, small_cell, 0.0, 2e-323, 10)
+            radial_profile(cell_plan, 0.0, 2e-323, 10)
 
     @pytest.mark.parametrize("radii, deltas, message", [
         ((0.0, math.nan, 2.0), (1.0, 0.5, 0.0), "finite"),
@@ -373,7 +372,7 @@ class TestRadialProfile:
 
 class TestThresholdRadius:
     def test_matches_dense_scan(self, cell_plan, small_cell):
-        r = threshold_radius(cell_plan, small_cell, 1e-3)
+        r = threshold_radius(cell_plan, 1e-3)
         scan = oracles.scan_crossing_radius(
             lambda r: min_security(cell_plan.code,
                                    oracles.eve_link(small_cell, r, 0.0))[0], 1e-3,
@@ -381,26 +380,27 @@ class TestThresholdRadius:
         assert abs(r - scan) <= 0.02
 
     def test_zero_when_secure_everywhere(self, small_cell):
-        # a weak, distant eavesdropper never reaches the target level, even on axis
-        plan = plan_cell(small_cell._replace(n=8000))
-        quiet = small_cell._replace(eve=small_cell.eve._replace(gain_dbi=0.0),
-                                    height_difference_m=8.5)
-        assert threshold_radius(plan, quiet, 0.999999) == 0.0
+        # a weak eavesdropper under a narrower beam never reaches the target level, even on
+        # axis
+        quiet = small_cell._replace(n=8000,
+                                    alice=small_cell.alice._replace(beamwidth_override_deg=None),
+                                    eve=small_cell.eve._replace(gain_dbi=0.0))
+        assert threshold_radius(plan_cell(quiet), 0.999999) == 0.0
 
-    def test_delta_validation(self, cell_plan, small_cell):
+    def test_delta_validation(self, cell_plan):
         with pytest.raises(ValueError):
-            threshold_radius(cell_plan, small_cell, 0.0)
+            threshold_radius(cell_plan, 0.0)
         with pytest.raises(ValueError):
-            threshold_radius(cell_plan, small_cell, 1.0)
+            threshold_radius(cell_plan, 1.0)
 
     def test_directed_unsupported(self, directed_config):
         plan = plan_directed(directed_config)
         with pytest.raises(ConfigError):
-            threshold_radius(plan, directed_config, 1e-3)
+            threshold_radius(plan, 1e-3)
 
     def test_one_link_and_one_bound_per_probe(self, monkeypatch):
-        config, plan = shipped("scenario1_cell.json")
-        assert count_probes(monkeypatch, lambda: threshold_radius(plan, config, 1e-3)) == (13, 13)
+        _, plan = shipped("scenario1_cell.json")
+        assert count_probes(monkeypatch, lambda: threshold_radius(plan, 1e-3)) == (13, 13)
 
     # The bisection needs a level that does not rise with the radius.  The level
     # does not fall as Eve's SNR rises (test_bounds.py), so the SNR must not
@@ -521,7 +521,7 @@ class TestSweep:
         calls.clear()
         row_plan = planner.plan(cell_config)
         for column, level in (("r_delta_hi_m", 0.99), ("r_e0_m", 1e-3), ("r_delta_lo_m", 0.01)):
-            assert row[column] == threshold_radius(row_plan, cell_config, level), column
+            assert row[column] == threshold_radius(row_plan, level), column
         assert 0 < in_sweep < len(calls)
 
     # The three crossings of a row share one curve: a radius that two of them
@@ -575,7 +575,7 @@ class TestSweep:
 def _map_fraction(config, resolution_m):
     """The directed column's reference: the count over the full map."""
     map_plan = planner.plan(config)
-    return insecure_fraction(evaluate_map(map_plan, config, resolution_m))
+    return insecure_fraction(evaluate_map(map_plan, resolution_m))
 
 
 @st.composite
@@ -655,7 +655,7 @@ class TestDirectedInsecureFraction:
         monkeypatch.setattr(secmap, "min_security", steps)
         [row] = shipped_sweep("scenario2_directed.json", "d_AB",
                               [rc.scenario.horizontal_distance_m], area_resolution_m=4.0)
-        grid = evaluate_map(row_plan, rc.scenario, 4.0)
+        grid = evaluate_map(row_plan, 4.0)
         values = np.asarray(grid.values)
         assert np.count_nonzero(values == 0.5) > 0
         assert row["insecure_fraction"] == insecure_fraction(grid)
@@ -706,10 +706,8 @@ def _shared_rows_grid() -> SecrecyMapGrid:
 
 
 def _shipped_map(name, resolution, room=None) -> SecrecyMapGrid:
-    config, map_plan = shipped(name)
-    if room is not None:
-        config = config._replace(room_extent_m=room)
-    return evaluate_map(map_plan, config, resolution)
+    _, map_plan = shipped(name, **({} if room is None else {"room_extent_m": room}))
+    return evaluate_map(map_plan, resolution)
 
 
 WRITER_GRIDS = {
@@ -758,8 +756,8 @@ class TestSerialization:
     def test_cell_text(self, value, text):
         assert secmap._cell(value) == text
 
-    def test_csv_layout_and_digits(self, cell_plan, small_cell, tmp_path):
-        grid = evaluate_map(cell_plan, small_cell, 4.0)
+    def test_csv_layout_and_digits(self, cell_plan, tmp_path):
+        grid = evaluate_map(cell_plan, 4.0)
         path = tmp_path / "map.csv"
         write_map_csv(grid, path)
         text = path.read_text()
@@ -774,13 +772,13 @@ class TestSerialization:
         second = lines[2].split(",")
         assert (float(second[0]), float(second[1])) == (grid.xs[1], grid.ys[0])
 
-    def test_csv_deterministic_across_runs(self, cell_plan, small_cell, tmp_path):
-        write_map_csv(evaluate_map(cell_plan, small_cell, 3.0), tmp_path / "a.csv")
-        write_map_csv(evaluate_map(cell_plan, small_cell, 3.0), tmp_path / "b.csv")
+    def test_csv_deterministic_across_runs(self, cell_plan, tmp_path):
+        write_map_csv(evaluate_map(cell_plan, 3.0), tmp_path / "a.csv")
+        write_map_csv(evaluate_map(cell_plan, 3.0), tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_pgm_format(self, cell_plan, small_cell, tmp_path):
-        grid = evaluate_map(cell_plan, small_cell, 4.0)
+    def test_pgm_format(self, cell_plan, tmp_path):
+        grid = evaluate_map(cell_plan, 4.0)
         path = tmp_path / "map.pgm"
         write_map_pgm(grid, path)
         lines = path.read_text().splitlines()
@@ -796,8 +794,8 @@ class TestSerialization:
         center = np.asarray(grid.values).shape[1] // 2
         assert pixels[center * nx + center] == 0
 
-    def test_profile_csv(self, cell_plan, small_cell, tmp_path):
-        profile = radial_profile(cell_plan, small_cell, 0.0, 10.0, 5)
+    def test_profile_csv(self, cell_plan, tmp_path):
+        profile = radial_profile(cell_plan, 0.0, 10.0, 5)
         path = tmp_path / "radial.csv"
         write_profile_csv(profile, path)
         lines = path.read_text().splitlines()
@@ -812,8 +810,8 @@ class TestSerialization:
         assert lines[0] == ",".join(SWEEP_COLUMNS)
         assert len(lines) == 2
 
-    def test_map_text_is_exact(self, cell_plan, small_cell, tmp_path):
-        grid = evaluate_map(cell_plan, small_cell, 6.0)
+    def test_map_text_is_exact(self, cell_plan, tmp_path):
+        grid = evaluate_map(cell_plan, 6.0)
         path = tmp_path / "map.csv"
         write_map_csv(grid, path)
         values = np.asarray(grid.values)
@@ -834,8 +832,8 @@ class TestSerialization:
         assert path.read_text() == expected
 
     @pytest.mark.parametrize("hand_built", [False, True])
-    def test_pgm_text_is_exact(self, hand_built, cell_plan, small_cell, tmp_path):
-        grid = _hand_built_grid() if hand_built else evaluate_map(cell_plan, small_cell, 3.0)
+    def test_pgm_text_is_exact(self, hand_built, cell_plan, tmp_path):
+        grid = _hand_built_grid() if hand_built else evaluate_map(cell_plan, 3.0)
         path = tmp_path / "map.pgm"
         write_map_pgm(grid, path)
         values = np.asarray(grid.values)
@@ -846,8 +844,8 @@ class TestSerialization:
         assert path.read_text() == "".join(line + "\n"
                                            for line in ["P2", f"{nx} {ny}", "255", *pixels])
 
-    def test_profile_text_is_exact(self, cell_plan, small_cell, tmp_path):
-        profile = radial_profile(cell_plan, small_cell, 0.0, 13.0, 7)
+    def test_profile_text_is_exact(self, cell_plan, tmp_path):
+        profile = radial_profile(cell_plan, 0.0, 13.0, 7)
         path = tmp_path / "radial.csv"
         write_profile_csv(profile, path)
         assert path.read_text() == _table("r_m,delta", zip(profile.radii_m, profile.deltas))
@@ -865,8 +863,8 @@ class TestSerialization:
             + f"R,3,false,{r_b},{c_ab},,,,,,,\n")
 
 
-def test_insecure_fraction_counts_cells(cell_plan, small_cell):
-    grid = evaluate_map(cell_plan, small_cell, 2.0)
+def test_insecure_fraction_counts_cells(cell_plan):
+    grid = evaluate_map(cell_plan, 2.0)
     frac = insecure_fraction(grid)
     values = np.asarray(grid.values)
     expected = float(np.count_nonzero(values > 0.5)) / values.size
@@ -904,6 +902,6 @@ def test_infinite_resolution_is_refused():
     message = "resolution must be positive and finite, got inf"
     map_plan = planner.plan(rc.scenario)
     with pytest.raises(ValueError, match=message):
-        evaluate_map(map_plan, rc.scenario, math.inf)
+        evaluate_map(map_plan, math.inf)
     with pytest.raises(ValueError, match=message):
         shipped_sweep("scenario2_directed.json", "d_AB", [15.0], area_resolution_m=math.inf)
